@@ -16,12 +16,11 @@ from .errors import (CheckpointError, CheckpointShapeError, CheckpointVersionErr
 from .network import (MonotoneNetParams, NetConfig, TrainingTrace, allocate_soft, clear_hard,
                       grad, init_params, loss, payment_soft, train, transform, transform_inverse,
                       transform_profile)
-from .pgm import read_pgm, write_pgm
 from .sim import (Device, LearnedMechanism, RoundRecord, SecondPriceMechanism, WorldConfig,
                   WorldState, form_valuations, generate_world, run_episode, step,
                   write_episode_csv, write_episode_events)
 from .valuation import (ImagePile, Position, distance, normalize_profile, pair_mse,
-                        pile_similarity, raw_valuation, valuation_score)
+                        pile_similarity, valuation_score)
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "grad", "init_params", "loss", "payment_soft", "train", "transform",
     "transform_inverse", "transform_profile", "load_params", "save_params",
     "ImagePile", "Position", "distance", "normalize_profile", "pair_mse",
-    "pile_similarity", "raw_valuation", "valuation_score", "read_pgm", "write_pgm",
+    "pile_similarity", "valuation_score",
     "Device", "LearnedMechanism", "RoundRecord", "SecondPriceMechanism", "WorldConfig",
     "WorldState", "form_valuations", "generate_world", "run_episode", "step",
     "write_episode_csv", "write_episode_events",

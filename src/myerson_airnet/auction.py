@@ -19,19 +19,12 @@ from .errors import DomainError, InputError
 
 @dataclass(frozen=True)
 class ValuationDistribution:
-    """Distribution bidder valuations are drawn from.
-
-    Only the uniform family is implemented; ``kind`` is explicit so that
-    other families can be added without touching call sites.
-    """
+    """Uniform distribution on ``[lower, upper]`` that bidder valuations are drawn from."""
 
     lower: float
     upper: float
-    kind: str = "uniform"
 
     def __post_init__(self):
-        if self.kind != "uniform":
-            raise InputError(f"unsupported distribution kind {self.kind!r}")
         lower = float(self.lower)
         upper = float(self.upper)
         if not (np.isfinite(lower) and np.isfinite(upper)):

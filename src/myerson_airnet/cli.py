@@ -4,18 +4,16 @@ Subcommands: ``train`` a learned auction, ``revenue-gap`` it against the
 second-price baseline, ``simulate`` a collection episode, and ``eval``
 mean revenue against the analytic optimum.  Every command honors
 ``--seed``; outputs carry no timestamps, so identical invocations write
-byte-identical files.  ``MYERSON_AIRNET_THREADS`` caps worker threads
-for revenue-gap cases (0 or unset runs serially); per-case sub-seeds
-make parallel and serial runs emit identical CSVs.
+byte-identical files.  Each revenue-gap case draws from its own
+``(seed, case index)`` stream, and every command clears one profile per
+:func:`clear_hard` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +26,6 @@ from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
 from .network import clear_hard, train
 from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_episode,
                   write_episode_csv, write_episode_events)
-
-THREADS_ENV = "MYERSON_AIRNET_THREADS"
 
 # Seed-derivation tags so different outputs never share a substream.
 _TAG_TRAIN_EVAL = 900001
@@ -53,19 +49,6 @@ _NET_KEYS = ("n_bidders", "dist_lower", "dist_upper", "groups", "linear_units", 
 _WORLD_KEYS = ("n_devices", "area_width", "area_height", "image_rows", "image_cols",
                "pile_size", "battery", "uav_x", "uav_y", "max_rounds",
                "similarity_aggregate", "valuation_rule")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if threads < 0:
-        raise InputError(f"{THREADS_ENV} must be non-negative")
-    return threads
 
 
 def _require_out(cfg, args) -> str:
@@ -117,15 +100,7 @@ def _cmd_revenue_gap(args) -> int:
     out = _require_out(cfg, args)
     params = load_params(args.checkpoint, expect=cfg.net)
 
-    indices = range(cfg.cases)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(
-                lambda i: _gap_case(params, cfg.distribution, cfg.net.seed, i), indices))
-    else:
-        pairs = [_gap_case(params, cfg.distribution, cfg.net.seed, i) for i in indices]
-
+    pairs = [_gap_case(params, cfg.distribution, cfg.net.seed, i) for i in range(cfg.cases)]
     dla = np.array([pair[0] for pair in pairs])
     spa = np.array([pair[1] for pair in pairs])
     gaps = dla - spa
@@ -169,13 +144,11 @@ def _cmd_simulate(args) -> int:
         mechanism = LearnedMechanism(params)
 
     state = generate_world(cfg.world)
-    start_position = state.uav_position
-    start_battery = state.battery
     records = run_episode(state, mechanism, cfg.world.max_rounds)
 
-    write_episode_csv(out, records, start_position, start_battery)
+    write_episode_csv(out, records)
     if args.events:
-        write_episode_events(args.events, records, start_position, start_battery)
+        write_episode_events(args.events, records)
         print(f"wrote event stream {args.events}")
 
     revenue = sum(record.outcome.revenue for record in records)

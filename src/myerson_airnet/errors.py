@@ -31,7 +31,7 @@ class CheckpointShapeError(CheckpointError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite parameters."""
 
 
 class EpisodeExhaustedError(RuntimeError):

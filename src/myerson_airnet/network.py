@@ -23,7 +23,7 @@ Parameter arrays ``theta`` and ``beta`` have shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,6 +136,20 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
     return MonotoneNetParams(theta, beta, config.kappa)
 
 
+# The two piece kernels.  ``v`` and ``y`` are scalars or arrays whose last
+# two axes have size 1, so they broadcast over the (groups, units) axes of
+# ``theta`` and ``beta`` and any leading (sample, bidder) axes.
+
+def _pieces(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
+    """Affine pieces ``exp(theta) * v + beta``."""
+    return np.exp(theta) * v + beta
+
+
+def _inverse_pieces(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
+    """Inverted pieces ``(y - beta) * exp(-theta)``."""
+    return (y - beta) * np.exp(-theta)
+
+
 def _check_bidder(params: MonotoneNetParams, bidder: int) -> None:
     if not 0 <= bidder < params.n_bidders:
         raise InputError(f"bidder index {bidder} out of range for {params.n_bidders} bidders")
@@ -147,7 +161,7 @@ def transform(params: MonotoneNetParams, bidder: int, bid: float) -> float:
     bid = float(bid)
     if not np.isfinite(bid):
         raise InputError("bid must be finite")
-    pieces = np.exp(params.theta[bidder]) * bid + params.beta[bidder]
+    pieces = _pieces(params.theta[bidder], params.beta[bidder], bid)
     return float(pieces.min(axis=1).max())
 
 
@@ -157,7 +171,7 @@ def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float
     y = float(y)
     if not np.isfinite(y):
         raise InputError("transformed bid must be finite")
-    pieces = (y - params.beta[bidder]) * np.exp(-params.theta[bidder])
+    pieces = _inverse_pieces(params.theta[bidder], params.beta[bidder], y)
     return float(pieces.max(axis=1).min())
 
 
@@ -168,8 +182,7 @@ def transform_profile(params: MonotoneNetParams, bids) -> np.ndarray:
         raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise InputError("bids must be finite")
-    pieces = np.exp(params.theta) * b[:, None, None] + params.beta
-    return pieces.min(axis=2).max(axis=1)
+    return _pieces(params.theta, params.beta, b[:, None, None]).min(axis=2).max(axis=1)
 
 
 def allocate_soft(transformed_bids, kappa: float) -> np.ndarray:
@@ -221,16 +234,10 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
 
 
 def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
-    """Accept an (S, N) array or an iterable of ValuationProfile."""
-    if isinstance(batch, np.ndarray):
-        values = np.asarray(batch, dtype=float)
-        if values.ndim == 1:
-            values = values[None, :]
-    else:
-        profiles = list(batch)
-        if not profiles:
-            raise InputError("batch must not be empty")
-        values = np.stack([np.asarray(p.values, dtype=float) for p in profiles])
+    """Check an (S, N) valuation matrix; a single row becomes a one-row batch."""
+    values = np.asarray(batch, dtype=float)
+    if values.ndim == 1:
+        values = values[None, :]
     if values.ndim != 2 or values.shape[0] < 1:
         raise InputError("batch must be a non-empty matrix of valuations")
     if values.shape[1] != params.n_bidders:
@@ -246,7 +253,7 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     beta = params.beta
     n_samples, n_bidders = values.shape
 
-    pieces = w[None] * values[:, :, None, None] + beta[None]
+    pieces = _pieces(params.theta, beta, values[:, :, None, None])
     jmin = pieces.argmin(axis=3)
     min_over_j = np.take_along_axis(pieces, jmin[..., None], axis=3)[..., 0]
     kmax = min_over_j.argmax(axis=2)
@@ -266,6 +273,7 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     rmax = np.take_along_axis(rivals, rarg[..., None], axis=2)[..., 0]
     r = np.maximum(rmax, 0.0)
 
+    # Not _inverse_pieces: dividing by w pins the checkpoint and loss-trace bytes.
     inv_pieces = (r[:, :, None, None] - beta[None]) / w[None]
     jmax_inv = inv_pieces.argmax(axis=3)
     max_over_j = np.take_along_axis(inv_pieces, jmax_inv[..., None], axis=3)[..., 0]
@@ -345,6 +353,9 @@ def train(config: NetConfig,
     Deterministic for a given config: one RNG stream drives both the
     parameter init and every batch.  Stops early once the loss range over
     a trailing 20-iteration window drops below ``convergence_tol``.
+    Raises :class:`TrainingDivergedError` on a non-finite loss, or once an
+    update leaves an offset non-finite or a slope ``exp(theta)`` outside
+    ``(0, inf)``.
     """
     rng = np.random.default_rng(config.seed)
     params = init_params(config, rng)
@@ -357,6 +368,11 @@ def train(config: NetConfig,
             raise TrainingDivergedError(f"non-finite loss at iteration {iteration}")
         params.theta -= config.learning_rate * dtheta
         params.beta -= config.learning_rate * dbeta
+        with np.errstate(over="ignore"):
+            slopes = params.weights()
+        if not (np.all(np.isfinite(params.beta)) and np.all((0.0 < slopes) & (slopes < np.inf))):
+            raise TrainingDivergedError(
+                f"parameters left the finite range at iteration {iteration}")
         losses.append(value)
         if config.convergence_tol > 0.0 and len(losses) >= 20:
             window = losses[-20:]

@@ -64,6 +64,10 @@ class WorldConfig:
     def __post_init__(self):
         if self.n_devices < 2:
             raise InputError("a market needs at least two devices")
+        for key in ("area_width", "area_height", "uav_x", "uav_y"):
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                raise InputError(f"{key} must be finite, got {value}")
         if self.area_width <= 0.0 or self.area_height <= 0.0:
             raise InputError("area dimensions must be positive")
         if self.image_rows < 1 or self.image_cols < 1:
@@ -103,12 +107,11 @@ class WorldState:
     devices: list[Device]
     last_collected: ImagePile
     round: int = 0
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Everything one auction round decided."""
+    """Everything one auction round decided, plus the collector after it."""
 
     round: int
     valuations: ValuationProfile
@@ -116,6 +119,8 @@ class RoundRecord:
     outcome: AuctionOutcome
     uav_moved_to: Position | None
     distance_flown: float
+    uav_position: Position
+    battery: float
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,7 @@ def generate_world(config: WorldConfig) -> WorldState:
     sentinel_rng = np.random.default_rng([config.seed, _TAG_SENTINEL])
     sentinel = _capture_pile(field_, sentinel_rng, start, config)
     return WorldState(config=config, uav_position=start, battery=float(config.battery),
-                      devices=devices, last_collected=sentinel, rng_seed=config.seed)
+                      devices=devices, last_collected=sentinel)
 
 
 def form_valuations(state: WorldState) -> ValuationProfile:
@@ -247,13 +252,14 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
         state.uav_position = device.position
         state.battery = max(0.0, state.battery - flown)
         state.last_collected = device.pile
-        field_ = _NoiseField(state.rng_seed)
-        regen = np.random.default_rng([state.rng_seed, _TAG_REGEN, state.round, device.id])
+        field_ = _NoiseField(state.config.seed)
+        regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, device.id])
         device.pile = _capture_pile(field_, regen, device.position, state.config)
         moved_to = device.position
 
     record = RoundRecord(round=state.round, valuations=profile, mechanism=mechanism.name,
-                         outcome=outcome, uav_moved_to=moved_to, distance_flown=flown)
+                         outcome=outcome, uav_moved_to=moved_to, distance_flown=flown,
+                         uav_position=state.uav_position, battery=state.battery)
     state.round += 1
     return state, record
 
@@ -279,35 +285,24 @@ EPISODE_CSV_COLUMNS = ("round", "mechanism", "winner", "payment", "revenue",
                        "uav_x", "uav_y", "battery", "distance_flown")
 
 
-def _walk_rounds(records, start_position: Position, start_battery: float):
-    """Reconstruct post-round position and battery alongside each record."""
-    position = start_position
-    battery = start_battery
-    for record in records:
-        if record.uav_moved_to is not None:
-            position = record.uav_moved_to
-            battery = max(0.0, battery - record.distance_flown)
-        yield record, position, battery
-
-
-def write_episode_csv(path, records, start_position: Position, start_battery: float) -> None:
+def write_episode_csv(path, records) -> None:
     """One row per round: outcome plus post-round collector position and battery."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(EPISODE_CSV_COLUMNS)
-        for record, position, battery in _walk_rounds(records, start_position, start_battery):
+        for record in records:
             outcome = record.outcome
             winner = -1 if outcome.winner is None else outcome.winner
             writer.writerow([record.round, record.mechanism, winner,
                              repr(float(outcome.payment)), repr(float(outcome.revenue)),
-                             repr(position.x), repr(position.y), repr(battery),
-                             repr(float(record.distance_flown))])
+                             repr(record.uav_position.x), repr(record.uav_position.y),
+                             repr(record.battery), repr(float(record.distance_flown))])
 
 
-def write_episode_events(path, records, start_position: Position, start_battery: float) -> None:
+def write_episode_events(path, records) -> None:
     """Newline-delimited JSON event stream carrying enough detail to replay."""
     lines = []
-    for record, position, battery in _walk_rounds(records, start_position, start_battery):
+    for record in records:
         outcome = record.outcome
         lines.append(json.dumps({
             "round": record.round,
@@ -317,8 +312,8 @@ def write_episode_events(path, records, start_position: Position, start_battery:
             "payment": float(outcome.payment),
             "revenue": float(outcome.revenue),
             "allocation": [float(a) for a in outcome.allocation],
-            "uav": [position.x, position.y],
-            "battery": battery,
+            "uav": [record.uav_position.x, record.uav_position.y],
+            "battery": record.battery,
             "distance_flown": float(record.distance_flown),
         }, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -93,26 +93,20 @@ def pile_similarity(current: ImagePile, previous: ImagePile, aggregate: str = "m
     raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
 
 
-def raw_valuation(similarity: float, dist_meters: float) -> float:
-    """Product score: redundancy gap times collection distance."""
-    if similarity < 0.0 or not np.isfinite(similarity):
-        raise InputError("similarity must be a finite non-negative number")
-    if dist_meters < 0.0 or not np.isfinite(dist_meters):
-        raise InputError("distance must be a finite non-negative number")
-    return similarity * dist_meters
-
-
 def valuation_score(similarity: float, dist_meters: float, rule: str = "product") -> float:
-    """Dispatch between the product rule and the proximity alternative.
+    """Raw score of one device from its pile similarity and collection distance.
 
-    ``product`` is ``s * d``; ``proximity`` is ``s / (1 + d)``, which
-    rewards novelty near the collector instead of far from it.
+    ``product`` is ``s * d``, the redundancy gap times the distance;
+    ``proximity`` is ``s / (1 + d)``, which rewards novelty near the
+    collector instead of far from it.
     """
+    if similarity < 0.0 or not math.isfinite(similarity):
+        raise InputError("similarity must be a finite non-negative number")
+    if dist_meters < 0.0 or not math.isfinite(dist_meters):
+        raise InputError("distance must be a finite non-negative number")
     if rule == "product":
-        return raw_valuation(similarity, dist_meters)
+        return similarity * dist_meters
     if rule == "proximity":
-        if similarity < 0.0 or dist_meters < 0.0:
-            raise InputError("similarity and distance must be non-negative")
         return similarity / (1.0 + dist_meters)
     raise InputError(f"unknown valuation rule {rule!r} (use 'product' or 'proximity')")
 

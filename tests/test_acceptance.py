@@ -18,7 +18,8 @@ from myerson_airnet.cli import main
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_hard, grad,
                                     train, transform, transform_inverse)
 from myerson_airnet.sim import SecondPriceMechanism, WorldConfig, generate_world, run_episode
-from myerson_airnet.valuation import ImagePile, Position, distance, pair_mse, pile_similarity, raw_valuation
+from myerson_airnet.valuation import (ImagePile, Position, distance, pair_mse, pile_similarity,
+                                      valuation_score)
 
 
 def report(number, label, failures):
@@ -152,11 +153,10 @@ def test_acceptance_5_trained_net_beats_second_price(u01, big_test_profiles,
     report(5, "trained net beats second price", failures)
 
 
-def test_acceptance_6_default_pipeline_on_high_support(tmp_path, monkeypatch):
+def test_acceptance_6_default_pipeline_on_high_support(tmp_path):
     """Stock config end to end: train, then score 300 revenue-gap cases
     on the uniform [0.5, 1] market.  The gap curve must come out sorted
     and the mean gap within 0.05 of zero, in under two minutes."""
-    monkeypatch.delenv("MYERSON_AIRNET_THREADS", raising=False)
     start = time.perf_counter()
     ckpt = tmp_path / "default.ckpt"
     gaps_csv = tmp_path / "gaps.csv"
@@ -201,7 +201,7 @@ def test_acceptance_7_valuation_oracles():
     rng = np.random.default_rng(701)
     for _ in range(200):
         s, d = rng.uniform(0.0, 3.0, 2)
-        if raw_valuation(2.0 * s, d) != 2.0 * raw_valuation(s, d):
+        if valuation_score(2.0 * s, d) != 2.0 * valuation_score(s, d):
             failures.append("doubling similarity must double the price")
             break
 

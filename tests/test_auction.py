@@ -27,8 +27,6 @@ def test_distribution_validation():
         ValuationDistribution(2.0, 1.0)
     with pytest.raises(InputError):
         ValuationDistribution(0.0, float("inf"))
-    with pytest.raises(InputError):
-        ValuationDistribution(0.0, 1.0, kind="exponential")
 
 
 def test_distribution_sampling_in_support():

@@ -10,7 +10,7 @@ import pytest
 from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
                                     spa_clear)
 from myerson_airnet.checkpoint import save_params
-from myerson_airnet.cli import THREADS_ENV, main
+from myerson_airnet.cli import main
 from myerson_airnet.network import MonotoneNetParams, NetConfig, train
 
 TINY = ("--n-bidders", "3", "--groups", "2", "--linear-units", "2",
@@ -75,6 +75,27 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert "iteration" in capsys.readouterr().err
 
 
+def test_train_overflowing_step_exits_3_without_checkpoint(tmp_path, capsys):
+    """A finite loss followed by a step that overflows the slopes must not be saved."""
+    out = tmp_path / "n.ckpt"
+    rc = main(["train", "--iterations", "1", "--learning-rate", "1e308",
+               "--batch-size", "64", "--out", str(out)])
+    assert rc == 3
+    assert "iteration 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "n.ckpt.loss.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--area-width", "nan", "area_width"), ("--uav-x", "inf", "uav_x"),
+])
+def test_simulate_non_finite_geometry_names_the_key(tmp_path, capsys, flag, value, key):
+    rc = main(["simulate", "--mechanism", "spa", "--out", str(tmp_path / "e.csv"), flag, value])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_train_unwritable_out_exits_3(tmp_path, capsys):
     rc = main(["train", *TINY, "--iterations", "2",
                "--out", str(tmp_path / "missing" / "x.ckpt")])
@@ -82,8 +103,7 @@ def test_train_unwritable_out_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_revenue_gap_identity_checkpoint_is_exactly_zero(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_revenue_gap_identity_checkpoint_is_exactly_zero(tmp_path, capsys):
     ckpt = identity_checkpoint(tmp_path)
     out = tmp_path / "gaps.csv"
     rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(out),
@@ -104,8 +124,7 @@ def test_revenue_gap_identity_checkpoint_is_exactly_zero(tmp_path, capsys, monke
     assert "positive gap fraction: 0.0000" in stdout
 
 
-def test_revenue_gap_gaps_are_sorted_ascending(tmp_path, monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_revenue_gap_gaps_are_sorted_ascending(tmp_path):
     ckpt = train_tiny(tmp_path)
     out = tmp_path / "gaps.csv"
     rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(out),
@@ -117,32 +136,7 @@ def test_revenue_gap_gaps_are_sorted_ascending(tmp_path, monkeypatch):
     assert all(a <= b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_revenue_gap_threads_match_serial(tmp_path, monkeypatch):
-    ckpt = identity_checkpoint(tmp_path)
-    args = ["revenue-gap", "--checkpoint", str(ckpt), "--groups", "1",
-            "--linear-units", "1", "--cases", "25", "--seed", "9"]
-
-    serial = tmp_path / "serial.csv"
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert main(args + ["--out", str(serial)]) == 0
-
-    pooled = tmp_path / "pooled.csv"
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert main(args + ["--out", str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
-
-
-def test_revenue_gap_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    ckpt = identity_checkpoint(tmp_path)
-    monkeypatch.setenv(THREADS_ENV, "abc")
-    rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv"),
-               "--groups", "1", "--linear-units", "1", "--cases", "3"])
-    assert rc == 2
-    assert THREADS_ENV in capsys.readouterr().err
-
-
-def test_revenue_gap_writes_svg(tmp_path, monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_revenue_gap_writes_svg(tmp_path):
     ckpt = identity_checkpoint(tmp_path)
     out = tmp_path / "gaps.csv"
     rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(out), "--svg",
@@ -153,8 +147,7 @@ def test_revenue_gap_writes_svg(tmp_path, monkeypatch):
     assert "polyline" in svg
 
 
-def test_revenue_gap_shape_mismatch_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_revenue_gap_shape_mismatch_exits_2(tmp_path, capsys):
     ckpt = identity_checkpoint(tmp_path)  # five bidders
     rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv"),
                "--n-bidders", "3", "--groups", "1", "--linear-units", "1"])
@@ -325,13 +318,12 @@ def test_module_entrypoint_smoke(tmp_path):
     assert out.exists()
 
 
-def test_trained_gap_tracks_analytic_gap_over_100k_cases(tmp_path, monkeypatch):
+def test_trained_gap_tracks_analytic_gap_over_100k_cases(tmp_path):
     """A well-trained net recovers most of the optimal-reserve revenue.
 
     The same 100k valuation draws are replayed through the analytic
     optimum, so the comparison is paired and Monte-Carlo noise cancels.
     """
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     dist = ValuationDistribution(0.0, 1.0)
     config = NetConfig(seed=0, batch_size=4096, iterations=1500)
     params, _ = train(config, dist)

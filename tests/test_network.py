@@ -220,7 +220,7 @@ def test_loss_accepts_profiles_and_requires_batch():
     u01 = ValuationDistribution(0.0, 1.0)
     params = identity_params(2)
     profiles = [ValuationProfile([0.8, 0.6], u01), ValuationProfile([0.4, 0.9], u01)]
-    as_profiles = loss(params, profiles, 100.0)
+    as_profiles = loss(params, [profile.values for profile in profiles], 100.0)
     as_array = loss(params, np.array([[0.8, 0.6], [0.4, 0.9]]), 100.0)
     assert as_profiles == as_array
     with pytest.raises(InputError):

@@ -37,6 +37,10 @@ def test_world_config_validation():
         small_config(seed=-1)
     with pytest.raises(InputError):
         small_config(area_width=0.0)
+    for key in ("area_width", "area_height", "uav_x", "uav_y"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InputError, match=key):
+                small_config(**{key: value})
     with pytest.raises(InputError):
         small_config(pile_size=0)
     with pytest.raises(InputError):
@@ -84,8 +88,7 @@ def hand_world(devices, last_collected, uav=Position(0.0, 0.0), battery=1000.0, 
     config = small_config(n_devices=len(devices), image_rows=1, image_cols=2,
                           pile_size=1, battery=battery, **overrides)
     return WorldState(config=config, uav_position=uav, battery=battery,
-                      devices=devices, last_collected=last_collected,
-                      rng_seed=config.seed)
+                      devices=devices, last_collected=last_collected)
 
 
 def three_device_world(**overrides):
@@ -140,6 +143,7 @@ def test_step_winner_flies_and_swaps_pile():
     assert record.distance_flown == 5.0
     assert state.uav_position == Position(3.0, 4.0)
     assert state.battery == 995.0
+    assert (record.uav_position, record.battery) == (Position(3.0, 4.0), 995.0)
     assert state.last_collected is old_pile
     assert not np.array_equal(state.devices[0].pile.images, old_pile.images)
     assert state.round == 1
@@ -159,6 +163,7 @@ def test_step_battery_floors_on_final_hop():
     assert record.distance_flown == 5.0
     assert state.battery == 0.0
     assert state.uav_position == Position(3.0, 4.0)
+    assert (record.uav_position, record.battery) == (Position(3.0, 4.0), 0.0)
 
 
 def test_step_no_sale_leaves_world_untouched():
@@ -174,6 +179,7 @@ def test_step_no_sale_leaves_world_untouched():
     assert state.round == 1
     assert state.uav_position == frozen.uav_position
     assert state.battery == frozen.battery
+    assert (record.uav_position, record.battery) == (frozen.uav_position, frozen.battery)
     assert np.array_equal(state.last_collected.images, frozen.last_collected.images)
     for device, before in zip(state.devices, frozen.devices):
         assert np.array_equal(device.pile.images, before.pile.images)
@@ -244,8 +250,7 @@ def test_episode_replays_bitwise_from_seed(tmp_path):
         state = generate_world(small_config(seed=21))
         records = run_episode(state, SecondPriceMechanism(), 6)
         path = tmp_path / f"{tag}.jsonl"
-        write_episode_events(path, records, Position(state.config.uav_x, state.config.uav_y),
-                             state.config.battery)
+        write_episode_events(path, records)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -256,7 +261,7 @@ def test_write_episode_csv_round_trips(tmp_path):
     start = state.uav_position
     records = run_episode(state, SecondPriceMechanism(), 5)
     path = tmp_path / "episode.csv"
-    write_episode_csv(path, records, start, config.battery)
+    write_episode_csv(path, records)
 
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -286,7 +291,7 @@ def test_write_episode_csv_marks_no_sale(tmp_path):
     mechanism = LearnedMechanism(MonotoneNetParams.affine(3, 1.0, -2.0))
     _, record = step(state, mechanism)
     path = tmp_path / "nosale.csv"
-    write_episode_csv(path, [record], Position(0.0, 0.0), 1000.0)
+    write_episode_csv(path, [record])
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[1][1] == "dla"
@@ -299,7 +304,7 @@ def test_write_episode_events_fields(tmp_path):
     state = generate_world(config)
     records = run_episode(state, SecondPriceMechanism(), 3)
     path = tmp_path / "events.jsonl"
-    write_episode_events(path, records, Position(config.uav_x, config.uav_y), config.battery)
+    write_episode_events(path, records)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     for line, record in zip(lines, records):

@@ -1,14 +1,12 @@
-"""Distance, image MSE, pile aggregation, normalization, PGM ingestion."""
+"""Distance, image MSE, pile aggregation, valuation rules, normalization."""
 
 import numpy as np
 import pytest
 
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import DegenerateProfileError, InputError
-from myerson_airnet.pgm import read_pgm, write_pgm
 from myerson_airnet.valuation import (ImagePile, Position, distance, normalize_profile,
-                                      pair_mse, pile_similarity, raw_valuation,
-                                      valuation_score)
+                                      pair_mse, pile_similarity, valuation_score)
 
 
 def test_distance_examples():
@@ -97,23 +95,29 @@ def test_image_pile_validation():
 
 
 def test_raw_valuation():
-    assert raw_valuation(0.0, 123.0) == 0.0
-    assert raw_valuation(0.2, 5.0) == 1.0
+    """The default product rule: redundancy gap times distance."""
+    assert valuation_score(0.0, 123.0) == 0.0
+    assert valuation_score(0.2, 5.0) == 1.0
     # doubling either factor doubles the product exactly
-    assert raw_valuation(2.0 * 0.3, 7.0) == 2.0 * raw_valuation(0.3, 7.0)
+    assert valuation_score(2.0 * 0.3, 7.0) == 2.0 * valuation_score(0.3, 7.0)
     rng = np.random.default_rng(311)
     for _ in range(100):
         s, d, c = rng.uniform(0.0, 4.0, 3)
-        assert raw_valuation(c * s, d) == pytest.approx(c * raw_valuation(s, d), rel=1e-12)
+        assert valuation_score(c * s, d) == pytest.approx(c * valuation_score(s, d), rel=1e-12)
     with pytest.raises(InputError):
-        raw_valuation(-0.1, 1.0)
+        valuation_score(-0.1, 1.0)
     with pytest.raises(InputError):
-        raw_valuation(0.1, -1.0)
+        valuation_score(0.1, -1.0)
 
 
 def test_valuation_score_rules():
-    assert valuation_score(0.2, 5.0) == raw_valuation(0.2, 5.0)
+    assert valuation_score(0.2, 5.0, "product") == 0.2 * 5.0
     assert valuation_score(0.2, 5.0, "proximity") == 0.2 / 6.0
+    for rule in ("product", "proximity"):
+        for similarity, dist_meters in ((-0.1, 1.0), (0.1, -1.0), (float("nan"), 1.0),
+                                        (0.1, float("inf"))):
+            with pytest.raises(InputError):
+                valuation_score(similarity, dist_meters, rule)
     with pytest.raises(InputError):
         valuation_score(0.2, 5.0, "inverse")
 
@@ -144,60 +148,3 @@ def test_normalize_profile_properties():
         # strict order on distinct raws survives the affine map
         order = np.argsort(raw, kind="stable")
         assert np.all(np.diff(out[order]) >= 0.0)
-
-
-def test_pgm_raw_roundtrip(tmp_path):
-    rng = np.random.default_rng(317)
-    img = rng.random((7, 9))
-    path = tmp_path / "img.pgm"
-    write_pgm(path, img)
-    back = read_pgm(path)
-    assert back.shape == img.shape
-    assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
-
-    wide = tmp_path / "wide.pgm"
-    write_pgm(wide, img, maxval=65535)
-    assert np.abs(read_pgm(wide) - img).max() <= 0.5 / 65535.0 + 1e-12
-
-
-def test_pgm_plain_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(331)
-    img = rng.random((4, 6))
-    path = tmp_path / "plain.pgm"
-    write_pgm(path, img, raw=False)
-    assert path.read_text().startswith("P2")
-    back = read_pgm(path)
-    assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
-
-
-def test_pgm_handwritten_p2(tmp_path):
-    path = tmp_path / "hand.pgm"
-    path.write_text("P2\n# a comment\n3 2\n4\n0 1 2\n3 4 0\n")
-    img = read_pgm(path)
-    assert img.shape == (2, 3)
-    assert np.array_equal(img, np.array([[0.0, 0.25, 0.5], [0.75, 1.0, 0.0]]))
-
-
-def test_pgm_errors(tmp_path):
-    bad_magic = tmp_path / "bad.pgm"
-    bad_magic.write_bytes(b"P7\n2 2\n255\n\x00\x00\x00\x00")
-    with pytest.raises(InputError):
-        read_pgm(bad_magic)
-
-    truncated = tmp_path / "trunc.pgm"
-    truncated.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    with pytest.raises(InputError):
-        read_pgm(truncated)
-
-    header_only = tmp_path / "head.pgm"
-    header_only.write_bytes(b"P5\n4\n")
-    with pytest.raises(InputError):
-        read_pgm(header_only)
-
-    over_range = tmp_path / "over.pgm"
-    over_range.write_text("P2\n2 1\n10\n5 11\n")
-    with pytest.raises(InputError):
-        read_pgm(over_range)
-
-    with pytest.raises(InputError):
-        write_pgm(tmp_path / "x.pgm", np.full((2, 2), 1.5))
