@@ -5,8 +5,11 @@ pinned copy byte for byte.  Together they fix the floating-point
 operation order of the learned auction: the batch training forward
 (checkpoint and loss trace), per-profile hard clearing (revenue-gap)
 and clearing inside the simulator (the dla episode and its event
-stream).  The revenue-gap and episode cases read the pinned checkpoint,
-so a training change shows up in the training case alone.
+stream).  The second-price episode pins the other similarity and
+valuation branches (``min`` aggregate, ``proximity`` rule) on piles of
+five non-square images.  The revenue-gap and dla episode cases read the
+pinned checkpoint, so a training change shows up in the training case
+alone.
 
 Regenerate from the repository root with ``PYTHONPATH=src``, and only
 for a deliberate change of output bytes:
@@ -18,6 +21,12 @@ for a deliberate change of output bytes:
     python -m myerson_airnet simulate --mechanism dla --checkpoint tests/data/golden_net.ckpt \\
         --config tests/data/golden_world.cfg --battery 1e9 \\
         --out tests/data/golden_dla_episode.csv --events tests/data/golden_dla_episode.jsonl
+    python -m myerson_airnet simulate --mechanism spa --n-devices 9 --pile-size 5 \\
+        --image-rows 5 --image-cols 7 --similarity-aggregate min \\
+        --valuation-rule proximity --max-rounds 40 --seed 1 --area-width 100 \\
+        --area-height 100 --uav-x 50 --uav-y 50 --battery 1e9 \\
+        --out tests/data/golden_spa_min_episode.csv \\
+        --events tests/data/golden_spa_min_episode.jsonl
 """
 
 import pytest
@@ -37,6 +46,14 @@ CASES = {
                   "--out", "{tmp}/golden_dla_episode.csv",
                   "--events", "{tmp}/golden_dla_episode.jsonl"],
                  ["golden_dla_episode.csv", "golden_dla_episode.jsonl"]),
+    "simulate-spa-min": (["simulate", "--mechanism", "spa", "--n-devices", "9",
+                          "--pile-size", "5", "--image-rows", "5", "--image-cols", "7",
+                          "--similarity-aggregate", "min", "--valuation-rule", "proximity",
+                          "--max-rounds", "40", "--seed", "1", "--area-width", "100",
+                          "--area-height", "100", "--uav-x", "50", "--uav-y", "50",
+                          "--battery", "1e9", "--out", "{tmp}/golden_spa_min_episode.csv",
+                          "--events", "{tmp}/golden_spa_min_episode.jsonl"],
+                         ["golden_spa_min_episode.csv", "golden_spa_min_episode.jsonl"]),
 }
 
 
