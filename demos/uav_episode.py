@@ -13,8 +13,8 @@ state = generate_world(config)
 
 print(f"collector starts at ({config.uav_x:.0f}, {config.uav_y:.0f}) "
       f"with {config.battery:.0f} m of battery")
-for device in state.devices:
-    print(f"  device {device.id} at ({device.position.x:7.1f}, {device.position.y:7.1f})")
+for idx, position in enumerate(state.positions):
+    print(f"  device {idx} at ({position.x:7.1f}, {position.y:7.1f})")
 
 records = run_episode(state, SecondPriceMechanism(), config.max_rounds)
 

@@ -16,9 +16,9 @@ from .errors import (CheckpointError, CheckpointShapeError, CheckpointVersionErr
 from .network import (MonotoneNetParams, NetConfig, TrainingTrace, allocate_soft, clear_hard,
                       grad, init_params, loss, payment_soft, train, transform, transform_inverse,
                       transform_profile)
-from .sim import (Device, LearnedMechanism, RoundRecord, SecondPriceMechanism, WorldConfig,
-                  WorldState, form_valuations, generate_world, run_episode, step,
-                  write_episode_csv, write_episode_events)
+from .sim import (LearnedMechanism, RoundRecord, SecondPriceMechanism, WorldConfig, WorldState,
+                  form_valuations, generate_world, run_episode, step, write_episode_csv,
+                  write_episode_events)
 from .valuation import (ImagePile, Position, distance, normalize_profile, pair_mse,
                         pile_similarity, valuation_score)
 
@@ -32,7 +32,7 @@ __all__ = [
     "transform_inverse", "transform_profile", "load_params", "save_params",
     "ImagePile", "Position", "distance", "normalize_profile", "pair_mse",
     "pile_similarity", "valuation_score",
-    "Device", "LearnedMechanism", "RoundRecord", "SecondPriceMechanism", "WorldConfig",
+    "LearnedMechanism", "RoundRecord", "SecondPriceMechanism", "WorldConfig",
     "WorldState", "form_valuations", "generate_world", "run_episode", "step",
     "write_episode_csv", "write_episode_events",
     "ExperimentConfig", "build_config", "read_config_file",

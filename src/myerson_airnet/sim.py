@@ -8,6 +8,10 @@ swaps the winner's pile in as the new reference, and the device captures
 a fresh pile.  Imagery comes from a seeded smooth value-noise field over
 the area, so nearby devices see correlated scenes.
 
+The world is held as arrays: every device's pile is one row of a
+``(D, P, R, C)`` array, so a round scores all devices' similarity in one
+batched call.  The noise field is built once per world.
+
 All randomness derives from ``WorldConfig.seed`` through fixed
 sub-stream tags, so an episode replays bitwise from its seed.
 """
@@ -24,8 +28,7 @@ import numpy as np
 from .auction import AuctionOutcome, ValuationDistribution, ValuationProfile, spa_clear
 from .errors import DegenerateProfileError, EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
-from .valuation import (ImagePile, Position, distance, normalize_profile, pile_similarity,
-                        valuation_score)
+from .valuation import Position, distance, normalize_profile, pile_similarity, valuation_score
 
 # Sub-stream tags for seed derivation; changing these changes every world.
 _TAG_PLACEMENT = 0
@@ -89,24 +92,38 @@ class WorldConfig:
 
 
 @dataclass
-class Device:
-    """Ground device: identifier, fixed position, current image pile."""
-
-    id: int
-    position: Position
-    pile: ImagePile
-
-
-@dataclass
 class WorldState:
-    """Mutable episode state advanced by :func:`step`."""
+    """Mutable episode state advanced by :func:`step`.
+
+    Device ``i`` sits at ``positions[i]`` and holds the pile
+    ``piles[i]``; ``piles`` is ``(D, P, R, C)`` and ``last_collected``,
+    the reference pile, is ``(P, R, C)``, both copied on construction so
+    the state owns them.  ``noise`` is the world's imagery field, built
+    from ``config.seed``.
+    """
 
     config: WorldConfig
     uav_position: Position
     battery: float
-    devices: list[Device]
-    last_collected: ImagePile
+    positions: tuple[Position, ...]
+    piles: np.ndarray
+    last_collected: np.ndarray
     round: int = 0
+    noise: _NoiseField = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        config = self.config
+        self.positions = tuple(self.positions)
+        self.piles = np.array(self.piles, dtype=float)
+        self.last_collected = np.array(self.last_collected, dtype=float)
+        shape = (config.pile_size, config.image_rows, config.image_cols)
+        if len(self.positions) != config.n_devices:
+            raise InputError(f"{len(self.positions)} positions for {config.n_devices} devices")
+        if self.piles.shape != (config.n_devices, *shape) or self.last_collected.shape != shape:
+            raise InputError(f"piles {self.piles.shape} and last_collected "
+                             f"{self.last_collected.shape} do not match the config's "
+                             f"{config.n_devices} piles of shape {shape}")
+        self.noise = _NoiseField(config.seed)
 
 
 @dataclass(frozen=True)
@@ -171,7 +188,7 @@ class _NoiseField:
 
 
 def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos: Position,
-                  config: WorldConfig) -> ImagePile:
+                  config: WorldConfig) -> np.ndarray:
     """Sample a pile at ``pos``: jittered field windows plus sensor noise."""
     rows, cols = config.image_rows, config.image_cols
     gx = pos.x + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
@@ -182,7 +199,7 @@ def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos: Position,
         mesh_x, mesh_y = np.meshgrid(gx + ox, gy + oy)
         img = field_.sample(mesh_x, mesh_y) + rng.normal(0.0, _PIXEL_NOISE, (rows, cols))
         images.append(np.clip(img, 0.0, 1.0))
-    return ImagePile(np.stack(images))
+    return np.stack(images)
 
 
 def generate_world(config: WorldConfig) -> WorldState:
@@ -192,23 +209,23 @@ def generate_world(config: WorldConfig) -> WorldState:
     own start position, so round one already has a meaningful redundancy
     signal.  Deterministic for a given ``config.seed``.
     """
-    field_ = _NoiseField(config.seed)
     placement = np.random.default_rng([config.seed, _TAG_PLACEMENT])
     xy = placement.random((config.n_devices, 2))
     xy[:, 0] *= config.area_width
     xy[:, 1] *= config.area_height
-
-    devices = []
-    for idx in range(config.n_devices):
-        pos = Position(float(xy[idx, 0]), float(xy[idx, 1]))
-        pile_rng = np.random.default_rng([config.seed, _TAG_PILE, idx])
-        devices.append(Device(idx, pos, _capture_pile(field_, pile_rng, pos, config)))
+    positions = tuple(Position(float(x), float(y)) for x, y in xy)
 
     start = Position(config.uav_x, config.uav_y)
+    shape = (config.pile_size, config.image_rows, config.image_cols)
+    state = WorldState(config=config, uav_position=start, battery=float(config.battery),
+                       positions=positions, piles=np.empty((config.n_devices, *shape)),
+                       last_collected=np.empty(shape))
+    for idx, pos in enumerate(positions):
+        pile_rng = np.random.default_rng([config.seed, _TAG_PILE, idx])
+        state.piles[idx] = _capture_pile(state.noise, pile_rng, pos, config)
     sentinel_rng = np.random.default_rng([config.seed, _TAG_SENTINEL])
-    sentinel = _capture_pile(field_, sentinel_rng, start, config)
-    return WorldState(config=config, uav_position=start, battery=float(config.battery),
-                      devices=devices, last_collected=sentinel)
+    state.last_collected[...] = _capture_pile(state.noise, sentinel_rng, start, config)
+    return state
 
 
 def form_valuations(state: WorldState) -> ValuationProfile:
@@ -218,11 +235,10 @@ def form_valuations(state: WorldState) -> ValuationProfile:
     back to midpoint valuations for every device.
     """
     config = state.config
-    raws = []
-    for device in state.devices:
-        d = distance(state.uav_position, device.position)
-        s = pile_similarity(device.pile, state.last_collected, config.similarity_aggregate)
-        raws.append(valuation_score(s, d, config.valuation_rule))
+    # math.hypot per device: np.hypot can differ in the last bit
+    dists = np.array([distance(state.uav_position, pos) for pos in state.positions])
+    sims = pile_similarity(state.piles, state.last_collected, config.similarity_aggregate)
+    raws = valuation_score(sims, dists, config.valuation_rule)
     try:
         return normalize_profile(raws, config.distribution)
     except DegenerateProfileError:
@@ -234,10 +250,10 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
     """Run one auction round and advance the world in place.
 
     A winning round flies the collector to the winner (battery floors at
-    zero on the final hop), installs the collected pile as the new
-    reference, and recaptures the winner's pile.  A no-sale round leaves
-    the collector and battery untouched.  The round counter advances
-    either way.
+    zero on the final hop), copies the collected pile in as the new
+    reference, and recaptures the winner's pile into its row.  A no-sale
+    round leaves the collector and battery untouched.  The round counter
+    advances either way.
     """
     if state.battery <= 0.0:
         raise EpisodeExhaustedError(f"battery empty before round {state.round}")
@@ -246,16 +262,17 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
 
     moved_to = None
     flown = 0.0
-    if outcome.winner is not None:
-        device = state.devices[outcome.winner]
-        flown = distance(state.uav_position, device.position)
-        state.uav_position = device.position
+    winner = outcome.winner
+    if winner is not None:
+        position = state.positions[winner]
+        flown = distance(state.uav_position, position)
+        state.uav_position = position
         state.battery = max(0.0, state.battery - flown)
-        state.last_collected = device.pile
-        field_ = _NoiseField(state.config.seed)
-        regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, device.id])
-        device.pile = _capture_pile(field_, regen, device.position, state.config)
-        moved_to = device.position
+        # a copy, so the recapture below cannot write through to the reference
+        state.last_collected = state.piles[winner].copy()
+        regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, winner])
+        state.piles[winner] = _capture_pile(state.noise, regen, position, state.config)
+        moved_to = position
 
     record = RoundRecord(round=state.round, valuations=profile, mechanism=mechanism.name,
                          outcome=outcome, uav_moved_to=moved_to, distance_flown=flown,

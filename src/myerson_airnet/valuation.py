@@ -5,6 +5,10 @@ must fly (Euclidean distance) and how different the device's current
 image pile is from the pile collected in the previous round (mean
 squared error across all cross pairs).  Raw scores are min-max
 normalized onto the support of the market's valuation distribution.
+
+Similarity and scoring work on whole markets at once: a ``(D, P, R, C)``
+stack of D piles is scored against one reference pile in a single call,
+and a lone :class:`ImagePile` or scalar is a one-row batch.
 """
 
 from __future__ import annotations
@@ -76,39 +80,55 @@ def pair_mse(a, b) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def pile_similarity(current: ImagePile, previous: ImagePile, aggregate: str = "mean") -> float:
+def pile_similarity(current, previous, aggregate: str = "mean"):
     """Aggregate pairwise MSE between every image of one pile and the other.
 
     ``mean`` averages all cross pairs; ``min`` scores a pile by its most
-    redundant image pair instead.
+    redundant image pair instead.  ``current`` is an :class:`ImagePile`,
+    which returns a float, or a ``(D, P, R, C)`` stack of D piles, which
+    returns one score per pile; ``previous`` is one pile, as an
+    :class:`ImagePile` or a ``(Q, R, C)`` array.  The stack is scored one
+    current image at a time, so the largest temporary is ``(D, Q, R, C)``.
     """
-    if (current.rows, current.cols) != (previous.rows, previous.cols):
+    if aggregate not in ("mean", "min"):
+        raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
+    single = isinstance(current, ImagePile)
+    stack = np.asarray(current.images[None] if single else current, dtype=float)
+    if isinstance(previous, ImagePile):
+        previous = previous.images
+    reference = np.asarray(previous, dtype=float)
+    if stack.ndim != 4 or reference.ndim != 3 or stack.shape[2:] != reference.shape[1:]:
         raise InputError("piles must share image dimensions")
-    diffs = current.images[:, None] - previous.images[None, :]
-    per_pair = np.mean(diffs ** 2, axis=(2, 3))
-    if aggregate == "mean":
-        return float(per_pair.mean())
-    if aggregate == "min":
-        return float(per_pair.min())
-    raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
+    per_pair = np.empty(stack.shape[:2] + reference.shape[:1])
+    for p in range(stack.shape[1]):
+        diffs = stack[:, p, None] - reference
+        per_pair[:, p] = np.mean(diffs ** 2, axis=(2, 3))
+    reduce = np.mean if aggregate == "mean" else np.min
+    scores = reduce(per_pair, axis=(1, 2))
+    return float(scores[0]) if single else scores
 
 
-def valuation_score(similarity: float, dist_meters: float, rule: str = "product") -> float:
-    """Raw score of one device from its pile similarity and collection distance.
+def valuation_score(similarity, dist_meters, rule: str = "product"):
+    """Raw score of each device from its pile similarity and collection distance.
 
     ``product`` is ``s * d``, the redundancy gap times the distance;
     ``proximity`` is ``s / (1 + d)``, which rewards novelty near the
-    collector instead of far from it.
+    collector instead of far from it.  Arrays score elementwise; two
+    scalars return a float.
     """
-    if similarity < 0.0 or not math.isfinite(similarity):
+    s = np.asarray(similarity, dtype=float)
+    d = np.asarray(dist_meters, dtype=float)
+    if not np.all((s >= 0.0) & np.isfinite(s)):
         raise InputError("similarity must be a finite non-negative number")
-    if dist_meters < 0.0 or not math.isfinite(dist_meters):
+    if not np.all((d >= 0.0) & np.isfinite(d)):
         raise InputError("distance must be a finite non-negative number")
     if rule == "product":
-        return similarity * dist_meters
-    if rule == "proximity":
-        return similarity / (1.0 + dist_meters)
-    raise InputError(f"unknown valuation rule {rule!r} (use 'product' or 'proximity')")
+        score = s * d
+    elif rule == "proximity":
+        score = s / (1.0 + d)
+    else:
+        raise InputError(f"unknown valuation rule {rule!r} (use 'product' or 'proximity')")
+    return float(score) if score.ndim == 0 else score
 
 
 def normalize_profile(raw_values, dist: ValuationDistribution) -> ValuationProfile:

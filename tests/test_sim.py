@@ -11,11 +11,10 @@ import pytest
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import EpisodeExhaustedError, InputError
 from myerson_airnet.network import MonotoneNetParams
-from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, Device, LearnedMechanism,
-                                SecondPriceMechanism, WorldConfig, WorldState,
-                                form_valuations, generate_world, run_episode, step,
-                                write_episode_csv, write_episode_events)
-from myerson_airnet.valuation import ImagePile, Position
+from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, LearnedMechanism, SecondPriceMechanism,
+                                WorldConfig, WorldState, form_valuations, generate_world,
+                                run_episode, step, write_episode_csv, write_episode_events)
+from myerson_airnet.valuation import Position
 
 
 def small_config(**overrides):
@@ -60,45 +59,58 @@ def test_generate_world_is_deterministic():
     b = generate_world(small_config())
     assert a.uav_position == b.uav_position
     assert a.battery == b.battery
-    assert np.array_equal(a.last_collected.images, b.last_collected.images)
-    for da, db in zip(a.devices, b.devices):
-        assert da.position == db.position
-        assert np.array_equal(da.pile.images, db.pile.images)
+    assert np.array_equal(a.last_collected, b.last_collected)
+    assert a.positions == b.positions
+    assert np.array_equal(a.piles, b.piles)
 
     other = generate_world(small_config(seed=12))
-    assert any(da.position != do.position for da, do in zip(a.devices, other.devices))
+    assert any(pa != po for pa, po in zip(a.positions, other.positions))
 
 
 def test_generate_world_geometry():
     config = small_config(n_devices=6, image_rows=5, image_cols=7, pile_size=3)
     state = generate_world(config)
-    assert len(state.devices) == 6
+    assert len(state.positions) == 6
     assert state.uav_position == Position(config.uav_x, config.uav_y)
     assert state.battery == config.battery
     assert state.round == 0
-    for idx, device in enumerate(state.devices):
-        assert device.id == idx
-        assert 0.0 <= device.position.x <= config.area_width
-        assert 0.0 <= device.position.y <= config.area_height
-        assert device.pile.images.shape == (3, 5, 7)
-    assert state.last_collected.images.shape == (3, 5, 7)
+    for position in state.positions:
+        assert 0.0 <= position.x <= config.area_width
+        assert 0.0 <= position.y <= config.area_height
+    assert state.piles.shape == (6, 3, 5, 7)
+    assert state.last_collected.shape == (3, 5, 7)
+    assert np.all((state.piles >= 0.0) & (state.piles <= 1.0))
 
 
-def hand_world(devices, last_collected, uav=Position(0.0, 0.0), battery=1000.0, **overrides):
-    config = small_config(n_devices=len(devices), image_rows=1, image_cols=2,
+def hand_world(positions, piles, last_collected, uav=Position(0.0, 0.0), battery=1000.0,
+               **overrides):
+    config = small_config(n_devices=len(positions), image_rows=1, image_cols=2,
                           pile_size=1, battery=battery, **overrides)
     return WorldState(config=config, uav_position=uav, battery=battery,
-                      devices=devices, last_collected=last_collected)
+                      positions=positions, piles=piles, last_collected=last_collected)
 
 
 def three_device_world(**overrides):
     """Hand-checkable market: raw scores 5.0, 2.5, and 1.75."""
-    devices = [
-        Device(0, Position(3.0, 4.0), ImagePile(np.ones((1, 1, 2)))),
-        Device(1, Position(0.0, 5.0), ImagePile(np.array([[[1.0, 0.0]]]))),
-        Device(2, Position(7.0, 0.0), ImagePile(np.full((1, 1, 2), 0.5))),
-    ]
-    return hand_world(devices, ImagePile(np.zeros((1, 1, 2))), **overrides)
+    positions = (Position(3.0, 4.0), Position(0.0, 5.0), Position(7.0, 0.0))
+    piles = [np.ones((1, 1, 2)), np.array([[[1.0, 0.0]]]), np.full((1, 1, 2), 0.5)]
+    return hand_world(positions, piles, np.zeros((1, 1, 2)), **overrides)
+
+
+def test_world_state_owns_arrays_of_the_config_shape():
+    piles = np.zeros((3, 1, 1, 2))
+    last = np.ones((1, 1, 2))
+    state = hand_world([Position(0.0, 0.0)] * 3, piles, last)
+    assert not np.shares_memory(state.piles, piles)
+    assert not np.shares_memory(state.last_collected, last)
+    assert not np.shares_memory(state.piles, state.last_collected)
+    with pytest.raises(InputError, match="positions"):
+        WorldState(config=state.config, uav_position=Position(0.0, 0.0), battery=1.0,
+                   positions=[Position(0.0, 0.0)] * 2, piles=piles, last_collected=last)
+    with pytest.raises(InputError, match="piles"):
+        hand_world([Position(0.0, 0.0)] * 3, np.zeros((3, 1, 2, 2)), last)
+    with pytest.raises(InputError, match="last_collected"):
+        hand_world([Position(0.0, 0.0)] * 3, piles, np.ones((2, 1, 2)))
 
 
 def test_form_valuations_hand_computed():
@@ -111,22 +123,21 @@ def test_form_valuations_hand_computed():
 
 def test_form_valuations_zero_distance_scores_lowest():
     state = three_device_world()
-    state.uav_position = state.devices[2].position  # distance 0 -> raw 0
+    state.uav_position = state.positions[2]  # distance 0 -> raw 0
     profile = form_valuations(state)
     assert profile.values[2] == state.config.distribution.lower
 
 
 def test_form_valuations_identical_pile_scores_lowest():
     state = three_device_world()
-    state.devices[0].pile = state.last_collected  # mse 0 -> raw 0
+    state.piles[0] = state.last_collected  # mse 0 -> raw 0
     profile = form_valuations(state)
     assert profile.values[0] == state.config.distribution.lower
 
 
 def test_form_valuations_degenerate_falls_back_to_midpoint():
-    pile = ImagePile(np.full((1, 1, 2), 0.5))
-    devices = [Device(i, Position(10.0, 0.0), pile) for i in range(3)]
-    state = hand_world(devices, pile)
+    pile = np.full((1, 1, 2), 0.5)
+    state = hand_world([Position(10.0, 0.0)] * 3, [pile] * 3, pile)
     # equal similarity and equal distance: zero spread
     profile = form_valuations(state)
     assert np.all(profile.values == state.config.distribution.midpoint)
@@ -134,7 +145,7 @@ def test_form_valuations_degenerate_falls_back_to_midpoint():
 
 def test_step_winner_flies_and_swaps_pile():
     state = three_device_world()
-    old_pile = state.devices[0].pile
+    old_pile = state.piles[0].copy()
     new_state, record = step(state, SecondPriceMechanism())
     assert new_state is state
     assert record.mechanism == "spa"
@@ -144,9 +155,13 @@ def test_step_winner_flies_and_swaps_pile():
     assert state.uav_position == Position(3.0, 4.0)
     assert state.battery == 995.0
     assert (record.uav_position, record.battery) == (Position(3.0, 4.0), 995.0)
-    assert state.last_collected is old_pile
-    assert not np.array_equal(state.devices[0].pile.images, old_pile.images)
+    assert np.array_equal(state.last_collected, old_pile)
+    assert not np.array_equal(state.piles[0], old_pile)
     assert state.round == 1
+    # the reference is a copy: writing the pile array leaves it alone
+    assert not np.shares_memory(state.last_collected, state.piles)
+    state.piles[:] = 0.25
+    assert np.array_equal(state.last_collected, old_pile)
 
 
 def test_step_regeneration_is_seeded():
@@ -154,7 +169,7 @@ def test_step_regeneration_is_seeded():
     b = three_device_world()
     step(a, SecondPriceMechanism())
     step(b, SecondPriceMechanism())
-    assert np.array_equal(a.devices[0].pile.images, b.devices[0].pile.images)
+    assert np.array_equal(a.piles, b.piles)
 
 
 def test_step_battery_floors_on_final_hop():
@@ -180,9 +195,8 @@ def test_step_no_sale_leaves_world_untouched():
     assert state.uav_position == frozen.uav_position
     assert state.battery == frozen.battery
     assert (record.uav_position, record.battery) == (frozen.uav_position, frozen.battery)
-    assert np.array_equal(state.last_collected.images, frozen.last_collected.images)
-    for device, before in zip(state.devices, frozen.devices):
-        assert np.array_equal(device.pile.images, before.pile.images)
+    assert np.array_equal(state.last_collected, frozen.last_collected)
+    assert np.array_equal(state.piles, frozen.piles)
 
 
 def test_step_requires_charge():
