@@ -2,7 +2,7 @@
 
 On this support the optimal mechanism posts a 0.5 reserve, so a good
 run should discover a reserve near 0.5 and recover most of the revenue
-gap over second price. Takes around half a minute.
+gap over second price. Takes a few seconds.
 """
 
 import numpy as np

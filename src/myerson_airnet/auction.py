@@ -19,10 +19,10 @@ from .errors import DomainError, InputError
 
 @dataclass(frozen=True)
 class ValuationDistribution:
-    """Uniform distribution on ``[lower, upper]`` that bidder valuations are drawn from."""
+    """Uniform valuation distribution on ``[lower, upper]``; the defaults are the package's."""
 
-    lower: float
-    upper: float
+    lower: float = 0.5
+    upper: float = 1.0
 
     def __post_init__(self):
         lower = float(self.lower)
@@ -113,15 +113,18 @@ def spa_clear(bids) -> AuctionOutcome:
     return _one_hot_outcome(winner, payment, b.size)
 
 
-def virtual_valuation(v: float, dist: ValuationDistribution) -> float:
+def virtual_valuation(v, dist: ValuationDistribution):
     """Marginal-revenue transform ``v - (1 - F(v)) / f(v)``.
 
-    For uniform[a, b] this reduces to ``2 v - b``.
+    For uniform[a, b] this reduces to ``2 v - b``.  A scalar ``v`` gives a
+    float and an array gives an array; every entry must lie in the support.
     """
-    v = float(v)
-    if not np.isfinite(v) or not dist.lower <= v <= dist.upper:
-        raise DomainError(f"value {v} outside support [{dist.lower}, {dist.upper}]")
-    return v - (1.0 - dist.cdf(v)) / dist.pdf(v)
+    v = np.asarray(v, dtype=float)
+    if not (dist.lower <= v.min() and v.max() <= dist.upper):  # NaN fails both
+        shown = f"value {float(v)}" if v.ndim == 0 else "a value"
+        raise DomainError(f"{shown} outside support [{dist.lower}, {dist.upper}]")
+    phi = v - (1.0 - dist.cdf(v)) / dist.pdf(v)
+    return float(phi) if phi.ndim == 0 else phi
 
 
 def virtual_valuation_inverse(y: float, dist: ValuationDistribution) -> float:
@@ -143,7 +146,7 @@ def myerson_clear(profile: ValuationProfile) -> AuctionOutcome:
     """
     dist = profile.distribution
     values = profile.values
-    phi = values - (1.0 - dist.cdf(values)) / dist.pdf(values)
+    phi = virtual_valuation(values, dist)
     winner = int(np.argmax(phi))
     if phi[winner] < 0.0:
         return _no_sale(values.size)

@@ -58,12 +58,19 @@ def _require_out(cfg, args) -> str:
     return out
 
 
-def _mean_revenues(params, dist, n_bidders: int, samples: int, seed_list) -> tuple[float, float]:
-    rng = np.random.default_rng(seed_list)
-    values = dist.sample(rng, (samples, n_bidders))
-    dla = np.fromiter((clear_hard(params, row).revenue for row in values), float, samples)
-    spa = np.fromiter((spa_clear(row).revenue for row in values), float, samples)
-    return float(dla.mean()), float(spa.mean())
+def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row revenue of the learned auction, second price and, given ``dist``, the optimum.
+
+    Clears one profile per mechanism call, a row at a time, so ``rows``
+    may be a lazy iterable; the optimum's array is empty without ``dist``.
+    """
+    dla, spa, optimum = [], [], []
+    for row in rows:
+        dla.append(clear_hard(params, row).revenue)
+        spa.append(spa_clear(row).revenue)
+        if dist is not None:
+            optimum.append(myerson_clear(ValuationProfile(row, dist)).revenue)
+    return np.array(dla), np.array(spa), np.array(optimum)
 
 
 def _cmd_train(args) -> int:
@@ -79,20 +86,14 @@ def _cmd_train(args) -> int:
         for iteration, value in enumerate(trace.losses):
             writer.writerow([iteration, repr(float(value))])
 
-    dla_mean, spa_mean = _mean_revenues(params, cfg.distribution, cfg.net.n_bidders,
-                                        10_000, [cfg.net.seed, _TAG_TRAIN_EVAL])
+    rng = np.random.default_rng([cfg.net.seed, _TAG_TRAIN_EVAL])
+    dla, spa, _ = _revenues(params, cfg.distribution.sample(rng, (10_000, cfg.net.n_bidders)))
     print(f"trained {len(trace.losses)} iterations; final loss {trace.final_loss:.6f}")
     if trace.converged_at is not None:
         print(f"converged at iteration {trace.converged_at}")
-    print(f"test revenue over 10000 fresh profiles: dla {dla_mean:.6f}, spa {spa_mean:.6f}")
+    print(f"test revenue over 10000 fresh profiles: dla {dla.mean():.6f}, spa {spa.mean():.6f}")
     print(f"wrote checkpoint {out} and loss trace {trace_path}")
     return 0
-
-
-def _gap_case(params, dist, seed: int, index: int) -> tuple[float, float]:
-    rng = np.random.default_rng([seed, index])
-    values = dist.sample(rng, params.n_bidders)
-    return clear_hard(params, values).revenue, spa_clear(values).revenue
 
 
 def _cmd_revenue_gap(args) -> int:
@@ -100,9 +101,9 @@ def _cmd_revenue_gap(args) -> int:
     out = _require_out(cfg, args)
     params = load_params(args.checkpoint, expect=cfg.net)
 
-    pairs = [_gap_case(params, cfg.distribution, cfg.net.seed, i) for i in range(cfg.cases)]
-    dla = np.array([pair[0] for pair in pairs])
-    spa = np.array([pair[1] for pair in pairs])
+    cases = (cfg.distribution.sample(np.random.default_rng([cfg.net.seed, i]), params.n_bidders)
+             for i in range(cfg.cases))
+    dla, spa, _ = _revenues(params, cases)
     gaps = dla - spa
     order = np.argsort(gaps, kind="stable")
 
@@ -174,17 +175,11 @@ def _cmd_eval(args) -> int:
 
     rng = np.random.default_rng([cfg.net.seed, _TAG_EVAL])
     values = cfg.distribution.sample(rng, (samples, cfg.net.n_bidders))
-    revenue = {"dla": np.empty(samples), "spa": np.empty(samples), "myerson": np.empty(samples)}
-    for row_index, row in enumerate(values):
-        revenue["dla"][row_index] = clear_hard(params, row).revenue
-        revenue["spa"][row_index] = spa_clear(row).revenue
-        profile = ValuationProfile(row, cfg.distribution)
-        revenue["myerson"][row_index] = myerson_clear(profile).revenue
+    revenue = dict(zip(("dla", "spa", "myerson"), _revenues(params, values, cfg.distribution)))
 
     print(f"samples: {samples} (common random numbers)")
     print(f"{'mechanism':<10} {'mean_revenue':>14} {'stddev':>12}")
-    for name in ("dla", "spa", "myerson"):
-        series = revenue[name]
+    for name, series in revenue.items():
         print(f"{name:<10} {series.mean():>14.6f} {series.std():>12.6f}")
     return 0
 

@@ -2,12 +2,17 @@
 
 A config file holds one ``key = value`` pair per line ('#' comments and
 blank lines allowed).  CLI flags override file values, which override
-the documented defaults.  The same schema backs every subcommand.
+the defaults.  The same schema backs every subcommand.
+
+:data:`SCHEMA` only parses and explains the keys.  Defaults live on the
+dataclass fields the keys fill by name (``NetConfig``, ``WorldConfig``,
+``ExperimentConfig``); ``dist_lower``/``dist_upper`` fill the fields of
+``ValuationDistribution``, the one place the default support is written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .auction import ValuationDistribution
@@ -30,47 +35,42 @@ def _parse_float(text: str) -> float:
         raise InputError(f"expected a number, got {text!r}") from None
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
 @dataclass(frozen=True)
 class _Key:
     parse: object
-    default: object
     help: str
 
 
 SCHEMA: dict[str, _Key] = {
     # market
-    "n_bidders": _Key(_parse_int, 5, "number of bidders / devices"),
-    "dist_lower": _Key(_parse_float, 0.5, "valuation support lower bound"),
-    "dist_upper": _Key(_parse_float, 1.0, "valuation support upper bound"),
+    "n_bidders": _Key(_parse_int, "number of bidders / devices"),
+    "dist_lower": _Key(_parse_float, "valuation support lower bound"),
+    "dist_upper": _Key(_parse_float, "valuation support upper bound"),
     # network and training
-    "groups": _Key(_parse_int, 5, "max-min groups per bidder"),
-    "linear_units": _Key(_parse_int, 3, "affine pieces per group"),
-    "kappa": _Key(_parse_float, 100.0, "softmax temperature"),
-    "learning_rate": _Key(_parse_float, 0.35, "gradient-descent step size"),
-    "batch_size": _Key(_parse_int, 768, "training batch size"),
-    "iterations": _Key(_parse_int, 500, "training iterations"),
-    "convergence_tol": _Key(_parse_float, 0.0, "early-stop loss range over 20 iterations (0 disables)"),
-    "seed": _Key(_parse_int, 0, "master RNG seed"),
+    "groups": _Key(_parse_int, "max-min groups per bidder"),
+    "linear_units": _Key(_parse_int, "affine pieces per group"),
+    "kappa": _Key(_parse_float, "softmax temperature"),
+    "learning_rate": _Key(_parse_float, "gradient-descent step size"),
+    "batch_size": _Key(_parse_int, "training batch size"),
+    "iterations": _Key(_parse_int, "training iterations"),
+    "convergence_tol": _Key(_parse_float, "early-stop loss range over 20 iterations (0 disables)"),
+    "seed": _Key(_parse_int, "master RNG seed"),
     # experiments
-    "cases": _Key(_parse_int, 300, "number of revenue-gap cases"),
-    "out": _Key(_parse_str, None, "primary output path"),
+    "cases": _Key(_parse_int, "number of revenue-gap cases"),
+    "out": _Key(str, "primary output path"),
     # world
-    "n_devices": _Key(_parse_int, 5, "devices in the simulated world"),
-    "area_width": _Key(_parse_float, 1000.0, "world width in meters"),
-    "area_height": _Key(_parse_float, 1000.0, "world height in meters"),
-    "image_rows": _Key(_parse_int, 16, "image height in pixels"),
-    "image_cols": _Key(_parse_int, 16, "image width in pixels"),
-    "pile_size": _Key(_parse_int, 3, "images per pile"),
-    "battery": _Key(_parse_float, 2500.0, "battery budget in meters of flight"),
-    "uav_x": _Key(_parse_float, 500.0, "collector start x"),
-    "uav_y": _Key(_parse_float, 500.0, "collector start y"),
-    "max_rounds": _Key(_parse_int, 40, "episode round cap"),
-    "similarity_aggregate": _Key(_parse_str, "mean", "pile similarity aggregation: mean or min"),
-    "valuation_rule": _Key(_parse_str, "product", "raw valuation rule: product or proximity"),
+    "n_devices": _Key(_parse_int, "devices in the simulated world"),
+    "area_width": _Key(_parse_float, "world width in meters"),
+    "area_height": _Key(_parse_float, "world height in meters"),
+    "image_rows": _Key(_parse_int, "image height in pixels"),
+    "image_cols": _Key(_parse_int, "image width in pixels"),
+    "pile_size": _Key(_parse_int, "images per pile"),
+    "battery": _Key(_parse_float, "battery budget in meters of flight"),
+    "uav_x": _Key(_parse_float, "collector start x"),
+    "uav_y": _Key(_parse_float, "collector start y"),
+    "max_rounds": _Key(_parse_int, "episode round cap"),
+    "similarity_aggregate": _Key(str, "pile similarity aggregation: mean or min"),
+    "valuation_rule": _Key(str, "raw valuation rule: product or proximity"),
 }
 
 
@@ -80,9 +80,9 @@ class ExperimentConfig:
 
     net: NetConfig
     distribution: ValuationDistribution
-    cases: int
-    out: str | None
     world: WorldConfig
+    cases: int = 300
+    out: str | None = None
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -106,9 +106,15 @@ def read_config_file(path) -> dict[str, str]:
     return raw
 
 
+def _fill(cls, values: dict, prefix: str = "", **built):
+    """Build ``cls`` from the ``values`` named ``prefix`` + one of its field names."""
+    given = {f.name: values[prefix + f.name] for f in fields(cls) if prefix + f.name in values}
+    return cls(**given, **built)
+
+
 def build_config(config_path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Merge defaults, an optional config file, and CLI overrides."""
-    values = {name: key.default for name, key in SCHEMA.items()}
+    """Merge an optional config file and CLI overrides over the field defaults."""
+    values = {}
     if config_path is not None:
         for name, text in read_config_file(config_path).items():
             values[name] = SCHEMA[name].parse(text)
@@ -118,35 +124,9 @@ def build_config(config_path=None, overrides: dict[str, str] | None = None) -> E
         if text is not None:
             values[name] = SCHEMA[name].parse(text) if isinstance(text, str) else text
 
-    if values["cases"] < 1:
+    if values.get("cases", ExperimentConfig.cases) < 1:
         raise InputError("cases must be at least 1")
-    distribution = ValuationDistribution(values["dist_lower"], values["dist_upper"])
-    net = NetConfig(
-        n_bidders=values["n_bidders"],
-        groups=values["groups"],
-        linear_units=values["linear_units"],
-        kappa=values["kappa"],
-        learning_rate=values["learning_rate"],
-        batch_size=values["batch_size"],
-        iterations=values["iterations"],
-        seed=values["seed"],
-        convergence_tol=values["convergence_tol"],
-    )
-    world = WorldConfig(
-        n_devices=values["n_devices"],
-        area_width=values["area_width"],
-        area_height=values["area_height"],
-        image_rows=values["image_rows"],
-        image_cols=values["image_cols"],
-        pile_size=values["pile_size"],
-        battery=values["battery"],
-        uav_x=values["uav_x"],
-        uav_y=values["uav_y"],
-        seed=values["seed"],
-        distribution=distribution,
-        similarity_aggregate=values["similarity_aggregate"],
-        valuation_rule=values["valuation_rule"],
-        max_rounds=values["max_rounds"],
-    )
-    return ExperimentConfig(net=net, distribution=distribution, cases=values["cases"],
-                            out=values["out"], world=world)
+    distribution = _fill(ValuationDistribution, values, prefix="dist_")
+    net = _fill(NetConfig, values)
+    world = _fill(WorldConfig, values, distribution=distribution)
+    return _fill(ExperimentConfig, values, net=net, distribution=distribution, world=world)

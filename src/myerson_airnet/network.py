@@ -247,18 +247,44 @@ def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
     return values
 
 
+def _select(pieces: np.ndarray, inner, outer):
+    """Active piece of ``(S, N, K, J)`` pieces: its ``(S, N)`` value, group and unit.
+
+    ``outer`` selects over groups of ``inner`` over units; both are
+    ``np.argmin`` or ``np.argmax``, so ties go to the lowest index.
+    """
+    unit = inner(pieces, axis=3)
+    over_units = np.take_along_axis(pieces, unit[..., None], axis=3)[..., 0]
+    group = outer(over_units, axis=2)
+    value = np.take_along_axis(over_units, group[..., None], axis=2)[..., 0]
+    return value, group, np.take_along_axis(unit, group[..., None], axis=2)[..., 0]
+
+
+def _top_rival(tbar: np.ndarray):
+    """Index and value of each bidder's highest rival bid, ties to the lowest index.
+
+    A top-2 reduction: the top bidder faces the best of the rest, and
+    every other bidder faces the top bid.
+    """
+    rows = np.arange(tbar.shape[0])
+    first = tbar.argmax(axis=1)
+    rest = tbar.copy()
+    rest[rows, first] = -np.inf
+    second = rest.argmax(axis=1)
+    is_top = np.arange(tbar.shape[1])[None, :] == first[:, None]
+    rarg = np.where(is_top, second[:, None], first[:, None])
+    rmax = np.where(is_top, rest[rows, second][:, None], tbar[rows, first][:, None])
+    return rarg, rmax
+
+
 def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     """Shared batch forward pass; keeps the active-piece indices for backprop."""
     w = np.exp(params.theta)
     beta = params.beta
-    n_samples, n_bidders = values.shape
+    n_samples = values.shape[0]
 
     pieces = _pieces(params.theta, beta, values[:, :, None, None])
-    jmin = pieces.argmin(axis=3)
-    min_over_j = np.take_along_axis(pieces, jmin[..., None], axis=3)[..., 0]
-    kmax = min_over_j.argmax(axis=2)
-    tbar = np.take_along_axis(min_over_j, kmax[..., None], axis=2)[..., 0]
-    jsel_fwd = np.take_along_axis(jmin, kmax[..., None], axis=2)[..., 0]
+    tbar, kmax, jsel_fwd = _select(pieces, np.argmin, np.argmax)
 
     z = kappa * np.concatenate([tbar, np.zeros((n_samples, 1))], axis=1)
     z -= z.max(axis=1, keepdims=True)
@@ -266,20 +292,12 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     soft = ez / ez.sum(axis=1, keepdims=True)
     g = soft[:, :-1]
 
-    rivals = np.broadcast_to(tbar[:, None, :], (n_samples, n_bidders, n_bidders)).copy()
-    diag = np.arange(n_bidders)
-    rivals[:, diag, diag] = -np.inf
-    rarg = rivals.argmax(axis=2)
-    rmax = np.take_along_axis(rivals, rarg[..., None], axis=2)[..., 0]
+    rarg, rmax = _top_rival(tbar)
     r = np.maximum(rmax, 0.0)
 
     # Not _inverse_pieces: dividing by w pins the checkpoint and loss-trace bytes.
     inv_pieces = (r[:, :, None, None] - beta[None]) / w[None]
-    jmax_inv = inv_pieces.argmax(axis=3)
-    max_over_j = np.take_along_axis(inv_pieces, jmax_inv[..., None], axis=3)[..., 0]
-    kmin_inv = max_over_j.argmin(axis=2)
-    p = np.take_along_axis(max_over_j, kmin_inv[..., None], axis=2)[..., 0]
-    jsel_inv = np.take_along_axis(jmax_inv, kmin_inv[..., None], axis=2)[..., 0]
+    p, kmin_inv, jsel_inv = _select(inv_pieces, np.argmax, np.argmin)
 
     return w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv
 
@@ -336,12 +354,15 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
         dtheta_fwd = dtbar * w_fwd * values
         dbeta_fwd = dtbar
 
-        dtheta = np.zeros_like(params.theta)
-        dbeta = np.zeros_like(params.beta)
-        np.add.at(dtheta, (rows.ravel(), kmax.ravel(), jsel_fwd.ravel()), dtheta_fwd.ravel())
-        np.add.at(dbeta, (rows.ravel(), kmax.ravel(), jsel_fwd.ravel()), dbeta_fwd.ravel())
-        np.add.at(dtheta, (rows.ravel(), kmin_inv.ravel(), jsel_inv.ravel()), dtheta_inv.ravel())
-        np.add.at(dbeta, (rows.ravel(), kmin_inv.ravel(), jsel_inv.ravel()), dbeta_inv.ravel())
+        # One flat scatter per array.  bincount adds in input order, so each
+        # cell sums its forward terms, then its inverse ones, in sample
+        # order: the order the training goldens pin.
+        shape = params.theta.shape
+        cells = np.concatenate([np.ravel_multi_index((rows, kmax, jsel_fwd), shape).ravel(),
+                                np.ravel_multi_index((rows, kmin_inv, jsel_inv), shape).ravel()])
+        dtheta, dbeta = (np.bincount(cells, np.concatenate([fwd.ravel(), inv.ravel()]),
+                                     minlength=params.theta.size).reshape(shape)
+                         for fwd, inv in ((dtheta_fwd, dtheta_inv), (dbeta_fwd, dbeta_inv)))
 
         return loss_value, dtheta, dbeta
 

@@ -58,8 +58,7 @@ class WorldConfig:
     uav_x: float = 500.0
     uav_y: float = 500.0
     seed: int = 0
-    distribution: ValuationDistribution = field(
-        default_factory=lambda: ValuationDistribution(0.5, 1.0))
+    distribution: ValuationDistribution = field(default_factory=ValuationDistribution)
     similarity_aggregate: str = "mean"
     valuation_rule: str = "product"
     max_rounds: int = 40

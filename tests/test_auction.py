@@ -101,6 +101,20 @@ def test_virtual_valuation_domain():
         virtual_valuation(1.1, dist)
 
 
+def test_virtual_valuation_is_array_capable():
+    dist = ValuationDistribution(2.0, 7.0)
+    values = dist.sample(np.random.default_rng(5), (40, 3))
+    phi = virtual_valuation(values, dist)
+    assert isinstance(phi, np.ndarray) and phi.shape == values.shape
+    assert np.array_equal(phi.ravel(), [virtual_valuation(v, dist) for v in values.ravel()])
+    assert type(virtual_valuation(np.float64(3.0), dist)) is float
+    values[7, 1] = 7.5
+    with pytest.raises(DomainError):
+        virtual_valuation(values, dist)
+    with pytest.raises(DomainError):
+        virtual_valuation(np.array([3.0, np.nan]), dist)
+
+
 def test_virtual_inverse_examples():
     assert virtual_valuation_inverse(0.0, ValuationDistribution(0.0, 1.0)) == 0.5
     assert virtual_valuation_inverse(1.0, ValuationDistribution(0.5, 1.0)) == 1.0

@@ -5,8 +5,8 @@ import pytest
 
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import InputError
-from myerson_airnet.network import (MonotoneNetParams, NetConfig, allocate_soft, clear_hard,
-                                    init_params, loss, payment_soft, transform,
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
+                                    clear_hard, init_params, loss, payment_soft, transform,
                                     transform_inverse, transform_profile)
 
 
@@ -242,3 +242,25 @@ def test_loss_bounded_by_top_valuation_symmetric_params():
         params = MonotoneNetParams(theta, beta, 20.0)
         batch = rng.uniform(0.5, 1.0, (8, 4))
         assert loss(params, batch, 20.0) >= -batch.max() - 1e-9
+
+
+def test_forward_rival_matches_masked_argmax_with_ties():
+    # Equal bids under an affine net tie every transformed bid; the mixed
+    # rows tie the top two, the bottom two, or none.
+    values = np.array([[0.6, 0.6, 0.6, 0.6],
+                       [0.9, 0.9, 0.2, 0.1],
+                       [0.3, 0.8, 0.8, 0.8],
+                       [0.2, 0.5, 0.2, 0.9],
+                       [0.0, 0.0, 0.0, 0.0],
+                       [0.7, 0.1, 0.4, 0.3]])
+    params = MonotoneNetParams.affine(4, 1.5, -0.3)
+    _, tbar, _, _, _, _, rarg, rmax, _, _, _ = _forward(params, values, params.kappa)
+
+    n_samples, n_bidders = tbar.shape
+    rivals = np.broadcast_to(tbar[:, None, :], (n_samples, n_bidders, n_bidders)).copy()
+    diag = np.arange(n_bidders)
+    rivals[:, diag, diag] = -np.inf
+    expected_arg = rivals.argmax(axis=2)
+    assert np.array_equal(rarg, expected_arg)
+    assert np.array_equal(rmax, np.take_along_axis(rivals, expected_arg[..., None], axis=2)[..., 0])
+    assert np.array_equal(rarg[0], [1, 0, 0, 0])
