@@ -1,7 +1,9 @@
 """Byte-stable CLI outputs pinned under ``tests/data``.
 
-Each case runs one command and compares every file it writes with the
-pinned copy byte for byte.  Together they fix the floating-point
+Each case runs one command and compares every file it writes, and what
+it prints, with the pinned copies byte for byte.  A case's printed
+output is pinned as ``golden_<case>.stdout``, with the temporary output
+directory written as ``{tmp}`` and ``tests/data`` as ``{data}``.  Together they fix the floating-point
 operation order of the learned auction: the batch training forward
 (checkpoint and loss trace), per-profile hard clearing (revenue-gap)
 and clearing inside the simulator (the dla episode and its event
@@ -9,7 +11,8 @@ stream).  The second-price episode pins the other similarity and
 valuation branches (``min`` aggregate, ``proximity`` rule) on piles of
 five non-square images.  The revenue-gap and dla episode cases read the
 pinned checkpoint, so a training change shows up in the training case
-alone.
+alone.  The eval case writes no file, so its printed table is its only
+golden.
 
 Regenerate from the repository root with ``PYTHONPATH=src``, and only
 for a deliberate change of output bytes:
@@ -27,6 +30,10 @@ for a deliberate change of output bytes:
         --area-height 100 --uav-x 50 --uav-y 50 --battery 1e9 \\
         --out tests/data/golden_spa_min_episode.csv \\
         --events tests/data/golden_spa_min_episode.jsonl
+
+and each ``.stdout`` file from the case's command run with its output
+directory in place of ``{tmp}``, that directory's path then replaced by
+``{tmp}`` (``{data}`` likewise).
 """
 
 import pytest
@@ -54,13 +61,18 @@ CASES = {
                           "--battery", "1e9", "--out", "{tmp}/golden_spa_min_episode.csv",
                           "--events", "{tmp}/golden_spa_min_episode.jsonl"],
                          ["golden_spa_min_episode.csv", "golden_spa_min_episode.jsonl"]),
+    "eval": (["eval", "--checkpoint", "{data}/golden_net.ckpt", "--dist-lower", "0",
+              "--dist-upper", "1", "--seed", "3", "--samples", "2000"],
+             []),
 }
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
-def test_cli_outputs_match_goldens(command, tmp_path, datadir):
+def test_cli_outputs_match_goldens(command, tmp_path, datadir, capsys):
     argv, outputs = CASES[command]
     argv = [arg.format(tmp=tmp_path, data=datadir) for arg in argv]
     assert main(argv) == 0
     for name in outputs:
         assert (tmp_path / name).read_bytes() == (datadir / name).read_bytes(), name
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "{tmp}").replace(str(datadir), "{data}")
+    assert stdout == (datadir / f"golden_{command}.stdout").read_text(encoding="utf-8")
