@@ -15,7 +15,7 @@ dist = ValuationDistribution(0.0, 1.0)
 config = NetConfig(seed=0)
 params, trace = train(config, dist)
 
-print(f"trained {len(trace.losses)} iterations, final loss {trace.final_loss:.4f}")
+print(f"trained {len(trace.losses)} iterations, final loss {trace.losses[-1]:.4f}")
 print("loss every 100 iterations:",
       " ".join(f"{x:.4f}" for x in trace.losses[::100]))
 

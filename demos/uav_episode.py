@@ -18,14 +18,12 @@ for idx, position in enumerate(state.positions):
 
 records = run_episode(state, SecondPriceMechanism(), config.max_rounds)
 
-print(f"\n{'round':>5} {'winner':>6} {'payment':>8} {'flown':>8} {'values'}")
-battery = config.battery
+print(f"\n{'round':>5} {'winner':>6} {'payment':>8} {'flown':>8} {'battery':>8} {'values'}")
 for record in records:
-    battery = max(0.0, battery - record.distance_flown)
     values = " ".join(f"{v:.2f}" for v in record.valuations.values)
     winner = "-" if record.outcome.winner is None else record.outcome.winner
     print(f"{record.round:>5} {winner:>6} {record.outcome.payment:8.4f} "
-          f"{record.distance_flown:8.1f}  [{values}]")
+          f"{record.distance_flown:8.1f} {record.battery:8.1f}  [{values}]")
 
 print(f"\nepisode over after {len(records)} rounds, battery {state.battery:.1f} m,"
       f" total revenue {sum(r.outcome.revenue for r in records):.4f}")

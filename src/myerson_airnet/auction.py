@@ -43,8 +43,9 @@ class ValuationDistribution:
         return 0.5 * (self.lower + self.upper)
 
     def contains(self, v) -> bool:
+        """Whether every entry of ``v`` lies in ``[lower, upper]``; NaN fails both sides."""
         v = np.asarray(v)
-        return bool(np.all(np.isfinite(v)) and np.all(v >= self.lower) and np.all(v <= self.upper))
+        return bool(v.size == 0 or (self.lower <= v.min() and v.max() <= self.upper))
 
     def cdf(self, v):
         return (v - self.lower) / self.width
@@ -70,7 +71,7 @@ class ValuationProfile:
             raise InputError("a valuation profile needs at least two bidders")
         if not np.all(np.isfinite(values)):
             raise InputError("valuations must be finite")
-        if np.any(values < self.distribution.lower) or np.any(values > self.distribution.upper):
+        if not self.distribution.contains(values):
             raise InputError("valuations must lie within the distribution support")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -120,11 +121,16 @@ def virtual_valuation(v, dist: ValuationDistribution):
     float and an array gives an array; every entry must lie in the support.
     """
     v = np.asarray(v, dtype=float)
-    if not (dist.lower <= v.min() and v.max() <= dist.upper):  # NaN fails both
+    if not dist.contains(v):
         shown = f"value {float(v)}" if v.ndim == 0 else "a value"
         raise DomainError(f"{shown} outside support [{dist.lower}, {dist.upper}]")
-    phi = v - (1.0 - dist.cdf(v)) / dist.pdf(v)
+    phi = _virtual_valuation(v, dist)
     return float(phi) if phi.ndim == 0 else phi
+
+
+def _virtual_valuation(v: np.ndarray, dist: ValuationDistribution) -> np.ndarray:
+    """The transform on values already known to lie in the support."""
+    return v - (1.0 - dist.cdf(v)) / dist.pdf(v)
 
 
 def virtual_valuation_inverse(y: float, dist: ValuationDistribution) -> float:
@@ -146,7 +152,7 @@ def myerson_clear(profile: ValuationProfile) -> AuctionOutcome:
     """
     dist = profile.distribution
     values = profile.values
-    phi = virtual_valuation(values, dist)
+    phi = _virtual_valuation(values, dist)  # the profile already checked the support
     winner = int(np.argmax(phi))
     if phi[winner] < 0.0:
         return _no_sale(values.size)

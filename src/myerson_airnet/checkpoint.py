@@ -27,6 +27,8 @@ from .network import MonotoneNetParams, NetConfig
 
 FORMAT_MAGIC = "myerson-airnet checkpoint"
 FORMAT_VERSION = 1
+# The header's dimension lines, in file order; each names a params property.
+_DIMENSIONS = ("n_bidders", "groups", "linear_units")
 
 
 def _fmt(x: float) -> str:
@@ -34,13 +36,9 @@ def _fmt(x: float) -> str:
 
 
 def save_params(params: MonotoneNetParams, path) -> None:
-    lines = [
-        f"{FORMAT_MAGIC} v{FORMAT_VERSION}",
-        f"n_bidders {params.n_bidders}",
-        f"groups {params.groups}",
-        f"linear_units {params.linear_units}",
-        f"kappa {_fmt(params.kappa)}",
-    ]
+    lines = [f"{FORMAT_MAGIC} v{FORMAT_VERSION}"]
+    lines += [f"{name} {getattr(params, name)}" for name in _DIMENSIONS]
+    lines.append(f"kappa {_fmt(params.kappa)}")
     for name, array in (("theta", params.theta), ("beta", params.beta)):
         lines.append(name)
         for bidder in range(params.n_bidders):
@@ -48,17 +46,28 @@ def save_params(params: MonotoneNetParams, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_int(value: str, name: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise CheckpointError(f"bad {name} value {value!r}") from None
-
-
-def _next_line(lines: list[str], cursor: int, what: str) -> tuple[str, int]:
-    if cursor >= len(lines):
+def _line(lines, what: str) -> str:
+    """The next line; a checkpoint that ends before it is truncated."""
+    line = next(lines, None)
+    if line is None:
         raise CheckpointError(f"truncated checkpoint: missing {what}")
-    return lines[cursor], cursor + 1
+    return line
+
+
+def _field(lines, name: str) -> str:
+    """The value text of the next line, which must read ``name value``."""
+    line = _line(lines, name)
+    key, _, value = line.partition(" ")
+    if key != name:
+        raise CheckpointError(f"expected {name!r} line, found {line!r}")
+    return value
+
+
+def _parsed(parse, text: str, name: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise CheckpointError(f"bad {name} value {text!r}") from None
 
 
 def load_params(path, expect: NetConfig | None = None) -> MonotoneNetParams:
@@ -67,48 +76,35 @@ def load_params(path, expect: NetConfig | None = None) -> MonotoneNetParams:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise CheckpointError(f"{path} is not a text checkpoint") from None
-    lines = [line.rstrip("\n") for line in text.splitlines()]
-    cursor = 0
+    lines = iter(text.splitlines())
 
-    header, cursor = _next_line(lines, cursor, "header")
+    header = _line(lines, "header")
     if not header.startswith(FORMAT_MAGIC + " "):
         raise CheckpointError(f"{path} is not a {FORMAT_MAGIC} file")
     version_token = header[len(FORMAT_MAGIC) + 1:].strip()
     if not version_token.startswith("v"):
         raise CheckpointError(f"malformed version token {version_token!r}")
-    version = _parse_int(version_token[1:], "version")
+    version = _parsed(int, version_token[1:], "version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})")
 
-    dims = {}
-    for name in ("n_bidders", "groups", "linear_units"):
-        line, cursor = _next_line(lines, cursor, name)
-        key, _, value = line.partition(" ")
-        if key != name:
-            raise CheckpointError(f"expected {name!r} line, found {line!r}")
-        dims[name] = _parse_int(value.strip(), name)
-        if dims[name] < 1:
-            raise CheckpointError(f"{name} must be positive, got {dims[name]}")
+    dims = []
+    for name in _DIMENSIONS:
+        dims.append(_parsed(int, _field(lines, name).strip(), name))
+        if dims[-1] < 1:
+            raise CheckpointError(f"{name} must be positive, got {dims[-1]}")
+    kappa = _parsed(float, _field(lines, "kappa"), "kappa")
 
-    line, cursor = _next_line(lines, cursor, "kappa")
-    key, _, value = line.partition(" ")
-    if key != "kappa":
-        raise CheckpointError(f"expected 'kappa' line, found {line!r}")
-    try:
-        kappa = float(value.strip())
-    except ValueError:
-        raise CheckpointError(f"bad kappa value {value!r}") from None
-
-    n, k, j = dims["n_bidders"], dims["groups"], dims["linear_units"]
+    n, k, j = dims
     arrays = {}
     for name in ("theta", "beta"):
-        marker, cursor = _next_line(lines, cursor, f"{name} marker")
+        marker = _line(lines, f"{name} marker")
         if marker.strip() != name:
             raise CheckpointError(f"expected {name!r} marker, found {marker!r}")
         rows = []
         for bidder in range(n):
-            line, cursor = _next_line(lines, cursor, f"{name} row {bidder}")
+            line = _line(lines, f"{name} row {bidder}")
             try:
                 row = np.array([float(tok) for tok in line.split()], dtype=float)
             except ValueError:
@@ -119,11 +115,11 @@ def load_params(path, expect: NetConfig | None = None) -> MonotoneNetParams:
             rows.append(row.reshape(k, j))
         arrays[name] = np.stack(rows)
 
-    if any(line.strip() for line in lines[cursor:]):
+    if any(line.strip() for line in lines):
         raise CheckpointError("trailing content after beta rows")
 
     if expect is not None:
-        expected = (expect.n_bidders, expect.groups, expect.linear_units)
+        expected = tuple(getattr(expect, name) for name in _DIMENSIONS)
         if (n, k, j) != expected:
             raise CheckpointShapeError(
                 f"checkpoint dimensions {(n, k, j)} do not match configured {expected}")

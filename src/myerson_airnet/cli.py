@@ -4,8 +4,8 @@ Subcommands: ``train`` a learned auction, ``revenue-gap`` it against the
 second-price baseline, ``simulate`` a collection episode, and ``eval``
 mean revenue against the analytic optimum.  Every command honors
 ``--seed``; outputs carry no timestamps, so identical invocations write
-byte-identical files.  Each revenue-gap case draws from its own
-``(seed, case index)`` stream, and every command clears one profile per
+byte-identical files.  Revenue-gap case ``i`` draws from the untagged
+``(seed, i)`` stream, and every command clears one profile per
 :func:`clear_hard` call.
 """
 
@@ -20,35 +20,29 @@ import numpy as np
 
 from .auction import ValuationProfile, myerson_clear, spa_clear
 from .checkpoint import load_params, save_params
-from .config import SCHEMA, build_config
+from .config import RUN_SCHEMA, SCHEMA, build_config
 from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
                      TrainingDivergedError)
 from .network import clear_hard, train
 from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_episode,
                   write_episode_csv, write_episode_events)
 
-# Seed-derivation tags so different outputs never share a substream.
+# Seed-derivation tags for the held-out draws of train and eval.  They do
+# not keep streams apart: revenue-gap case i draws from the untagged
+# (seed, i), so cases 900001 and 900002 repeat these streams and cases
+# 0, 1 and 3 the simulator's placement, noise-field and start-pile ones.
 _TAG_TRAIN_EVAL = 900001
 _TAG_EVAL = 900002
 
 
-def _add_override_flags(parser: argparse.ArgumentParser, names) -> None:
-    for name in names:
-        key = SCHEMA[name]
+def _add_override_flags(parser: argparse.ArgumentParser, schema) -> None:
+    for name, key in schema.items():
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
                             metavar="V", help=key.help)
 
 
 def _overrides(args: argparse.Namespace, names) -> dict[str, str]:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
-_NET_KEYS = ("n_bidders", "dist_lower", "dist_upper", "groups", "linear_units", "kappa",
-             "learning_rate", "batch_size", "iterations", "convergence_tol", "seed",
-             "cases", "out")
-_WORLD_KEYS = ("n_devices", "area_width", "area_height", "image_rows", "image_cols",
-               "pile_size", "battery", "uav_x", "uav_y", "max_rounds",
-               "similarity_aggregate", "valuation_rule")
 
 
 def _require_out(cfg, args) -> str:
@@ -74,9 +68,10 @@ def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _cmd_train(args) -> int:
-    cfg = build_config(args.config, _overrides(args, _NET_KEYS))
+    cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
     out = _require_out(cfg, args)
-    params, trace = train(cfg.net, cfg.distribution)
+    dist = cfg.world.distribution
+    params, trace = train(cfg.net, dist)
     save_params(params, out)
 
     trace_path = out + ".loss.csv"
@@ -87,8 +82,8 @@ def _cmd_train(args) -> int:
             writer.writerow([iteration, repr(float(value))])
 
     rng = np.random.default_rng([cfg.net.seed, _TAG_TRAIN_EVAL])
-    dla, spa, _ = _revenues(params, cfg.distribution.sample(rng, (10_000, cfg.net.n_bidders)))
-    print(f"trained {len(trace.losses)} iterations; final loss {trace.final_loss:.6f}")
+    dla, spa, _ = _revenues(params, dist.sample(rng, (10_000, cfg.net.n_bidders)))
+    print(f"trained {len(trace.losses)} iterations; final loss {trace.losses[-1]:.6f}")
     if trace.converged_at is not None:
         print(f"converged at iteration {trace.converged_at}")
     print(f"test revenue over 10000 fresh profiles: dla {dla.mean():.6f}, spa {spa.mean():.6f}")
@@ -97,11 +92,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_revenue_gap(args) -> int:
-    cfg = build_config(args.config, _overrides(args, _NET_KEYS))
+    cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
     out = _require_out(cfg, args)
     params = load_params(args.checkpoint, expect=cfg.net)
 
-    cases = (cfg.distribution.sample(np.random.default_rng([cfg.net.seed, i]), params.n_bidders)
+    dist = cfg.world.distribution
+    cases = (dist.sample(np.random.default_rng([cfg.net.seed, i]), params.n_bidders)
              for i in range(cfg.cases))
     dla, spa, _ = _revenues(params, cases)
     gaps = dla - spa
@@ -130,7 +126,7 @@ def _cmd_revenue_gap(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = build_config(args.config, _overrides(args, _NET_KEYS + _WORLD_KEYS))
+    cfg = build_config(args.config, _overrides(args, SCHEMA))
     out = _require_out(cfg, args)
     if args.mechanism == "spa":
         mechanism = SecondPriceMechanism()
@@ -163,7 +159,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = build_config(args.config, _overrides(args, _NET_KEYS))
+    cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
     params = load_params(args.checkpoint)
     if params.n_bidders != cfg.net.n_bidders:
         raise CheckpointShapeError(
@@ -174,8 +170,9 @@ def _cmd_eval(args) -> int:
         raise InputError("--samples must be at least 1")
 
     rng = np.random.default_rng([cfg.net.seed, _TAG_EVAL])
-    values = cfg.distribution.sample(rng, (samples, cfg.net.n_bidders))
-    revenue = dict(zip(("dla", "spa", "myerson"), _revenues(params, values, cfg.distribution)))
+    dist = cfg.world.distribution
+    values = dist.sample(rng, (samples, cfg.net.n_bidders))
+    revenue = dict(zip(("dla", "spa", "myerson"), _revenues(params, values, dist)))
 
     print(f"samples: {samples} (common random numbers)")
     print(f"{'mechanism':<10} {'mean_revenue':>14} {'stddev':>12}")
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train_p = sub.add_parser("train", help="train a learned auction and save a checkpoint")
     train_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    _add_override_flags(train_p, _NET_KEYS)
+    _add_override_flags(train_p, RUN_SCHEMA)
     train_p.set_defaults(func=_cmd_train)
 
     gap_p = sub.add_parser("revenue-gap",
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     gap_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
     gap_p.add_argument("--checkpoint", metavar="PATH", required=True)
     gap_p.add_argument("--svg", action="store_true", help="also write a gap-curve SVG")
-    _add_override_flags(gap_p, _NET_KEYS)
+    _add_override_flags(gap_p, RUN_SCHEMA)
     gap_p.set_defaults(func=_cmd_revenue_gap)
 
     sim_p = sub.add_parser("simulate", help="run one collection episode and log it")
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--checkpoint", metavar="PATH")
     sim_p.add_argument("--mechanism", choices=("dla", "spa"), default="dla")
     sim_p.add_argument("--events", metavar="PATH", help="also write a JSONL event stream")
-    _add_override_flags(sim_p, _NET_KEYS + _WORLD_KEYS)
+    _add_override_flags(sim_p, SCHEMA)
     sim_p.set_defaults(func=_cmd_simulate)
 
     eval_p = sub.add_parser("eval",
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
     eval_p.add_argument("--checkpoint", metavar="PATH", required=True)
     eval_p.add_argument("--samples", type=int, default=10_000)
-    _add_override_flags(eval_p, _NET_KEYS)
+    _add_override_flags(eval_p, RUN_SCHEMA)
     eval_p.set_defaults(func=_cmd_eval)
 
     return parser
@@ -265,10 +262,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergedError, EpisodeExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (TrainingDivergedError, EpisodeExhaustedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,7 +2,9 @@
 
 A config file holds one ``key = value`` pair per line ('#' comments and
 blank lines allowed).  CLI flags override file values, which override
-the defaults.  The same schema backs every subcommand.
+the defaults.  :data:`SCHEMA` is :data:`RUN_SCHEMA`, the keys every
+subcommand takes, followed by :data:`WORLD_SCHEMA`, the keys only
+``simulate`` adds; that order is the ``--help`` order.
 
 :data:`SCHEMA` only parses and explains the keys.  Defaults live on the
 dataclass fields the keys fill by name (``NetConfig``, ``WorldConfig``,
@@ -41,7 +43,7 @@ class _Key:
     help: str
 
 
-SCHEMA: dict[str, _Key] = {
+RUN_SCHEMA: dict[str, _Key] = {
     # market
     "n_bidders": _Key(_parse_int, "number of bidders / devices"),
     "dist_lower": _Key(_parse_float, "valuation support lower bound"),
@@ -58,7 +60,8 @@ SCHEMA: dict[str, _Key] = {
     # experiments
     "cases": _Key(_parse_int, "number of revenue-gap cases"),
     "out": _Key(str, "primary output path"),
-    # world
+}
+WORLD_SCHEMA: dict[str, _Key] = {
     "n_devices": _Key(_parse_int, "devices in the simulated world"),
     "area_width": _Key(_parse_float, "world width in meters"),
     "area_height": _Key(_parse_float, "world height in meters"),
@@ -72,14 +75,14 @@ SCHEMA: dict[str, _Key] = {
     "similarity_aggregate": _Key(str, "pile similarity aggregation: mean or min"),
     "valuation_rule": _Key(str, "raw valuation rule: product or proximity"),
 }
+SCHEMA: dict[str, _Key] = {**RUN_SCHEMA, **WORLD_SCHEMA}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed bundle the CLI commands run from."""
+    """Typed bundle the CLI commands run from; the market is ``world.distribution``."""
 
     net: NetConfig
-    distribution: ValuationDistribution
     world: WorldConfig
     cases: int = 300
     out: str | None = None
@@ -129,4 +132,4 @@ def build_config(config_path=None, overrides: dict[str, str] | None = None) -> E
     distribution = _fill(ValuationDistribution, values, prefix="dist_")
     net = _fill(NetConfig, values)
     world = _fill(WorldConfig, values, distribution=distribution)
-    return _fill(ExperimentConfig, values, net=net, distribution=distribution, world=world)
+    return _fill(ExperimentConfig, values, net=net, world=world)

@@ -124,7 +124,6 @@ class TrainingTrace:
     """Per-iteration losses plus where (if anywhere) early stopping fired."""
 
     losses: np.ndarray
-    final_loss: float
     converged_at: int | None
 
 
@@ -400,5 +399,4 @@ def train(config: NetConfig,
             if max(window) - min(window) < config.convergence_tol:
                 converged_at = iteration
                 break
-    trace = TrainingTrace(np.asarray(losses), losses[-1], converged_at)
-    return params, trace
+    return params, TrainingTrace(np.asarray(losses), converged_at)

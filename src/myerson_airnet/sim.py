@@ -133,7 +133,6 @@ class RoundRecord:
     valuations: ValuationProfile
     mechanism: str
     outcome: AuctionOutcome
-    uav_moved_to: Position | None
     distance_flown: float
     uav_position: Position
     battery: float
@@ -259,7 +258,6 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
     profile = form_valuations(state)
     outcome = mechanism.clear(profile.values)
 
-    moved_to = None
     flown = 0.0
     winner = outcome.winner
     if winner is not None:
@@ -271,10 +269,9 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
         state.last_collected = state.piles[winner].copy()
         regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, winner])
         state.piles[winner] = _capture_pile(state.noise, regen, position, state.config)
-        moved_to = position
 
     record = RoundRecord(round=state.round, valuations=profile, mechanism=mechanism.name,
-                         outcome=outcome, uav_moved_to=moved_to, distance_flown=flown,
+                         outcome=outcome, distance_flown=flown,
                          uav_position=state.uav_position, battery=state.battery)
     state.round += 1
     return state, record
@@ -288,12 +285,9 @@ def run_episode(state: WorldState, mechanism, max_rounds: int) -> list[RoundReco
     """
     if max_rounds < 1:
         raise InputError("max_rounds must be at least 1")
-    if state.battery <= 0.0:
-        raise EpisodeExhaustedError(f"battery empty before round {state.round}")
-    records: list[RoundRecord] = []
+    records = [step(state, mechanism)[1]]  # step raises on an empty battery
     while len(records) < max_rounds and state.battery > 0.0:
-        _, record = step(state, mechanism)
-        records.append(record)
+        records.append(step(state, mechanism)[1])
     return records
 
 

@@ -3,15 +3,17 @@
 The simulator scores a whole market per call; these properties pin that
 the batch results equal, bit for bit, what one pile or one device at a
 time computes, and that bad entries anywhere in a batch are still
-rejected.
+rejected.  The support test is checked against its spelled-out form on
+arrays that mix in-support values with NaN and infinities.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import InputError
 from myerson_airnet.valuation import ImagePile, pile_similarity, valuation_score
 
@@ -68,3 +70,13 @@ def test_bad_entries_anywhere_raise(values, data, bad, rule, in_similarity):
     args = (corrupted, values) if in_similarity else (values, corrupted)
     with pytest.raises(InputError):
         valuation_score(*args, rule)
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+              elements=st.one_of(st.floats(0.4, 1.1),
+                                 st.sampled_from([np.nan, np.inf, -np.inf]))))
+def test_support_test_matches_its_elementwise_form(values):
+    dist = ValuationDistribution(0.5, 1.0)
+    inside = np.all(np.isfinite(values)) and np.all((values >= 0.5) & (values <= 1.0))
+    assert dist.contains(values) is bool(inside)

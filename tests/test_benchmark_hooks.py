@@ -4,7 +4,8 @@
 class attributes for wrappers (``spans.Patcher.replace`` looks each one
 up in ``owner.__dict__``), and counts one unit of work per call of a
 named function.  These tests keep every wrapped name bound and called
-where the benchmark expects it, without running the benchmark.  The
+where the benchmark expects it, and the results its hooks read shaped as
+they expect, without running the benchmark.  The
 per-profile transform and payment must also agree with the batch
 training forward.
 """
@@ -19,8 +20,9 @@ import myerson_airnet
 import myerson_airnet.cli
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.cli import main
-from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, init_params,
-                                    payment_soft, train, transform_profile)
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, clear_hard,
+                                    init_params, payment_soft, train, transform_profile)
+from myerson_airnet.sim import SecondPriceMechanism, WorldConfig, generate_world, step
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -56,6 +58,28 @@ def test_cli_clears_one_profile_per_clear_hard_call(tmp_path, monkeypatch):
     assert len(calls) == 30
     assert main(["eval", "--checkpoint", str(ckpt), "--samples", "20"]) == 0
     assert len(calls) == 50
+
+
+class CountingTracer:
+    def __init__(self):
+        self.counts = []
+
+    def count(self, name, hit):
+        self.counts.append((name, hit))
+
+
+def test_hooks_read_what_step_and_clear_hard_return():
+    state = generate_world(WorldConfig(battery=1e9))
+    result = step(state, SecondPriceMechanism())
+    assert isinstance(result, tuple) and len(result) == 2 and result[0] is state
+    tracer = CountingTracer()
+    workloads._on_round(tracer, result)
+    assert tracer.counts == [("sim.step.sold", result[1].outcome.winner is not None)]
+
+    outcome = clear_hard(MonotoneNetParams.affine(3, 2.0, -1.0), [0.9, 0.2, 0.6])
+    workloads._on_sale("network.clear_hard.sold")(tracer, outcome)
+    assert tracer.counts[-1] == ("network.clear_hard.sold", True)
+    assert (outcome.winner, outcome.revenue) == (0, outcome.payment)
 
 
 def test_simulator_steps_once_per_round(tmp_path, monkeypatch):

@@ -291,8 +291,8 @@ def test_write_episode_csv_round_trips(tmp_path):
         # repr floats parse back to the exact doubles
         assert float(row[3]) == record.outcome.payment
         assert float(row[4]) == record.outcome.revenue
-        if record.uav_moved_to is not None:
-            position = record.uav_moved_to
+        if record.outcome.sold:
+            position = state.positions[winner]
             battery = max(0.0, battery - record.distance_flown)
         assert float(row[5]) == position.x
         assert float(row[6]) == position.y
