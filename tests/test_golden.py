@@ -5,7 +5,8 @@ it prints, with the pinned copies byte for byte.  A case's printed
 output is pinned as ``golden_<case>.stdout``, with the temporary output
 directory written as ``{tmp}`` and ``tests/data`` as ``{data}``.  Together they fix the floating-point
 operation order of the learned auction: the batch training forward
-(checkpoint and loss trace), per-profile hard clearing (revenue-gap)
+(checkpoint and loss trace, at batch 64 and at the default batch of
+768), per-profile hard clearing (revenue-gap)
 and clearing inside the simulator (the dla episode and its event
 stream).  The second-price episode pins the other similarity and
 valuation branches (``min`` aggregate, ``proximity`` rule) on piles of
@@ -19,6 +20,8 @@ for a deliberate change of output bytes:
 
     python -m myerson_airnet train --dist-lower 0 --dist-upper 1 --seed 3 \\
         --iterations 20 --batch-size 64 --out tests/data/golden_net.ckpt
+    python -m myerson_airnet train --dist-lower 0 --dist-upper 1 --seed 3 \\
+        --iterations 40 --out tests/data/golden_net_default_batch.ckpt
     python -m myerson_airnet revenue-gap --checkpoint tests/data/golden_net.ckpt \\
         --dist-lower 0 --dist-upper 1 --seed 3 --cases 200 --out tests/data/golden_gaps.csv
     python -m myerson_airnet simulate --mechanism dla --checkpoint tests/data/golden_net.ckpt \\
@@ -44,6 +47,10 @@ CASES = {
     "train": (["train", "--dist-lower", "0", "--dist-upper", "1", "--seed", "3",
                "--iterations", "20", "--batch-size", "64", "--out", "{tmp}/golden_net.ckpt"],
               ["golden_net.ckpt", "golden_net.ckpt.loss.csv"]),
+    "train-default-batch": (["train", "--dist-lower", "0", "--dist-upper", "1", "--seed", "3",
+                             "--iterations", "40", "--out", "{tmp}/golden_net_default_batch.ckpt"],
+                            ["golden_net_default_batch.ckpt",
+                             "golden_net_default_batch.ckpt.loss.csv"]),
     "revenue-gap": (["revenue-gap", "--checkpoint", "{data}/golden_net.ckpt",
                      "--dist-lower", "0", "--dist-upper", "1", "--seed", "3",
                      "--cases", "200", "--out", "{tmp}/golden_gaps.csv"],
