@@ -45,7 +45,7 @@ def _overrides(args: argparse.Namespace, names) -> dict[str, str]:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _require_out(cfg, args) -> str:
+def _require_out(cfg) -> str:
     out = cfg.out
     if out is None:
         raise InputError("an output path is required: pass --out or set out= in the config")
@@ -69,7 +69,7 @@ def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _cmd_train(args) -> int:
     cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
-    out = _require_out(cfg, args)
+    out = _require_out(cfg)
     dist = cfg.world.distribution
     params, trace = train(cfg.net, dist)
     save_params(params, out)
@@ -93,7 +93,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_revenue_gap(args) -> int:
     cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
-    out = _require_out(cfg, args)
+    out = _require_out(cfg)
     params = load_params(args.checkpoint, expect=cfg.net)
 
     dist = cfg.world.distribution
@@ -127,7 +127,7 @@ def _cmd_revenue_gap(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = build_config(args.config, _overrides(args, SCHEMA))
-    out = _require_out(cfg, args)
+    out = _require_out(cfg)
     if args.mechanism == "spa":
         mechanism = SecondPriceMechanism()
     else:

@@ -23,18 +23,18 @@ from .network import NetConfig
 from .sim import WorldConfig
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"expected an integer, got {text!r}") from None
+def _parser(kind, noun: str):
+    """Parse text with ``kind``, raising :class:`InputError` that names ``noun``."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise InputError(f"expected {noun}, got {text!r}") from None
+    return parse
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"expected a number, got {text!r}") from None
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
 
 
 @dataclass(frozen=True)

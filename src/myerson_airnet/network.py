@@ -18,7 +18,9 @@ use their standard derivatives, and ``exp`` reparameterization turns
 weight gradients into ``w * dL/dw``.
 
 Parameter arrays ``theta`` and ``beta`` have shape
-``(n_bidders, groups, linear_units)`` throughout.
+``(n_bidders, groups, linear_units)``.  The batch forward pass works on
+their transpose: its pieces are laid out ``(J, K, N, S)`` (units,
+groups, bidders, samples).
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
     return MonotoneNetParams(theta, beta, config.kappa)
 
 
-# The two piece kernels.  ``v`` and ``y`` are scalars or arrays whose last
-# two axes have size 1, so they broadcast over the (groups, units) axes of
-# ``theta`` and ``beta`` and any leading (sample, bidder) axes.
+# The two piece kernels of the per-profile calls.  ``v`` and ``y`` are
+# scalars or arrays whose last two axes have size 1, so they broadcast over
+# the (groups, units) axes of ``theta`` and ``beta`` and a leading bidder
+# axis.  ``_forward`` builds the same forward pieces in its own layout.
 
 def _pieces(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
     """Affine pieces ``exp(theta) * v + beta``."""
@@ -184,6 +187,17 @@ def transform_profile(params: MonotoneNetParams, bids) -> np.ndarray:
     return _pieces(params.theta, params.beta, b[:, None, None]).min(axis=2).max(axis=1)
 
 
+def _softmax_no_sale(tbar: np.ndarray, kappa: float) -> np.ndarray:
+    """Row softmax of ``kappa * [tbar, 0]`` for ``(S, N)`` transformed bids.
+
+    Column ``N`` is the no-sale slot.
+    """
+    z = kappa * np.concatenate([tbar, np.zeros((tbar.shape[0], 1))], axis=1)
+    z -= z.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
 def allocate_soft(transformed_bids, kappa: float) -> np.ndarray:
     """Softmax win probabilities against a no-sale slot pinned at 0.
 
@@ -197,10 +211,7 @@ def allocate_soft(transformed_bids, kappa: float) -> np.ndarray:
         raise InputError("transformed bids must be finite")
     if not np.isfinite(kappa) or kappa <= 0.0:
         raise InputError("kappa must be finite and positive")
-    z = kappa * np.append(tb, 0.0)
-    z -= z.max()
-    ez = np.exp(z)
-    return (ez / ez.sum())[:-1]
+    return _softmax_no_sale(tb[None, :], kappa)[0, :-1]
 
 
 def payment_soft(params: MonotoneNetParams, transformed_bids, bidder: int) -> float:
@@ -246,17 +257,43 @@ def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
     return values
 
 
-def _select(pieces: np.ndarray, inner, outer):
-    """Active piece of ``(S, N, K, J)`` pieces: its ``(S, N)`` value, group and unit.
+def _beats_min(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Where ``candidate`` replaces ``best`` under ``np.argmin``'s rule.
+
+    That is below it, or NaN where ``best`` is not: argmin picks the first NaN.
+    """
+    return ~(candidate >= best) & (best == best)
+
+
+def _beats_max(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Where ``candidate`` replaces ``best`` under ``np.argmax``'s rule."""
+    return ~(candidate <= best) & (best == best)
+
+
+def _scan(a: np.ndarray, beats):
+    """Value and index of the first best entry along the leading axis.
+
+    ``beats`` is strict, so a tie keeps the lower index; the value is a
+    copy of the chosen entry, so its sign of zero and NaNs survive.
+    """
+    best = a[0].copy()
+    index = np.zeros(best.shape, dtype=np.intp)
+    for i in range(1, a.shape[0]):
+        take = beats(a[i], best)
+        np.copyto(best, a[i], where=take)
+        index[take] = i
+    return best, index
+
+
+def _active_piece(pieces: np.ndarray, inner, outer):
+    """Active piece of ``(J, K, N, S)`` pieces: its ``(N, S)`` value, group and unit.
 
     ``outer`` selects over groups of ``inner`` over units; both are
-    ``np.argmin`` or ``np.argmax``, so ties go to the lowest index.
+    :func:`_beats_min` or :func:`_beats_max`.
     """
-    unit = inner(pieces, axis=3)
-    over_units = np.take_along_axis(pieces, unit[..., None], axis=3)[..., 0]
-    group = outer(over_units, axis=2)
-    value = np.take_along_axis(over_units, group[..., None], axis=2)[..., 0]
-    return value, group, np.take_along_axis(unit, group[..., None], axis=2)[..., 0]
+    over_units, unit = _scan(pieces, inner)
+    value, group = _scan(over_units, outer)
+    return value, group, np.take_along_axis(unit, group[None], axis=0)[0]
 
 
 def _top_rival(tbar: np.ndarray):
@@ -277,26 +314,31 @@ def _top_rival(tbar: np.ndarray):
 
 
 def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
-    """Shared batch forward pass; keeps the active-piece indices for backprop."""
+    """Shared batch forward pass; keeps the active-piece indices for backprop.
+
+    Per-sample outputs are ``(S, N)`` arrays, as ``values`` is laid out.
+    """
     w = np.exp(params.theta)
-    beta = params.beta
-    n_samples = values.shape[0]
+    # Pieces are laid out (J, K, N, S), samples innermost: selecting over
+    # the short leading J and K axes is a few whole-array comparisons, and
+    # the forward and inverse pieces share one buffer.
+    w_t = w.T[..., None]
+    beta_t = params.beta.T[..., None]
+    pieces = np.empty(w_t.shape[:3] + values.shape[:1])
+    np.multiply(w_t, values.T, out=pieces)
+    pieces += beta_t
+    tbar, kmax, jsel_fwd = (a.T.copy() for a in _active_piece(pieces, _beats_min, _beats_max))
 
-    pieces = _pieces(params.theta, beta, values[:, :, None, None])
-    tbar, kmax, jsel_fwd = _select(pieces, np.argmin, np.argmax)
-
-    z = kappa * np.concatenate([tbar, np.zeros((n_samples, 1))], axis=1)
-    z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    soft = ez / ez.sum(axis=1, keepdims=True)
+    soft = _softmax_no_sale(tbar, kappa)
     g = soft[:, :-1]
 
     rarg, rmax = _top_rival(tbar)
     r = np.maximum(rmax, 0.0)
 
     # Not _inverse_pieces: dividing by w pins the checkpoint and loss-trace bytes.
-    inv_pieces = (r[:, :, None, None] - beta[None]) / w[None]
-    p, kmin_inv, jsel_inv = _select(inv_pieces, np.argmax, np.argmin)
+    np.subtract(r.T, beta_t, out=pieces)
+    pieces /= w_t
+    p, kmin_inv, jsel_inv = (a.T.copy() for a in _active_piece(pieces, _beats_max, _beats_min))
 
     return w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv
 
