@@ -257,16 +257,15 @@ def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
     return values
 
 
-def _beats_min(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Where ``candidate`` replaces ``best`` under ``np.argmin``'s rule.
+# Where a candidate replaces the best so far under np.argmin's (np.argmax's)
+# rule: strictly below (above) it, or NaN where the best is not, since both
+# pick the first NaN.
 
-    That is below it, or NaN where ``best`` is not: argmin picks the first NaN.
-    """
+def _beats_min(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
     return ~(candidate >= best) & (best == best)
 
 
 def _beats_max(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Where ``candidate`` replaces ``best`` under ``np.argmax``'s rule."""
     return ~(candidate <= best) & (best == best)
 
 
@@ -319,9 +318,10 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     Per-sample outputs are ``(S, N)`` arrays, as ``values`` is laid out.
     """
     w = np.exp(params.theta)
-    # Pieces are laid out (J, K, N, S), samples innermost: selecting over
-    # the short leading J and K axes is a few whole-array comparisons, and
-    # the forward and inverse pieces share one buffer.
+    # Pieces are laid out (J, K, N, S), samples innermost: numpy reduces a
+    # short trailing axis row by row, but scans a short leading one in a few
+    # whole-slice comparisons.  The forward and inverse pieces share one
+    # buffer, because each fresh pieces-sized temporary costs page faults.
     w_t = w.T[..., None]
     beta_t = params.beta.T[..., None]
     pieces = np.empty(w_t.shape[:3] + values.shape[:1])
