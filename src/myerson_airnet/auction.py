@@ -114,6 +114,16 @@ def spa_clear(bids) -> AuctionOutcome:
     return _one_hot_outcome(winner, payment, b.size)
 
 
+def spa_batch(values) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`spa_clear` for every row of an ``(S, N)`` bid matrix: winners and payments."""
+    b = np.asarray(values, dtype=float)
+    if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 2:
+        raise InputError("second-price clearing needs a non-empty matrix of at least two bids")
+    if not np.all(np.isfinite(b)) or np.any(b < 0.0):
+        raise InputError("bids must be finite and non-negative")
+    return b.argmax(axis=1), np.partition(b, -2, axis=1)[:, -2]
+
+
 def virtual_valuation(v, dist: ValuationDistribution):
     """Marginal-revenue transform ``v - (1 - F(v)) / f(v)``.
 

@@ -5,8 +5,9 @@ second-price baseline, ``simulate`` a collection episode, and ``eval``
 mean revenue against the analytic optimum.  Every command honors
 ``--seed``; outputs carry no timestamps, so identical invocations write
 byte-identical files.  Revenue-gap case ``i`` draws from the untagged
-``(seed, i)`` stream, and every command clears one profile per
-:func:`clear_hard` call.
+``(seed, i)`` stream.  ``revenue-gap`` and ``eval`` clear one profile per
+:func:`clear_hard` call; ``train``'s held-out check clears its profiles in
+one :func:`clear_batch` call.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import ValuationProfile, myerson_clear, spa_clear
+from .auction import ValuationProfile, myerson_clear, spa_batch, spa_clear
 from .checkpoint import load_params, save_params
 from .config import RUN_SCHEMA, SCHEMA, build_config
 from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
                      TrainingDivergedError)
-from .network import clear_hard, train
+from .network import clear_batch, clear_hard, train
 from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_episode,
                   write_episode_csv, write_episode_events)
 
@@ -33,6 +34,8 @@ from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_ep
 # 0, 1 and 3 the simulator's placement, noise-field and start-pile ones.
 _TAG_TRAIN_EVAL = 900001
 _TAG_EVAL = 900002
+
+_HELDOUT_PROFILES = 10_000  # fresh profiles train checks its net on
 
 
 def _add_override_flags(parser: argparse.ArgumentParser, schema) -> None:
@@ -55,8 +58,9 @@ def _require_out(cfg) -> str:
 def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row revenue of the learned auction, second price and, given ``dist``, the optimum.
 
-    Clears one profile per mechanism call, a row at a time, so ``rows``
-    may be a lazy iterable; the optimum's array is empty without ``dist``.
+    ``revenue-gap`` and ``eval`` clear through here: one profile per
+    mechanism call, a row at a time, so ``rows`` may be a lazy iterable.
+    The optimum's array is empty without ``dist``.
     """
     dla, spa, optimum = [], [], []
     for row in rows:
@@ -82,11 +86,14 @@ def _cmd_train(args) -> int:
             writer.writerow([iteration, repr(float(value))])
 
     rng = np.random.default_rng([cfg.net.seed, _TAG_TRAIN_EVAL])
-    dla, spa, _ = _revenues(params, dist.sample(rng, (10_000, cfg.net.n_bidders)))
+    heldout = dist.sample(rng, (_HELDOUT_PROFILES, cfg.net.n_bidders))
+    dla = clear_batch(params, heldout)[1]
+    spa = spa_batch(heldout)[1]
     print(f"trained {len(trace.losses)} iterations; final loss {trace.losses[-1]:.6f}")
     if trace.converged_at is not None:
         print(f"converged at iteration {trace.converged_at}")
-    print(f"test revenue over 10000 fresh profiles: dla {dla.mean():.6f}, spa {spa.mean():.6f}")
+    print(f"test revenue over {_HELDOUT_PROFILES} fresh profiles: "
+          f"dla {dla.mean():.6f}, spa {spa.mean():.6f}")
     print(f"wrote checkpoint {out} and loss trace {trace_path}")
     return 0
 

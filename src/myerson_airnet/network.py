@@ -8,7 +8,8 @@ closed form (``min over groups of max over pieces`` of the inverted
 affine maps).  Transformed bids compete in a softmax with temperature
 ``kappa`` against a fixed no-sale slot pinned at 0, and a bidder's
 conditional payment is the inverse transform of the rectified highest
-rival transformed bid.
+rival transformed bid.  :func:`clear_batch` clears a whole ``(S, N)``
+batch as :func:`clear_hard` clears each of its rows.
 
 Training minimizes the negative expected revenue of truthful play by
 plain gradient descent.  Gradients are assembled by hand: argmax/argmin
@@ -152,6 +153,16 @@ def _inverse_pieces(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
     return (y - beta) * np.exp(-theta)
 
 
+def _transformed(params: MonotoneNetParams, bids: np.ndarray) -> np.ndarray:
+    """Every bidder's transform of ``bids``, whose last axis runs over bidders."""
+    return _pieces(params.theta, params.beta, bids[..., None, None]).min(axis=-1).max(axis=-1)
+
+
+def _inverted(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
+    """Inverse transform of ``y`` through ``(..., groups, units)`` parameters."""
+    return _inverse_pieces(theta, beta, y).max(axis=-1).min(axis=-1)
+
+
 def _check_bidder(params: MonotoneNetParams, bidder: int) -> None:
     if not 0 <= bidder < params.n_bidders:
         raise InputError(f"bidder index {bidder} out of range for {params.n_bidders} bidders")
@@ -173,8 +184,7 @@ def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float
     y = float(y)
     if not np.isfinite(y):
         raise InputError("transformed bid must be finite")
-    pieces = _inverse_pieces(params.theta[bidder], params.beta[bidder], y)
-    return float(pieces.max(axis=1).min())
+    return float(_inverted(params.theta[bidder], params.beta[bidder], y))
 
 
 def transform_profile(params: MonotoneNetParams, bids) -> np.ndarray:
@@ -184,7 +194,7 @@ def transform_profile(params: MonotoneNetParams, bids) -> np.ndarray:
         raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise InputError("bids must be finite")
-    return _pieces(params.theta, params.beta, b[:, None, None]).min(axis=2).max(axis=1)
+    return _transformed(params, b)
 
 
 def _softmax_no_sale(tbar: np.ndarray, kappa: float) -> np.ndarray:
@@ -241,6 +251,48 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
         return _no_sale(b.size)
     payment = payment_soft(params, tb, winner)
     return _one_hot_outcome(winner, payment, b.size)
+
+
+# Rows per clear_batch block.  It bounds the temporaries (about 0.6 MB of
+# pieces a block at the default net), so memory does not grow with the batch.
+_CLEAR_BLOCK = 1024
+
+
+def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`clear_hard` for every row of an ``(S, N)`` valuation batch.
+
+    Returns each row's winner and payment, equal to :func:`clear_hard`'s bit
+    for bit; a row with no sale has winner ``-1`` and payment ``0.0``.
+    """
+    if params.n_bidders < 2:
+        raise InputError("clearing needs at least two bids")
+    values = _batch_values(params, values)
+    winner = np.empty(values.shape[0], dtype=np.intp)
+    payment = np.empty(values.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, values.shape[0], _CLEAR_BLOCK):
+            block = slice(start, start + _CLEAR_BLOCK)
+            winner[block], payment[block] = _clear_rows(params, values[block])
+    return winner, payment
+
+
+def _clear_rows(params: MonotoneNetParams, values: np.ndarray):
+    """One block of :func:`clear_batch`, reducing as the per-profile calls reduce.
+
+    Not the training forward's piece scans: those keep the first of tied
+    zeros where numpy's reductions may keep the last, and a ``-0.0`` rival
+    bid can change the sign of a zero payment.
+    """
+    tb = _transformed(params, values)
+    rows = np.arange(tb.shape[0])
+    winner = tb.argmax(axis=1)
+    others = np.arange(tb.shape[1])[None, :] != winner[:, None]
+    rival = tb[others].reshape(tb.shape[0], -1).max(axis=1)
+    # payment_soft rectifies with Python's max, which keeps a -0.0 rival.
+    rival = np.where(rival < 0.0, 0.0, rival)
+    payment = _inverted(params.theta[winner], params.beta[winner], rival[:, None, None])
+    sold = tb[rows, winner] > 0.0
+    return np.where(sold, winner, -1), np.where(sold, payment, 0.0)
 
 
 def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:

@@ -1,0 +1,132 @@
+"""Batch clearing against the per-profile calls, bit for bit.
+
+``network.clear_batch`` and ``auction.spa_batch`` clear a whole
+``(S, N)`` matrix at once; ``train`` uses them for its held-out check.
+Each row must clear exactly as one ``clear_hard`` (``spa_clear``) call
+clears it: the same winner (``None`` is ``-1``) and the same payment
+bits, sign of zero included.  The nets come from the forward oracle's
+tie-heavy strategy, sometimes shifted down so that rows go unsold.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from test_forward_oracle import nets_and_values
+
+from myerson_airnet.auction import spa_batch, spa_clear
+from myerson_airnet.errors import InputError
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_batch, clear_hard,
+                                    init_params)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def assert_clear_batch_matches_rows(params, values):
+    winner, payment = clear_batch(params, values)
+    assert winner.shape == payment.shape == (values.shape[0],)
+    with np.errstate(all="ignore"):
+        outcomes = [clear_hard(params, row) for row in values]
+    assert winner.tolist() == [-1 if out.winner is None else out.winner for out in outcomes]
+    assert np.array_equal(bits(payment), bits([out.payment for out in outcomes]))
+
+
+def assert_spa_batch_matches_rows(values):
+    winner, payment = spa_batch(values)
+    outcomes = [spa_clear(row) for row in values]
+    assert winner.tolist() == [out.winner for out in outcomes]
+    assert np.array_equal(bits(payment), bits([out.payment for out in outcomes]))
+
+
+@st.composite
+def clearing_cases(draw):
+    """A forward-oracle case whose offsets are sometimes pushed below zero."""
+    params, values, _ = draw(nets_and_values())
+    shift = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    if shift:
+        params = MonotoneNetParams(params.theta, params.beta - shift, params.kappa)
+    return params, values
+
+
+@settings(deadline=None, max_examples=300)
+@given(clearing_cases())
+def test_clear_batch_matches_clear_hard_bitwise(case):
+    assert_clear_batch_matches_rows(*case)
+
+
+@pytest.mark.parametrize("beta, values", [
+    ([0.0, -0.0], [0.5, -0.0]),
+    ([0.0, -0.0, -0.0], [0.5, -0.0, -0.0]),
+    ([[0.0, 0.0], [-0.0, -0.0]], [0.5, -0.0]),
+])
+def test_signed_zero_rival_keeps_the_sign_of_a_zero_payment(beta, values):
+    # A -0.0 top rival bid against +0.0 offsets is a -0.0 payment, with no
+    # tie between zeros of opposite sign for a reduction to break.
+    beta = np.array(beta).reshape(len(values), 1, -1)
+    params = MonotoneNetParams(np.zeros_like(beta), beta)
+    assert bits(clear_hard(params, values).payment) == bits(-0.0)
+    assert_clear_batch_matches_rows(params, np.array([values]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 6).flatmap(
+    lambda n: arrays(np.float64, st.tuples(st.integers(1, 8), st.just(n)),
+                     elements=st.one_of(st.sampled_from([0.0, -0.0, 0.5]),
+                                        st.floats(0.0, 1.0)))))
+def test_spa_batch_matches_spa_clear_bitwise(values):
+    assert_spa_batch_matches_rows(values)
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+def test_batch_clears_match_rows_across_block_edges(rows):
+    rng = np.random.default_rng(rows)
+    params = init_params(NetConfig(), rng)
+    values = rng.uniform(0.0, 1.0, (rows, params.n_bidders))
+    values[::7, 2] = 0.0
+    assert_clear_batch_matches_rows(params, values)
+    assert_spa_batch_matches_rows(values)
+
+
+def test_batch_clears_reject_what_row_clears_reject():
+    params = MonotoneNetParams.affine(3, 1.0, 0.0)
+    good = np.full((4, 3), 0.5)
+    bad_rows = {"one bidder": np.full((4, 1), 0.5), "wrong width": np.full((4, 2), 0.5)}
+    for name, value in (("nan", np.nan), ("inf", np.inf)):
+        bad_rows[name] = good.copy()
+        bad_rows[name][2, 1] = value
+    for name, values in bad_rows.items():
+        with pytest.raises(InputError):
+            clear_hard(params, values[2])
+        with pytest.raises(InputError):
+            clear_batch(params, values)
+        if name != "wrong width":
+            with pytest.raises(InputError):
+                spa_clear(values[2])
+            with pytest.raises(InputError):
+                spa_batch(values)
+    with pytest.raises(InputError):
+        clear_batch(MonotoneNetParams.affine(1, 1.0, 0.0), good[:, :1])
+    negative = good.copy()
+    negative[3, 0] = -0.1
+    with pytest.raises(InputError):
+        spa_clear(negative[3])
+    with pytest.raises(InputError):
+        spa_batch(negative)
+
+
+def test_clear_batch_memory_stays_blocked():
+    rng = np.random.default_rng(5)
+    params = init_params(NetConfig(), rng)
+    values = rng.uniform(0.0, 1.0, (20_000, params.n_bidders))
+    tracemalloc.start()
+    try:
+        clear_batch(params, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
