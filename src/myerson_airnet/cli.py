@@ -4,10 +4,11 @@ Subcommands: ``train`` a learned auction, ``revenue-gap`` it against the
 second-price baseline, ``simulate`` a collection episode, and ``eval``
 mean revenue against the analytic optimum.  Every command honors
 ``--seed``; outputs carry no timestamps, so identical invocations write
-byte-identical files.  Revenue-gap case ``i`` draws from the untagged
-``(seed, i)`` stream.  ``revenue-gap`` and ``eval`` clear one profile per
-:func:`clear_hard` call; ``train``'s held-out check clears its profiles in
-one :func:`clear_batch` call.
+byte-identical files.  ``train``'s held-out check, ``revenue-gap`` and
+``eval`` each draw their profiles in one call from a stream that derives
+from the master seed through a fixed tag.  ``revenue-gap`` and ``eval``
+clear one profile per :func:`clear_hard` call; ``train``'s held-out check
+clears its profiles in one :func:`clear_batch` call.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .network import clear_batch, clear_hard, train
 from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_episode,
                   write_episode_csv, write_episode_events)
 
-# Seed-derivation tags for the held-out draws of train and eval.  They do
-# not keep streams apart: revenue-gap case i draws from the untagged
-# (seed, i), so cases 900001 and 900002 repeat these streams and cases
-# 0, 1 and 3 the simulator's placement, noise-field and start-pile ones.
+# Seed-derivation tags for the profiles of train's held-out check, eval
+# and revenue-gap; they differ from each other and from the simulator's.
 _TAG_TRAIN_EVAL = 900001
 _TAG_EVAL = 900002
+_TAG_GAP = 900003
 
 _HELDOUT_PROFILES = 10_000  # fresh profiles train checks its net on
 
@@ -58,9 +58,9 @@ def _require_out(cfg) -> str:
 def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row revenue of the learned auction, second price and, given ``dist``, the optimum.
 
-    ``revenue-gap`` and ``eval`` clear through here: one profile per
-    mechanism call, a row at a time, so ``rows`` may be a lazy iterable.
-    The optimum's array is empty without ``dist``.
+    ``revenue-gap`` and ``eval`` clear their ``(S, N)`` profile matrix
+    through here, one row per mechanism call.  The optimum's array is
+    empty without ``dist``.
     """
     dla, spa, optimum = [], [], []
     for row in rows:
@@ -103,9 +103,8 @@ def _cmd_revenue_gap(args) -> int:
     out = _require_out(cfg)
     params = load_params(args.checkpoint, expect=cfg.net)
 
-    dist = cfg.world.distribution
-    cases = (dist.sample(np.random.default_rng([cfg.net.seed, i]), params.n_bidders)
-             for i in range(cfg.cases))
+    rng = np.random.default_rng([cfg.net.seed, _TAG_GAP])
+    cases = cfg.world.distribution.sample(rng, (cfg.cases, params.n_bidders))
     dla, spa, _ = _revenues(params, cases)
     gaps = dla - spa
     order = np.argsort(gaps, kind="stable")

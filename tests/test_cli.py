@@ -10,7 +10,7 @@ import pytest
 from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
                                     spa_clear)
 from myerson_airnet.checkpoint import save_params
-from myerson_airnet.cli import main
+from myerson_airnet.cli import _TAG_GAP, main
 from myerson_airnet.network import MonotoneNetParams, NetConfig, train
 
 TINY = ("--n-bidders", "3", "--groups", "2", "--linear-units", "2",
@@ -343,9 +343,7 @@ def test_trained_gap_tracks_analytic_gap_over_100k_cases(tmp_path):
 
     analytic_total = 0.0
     spa_total = 0.0
-    for index in range(cases):
-        rng = np.random.default_rng([0, index])
-        values = dist.sample(rng, config.n_bidders)
+    for values in dist.sample(np.random.default_rng([0, _TAG_GAP]), (cases, config.n_bidders)):
         spa_revenue = spa_clear(values).revenue
         analytic_total += myerson_clear(ValuationProfile(values, dist)).revenue - spa_revenue
         spa_total += spa_revenue
