@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import pair_mse
 
 from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
                                     spa_clear)
@@ -18,7 +19,7 @@ from myerson_airnet.cli import main
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_hard, grad,
                                     train, transform, transform_inverse)
 from myerson_airnet.sim import SecondPriceMechanism, WorldConfig, generate_world, run_episode
-from myerson_airnet.valuation import (ImagePile, Position, distance, pair_mse, pile_similarity,
+from myerson_airnet.valuation import (ImagePile, Position, distance, pile_similarity,
                                       valuation_score)
 
 

@@ -4,7 +4,9 @@ The simulator scores a whole market per call; these properties pin that
 the batch results equal, bit for bit, what one pile or one device at a
 time computes, and that bad entries anywhere in a batch are still
 rejected.  The support test is checked against its spelled-out form on
-arrays that mix in-support values with NaN and infinities.
+arrays that mix in-support values with NaN and infinities, and the
+learned transform's inverse undoes it within a bound derived from its
+piece formulas.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import InputError
+from myerson_airnet.network import MonotoneNetParams, transform, transform_inverse
 from myerson_airnet.valuation import ImagePile, pile_similarity, valuation_score
 
 pixels = st.floats(0.0, 1.0)
@@ -80,3 +83,44 @@ def test_support_test_matches_its_elementwise_form(values):
     dist = ValuationDistribution(0.5, 1.0)
     inside = np.all(np.isfinite(values)) and np.all((values >= 0.5) & (values <= 1.0))
     assert dist.contains(values) is bool(inside)
+
+
+U = 2.0 ** -53  # float64 unit roundoff
+TINY = 2.0 ** -1074  # smallest subnormal: the most an underflowing operation can lose
+
+
+def round_trip_bound(theta, beta, bid):
+    """Largest ``|transform_inverse(transform(bid)) - bid|`` that rounding allows.
+
+    One piece computes ``y = fl(fl(w * bid) + beta)`` with ``w = exp(theta)``
+    and inverts it as ``fl(fl(y - beta) * exp(-theta))``.  Taking ``exp``
+    within 4 ulps (relative error ``8u``) and every other operation within
+    ``u``, the round trip is ``bid`` times six relative errors, under
+    ``24u * |bid|``, plus the sum's rounding of ``beta`` carried through
+    ``exp(-theta)``, under ``2u * |beta| * exp(-theta)``.  An operation
+    that underflows adds at most ``TINY``, before or after that scaling.
+    Every rounded piece and inverse piece is monotone, so the max-min
+    transform and its min-max inverse stay within the largest one-piece
+    bound over the bidder's pieces.
+    """
+    scale = np.exp(-theta)
+    per_piece = 24 * U * abs(bid) + 2 * U * np.abs(beta) * scale + 4 * TINY * (1 + scale)
+    return float(per_piece.max())
+
+
+@st.composite
+def net_bidder_and_bid(draw):
+    """A net of any shape up to six bidders, groups and units, one bidder and a bid."""
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    theta = draw(arrays(np.float64, shape, elements=st.floats(-20.0, 20.0)))
+    beta = draw(arrays(np.float64, shape, elements=st.floats(-5.0, 5.0)))
+    bidder = draw(st.integers(0, shape[0] - 1))
+    return MonotoneNetParams(theta, beta, 100.0), bidder, draw(st.floats(0.0, 1.0))
+
+
+@settings(deadline=None)
+@given(net_bidder_and_bid())
+def test_transform_inverse_undoes_transform_within_rounding(data):
+    params, bidder, bid = data
+    back = transform_inverse(params, bidder, transform(params, bidder, bid))
+    assert abs(back - bid) <= round_trip_bound(params.theta[bidder], params.beta[bidder], bid)

@@ -155,6 +155,34 @@ def test_revenue_gap_shape_mismatch_exits_2(tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def test_revenue_gap_cases_repeat_no_other_stream_of_the_seed(tmp_path, monkeypatch):
+    """No case equals the first draw of another stream fed by the same seed.
+
+    Those streams are training's (the bare seed), the simulator's tags
+    0-4 and the held-out draws of train and eval (tags 900001, 900002).
+    """
+    seed, cases = 3, 8
+    cleared = []
+
+    def recording_spa_clear(values):
+        cleared.append(np.array(values))
+        return spa_clear(values)
+
+    monkeypatch.setattr("myerson_airnet.cli.spa_clear", recording_spa_clear)
+    ckpt = identity_checkpoint(tmp_path)
+    rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv"),
+               "--groups", "1", "--linear-units", "1", "--dist-lower", "0",
+               "--dist-upper", "1", "--seed", str(seed), "--cases", str(cases)])
+    assert rc == 0
+    assert len(cleared) == cases
+
+    dist = ValuationDistribution(0.0, 1.0)
+    streams = [seed, *([seed, tag] for tag in (0, 1, 2, 3, 4, 900001, 900002))]
+    for stream in streams:
+        first = dist.sample(np.random.default_rng(stream), cleared[0].size)
+        assert not any(np.array_equal(row, first) for row in cleared), stream
+
+
 def test_simulate_spa_episode(tmp_path, capsys):
     out = tmp_path / "episode.csv"
     rc = main(["simulate", "--mechanism", "spa", "--out", str(out), "--seed", "4",

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import pair_mse
 
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import DegenerateProfileError, InputError
 from myerson_airnet.valuation import (ImagePile, Position, distance, normalize_profile,
-                                      pair_mse, pile_similarity, valuation_score)
+                                      pile_similarity, valuation_score)
 
 
 def test_distance_examples():
