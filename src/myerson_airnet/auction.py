@@ -2,7 +2,9 @@
 
 Second-price (Vickrey) clearing and the revenue-optimal mechanism for a
 known uniform valuation distribution, plus the profile and outcome types
-shared by the learned mechanism and the simulator.
+shared by the learned mechanism and the simulator.  An outcome holds only
+what a clear decides, the winner and its payment; second price is written
+once, as :func:`spa_batch`, and :func:`spa_clear` is a one-row call of it.
 
 Every argmax in this package breaks ties toward the lowest bidder index,
 so outcomes are deterministic and directly testable.
@@ -10,7 +12,7 @@ so outcomes are deterministic and directly testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +65,6 @@ class ValuationProfile:
 
     values: np.ndarray
     distribution: ValuationDistribution
-    n_bidders: int = field(init=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -75,31 +76,22 @@ class ValuationProfile:
             raise InputError("valuations must lie within the distribution support")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "n_bidders", int(values.size))
 
 
 @dataclass(frozen=True)
 class AuctionOutcome:
-    """Clearing result: winner (or no sale), payment, allocation, revenue."""
+    """Clearing result: the winner (``None`` on no sale) and what it pays."""
 
     winner: int | None
     payment: float
-    allocation: np.ndarray
-    revenue: float
 
     @property
     def sold(self) -> bool:
         return self.winner is not None
 
-
-def _no_sale(n: int) -> AuctionOutcome:
-    return AuctionOutcome(None, 0.0, np.zeros(n), 0.0)
-
-
-def _one_hot_outcome(winner: int, payment: float, n: int) -> AuctionOutcome:
-    allocation = np.zeros(n)
-    allocation[winner] = 1.0
-    return AuctionOutcome(winner, payment, allocation, payment)
+    @property
+    def revenue(self) -> float:
+        return self.payment
 
 
 def spa_clear(bids) -> AuctionOutcome:
@@ -107,11 +99,8 @@ def spa_clear(bids) -> AuctionOutcome:
     b = np.asarray(bids, dtype=float)
     if b.ndim != 1 or b.size < 2:
         raise InputError("second-price clearing needs at least two bids")
-    if not np.all(np.isfinite(b)) or np.any(b < 0.0):
-        raise InputError("bids must be finite and non-negative")
-    winner = int(np.argmax(b))
-    payment = float(np.partition(b, -2)[-2])
-    return _one_hot_outcome(winner, payment, b.size)
+    winner, payment = spa_batch(b[None, :])
+    return AuctionOutcome(int(winner[0]), float(payment[0]))
 
 
 def spa_batch(values) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +154,6 @@ def myerson_clear(profile: ValuationProfile) -> AuctionOutcome:
     phi = _virtual_valuation(values, dist)  # the profile already checked the support
     winner = int(np.argmax(phi))
     if phi[winner] < 0.0:
-        return _no_sale(values.size)
+        return AuctionOutcome(None, 0.0)
     runner_up = float(np.partition(phi, -2)[-2])
-    payment = virtual_valuation_inverse(max(runner_up, 0.0), dist)
-    return _one_hot_outcome(winner, payment, values.size)
+    return AuctionOutcome(winner, virtual_valuation_inverse(max(runner_up, 0.0), dist))

@@ -91,7 +91,10 @@ class ExperimentConfig:
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat key=value file into raw strings, validating the keys."""
     raw: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not a text config file") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution, _no_sale, _one_hot_outcome
+from .auction import AuctionOutcome, ValuationDistribution
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
@@ -153,9 +153,9 @@ def _inverse_pieces(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
     return (y - beta) * np.exp(-theta)
 
 
-def _transformed(params: MonotoneNetParams, bids: np.ndarray) -> np.ndarray:
-    """Every bidder's transform of ``bids``, whose last axis runs over bidders."""
-    return _pieces(params.theta, params.beta, bids[..., None, None]).min(axis=-1).max(axis=-1)
+def _transformed(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
+    """Transform of ``v`` through ``(..., groups, units)`` parameters."""
+    return _pieces(theta, beta, v).min(axis=-1).max(axis=-1)
 
 
 def _inverted(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
@@ -174,8 +174,7 @@ def transform(params: MonotoneNetParams, bidder: int, bid: float) -> float:
     bid = float(bid)
     if not np.isfinite(bid):
         raise InputError("bid must be finite")
-    pieces = _pieces(params.theta[bidder], params.beta[bidder], bid)
-    return float(pieces.min(axis=1).max())
+    return float(_transformed(params.theta[bidder], params.beta[bidder], bid))
 
 
 def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float:
@@ -194,7 +193,7 @@ def transform_profile(params: MonotoneNetParams, bids) -> np.ndarray:
         raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise InputError("bids must be finite")
-    return _transformed(params, b)
+    return _transformed(params.theta, params.beta, b[:, None, None])
 
 
 def _softmax_no_sale(tbar: np.ndarray, kappa: float) -> np.ndarray:
@@ -248,9 +247,8 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
     tb = transform_profile(params, b)
     winner = int(np.argmax(tb))
     if not tb[winner] > 0.0:
-        return _no_sale(b.size)
-    payment = payment_soft(params, tb, winner)
-    return _one_hot_outcome(winner, payment, b.size)
+        return AuctionOutcome(None, 0.0)
+    return AuctionOutcome(winner, payment_soft(params, tb, winner))
 
 
 # Rows per clear_batch block.  It bounds the temporaries (about 0.6 MB of
@@ -283,7 +281,7 @@ def _clear_rows(params: MonotoneNetParams, values: np.ndarray):
     zeros where numpy's reductions may keep the last, and a ``-0.0`` rival
     bid can change the sign of a zero payment.
     """
-    tb = _transformed(params, values)
+    tb = _transformed(params.theta, params.beta, values[..., None, None])
     rows = np.arange(tb.shape[0])
     winner = tb.argmax(axis=1)
     others = np.arange(tb.shape[1])[None, :] != winner[:, None]

@@ -314,6 +314,9 @@ def write_episode_events(path, records) -> None:
     lines = []
     for record in records:
         outcome = record.outcome
+        allocation = [0.0] * record.valuations.values.size
+        if outcome.winner is not None:
+            allocation[outcome.winner] = 1.0
         lines.append(json.dumps({
             "round": record.round,
             "mechanism": record.mechanism,
@@ -321,7 +324,7 @@ def write_episode_events(path, records) -> None:
             "winner": outcome.winner,
             "payment": float(outcome.payment),
             "revenue": float(outcome.revenue),
-            "allocation": [float(a) for a in outcome.allocation],
+            "allocation": allocation,
             "uav": [record.uav_position.x, record.uav_position.y],
             "battery": record.battery,
             "distance_flown": float(record.distance_flown),

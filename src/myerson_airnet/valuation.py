@@ -6,9 +6,10 @@ image pile is from the pile collected in the previous round (mean
 squared error across all cross pairs).  Raw scores are min-max
 normalized onto the support of the market's valuation distribution.
 
-Similarity and scoring work on whole markets at once: a ``(D, P, R, C)``
-stack of D piles is scored against one reference pile in a single call,
-and a lone :class:`ImagePile` or scalar is a one-row batch.
+Similarity and scoring work on whole markets at once: piles are plain
+arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
+``(Q, R, C)`` reference pile in a single call, and scoring takes arrays
+or scalars.
 """
 
 from __future__ import annotations
@@ -39,53 +40,19 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-@dataclass(frozen=True)
-class ImagePile:
-    """Ordered stack of same-sized grayscale images with pixels in [0, 1]."""
-
-    images: np.ndarray
-
-    def __post_init__(self):
-        images = np.array(self.images, dtype=float)
-        if images.ndim != 3 or images.shape[0] < 1:
-            raise InputError("a pile is a non-empty (count, rows, cols) stack")
-        if images.shape[1] < 1 or images.shape[2] < 1:
-            raise InputError("images must have at least one pixel")
-        if not np.all(np.isfinite(images)) or images.min() < 0.0 or images.max() > 1.0:
-            raise InputError("pixels must lie in [0, 1]")
-        images.setflags(write=False)
-        object.__setattr__(self, "images", images)
-
-    @property
-    def count(self) -> int:
-        return self.images.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.images.shape[1]
-
-    @property
-    def cols(self) -> int:
-        return self.images.shape[2]
-
-
-def pile_similarity(current, previous, aggregate: str = "mean"):
-    """Aggregate pairwise MSE between every image of one pile and the other.
+def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
+    """Aggregate pairwise MSE between every image of each pile and the reference.
 
     ``mean`` averages all cross pairs; ``min`` scores a pile by its most
-    redundant image pair instead.  ``current`` is an :class:`ImagePile`,
-    which returns a float, or a ``(D, P, R, C)`` stack of D piles, which
-    returns one score per pile; ``previous`` is one pile, as an
-    :class:`ImagePile` or a ``(Q, R, C)`` array.  The stack is scored one
-    current image at a time, so the largest temporary is ``(D, Q, R, C)``.
+    redundant image pair instead.  ``piles`` is a ``(D, P, R, C)`` stack of
+    D piles and ``reference`` one ``(Q, R, C)`` pile; the result holds one
+    score per pile.  The stack is scored one image at a time, so the
+    largest temporary is ``(D, Q, R, C)``.
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
-    single = isinstance(current, ImagePile)
-    stack = np.asarray(current.images[None] if single else current, dtype=float)
-    if isinstance(previous, ImagePile):
-        previous = previous.images
-    reference = np.asarray(previous, dtype=float)
+    stack = np.asarray(piles, dtype=float)
+    reference = np.asarray(reference, dtype=float)
     if stack.ndim != 4 or reference.ndim != 3 or stack.shape[2:] != reference.shape[1:]:
         raise InputError("piles must share image dimensions")
     per_pair = np.empty(stack.shape[:2] + reference.shape[:1])
@@ -93,8 +60,7 @@ def pile_similarity(current, previous, aggregate: str = "mean"):
         diffs = stack[:, p, None] - reference
         per_pair[:, p] = np.mean(diffs ** 2, axis=(2, 3))
     reduce = np.mean if aggregate == "mean" else np.min
-    scores = reduce(per_pair, axis=(1, 2))
-    return float(scores[0]) if single else scores
+    return reduce(per_pair, axis=(1, 2))
 
 
 def valuation_score(similarity, dist_meters, rule: str = "product"):

@@ -19,8 +19,7 @@ from myerson_airnet.cli import main
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_hard, grad,
                                     train, transform, transform_inverse)
 from myerson_airnet.sim import SecondPriceMechanism, WorldConfig, generate_world, run_episode
-from myerson_airnet.valuation import (ImagePile, Position, distance, pile_similarity,
-                                      valuation_score)
+from myerson_airnet.valuation import Position, distance, pile_similarity, valuation_score
 
 
 def report(number, label, failures):
@@ -105,9 +104,9 @@ def test_acceptance_3_transform_inverse_composes_to_identity():
 
 
 def test_acceptance_4_truthfulness(u01, trained_u01, deviation_suite):
-    """Second-price and the analytic optimum admit zero profitable
-    misreports over 10k profiles x 10 deviations; the trained net stays
-    under a 2% violation rate with worst gain below 0.02."""
+    """Second-price, the analytic optimum and the trained net admit zero
+    profitable misreports over 10k profiles x 10 deviations, beyond the
+    deviation suite's 1e-12 float-noise tolerance."""
     params, _ = trained_u01
     rng = np.random.default_rng(77)
     profiles = u01.sample(rng, (10_000, 5))
@@ -122,11 +121,9 @@ def test_acceptance_4_truthfulness(u01, trained_u01, deviation_suite):
 
     violations, trials, worst = deviation_suite(
         lambda v: clear_hard(params, v), profiles, u01, 10, np.random.default_rng(79))
-    rate = violations / trials
-    if rate >= 0.02:
-        failures.append(f"trained net violation rate {rate:.4f}")
-    if worst >= 0.02:
-        failures.append(f"trained net worst gain {worst:.4f}")
+    if violations:
+        failures.append(f"trained net: {violations}/{trials} profitable misreports, "
+                        f"worst gain {worst:.3e}")
     report(4, "misreports never profit", failures)
 
 
@@ -208,13 +205,13 @@ def test_acceptance_7_valuation_oracles():
 
     for _ in range(40):
         rows, cols = rng.integers(1, 5, 2)
-        a = ImagePile(rng.random((3, rows, cols)))
-        b = ImagePile(rng.random((3, rows, cols)))
-        pairs = [pair_mse(x, y) for x in a.images for y in b.images]
-        if abs(pile_similarity(a, b) - np.mean(pairs)) > 1e-12:
+        a = rng.random((3, rows, cols))
+        b = rng.random((3, rows, cols))
+        pairs = [pair_mse(x, y) for x in a for y in b]
+        if abs(pile_similarity(a[None], b)[0] - np.mean(pairs)) > 1e-12:
             failures.append("mean pile aggregation")
             break
-        if abs(pile_similarity(a, b, "min") - min(pairs)) > 1e-12:
+        if abs(pile_similarity(a[None], b, "min")[0] - min(pairs)) > 1e-12:
             failures.append("min pile aggregation")
             break
     report(7, "valuation oracles agree", failures)

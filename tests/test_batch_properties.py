@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import MonotoneNetParams, transform, transform_inverse
-from myerson_airnet.valuation import ImagePile, pile_similarity, valuation_score
+from myerson_airnet.valuation import pile_similarity, valuation_score
 
 pixels = st.floats(0.0, 1.0)
 finite = st.floats(0.0, 1e6)
@@ -46,8 +46,7 @@ def test_batched_pile_similarity_equals_per_pile_loop(data, aggregate):
     stack, reference = data
     batched = pile_similarity(stack, reference, aggregate)
     assert batched.shape == (stack.shape[0],)
-    per_pile = [pile_similarity(ImagePile(pile), ImagePile(reference), aggregate)
-                for pile in stack]
+    per_pile = [pile_similarity(pile[None], reference, aggregate)[0] for pile in stack]
     oracle = [all_pairs_similarity(pile, reference, aggregate) for pile in stack]
     assert batched.tolist() == per_pile == oracle
 

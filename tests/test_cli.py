@@ -335,6 +335,15 @@ def test_config_file_errors_exit_2(tmp_path, capsys, body, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_binary_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    rc = main(["train", *TINY, "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+    assert f"{cfg} is not a text config file" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_module_entrypoint_smoke(tmp_path):
     out = tmp_path / "net.ckpt"
     result = subprocess.run(

@@ -8,12 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from myerson_airnet.auction import ValuationDistribution
+from myerson_airnet.auction import AuctionOutcome, ValuationDistribution, ValuationProfile
 from myerson_airnet.errors import EpisodeExhaustedError, InputError
 from myerson_airnet.network import MonotoneNetParams
-from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, LearnedMechanism, SecondPriceMechanism,
-                                WorldConfig, WorldState, form_valuations, generate_world,
-                                run_episode, step, write_episode_csv, write_episode_events)
+from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, LearnedMechanism, RoundRecord,
+                                SecondPriceMechanism, WorldConfig, WorldState, form_valuations,
+                                generate_world, run_episode, step, write_episode_csv,
+                                write_episode_events)
 from myerson_airnet.valuation import Position
 
 
@@ -330,6 +331,22 @@ def test_write_episode_events_fields(tmp_path):
         assert len(event["valuations"]) == config.n_devices
         assert len(event["allocation"]) == config.n_devices
         assert math.isfinite(event["battery"])
+
+
+def test_write_episode_events_allocation_is_one_hot_on_the_winner(tmp_path):
+    dist = ValuationDistribution(0.0, 1.0)
+    here = Position(0.0, 0.0)
+    records = [RoundRecord(round=r, valuations=ValuationProfile([0.2, 0.9, 0.4], dist),
+                           mechanism="dla", outcome=outcome, distance_flown=0.0,
+                           uav_position=here, battery=10.0)
+               for r, outcome in enumerate([AuctionOutcome(1, 0.4), AuctionOutcome(None, 0.0)])]
+    path = tmp_path / "events.jsonl"
+    write_episode_events(path, records)
+    sold, unsold = (json.loads(line) for line in path.read_text().splitlines())
+    assert (sold["winner"], sold["revenue"]) == (1, 0.4)
+    assert sold["allocation"] == [0.0, 1.0, 0.0]
+    assert (unsold["winner"], unsold["revenue"]) == (None, 0.0)
+    assert unsold["allocation"] == [0.0, 0.0, 0.0]
 
 
 def test_mechanism_names():

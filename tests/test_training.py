@@ -5,7 +5,7 @@ import pytest
 
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import TrainingDivergedError
-from myerson_airnet.network import NetConfig, clear_hard, train
+from myerson_airnet.network import NetConfig, clear_batch, clear_hard, train
 
 
 def small_config(**overrides):
@@ -84,3 +84,39 @@ def test_trained_reserve_moved_toward_optimum(trained_u01):
     params, _ = trained_u01
     reserves = [transform_inverse(params, i, 0.0) for i in range(params.n_bidders)]
     assert all(0.35 < r < 0.65 for r in reserves)
+
+
+def threshold_bids(params, values):
+    """Each bidder's threshold ``T_i^-1(max(best rival T_j(b_j), 0))``, written out.
+
+    The pieces repeat the package's formulas, ``exp(theta) * v + beta`` and
+    ``(y - beta) * exp(-theta)``, so a winner's payment equals its threshold
+    bit for bit.
+    """
+    w = np.exp(params.theta)[None]
+    beta = params.beta[None]
+    tb = (w * values[:, :, None, None] + beta).min(axis=-1).max(axis=-1)
+    mine = np.eye(values.shape[1], dtype=bool)
+    rival = np.where(mine, -np.inf, tb[:, None, :]).max(axis=-1)
+    rival = np.where(rival < 0.0, 0.0, rival)
+    return ((rival[:, :, None, None] - beta) * np.exp(-params.theta)[None]).max(axis=-1).min(
+        axis=-1)
+
+
+def test_trained_net_clears_by_the_threshold_rule(trained_u01, u01):
+    """Myerson's characterization on 100k profiles x 5 bidders: a bidder wins
+    exactly when its bid is above its threshold, a winner pays exactly its
+    threshold, and no winner pays more than its value."""
+    params, _ = trained_u01
+    rng = np.random.default_rng(223)
+    wrong_allocation = wrong_payment = overpaid = 0
+    for _ in range(10):
+        values = u01.sample(rng, (10_000, params.n_bidders))
+        winner, payment = clear_batch(params, values)
+        threshold = threshold_bids(params, values)
+        wins = winner[:, None] == np.arange(params.n_bidders)[None, :]
+        wrong_allocation += int(np.count_nonzero(wins != (values > threshold)))
+        sold = np.flatnonzero(winner >= 0)
+        wrong_payment += int(np.count_nonzero(payment[sold] != threshold[sold, winner[sold]]))
+        overpaid += int(np.count_nonzero(payment[sold] > values[sold, winner[sold]]))
+    assert (wrong_allocation, wrong_payment, overpaid) == (0, 0, 0)

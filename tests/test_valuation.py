@@ -6,8 +6,8 @@ from oracles import pair_mse
 
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import DegenerateProfileError, InputError
-from myerson_airnet.valuation import (ImagePile, Position, distance, normalize_profile,
-                                      pile_similarity, valuation_score)
+from myerson_airnet.valuation import (Position, distance, normalize_profile, pile_similarity,
+                                      valuation_score)
 
 
 def test_distance_examples():
@@ -45,54 +45,43 @@ def test_pair_mse_examples():
 
 
 def test_pile_similarity_examples():
-    same = ImagePile(np.full((2, 3, 3), 0.5))
-    assert pile_similarity(same, same) == 0.0
+    same = np.full((2, 3, 3), 0.5)
+    assert pile_similarity(same[None], same).tolist() == [0.0]
 
-    one = ImagePile(np.zeros((1, 2, 2)))
-    other = ImagePile(np.full((1, 2, 2), 0.5))
-    assert pile_similarity(one, other) == pair_mse(one.images[0], other.images[0])
+    one = np.zeros((1, 2, 2))
+    other = np.full((1, 2, 2), 0.5)
+    assert pile_similarity(one[None], other)[0] == pair_mse(one[0], other[0])
 
     # {A, B} against {C} averages the two cross pairs
     a = np.zeros((2, 2))
     b = np.ones((2, 2))
     c = np.full((2, 2), 0.5)
-    pair = ImagePile(np.stack([a, b]))
-    single = ImagePile(np.stack([c]))
     expected = (pair_mse(a, c) + pair_mse(b, c)) / 2.0
-    assert pile_similarity(pair, single) == expected
+    assert pile_similarity(np.stack([a, b])[None], np.stack([c]))[0] == expected
 
 
 def test_pile_similarity_matches_bruteforce():
     rng = np.random.default_rng(307)
     for _ in range(50):
         rows, cols = rng.integers(1, 5, 2)
-        current = ImagePile(rng.random((3, rows, cols)))
-        previous = ImagePile(rng.random((3, rows, cols)))
-        pairs = [pair_mse(x, y) for x in current.images for y in previous.images]
-        assert pile_similarity(current, previous) == pytest.approx(np.mean(pairs), abs=1e-12)
-        assert pile_similarity(current, previous, "min") == pytest.approx(min(pairs), abs=1e-12)
+        current = rng.random((3, rows, cols))
+        previous = rng.random((3, rows, cols))
+        pairs = [pair_mse(x, y) for x in current for y in previous]
+        assert pile_similarity(current[None], previous)[0] == pytest.approx(np.mean(pairs),
+                                                                            abs=1e-12)
+        assert pile_similarity(current[None], previous, "min")[0] == pytest.approx(min(pairs),
+                                                                                   abs=1e-12)
 
 
 def test_pile_similarity_validation():
-    small = ImagePile(np.zeros((1, 2, 2)))
-    big = ImagePile(np.zeros((1, 3, 3)))
+    small = np.zeros((1, 2, 2))
+    big = np.zeros((1, 3, 3))
     with pytest.raises(InputError):
-        pile_similarity(small, big)
+        pile_similarity(small[None], big)
     with pytest.raises(InputError):
-        pile_similarity(small, small, aggregate="median")
-
-
-def test_image_pile_validation():
+        pile_similarity(small, small)  # the piles must come as a (D, P, R, C) stack
     with pytest.raises(InputError):
-        ImagePile(np.zeros((2, 2)))  # needs a (count, rows, cols) stack
-    with pytest.raises(InputError):
-        ImagePile(np.full((1, 2, 2), 1.5))
-    with pytest.raises(InputError):
-        ImagePile(np.full((1, 2, 2), -0.1))
-    pile = ImagePile(np.zeros((2, 3, 4)))
-    assert (pile.count, pile.rows, pile.cols) == (2, 3, 4)
-    with pytest.raises(ValueError):
-        pile.images[0, 0, 0] = 1.0  # frozen
+        pile_similarity(small[None], small, aggregate="median")
 
 
 def test_raw_valuation():
