@@ -14,8 +14,7 @@ from .errors import (CheckpointError, CheckpointShapeError, CheckpointVersionErr
                      DegenerateProfileError, DomainError, EpisodeExhaustedError, InputError,
                      TrainingDivergedError)
 from .network import (MonotoneNetParams, NetConfig, TrainingTrace, allocate_soft, clear_hard,
-                      grad, init_params, loss, payment_soft, train, transform, transform_inverse,
-                      transform_profile)
+                      grad, init_params, loss, train, transform, transform_inverse)
 from .sim import (LearnedMechanism, RoundRecord, SecondPriceMechanism, WorldConfig, WorldState,
                   form_valuations, generate_world, run_episode, step, write_episode_csv,
                   write_episode_events)
@@ -27,8 +26,8 @@ __all__ = [
     "AuctionOutcome", "ValuationDistribution", "ValuationProfile", "myerson_clear",
     "spa_clear", "virtual_valuation", "virtual_valuation_inverse",
     "MonotoneNetParams", "NetConfig", "TrainingTrace", "allocate_soft", "clear_hard",
-    "grad", "init_params", "loss", "payment_soft", "train", "transform",
-    "transform_inverse", "transform_profile", "load_params", "save_params",
+    "grad", "init_params", "loss", "train", "transform", "transform_inverse",
+    "load_params", "save_params",
     "Position", "distance", "normalize_profile", "pile_similarity",
     "valuation_score",
     "LearnedMechanism", "RoundRecord", "SecondPriceMechanism", "WorldConfig",

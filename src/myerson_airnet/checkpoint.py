@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, CheckpointShapeError, CheckpointVersionError
+from .errors import CheckpointError, CheckpointShapeError, CheckpointVersionError, InputError
 from .network import MonotoneNetParams, NetConfig
 
 FORMAT_MAGIC = "myerson-airnet checkpoint"
@@ -76,6 +76,8 @@ def load_params(path, expect: NetConfig | None = None) -> MonotoneNetParams:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise CheckpointError(f"{path} is not a text checkpoint") from None
+    except OSError as exc:
+        raise InputError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     lines = iter(text.splitlines())
 
     header = _line(lines, "header")

@@ -95,6 +95,8 @@ def read_config_file(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise InputError(f"{path} is not a text config file") from None
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path}: {exc.strerror}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

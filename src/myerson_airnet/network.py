@@ -138,29 +138,19 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
     return MonotoneNetParams(theta, beta, config.kappa)
 
 
-# The two piece kernels of the per-profile calls.  ``v`` and ``y`` are
-# scalars or arrays whose last two axes have size 1, so they broadcast over
-# the (groups, units) axes of ``theta`` and ``beta`` and a leading bidder
-# axis.  ``_forward`` builds the same forward pieces in its own layout.
-
-def _pieces(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
-    """Affine pieces ``exp(theta) * v + beta``."""
-    return np.exp(theta) * v + beta
-
-
-def _inverse_pieces(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
-    """Inverted pieces ``(y - beta) * exp(-theta)``."""
-    return (y - beta) * np.exp(-theta)
-
+# Piece kernels of the per-profile calls and clear_batch.  ``v`` and ``y``
+# are scalars or arrays whose last two axes have size 1, so they broadcast
+# over the (groups, units) axes of ``theta`` and ``beta`` and a leading
+# bidder axis.  ``_forward`` builds the same forward pieces in its own layout.
 
 def _transformed(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
-    """Transform of ``v`` through ``(..., groups, units)`` parameters."""
-    return _pieces(theta, beta, v).min(axis=-1).max(axis=-1)
+    """Transform of ``v``: pieces ``exp(theta) * v + beta``, min over units, max over groups."""
+    return (np.exp(theta) * v + beta).min(axis=-1).max(axis=-1)
 
 
 def _inverted(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
-    """Inverse transform of ``y`` through ``(..., groups, units)`` parameters."""
-    return _inverse_pieces(theta, beta, y).max(axis=-1).min(axis=-1)
+    """Inverse of ``y``: pieces ``(y - beta) * exp(-theta)``, max over units, min over groups."""
+    return ((y - beta) * np.exp(-theta)).max(axis=-1).min(axis=-1)
 
 
 def _check_bidder(params: MonotoneNetParams, bidder: int) -> None:
@@ -184,16 +174,6 @@ def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float
     if not np.isfinite(y):
         raise InputError("transformed bid must be finite")
     return float(_inverted(params.theta[bidder], params.beta[bidder], y))
-
-
-def transform_profile(params: MonotoneNetParams, bids) -> np.ndarray:
-    """Apply every bidder's transform to the matching entry of ``bids``."""
-    b = np.asarray(bids, dtype=float)
-    if b.ndim != 1 or b.size != params.n_bidders:
-        raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise InputError("bids must be finite")
-    return _transformed(params.theta, params.beta, b[:, None, None])
 
 
 def _softmax_no_sale(tbar: np.ndarray, kappa: float) -> np.ndarray:
@@ -223,32 +203,32 @@ def allocate_soft(transformed_bids, kappa: float) -> np.ndarray:
     return _softmax_no_sale(tb[None, :], kappa)[0, :-1]
 
 
-def payment_soft(params: MonotoneNetParams, transformed_bids, bidder: int) -> float:
-    """Conditional payment: inverse transform of the rectified top rival bid."""
-    tb = np.asarray(transformed_bids, dtype=float)
-    if tb.ndim != 1 or tb.size != params.n_bidders:
-        raise InputError(f"expected {params.n_bidders} transformed bids, got shape {tb.shape}")
-    if tb.size < 2:
-        raise InputError("payments need at least two bidders")
-    _check_bidder(params, bidder)
-    rival = float(np.max(np.delete(tb, bidder)))
-    return transform_inverse(params, bidder, max(rival, 0.0))
-
-
 def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
     """Deterministic clearing: highest positive transformed bid wins.
 
-    The winner pays :func:`payment_soft`, which is independent of its own
-    bid, so truthful reporting is a dominant strategy.
+    The winner pays the inverse transform of the rectified top rival bid,
+    which is independent of its own bid, so truthful reporting is a
+    dominant strategy.
     """
     b = np.asarray(bids, dtype=float)
     if b.size < 2:
         raise InputError("clearing needs at least two bids")
-    tb = transform_profile(params, b)
+    if b.ndim != 1 or b.size != params.n_bidders:
+        raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise InputError("bids must be finite")
+    tb = _transformed(params.theta, params.beta, b[:, None, None])
     winner = int(np.argmax(tb))
     if not tb[winner] > 0.0:
         return AuctionOutcome(None, 0.0)
-    return AuctionOutcome(winner, payment_soft(params, tb, winner))
+    rival = float(np.delete(tb, winner).max())
+    # Rectify as Python's max(rival, 0.0) does: a -0.0 rival and NaN stay.
+    if rival < 0.0:
+        rival = 0.0
+    if not np.isfinite(rival):
+        raise InputError("transformed bid must be finite")
+    payment = _inverted(params.theta[winner], params.beta[winner], rival)
+    return AuctionOutcome(winner, float(payment))
 
 
 # Rows per clear_batch block.  It bounds the temporaries (about 0.6 MB of
@@ -286,10 +266,12 @@ def _clear_rows(params: MonotoneNetParams, values: np.ndarray):
     winner = tb.argmax(axis=1)
     others = np.arange(tb.shape[1])[None, :] != winner[:, None]
     rival = tb[others].reshape(tb.shape[0], -1).max(axis=1)
-    # payment_soft rectifies with Python's max, which keeps a -0.0 rival.
+    # Rectified as clear_hard rectifies: a -0.0 rival and NaN stay.
     rival = np.where(rival < 0.0, 0.0, rival)
-    payment = _inverted(params.theta[winner], params.beta[winner], rival[:, None, None])
     sold = tb[rows, winner] > 0.0
+    if not np.all(np.isfinite(rival[sold])):
+        raise InputError("transformed bid must be finite")
+    payment = _inverted(params.theta[winner], params.beta[winner], rival[:, None, None])
     return np.where(sold, winner, -1), np.where(sold, payment, 0.0)
 
 
@@ -385,7 +367,7 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     rarg, rmax = _top_rival(tbar)
     r = np.maximum(rmax, 0.0)
 
-    # Not _inverse_pieces: dividing by w pins the checkpoint and loss-trace bytes.
+    # Not _inverted's * exp(-theta): dividing by w pins checkpoint and loss-trace bytes.
     np.subtract(r.T, beta_t, out=pieces)
     pieces /= w_t
     p, kmin_inv, jsel_inv = (a.T.copy() for a in _active_piece(pieces, _beats_max, _beats_min))

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import payment_soft, transform_profile
 
 import myerson_airnet
 import myerson_airnet.cli
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.cli import main
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, clear_hard,
-                                    init_params, payment_soft, train, transform_profile)
+                                    init_params, train)
 from myerson_airnet.sim import SecondPriceMechanism, WorldConfig, generate_world, step
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

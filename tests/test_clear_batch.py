@@ -6,18 +6,22 @@ Each row must clear exactly as one ``clear_hard`` (``spa_clear``) call
 clears it: the same winner (``None`` is ``-1``) and the same payment
 bits, sign of zero included.  The nets come from the forward oracle's
 tie-heavy strategy, sometimes shifted down so that rows go unsold.
+``clear_hard`` itself must clear as the per-profile reference in
+``oracles`` composes it: ``transform_profile``, the argmax, then
+``payment_soft``.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import payment_soft, transform_profile
 from test_forward_oracle import nets_and_values
 
-from myerson_airnet.auction import spa_batch, spa_clear
+from myerson_airnet.auction import AuctionOutcome, spa_batch, spa_clear
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_batch, clear_hard,
                                     init_params)
@@ -53,24 +57,68 @@ def clearing_cases(draw):
     return params, values
 
 
+def overflowing_net():
+    """Three bidders whose slopes overflow, so a sold row's top rival is ``inf``."""
+    return MonotoneNetParams(np.full((3, 1, 1), 800.0), np.zeros((3, 1, 1)))
+
+
+# Offsets and one row of bids where a -0.0 top rival bid meets +0.0 offsets.
+SIGNED_ZERO_CASES = [
+    ([0.0, -0.0], [0.5, -0.0]),
+    ([0.0, -0.0, -0.0], [0.5, -0.0, -0.0]),
+    ([[0.0, 0.0], [-0.0, -0.0]], [0.5, -0.0]),
+]
+
+
+def signed_zero_case(beta, values):
+    beta = np.array(beta).reshape(len(values), 1, -1)
+    return MonotoneNetParams(np.zeros_like(beta), beta), np.array([values])
+
+
 @settings(deadline=None, max_examples=300)
 @given(clearing_cases())
 def test_clear_batch_matches_clear_hard_bitwise(case):
     assert_clear_batch_matches_rows(*case)
 
 
-@pytest.mark.parametrize("beta, values", [
-    ([0.0, -0.0], [0.5, -0.0]),
-    ([0.0, -0.0, -0.0], [0.5, -0.0, -0.0]),
-    ([[0.0, 0.0], [-0.0, -0.0]], [0.5, -0.0]),
-])
+def oracle_clear(params, row):
+    """The per-profile reference composition of one row's clear."""
+    tb = transform_profile(params, row)
+    winner = int(np.argmax(tb))
+    if not tb[winner] > 0.0:
+        return AuctionOutcome(None, 0.0)
+    return AuctionOutcome(winner, payment_soft(params, tb, winner))
+
+
+def decision(clear, params, row):
+    """``(winner, payment bits)`` of one clear, or the message of its InputError."""
+    try:
+        with np.errstate(all="ignore"):
+            out = clear(params, row)
+    except InputError as exc:
+        return str(exc)
+    return out.winner, int(bits(out.payment))
+
+
+@settings(deadline=None, max_examples=300)
+@given(clearing_cases())
+@example(signed_zero_case(*SIGNED_ZERO_CASES[0]))
+@example(signed_zero_case(*SIGNED_ZERO_CASES[1]))
+@example(signed_zero_case(*SIGNED_ZERO_CASES[2]))
+@example((overflowing_net(), np.array([[0.5, 0.5, 0.1], [0.5, 0.0, 0.0]])))
+def test_clear_hard_matches_the_oracle_composition_bitwise(case):
+    params, values = case
+    for row in values:
+        assert decision(clear_hard, params, row) == decision(oracle_clear, params, row)
+
+
+@pytest.mark.parametrize("beta, values", SIGNED_ZERO_CASES)
 def test_signed_zero_rival_keeps_the_sign_of_a_zero_payment(beta, values):
     # A -0.0 top rival bid against +0.0 offsets is a -0.0 payment, with no
     # tie between zeros of opposite sign for a reduction to break.
-    beta = np.array(beta).reshape(len(values), 1, -1)
-    params = MonotoneNetParams(np.zeros_like(beta), beta)
-    assert bits(clear_hard(params, values).payment) == bits(-0.0)
-    assert_clear_batch_matches_rows(params, np.array([values]))
+    params, values = signed_zero_case(beta, values)
+    assert bits(clear_hard(params, values[0]).payment) == bits(-0.0)
+    assert_clear_batch_matches_rows(params, values)
 
 
 @settings(deadline=None, max_examples=200)
@@ -111,6 +159,12 @@ def test_batch_clears_reject_what_row_clears_reject():
                 spa_batch(values)
     with pytest.raises(InputError):
         clear_batch(MonotoneNetParams.affine(1, 1.0, 0.0), good[:, :1])
+    # Two overflowing transforms: the winner's rival bid is inf, not a price.
+    overflowing, tied = overflowing_net(), np.array([[0.5, 0.5, 0.1]])
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="transformed bid"):
+        clear_hard(overflowing, tied[0])
+    with pytest.raises(InputError, match="transformed bid"):
+        clear_batch(overflowing, np.vstack([good, tied]))
     negative = good.copy()
     negative[3, 0] = -0.1
     with pytest.raises(InputError):

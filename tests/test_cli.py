@@ -344,6 +344,27 @@ def test_binary_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_file_exits_2_naming_it(tmp_path, capsys, name):
+    cfg = tmp_path / name
+    rc = main(["train", *TINY, "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["simulate", "--mechanism", "dla", "--out", "e.csv"],
+])
+@pytest.mark.parametrize("name", ["missing.ckpt", "."])
+def test_unreadable_checkpoint_exits_2_naming_it(tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)
+    ckpt = tmp_path / name
+    assert main([*command, "--checkpoint", str(ckpt)]) == 2
+    assert f"cannot read checkpoint {ckpt}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entrypoint_smoke(tmp_path):
     out = tmp_path / "net.ckpt"
     result = subprocess.run(

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import payment_soft, transform_profile
 
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
-                                    clear_hard, init_params, loss, payment_soft, transform,
-                                    transform_inverse, transform_profile)
+                                    clear_hard, init_params, loss, transform, transform_inverse)
 
 
 def identity_params(n):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from test_batch_properties import TINY, U
 
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import TrainingDivergedError
-from myerson_airnet.network import NetConfig, clear_batch, clear_hard, train
+from myerson_airnet.network import NetConfig, clear_batch, clear_hard, train, transform
 
 
 def small_config(**overrides):
@@ -87,7 +88,8 @@ def test_trained_reserve_moved_toward_optimum(trained_u01):
 
 
 def threshold_bids(params, values):
-    """Each bidder's threshold ``T_i^-1(max(best rival T_j(b_j), 0))``, written out.
+    """Each bidder's rectified top rival bid ``r_i = max(best rival T_j(b_j), 0)``
+    and its threshold ``T_i^-1(r_i)``, written out.
 
     The pieces repeat the package's formulas, ``exp(theta) * v + beta`` and
     ``(y - beta) * exp(-theta)``, so a winner's payment equals its threshold
@@ -99,24 +101,53 @@ def threshold_bids(params, values):
     mine = np.eye(values.shape[1], dtype=bool)
     rival = np.where(mine, -np.inf, tb[:, None, :]).max(axis=-1)
     rival = np.where(rival < 0.0, 0.0, rival)
-    return ((rival[:, :, None, None] - beta) * np.exp(-params.theta)[None]).max(axis=-1).min(
-        axis=-1)
+    threshold = ((rival[:, :, None, None] - beta) * np.exp(-params.theta)[None]).max(
+        axis=-1).min(axis=-1)
+    return rival, threshold
+
+
+def threshold_round_trip_bound(theta, beta, r):
+    """Largest ``|transform(transform_inverse(r)) - r|`` that rounding allows.
+
+    One piece inverts ``r`` as ``t = fl(fl(r - beta) * fl(exp(-theta)))`` and
+    maps it back as ``fl(fl(fl(exp(theta)) * t) + beta)``.  Taking each
+    ``exp`` within 4 ulps (relative error ``8u``) and every other operation
+    within ``u``, the product ``fl(exp(theta)) * t`` is ``fl(r - beta)``
+    times four relative errors, under ``19u``.  Adding ``beta`` back leaves
+    ``r`` plus the subtraction's and that product's errors, under
+    ``21u * |r - beta|``, and the sum's own rounding adds ``u * |r|``; the
+    bound rounds these up to ``24u * |r - beta| + 2u * |r|``.  A product
+    that underflows adds at most ``TINY`` in ``t``, carried through
+    ``exp(theta)``, or ``TINY`` after it; the subtraction and the sum are
+    exact in the subnormal range.  Every rounded piece and inverse piece is
+    monotone, so if each piece round-trips ``r`` within its bound, the
+    max-min transform of the min-max inverse does within the largest one:
+    the group whose inverse sets ``t`` has every piece at or above ``r``
+    minus its bound, and every group has a piece at or below ``r`` plus its.
+    """
+    per_piece = (24 * U * np.abs(r - beta) + 2 * U * abs(r)
+                 + 2 * TINY * (1 + np.exp(theta)))
+    return float(per_piece.max())
 
 
 def test_trained_net_clears_by_the_threshold_rule(trained_u01, u01):
     """Myerson's characterization on 100k profiles x 5 bidders: a bidder wins
     exactly when its bid is above its threshold, a winner pays exactly its
-    threshold, and no winner pays more than its value."""
+    threshold, no winner pays more than its value, and the transform of a
+    winner's payment is its rectified top rival bid within rounding."""
     params, _ = trained_u01
     rng = np.random.default_rng(223)
-    wrong_allocation = wrong_payment = overpaid = 0
+    wrong_allocation = wrong_payment = overpaid = off_rival = 0
     for _ in range(10):
         values = u01.sample(rng, (10_000, params.n_bidders))
         winner, payment = clear_batch(params, values)
-        threshold = threshold_bids(params, values)
+        rival, threshold = threshold_bids(params, values)
         wins = winner[:, None] == np.arange(params.n_bidders)[None, :]
         wrong_allocation += int(np.count_nonzero(wins != (values > threshold)))
         sold = np.flatnonzero(winner >= 0)
         wrong_payment += int(np.count_nonzero(payment[sold] != threshold[sold, winner[sold]]))
         overpaid += int(np.count_nonzero(payment[sold] > values[sold, winner[sold]]))
-    assert (wrong_allocation, wrong_payment, overpaid) == (0, 0, 0)
+        for w, p, r in zip(winner[sold], payment[sold], rival[sold, winner[sold]]):
+            bound = threshold_round_trip_bound(params.theta[w], params.beta[w], r)
+            off_rival += abs(transform(params, w, p) - r) > bound
+    assert (wrong_allocation, wrong_payment, overpaid, off_rival) == (0, 0, 0, 0)
