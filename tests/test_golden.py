@@ -10,8 +10,9 @@ operation order of the learned auction: the batch training forward
 and clearing inside the simulator (the dla episode and its event
 stream).  The second-price episode pins the other similarity and
 valuation branches (``min`` aggregate, ``proximity`` rule) on piles of
-five non-square images.  The revenue-gap and dla episode cases read the
-pinned checkpoint, so a training change shows up in the training case
+five non-square images.  The revenue-gap, dla episode and eval cases read
+``reader_net.ckpt``, a pinned input checkpoint rather than the training
+case's output, so a training change shows up in the training cases
 alone.  The eval case writes no file, so its printed table is its only
 golden.
 
@@ -22,9 +23,9 @@ for a deliberate change of output bytes:
         --iterations 20 --batch-size 64 --out tests/data/golden_net.ckpt
     python -m myerson_airnet train --dist-lower 0 --dist-upper 1 --seed 3 \\
         --iterations 40 --out tests/data/golden_net_default_batch.ckpt
-    python -m myerson_airnet revenue-gap --checkpoint tests/data/golden_net.ckpt \\
+    python -m myerson_airnet revenue-gap --checkpoint tests/data/reader_net.ckpt \\
         --dist-lower 0 --dist-upper 1 --seed 3 --cases 200 --out tests/data/golden_gaps.csv
-    python -m myerson_airnet simulate --mechanism dla --checkpoint tests/data/golden_net.ckpt \\
+    python -m myerson_airnet simulate --mechanism dla --checkpoint tests/data/reader_net.ckpt \\
         --config tests/data/golden_world.cfg --battery 1e9 \\
         --out tests/data/golden_dla_episode.csv --events tests/data/golden_dla_episode.jsonl
     python -m myerson_airnet simulate --mechanism spa --n-devices 9 --pile-size 5 \\
@@ -37,6 +38,14 @@ for a deliberate change of output bytes:
 and each ``.stdout`` file from the case's command run with its output
 directory in place of ``{tmp}``, that directory's path then replaced by
 ``{tmp}`` (``{data}`` likewise).
+
+``reader_net.ckpt`` is a copy of ``golden_net.ckpt`` as the training
+case wrote it before training drew from its own tagged stream.  Replace
+it only to move the readers onto a new net, with
+
+    cp tests/data/golden_net.ckpt tests/data/reader_net.ckpt
+
+and then regenerate the revenue-gap, dla episode and eval goldens.
 """
 
 import pytest
@@ -51,11 +60,11 @@ CASES = {
                              "--iterations", "40", "--out", "{tmp}/golden_net_default_batch.ckpt"],
                             ["golden_net_default_batch.ckpt",
                              "golden_net_default_batch.ckpt.loss.csv"]),
-    "revenue-gap": (["revenue-gap", "--checkpoint", "{data}/golden_net.ckpt",
+    "revenue-gap": (["revenue-gap", "--checkpoint", "{data}/reader_net.ckpt",
                      "--dist-lower", "0", "--dist-upper", "1", "--seed", "3",
                      "--cases", "200", "--out", "{tmp}/golden_gaps.csv"],
                     ["golden_gaps.csv"]),
-    "simulate": (["simulate", "--mechanism", "dla", "--checkpoint", "{data}/golden_net.ckpt",
+    "simulate": (["simulate", "--mechanism", "dla", "--checkpoint", "{data}/reader_net.ckpt",
                   "--config", "{data}/golden_world.cfg", "--battery", "1e9",
                   "--out", "{tmp}/golden_dla_episode.csv",
                   "--events", "{tmp}/golden_dla_episode.jsonl"],
@@ -68,7 +77,7 @@ CASES = {
                           "--battery", "1e9", "--out", "{tmp}/golden_spa_min_episode.csv",
                           "--events", "{tmp}/golden_spa_min_episode.jsonl"],
                          ["golden_spa_min_episode.csv", "golden_spa_min_episode.jsonl"]),
-    "eval": (["eval", "--checkpoint", "{data}/golden_net.ckpt", "--dist-lower", "0",
+    "eval": (["eval", "--checkpoint", "{data}/reader_net.ckpt", "--dist-lower", "0",
               "--dist-upper", "1", "--seed", "3", "--samples", "2000"],
              []),
 }
