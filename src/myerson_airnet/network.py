@@ -392,7 +392,7 @@ def grad(params: MonotoneNetParams, batch, kappa: float) -> tuple[np.ndarray, np
 
 def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv = _forward(
+        w, tbar, kmax, jsel_fwd, _, g, rarg, rmax, p, kmin_inv, jsel_inv = _forward(
             params, values, kappa)
         n_samples, n_bidders = values.shape
         loss_value = float(-(g * p).sum(axis=1).mean())
@@ -401,12 +401,10 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
         dp = -g * scale
         dg = -p * scale
 
-        # Softmax backward over the N+1 slots; the no-sale slot carries no
-        # parameters, so only the bidder columns feed back into tbar.
-        dg_full = np.concatenate([dg, np.zeros((n_samples, 1))], axis=1)
-        inner = (dg_full * soft).sum(axis=1, keepdims=True)
-        dz = kappa * soft * (dg_full - inner)
-        dtbar = dz[:, :-1].copy()
+        # Softmax backward over the bidder slots: the no-sale slot earns no
+        # revenue and carries no parameters, so it adds nothing to either term.
+        inner = (dg * g).sum(axis=1, keepdims=True)
+        dtbar = kappa * g * (dg - inner)
 
         # Payment backward through the active inverse piece:
         #   p = (r - beta) / w  =>  dp/dr = 1/w, dp/dbeta = -1/w, dp/dtheta = -p.
