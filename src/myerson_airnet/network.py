@@ -1,15 +1,24 @@
 """Learned single-item auction built from monotone bid transforms.
 
 Each bidder owns a piecewise-linear max-min network: ``K`` groups of
-``J`` increasing affine pieces, combined as ``max over groups of min
-over pieces``.  Slopes are parameterized as ``exp(theta)`` so every
-piece is strictly increasing, which makes the transform invertible in
-closed form (``min over groups of max over pieces`` of the inverted
-affine maps).  Transformed bids compete in a softmax with temperature
-``kappa`` against a fixed no-sale slot pinned at 0, and a bidder's
-conditional payment is the inverse transform of the rectified highest
-rival transformed bid.  :func:`clear_batch` clears a whole ``(S, N)``
-batch as :func:`clear_hard` clears each of its rows.
+``J`` increasing affine pieces ``exp(theta) * v + beta``, combined as
+``max over groups of min over pieces``.  Slopes are parameterized as
+``exp(theta)`` so every piece is strictly increasing, which makes the
+transform invertible in closed form: the inverse of ``y`` is ``min over
+groups of max over pieces`` of ``(y - beta) * exp(-theta)``, the one
+inverse formula every payment here uses.  Transformed bids compete in a
+softmax with temperature ``kappa`` against a fixed no-sale slot pinned
+at 0, and a bidder's conditional payment is the inverse transform of the
+rectified highest rival transformed bid.  :func:`clear_batch` clears a
+whole ``(S, N)`` batch as :func:`clear_hard` clears each of its rows.
+
+The per-profile calls and :func:`clear_batch` select pieces with numpy's
+``min``/``max`` reductions; the training forward scans them.  Both build
+the same pieces, and they differ only in the tie rule for signed zeros:
+the scans keep the first tied zero and rectify the rival with
+``np.maximum``, so a ``-0.0`` rival becomes ``+0.0``, while the
+per-profile reductions keep numpy's last tie and rectify as Python's
+``max(rival, 0.0)`` does, so a ``-0.0`` rival stays.
 
 Training minimizes the negative expected revenue of truthful play by
 plain gradient descent.  Gradients are assembled by hand: argmax/argmin
@@ -34,6 +43,9 @@ from .auction import AuctionOutcome, ValuationDistribution
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
+# Seed-derivation tag of training's stream.  The bare seed would be the
+# simulator's tag-0 placement stream, since SeedSequence pads with zeros.
+_TAG_TRAIN = 900000
 
 
 @dataclass
@@ -141,7 +153,7 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
 # Piece kernels of the per-profile calls and clear_batch.  ``v`` and ``y``
 # are scalars or arrays whose last two axes have size 1, so they broadcast
 # over the (groups, units) axes of ``theta`` and ``beta`` and a leading
-# bidder axis.  ``_forward`` builds the same forward pieces in its own layout.
+# bidder axis.  ``_forward`` builds the same pieces in its own layout.
 
 def _transformed(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
     """Transform of ``v``: pieces ``exp(theta) * v + beta``, min over units, max over groups."""
@@ -367,9 +379,8 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     rarg, rmax = _top_rival(tbar)
     r = np.maximum(rmax, 0.0)
 
-    # Not _inverted's * exp(-theta): dividing by w pins checkpoint and loss-trace bytes.
     np.subtract(r.T, beta_t, out=pieces)
-    pieces /= w_t
+    pieces *= np.exp(-params.theta).T[..., None]
     p, kmin_inv, jsel_inv = (a.T.copy() for a in _active_piece(pieces, _beats_max, _beats_min))
 
     return w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv
@@ -378,7 +389,7 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
 def loss(params: MonotoneNetParams, batch, kappa: float) -> float:
     """Mean negative expected revenue of truthful play over the batch."""
     values = _batch_values(params, batch)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         _, _, _, _, _, g, _, _, p, _, _ = _forward(params, values, kappa)
         return float(-(g * p).sum(axis=1).mean())
 
@@ -391,7 +402,7 @@ def grad(params: MonotoneNetParams, batch, kappa: float) -> tuple[np.ndarray, np
 
 
 def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         w, tbar, kmax, jsel_fwd, _, g, rarg, rmax, p, kmin_inv, jsel_inv = _forward(
             params, values, kappa)
         n_samples, n_bidders = values.shape
@@ -407,12 +418,11 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
         dtbar = kappa * g * (dg - inner)
 
         # Payment backward through the active inverse piece:
-        #   p = (r - beta) / w  =>  dp/dr = 1/w, dp/dbeta = -1/w, dp/dtheta = -p.
+        #   p = (r - beta) * exp(-theta)  =>  dp/dr = exp(-theta) = -dp/dbeta, dp/dtheta = -p.
         rows = np.broadcast_to(np.arange(n_bidders)[None, :], (n_samples, n_bidders))
-        w_inv = w[rows, kmin_inv, jsel_inv]
-        dr = dp / w_inv
+        dr = dp * np.exp(-params.theta[rows, kmin_inv, jsel_inv])
         dtheta_inv = dp * (-p)
-        dbeta_inv = dp * (-1.0 / w_inv)
+        dbeta_inv = -dr
 
         # ReLU gate, then route the rival maximum to the bidder that set it.
         drmax = np.where(rmax > 0.0, dr, 0.0)
@@ -442,14 +452,14 @@ def train(config: NetConfig,
           dist: ValuationDistribution) -> tuple[MonotoneNetParams, TrainingTrace]:
     """Gradient descent on fresh i.i.d. truthful batches.
 
-    Deterministic for a given config: one RNG stream drives both the
-    parameter init and every batch.  Stops early once the loss range over
+    Deterministic for a given config: one RNG stream, tagged off the
+    seed, drives both the parameter init and every batch.  Stops early once the loss range over
     a trailing 20-iteration window drops below ``convergence_tol``.
     Raises :class:`TrainingDivergedError` on a non-finite loss, or once an
     update leaves an offset non-finite or a slope ``exp(theta)`` outside
     ``(0, inf)``.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng([config.seed, _TAG_TRAIN])
     params = init_params(config, rng)
     losses: list[float] = []
     converged_at = None

@@ -113,4 +113,4 @@ def test_per_profile_kernels_match_batch_forward(spread):
         tb = transform_profile(params, row)
         assert np.array_equal(tb, tbar_row)
         payments = np.array([payment_soft(params, tb, i) for i in range(config.n_bidders)])
-        assert np.all(np.abs(payments - p_row) <= 1e-15 * np.abs(p_row))
+        assert np.array_equal(payments.view(np.uint64), p_row.view(np.uint64))

@@ -11,7 +11,7 @@ from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, mye
                                     spa_clear)
 from myerson_airnet.checkpoint import save_params
 from myerson_airnet.cli import _TAG_EVAL, _TAG_GAP, _TAG_TRAIN_EVAL, main
-from myerson_airnet.network import MonotoneNetParams, NetConfig, train
+from myerson_airnet.network import _TAG_TRAIN, MonotoneNetParams, NetConfig, train
 
 TINY = ("--n-bidders", "3", "--groups", "2", "--linear-units", "2",
         "--batch-size", "32", "--learning-rate", "0.1")
@@ -158,8 +158,9 @@ def test_revenue_gap_shape_mismatch_exits_2(tmp_path, capsys):
 def test_revenue_gap_cases_repeat_no_other_stream_of_the_seed(tmp_path, monkeypatch):
     """No case equals the first draw of another stream fed by the same seed.
 
-    Those streams are training's (the bare seed), the simulator's tags
-    0-4 and the held-out draws of train and eval.
+    Those streams are the bare seed (the same stream as the simulator's
+    tag 0), the simulator's tags 0-4, training's and the held-out draws
+    of train and eval.
     """
     seed, cases = 3, 8
     cleared = []
@@ -177,7 +178,8 @@ def test_revenue_gap_cases_repeat_no_other_stream_of_the_seed(tmp_path, monkeypa
     assert len(cleared) == cases
 
     dist = ValuationDistribution(0.0, 1.0)
-    streams = [seed, *([seed, tag] for tag in (0, 1, 2, 3, 4, _TAG_TRAIN_EVAL, _TAG_EVAL))]
+    streams = [seed, *([seed, tag]
+                       for tag in (0, 1, 2, 3, 4, _TAG_TRAIN, _TAG_TRAIN_EVAL, _TAG_EVAL))]
     for stream in streams:
         first = dist.sample(np.random.default_rng(stream), cleared[0].size)
         assert not any(np.array_equal(row, first) for row in cleared), stream

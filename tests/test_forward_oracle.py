@@ -53,7 +53,7 @@ def reference_forward(params, values, kappa):
     rmax = np.take_along_axis(rivals, rarg[..., None], axis=2)[..., 0]
     r = np.maximum(rmax, 0.0)
 
-    inv_pieces = (r[:, :, None, None] - beta[None]) / w[None]
+    inv_pieces = (r[:, :, None, None] - beta[None]) * np.exp(-params.theta)
     p, kmin_inv, jsel_inv = _select(inv_pieces, np.argmax, np.argmin)
 
     return w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv

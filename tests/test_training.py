@@ -1,9 +1,12 @@
-"""Training loop: determinism, divergence, convergence, learned quality."""
+"""Training loop: determinism, its seed stream, divergence, convergence, learned quality."""
+
+import copy
 
 import numpy as np
 import pytest
 from test_batch_properties import TINY, U
 
+from myerson_airnet import cli, network, sim
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import TrainingDivergedError
 from myerson_airnet.network import NetConfig, clear_batch, clear_hard, train, transform
@@ -28,6 +31,29 @@ def test_different_seeds_differ(u01):
     _, a = train(small_config(seed=1), u01)
     _, b = train(small_config(seed=2), u01)
     assert not np.array_equal(a.losses, b.losses)
+
+
+def test_training_draws_from_a_stream_of_its_own(u01, monkeypatch):
+    """Training's first draw is no other package stream's first draw of the seed.
+
+    ``SeedSequence`` pads its entropy with zeros, so the bare seed is the
+    simulator's tag-0 placement stream; every stream tag must differ too.
+    """
+    seed = 3
+    first = []
+    init_params = network.init_params
+
+    def recording_init(config, rng):
+        first.append(copy.deepcopy(rng).random(8))
+        return init_params(config, rng)
+
+    monkeypatch.setattr(network, "init_params", recording_init)
+    train(small_config(seed=seed, iterations=1), u01)
+    tags = (sim._TAG_PLACEMENT, sim._TAG_FIELD, sim._TAG_PILE, sim._TAG_SENTINEL,
+            sim._TAG_REGEN, cli._TAG_TRAIN_EVAL, cli._TAG_EVAL, cli._TAG_GAP)
+    for tag in tags:
+        assert not np.array_equal(first[0], np.random.default_rng([seed, tag]).random(8)), tag
+    assert len({*tags, network._TAG_TRAIN}) == len(tags) + 1
 
 
 def test_trace_shape_and_final(u01):
