@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, CheckpointShapeError, CheckpointVersionError, InputError
-from .network import MonotoneNetParams, NetConfig
+from .errors import CheckpointError, CheckpointVersionError, InputError
+from .network import MonotoneNetParams
 
 FORMAT_MAGIC = "myerson-airnet checkpoint"
 FORMAT_VERSION = 1
@@ -70,8 +70,8 @@ def _parsed(parse, text: str, name: str):
         raise CheckpointError(f"bad {name} value {text!r}") from None
 
 
-def load_params(path, expect: NetConfig | None = None) -> MonotoneNetParams:
-    """Parse a checkpoint; optionally verify dimensions against a config."""
+def load_params(path) -> MonotoneNetParams:
+    """Parse a checkpoint."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -119,11 +119,5 @@ def load_params(path, expect: NetConfig | None = None) -> MonotoneNetParams:
 
     if any(line.strip() for line in lines):
         raise CheckpointError("trailing content after beta rows")
-
-    if expect is not None:
-        expected = tuple(getattr(expect, name) for name in _DIMENSIONS)
-        if (n, k, j) != expected:
-            raise CheckpointShapeError(
-                f"checkpoint dimensions {(n, k, j)} do not match configured {expected}")
 
     return MonotoneNetParams(arrays["theta"], arrays["beta"], kappa)

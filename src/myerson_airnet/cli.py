@@ -55,6 +55,14 @@ def _require_out(cfg) -> str:
     return out
 
 
+def _load_for_market(path, n_bidders: int, market: str):
+    """Load a checkpoint; of its shape, only the bidder count must match the market."""
+    params = load_params(path)
+    if params.n_bidders != n_bidders:
+        raise CheckpointShapeError(f"checkpoint covers {params.n_bidders} bidders but {market}")
+    return params
+
+
 def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row revenue of the learned auction, second price and, given ``dist``, the optimum.
 
@@ -101,7 +109,8 @@ def _cmd_train(args) -> int:
 def _cmd_revenue_gap(args) -> int:
     cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
     out = _require_out(cfg)
-    params = load_params(args.checkpoint, expect=cfg.net)
+    params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
+                              f"the config expects {cfg.net.n_bidders}")
 
     rng = np.random.default_rng([cfg.net.seed, _TAG_GAP])
     cases = cfg.world.distribution.sample(rng, (cfg.cases, params.n_bidders))
@@ -139,12 +148,8 @@ def _cmd_simulate(args) -> int:
     else:
         if args.checkpoint is None:
             raise InputError("simulate --mechanism dla needs --checkpoint")
-        params = load_params(args.checkpoint)
-        if params.n_bidders != cfg.world.n_devices:
-            raise CheckpointShapeError(
-                f"checkpoint covers {params.n_bidders} bidders but the world has "
-                f"{cfg.world.n_devices} devices")
-        mechanism = LearnedMechanism(params)
+        mechanism = LearnedMechanism(_load_for_market(
+            args.checkpoint, cfg.world.n_devices, f"the world has {cfg.world.n_devices} devices"))
 
     state = generate_world(cfg.world)
     records = run_episode(state, mechanism, cfg.world.max_rounds)
@@ -166,11 +171,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
-    params = load_params(args.checkpoint)
-    if params.n_bidders != cfg.net.n_bidders:
-        raise CheckpointShapeError(
-            f"checkpoint covers {params.n_bidders} bidders but the config expects "
-            f"{cfg.net.n_bidders}")
+    params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
+                              f"the config expects {cfg.net.n_bidders}")
     samples = args.samples
     if samples < 1:
         raise InputError("--samples must be at least 1")

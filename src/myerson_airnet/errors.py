@@ -27,7 +27,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointShapeError(CheckpointError):
-    """Checkpoint dimensions disagree with the expected configuration."""
+    """Checkpoint covers a different number of bidders than the market to clear."""
 
 
 class TrainingDivergedError(RuntimeError):

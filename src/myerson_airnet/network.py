@@ -12,13 +12,11 @@ at 0, and a bidder's conditional payment is the inverse transform of the
 rectified highest rival transformed bid.  :func:`clear_batch` clears a
 whole ``(S, N)`` batch as :func:`clear_hard` clears each of its rows.
 
-The per-profile calls and :func:`clear_batch` select pieces with numpy's
-``min``/``max`` reductions; the training forward scans them.  Both build
-the same pieces, and they differ only in the tie rule for signed zeros:
-the scans keep the first tied zero and rectify the rival with
-``np.maximum``, so a ``-0.0`` rival becomes ``+0.0``, while the
-per-profile reductions keep numpy's last tie and rectify as Python's
-``max(rival, 0.0)`` does, so a ``-0.0`` rival stays.
+The per-profile calls and :func:`clear_batch` reduce the pieces with
+numpy's ``min``/``max``; the training forward scans them.  They differ
+only in the tie rule for signed zeros: the scans keep the first tied
+zero and rectify with ``np.maximum``, while the reductions keep numpy's
+last tie and rectify as Python's ``max`` does, so a ``-0.0`` rival stays.
 
 Training minimizes the negative expected revenue of truthful play by
 plain gradient descent.  Gradients are assembled by hand: argmax/argmin
@@ -43,8 +41,7 @@ from .auction import AuctionOutcome, ValuationDistribution
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
-# Seed-derivation tag of training's stream.  The bare seed would be the
-# simulator's tag-0 placement stream, since SeedSequence pads with zeros.
+# Training's seed tag: SeedSequence zero-pads, so the bare seed is sim's tag 0.
 _TAG_TRAIN = 900000
 
 
@@ -267,12 +264,7 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
 
 
 def _clear_rows(params: MonotoneNetParams, values: np.ndarray):
-    """One block of :func:`clear_batch`, reducing as the per-profile calls reduce.
-
-    Not the training forward's piece scans: those keep the first of tied
-    zeros where numpy's reductions may keep the last, and a ``-0.0`` rival
-    bid can change the sign of a zero payment.
-    """
+    """One block of :func:`clear_batch`, reducing as the per-profile calls reduce."""
     tb = _transformed(params.theta, params.beta, values[..., None, None])
     rows = np.arange(tb.shape[0])
     winner = tb.argmax(axis=1)

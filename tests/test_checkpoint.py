@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from myerson_airnet.checkpoint import FORMAT_MAGIC, load_params, save_params
-from myerson_airnet.errors import CheckpointError, CheckpointShapeError, CheckpointVersionError
-from myerson_airnet.network import MonotoneNetParams, NetConfig
+from myerson_airnet.errors import CheckpointError, CheckpointVersionError
+from myerson_airnet.network import MonotoneNetParams
 
 
 def random_params(seed=0, shape=(5, 5, 3), kappa=100.0):
@@ -34,18 +34,6 @@ def test_roundtrip_awkward_floats(tmp_path):
     assert np.array_equal(loaded.theta, theta)
     assert np.array_equal(loaded.beta, beta)
     assert loaded.kappa == 1.0 / 3.0
-
-
-def test_expect_dimensions(tmp_path):
-    params = random_params(shape=(5, 5, 3))
-    path = tmp_path / "net.ckpt"
-    save_params(params, path)
-
-    load_params(path, expect=NetConfig(n_bidders=5, groups=5, linear_units=3))
-    with pytest.raises(CheckpointShapeError):
-        load_params(path, expect=NetConfig(n_bidders=5, groups=3, linear_units=3))
-    with pytest.raises(CheckpointShapeError):
-        load_params(path, expect=NetConfig(n_bidders=4, groups=5, linear_units=3))
 
 
 def test_truncated_file(tmp_path):

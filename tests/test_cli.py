@@ -152,7 +152,16 @@ def test_revenue_gap_shape_mismatch_exits_2(tmp_path, capsys):
     rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv"),
                "--n-bidders", "3", "--groups", "1", "--linear-units", "1"])
     assert rc == 2
-    assert "do not match" in capsys.readouterr().err
+    assert "checkpoint covers 5 bidders but the config expects 3" in capsys.readouterr().err
+
+
+def test_revenue_gap_clears_a_checkpoint_of_another_architecture(tmp_path):
+    """Only the bidder count must match the market: a 5 x 1 x 1 net clears 5 bidders."""
+    ckpt = tmp_path / "affine.ckpt"
+    save_params(MonotoneNetParams.affine(5, 2.0, -1.0), ckpt)
+    assert main(["revenue-gap", "--checkpoint", str(ckpt), "--cases", "50",
+                 "--out", str(tmp_path / "g.csv")]) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), "--samples", "50"]) == 0
 
 
 def test_revenue_gap_cases_repeat_no_other_stream_of_the_seed(tmp_path, monkeypatch):
