@@ -445,11 +445,11 @@ def train(config: NetConfig,
     """Gradient descent on fresh i.i.d. truthful batches.
 
     Deterministic for a given config: one RNG stream, tagged off the
-    seed, drives both the parameter init and every batch.  Stops early once the loss range over
-    a trailing 20-iteration window drops below ``convergence_tol``.
-    Raises :class:`TrainingDivergedError` on a non-finite loss, or once an
-    update leaves an offset non-finite or a slope ``exp(theta)`` outside
-    ``(0, inf)``.
+    seed, drives both the parameter init and every batch.  Stops early
+    once the loss range over a trailing 20-iteration window drops below
+    ``convergence_tol``.  Raises :class:`TrainingDivergedError` on a
+    non-finite loss, or once an update leaves an offset non-finite or a
+    slope ``exp(theta)`` outside ``(0, inf)``.
     """
     rng = np.random.default_rng([config.seed, _TAG_TRAIN])
     params = init_params(config, rng)
