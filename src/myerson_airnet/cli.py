@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflowing slope is a valid net: its transforms are +-inf, not warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,13 +10,9 @@ inverse formula every payment here uses.  Transformed bids compete in a
 softmax with temperature ``kappa`` against a fixed no-sale slot pinned
 at 0, and a bidder's conditional payment is the inverse transform of the
 rectified highest rival transformed bid.  :func:`clear_batch` clears a
-whole ``(S, N)`` batch as :func:`clear_hard` clears each of its rows.
-
-The per-profile calls and :func:`clear_batch` reduce the pieces with
-numpy's ``min``/``max``; the training forward scans them.  They differ
-only in the tie rule for signed zeros: the scans keep the first tied
-zero and rectify with ``np.maximum``, while the reductions keep numpy's
-last tie and rectify as Python's ``max`` does, so a ``-0.0`` rival stays.
+whole ``(S, N)`` batch on the training forward as :func:`clear_hard`
+clears each of its rows.  Every clear pays ``+0.0``, never ``-0.0``, for
+a zero price.
 
 Training minimizes the negative expected revenue of truthful play by
 plain gradient descent.  Gradients are assembled by hand: argmax/argmin
@@ -147,10 +143,10 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
     return MonotoneNetParams(theta, beta, config.kappa)
 
 
-# Piece kernels of the per-profile calls and clear_batch.  ``v`` and ``y``
-# are scalars or arrays whose last two axes have size 1, so they broadcast
-# over the (groups, units) axes of ``theta`` and ``beta`` and a leading
-# bidder axis.  ``_forward`` builds the same pieces in its own layout.
+# Piece kernels of the per-profile calls.  ``v`` and ``y`` are scalars or
+# arrays whose last two axes have size 1, so they broadcast over the
+# (groups, units) axes of ``theta`` and ``beta`` and a leading bidder axis.
+# ``_forward`` builds the same pieces in its own layout.
 
 def _transformed(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
     """Transform of ``v``: pieces ``exp(theta) * v + beta``, min over units, max over groups."""
@@ -231,13 +227,12 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
     if not tb[winner] > 0.0:
         return AuctionOutcome(None, 0.0)
     rival = float(np.delete(tb, winner).max())
-    # Rectify as Python's max(rival, 0.0) does: a -0.0 rival and NaN stay.
     if rival < 0.0:
         rival = 0.0
     if not np.isfinite(rival):
         raise InputError("transformed bid must be finite")
     payment = _inverted(params.theta[winner], params.beta[winner], rival)
-    return AuctionOutcome(winner, float(payment))
+    return AuctionOutcome(winner, float(payment) + 0.0)
 
 
 # Rows per clear_batch block.  It bounds the temporaries (about 0.6 MB of
@@ -259,24 +254,15 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, values.shape[0], _CLEAR_BLOCK):
             block = slice(start, start + _CLEAR_BLOCK)
-            winner[block], payment[block] = _clear_rows(params, values[block])
+            _, tbar, _, _, _, _, _, rmax, p, _, _ = _forward(params, values[block], params.kappa)
+            rows = np.arange(tbar.shape[0])
+            win = tbar.argmax(axis=1)
+            sold = tbar[rows, win] > 0.0
+            if not np.all(np.isfinite(np.maximum(rmax[rows, win], 0.0)[sold])):
+                raise InputError("transformed bid must be finite")
+            winner[block] = np.where(sold, win, -1)
+            payment[block] = np.where(sold, p[rows, win] + 0.0, 0.0)
     return winner, payment
-
-
-def _clear_rows(params: MonotoneNetParams, values: np.ndarray):
-    """One block of :func:`clear_batch`, reducing as the per-profile calls reduce."""
-    tb = _transformed(params.theta, params.beta, values[..., None, None])
-    rows = np.arange(tb.shape[0])
-    winner = tb.argmax(axis=1)
-    others = np.arange(tb.shape[1])[None, :] != winner[:, None]
-    rival = tb[others].reshape(tb.shape[0], -1).max(axis=1)
-    # Rectified as clear_hard rectifies: a -0.0 rival and NaN stay.
-    rival = np.where(rival < 0.0, 0.0, rival)
-    sold = tb[rows, winner] > 0.0
-    if not np.all(np.isfinite(rival[sold])):
-        raise InputError("transformed bid must be finite")
-    payment = _inverted(params.theta[winner], params.beta[winner], rival[:, None, None])
-    return np.where(sold, winner, -1), np.where(sold, payment, 0.0)
 
 
 def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
@@ -349,9 +335,10 @@ def _top_rival(tbar: np.ndarray):
 
 
 def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
-    """Shared batch forward pass; keeps the active-piece indices for backprop.
+    """Batch forward pass of training and :func:`clear_batch`.
 
-    Per-sample outputs are ``(S, N)`` arrays, as ``values`` is laid out.
+    Keeps the active-piece indices for backprop.  Per-sample outputs are
+    ``(S, N)`` arrays, as ``values`` is laid out.
     """
     w = np.exp(params.theta)
     # Pieces are laid out (J, K, N, S), samples innermost: numpy reduces a

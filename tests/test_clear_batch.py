@@ -4,11 +4,11 @@
 ``(S, N)`` matrix at once; ``train`` uses them for its held-out check.
 Each row must clear exactly as one ``clear_hard`` (``spa_clear``) call
 clears it: the same winner (``None`` is ``-1``) and the same payment
-bits, sign of zero included.  The nets come from the forward oracle's
-tie-heavy strategy, sometimes shifted down so that rows go unsold.
-``clear_hard`` itself must clear as the per-profile reference in
-``oracles`` composes it: ``transform_profile``, the argmax, then
-``payment_soft``.
+bits, sign of zero included, and a zero price is ``+0.0``.  The nets come
+from the forward oracle's tie-heavy strategy, sometimes shifted down so
+that rows go unsold.  ``clear_hard`` itself must clear as the per-profile
+reference in ``oracles`` composes it: ``transform_profile``, the argmax,
+then ``payment_soft``.
 """
 
 import tracemalloc
@@ -62,21 +62,35 @@ def overflowing_net():
     return MonotoneNetParams(np.full((3, 1, 1), 800.0), np.zeros((3, 1, 1)))
 
 
-# Offsets and one row of bids where a -0.0 top rival bid meets +0.0 offsets.
+# Offsets, one row of bids and log-slopes (zero if left out) whose clear pays
+# a zero price.  In the first three a -0.0 top rival bid meets +0.0 offsets.
+# In the last two the winner's overflowing slopes make a +0.0 and a -0.0
+# inverse piece that tie, in either unit order.
 SIGNED_ZERO_CASES = [
     ([0.0, -0.0], [0.5, -0.0]),
     ([0.0, -0.0, -0.0], [0.5, -0.0, -0.0]),
     ([[0.0, 0.0], [-0.0, -0.0]], [0.5, -0.0]),
+    ([[0.1, 0.9, 0.6], [0.0, 0.0, 0.0]], [0.8, 0.5], [[800.0, 800.0, 0.0], [0.0, 0.0, 0.0]]),
+    ([[0.9, 0.1, 0.6], [0.0, 0.0, 0.0]], [0.8, 0.5], [[800.0, 800.0, 0.0], [0.0, 0.0, 0.0]]),
 ]
 
 
-def signed_zero_case(beta, values):
-    beta = np.array(beta).reshape(len(values), 1, -1)
-    return MonotoneNetParams(np.zeros_like(beta), beta), np.array([values])
+def signed_zero_case(beta, values, theta=None):
+    shape = (len(values), 1, -1)
+    beta = np.reshape(beta, shape)
+    theta = np.zeros_like(beta) if theta is None else np.reshape(theta, shape)
+    return MonotoneNetParams(theta, beta), np.array([values])
+
+
+# A negative bid against an overflowing slope: its -inf transformed bid is
+# the top rival, which rectifies to 0, so the row sells at 0.0.
+NEGATIVE_INF_RIVAL = (MonotoneNetParams(np.array([[[0.]], [[800.]]]), np.zeros((2, 1, 1))),
+                      np.array([[0.5, -0.1]]))
 
 
 @settings(deadline=None, max_examples=300)
 @given(clearing_cases())
+@example(NEGATIVE_INF_RIVAL)
 def test_clear_batch_matches_clear_hard_bitwise(case):
     assert_clear_batch_matches_rows(*case)
 
@@ -87,7 +101,7 @@ def oracle_clear(params, row):
     winner = int(np.argmax(tb))
     if not tb[winner] > 0.0:
         return AuctionOutcome(None, 0.0)
-    return AuctionOutcome(winner, payment_soft(params, tb, winner))
+    return AuctionOutcome(winner, payment_soft(params, tb, winner) + 0.0)
 
 
 def decision(clear, params, row):
@@ -105,6 +119,9 @@ def decision(clear, params, row):
 @example(signed_zero_case(*SIGNED_ZERO_CASES[0]))
 @example(signed_zero_case(*SIGNED_ZERO_CASES[1]))
 @example(signed_zero_case(*SIGNED_ZERO_CASES[2]))
+@example(signed_zero_case(*SIGNED_ZERO_CASES[3]))
+@example(signed_zero_case(*SIGNED_ZERO_CASES[4]))
+@example(NEGATIVE_INF_RIVAL)
 @example((overflowing_net(), np.array([[0.5, 0.5, 0.1], [0.5, 0.0, 0.0]])))
 def test_clear_hard_matches_the_oracle_composition_bitwise(case):
     params, values = case
@@ -112,12 +129,13 @@ def test_clear_hard_matches_the_oracle_composition_bitwise(case):
         assert decision(clear_hard, params, row) == decision(oracle_clear, params, row)
 
 
-@pytest.mark.parametrize("beta, values", SIGNED_ZERO_CASES)
-def test_signed_zero_rival_keeps_the_sign_of_a_zero_payment(beta, values):
-    # A -0.0 top rival bid against +0.0 offsets is a -0.0 payment, with no
-    # tie between zeros of opposite sign for a reduction to break.
-    params, values = signed_zero_case(beta, values)
-    assert bits(clear_hard(params, values[0]).payment) == bits(-0.0)
+@pytest.mark.parametrize("case", SIGNED_ZERO_CASES)
+def test_a_zero_payment_is_positive_zero(case):
+    # Which of two tied zeros a reduction or a scan keeps, and the sign of
+    # a -0.0 rival, never reach a clear's payment.
+    params, values = signed_zero_case(*case)
+    with np.errstate(over="ignore"):
+        assert bits(clear_hard(params, values[0]).payment) == bits(0.0)
     assert_clear_batch_matches_rows(params, values)
 
 

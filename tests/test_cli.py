@@ -387,6 +387,24 @@ def test_module_entrypoint_smoke(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["revenue-gap", "--cases", "50", "--out", "{tmp}/gaps.csv"],
+    ["eval", "--samples", "50"],
+    ["simulate", "--mechanism", "dla", "--max-rounds", "5", "--battery", "1e9",
+     "--out", "{tmp}/episode.csv"],
+])
+def test_overflowing_slope_clears_without_runtime_warnings(tmp_path, command):
+    theta = np.zeros((5, 1, 2))
+    theta[0, 0, 0] = 800.0  # exp(theta) overflows to inf
+    ckpt = tmp_path / "overflow.ckpt"
+    save_params(MonotoneNetParams(theta, np.zeros_like(theta)), ckpt)
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "myerson_airnet",
+         *(arg.format(tmp=tmp_path) for arg in command), "--checkpoint", str(ckpt)],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 def test_trained_gap_tracks_analytic_gap_over_100k_cases(tmp_path):
     """A well-trained net recovers most of the optimal-reserve revenue.
 
