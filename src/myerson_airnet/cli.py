@@ -49,10 +49,9 @@ def _overrides(args: argparse.Namespace, names) -> dict[str, str]:
 
 
 def _require_out(cfg) -> str:
-    out = cfg.out
-    if out is None:
-        raise InputError("an output path is required: pass --out or set out= in the config")
-    return out
+    if not cfg.out:
+        raise InputError("out must be a non-empty path: pass --out or set out= in the config")
+    return cfg.out
 
 
 def _load_for_market(path, n_bidders: int, market: str):

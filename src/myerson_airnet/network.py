@@ -6,13 +6,13 @@ Each bidder owns a piecewise-linear max-min network: ``K`` groups of
 ``exp(theta)`` so every piece is strictly increasing, which makes the
 transform invertible in closed form: the inverse of ``y`` is ``min over
 groups of max over pieces`` of ``(y - beta) * exp(-theta)``, the one
-inverse formula every payment here uses.  Transformed bids compete in a
-softmax with temperature ``kappa`` against a fixed no-sale slot pinned
-at 0, and a bidder's conditional payment is the inverse transform of the
-rectified highest rival transformed bid.  :func:`clear_batch` clears a
-whole ``(S, N)`` batch on the training forward as :func:`clear_hard`
-clears each of its rows.  Every clear pays ``+0.0``, never ``-0.0``, for
-a zero price.
+inverse formula every payment here uses.  The batch forward ends at the
+payments: a bidder's conditional payment is the inverse transform of the
+rectified highest rival transformed bid.  Training adds the softmax, with
+temperature ``kappa`` against a fixed no-sale slot pinned at 0;
+:func:`clear_batch` clears a whole ``(S, N)`` batch on the forward by
+argmax, as :func:`clear_hard` clears each of its rows.  Every clear pays
+``+0.0``, never ``-0.0``, for a zero price.
 
 Training minimizes the negative expected revenue of truthful play by
 plain gradient descent.  Gradients are assembled by hand: argmax/argmin
@@ -254,7 +254,7 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, values.shape[0], _CLEAR_BLOCK):
             block = slice(start, start + _CLEAR_BLOCK)
-            _, tbar, _, _, _, _, _, rmax, p, _, _ = _forward(params, values[block], params.kappa)
+            tbar, _, rmax, p, _, _ = _forward(params, values[block])
             rows = np.arange(tbar.shape[0])
             win = tbar.argmax(axis=1)
             sold = tbar[rows, win] > 0.0
@@ -334,58 +334,56 @@ def _top_rival(tbar: np.ndarray):
     return rarg, rmax
 
 
-def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
-    """Batch forward pass of training and :func:`clear_batch`.
+def _forward(params: MonotoneNetParams, values: np.ndarray):
+    """Batch forward pass of training and :func:`clear_batch`, up to the payments.
 
-    Keeps the active-piece indices for backprop.  Per-sample outputs are
-    ``(S, N)`` arrays, as ``values`` is laid out.
+    Returns ``tbar, rarg, rmax, p`` as ``(S, N)`` arrays, then the forward and
+    inverse active pieces' ``(group, unit)`` indices in the pieces' ``(N, S)`` layout.
     """
-    w = np.exp(params.theta)
     # Pieces are laid out (J, K, N, S), samples innermost: numpy reduces a
     # short trailing axis row by row, but scans a short leading one in a few
     # whole-slice comparisons.  The forward and inverse pieces share one
     # buffer, because each fresh pieces-sized temporary costs page faults.
-    w_t = w.T[..., None]
+    w_t = np.exp(params.theta).T[..., None]
     beta_t = params.beta.T[..., None]
     pieces = np.empty(w_t.shape[:3] + values.shape[:1])
     np.multiply(w_t, values.T, out=pieces)
     pieces += beta_t
-    tbar, kmax, jsel_fwd = (a.T.copy() for a in _active_piece(pieces, _beats_min, _beats_max))
-
-    soft = _softmax_no_sale(tbar, kappa)
-    g = soft[:, :-1]
+    tbar, *fwd_piece = _active_piece(pieces, _beats_min, _beats_max)
+    tbar = tbar.T.copy()
 
     rarg, rmax = _top_rival(tbar)
-    r = np.maximum(rmax, 0.0)
-
-    np.subtract(r.T, beta_t, out=pieces)
+    np.subtract(np.maximum(rmax, 0.0).T, beta_t, out=pieces)
     pieces *= np.exp(-params.theta).T[..., None]
-    p, kmin_inv, jsel_inv = (a.T.copy() for a in _active_piece(pieces, _beats_max, _beats_min))
+    p, *inv_piece = _active_piece(pieces, _beats_max, _beats_min)
 
-    return w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv
+    return tbar, rarg, rmax, p.T.copy(), tuple(fwd_piece), tuple(inv_piece)
+
+
+def _train_forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
+    """Training's pass: ``(loss, g, forward)``, ``g`` the bidders' softmax win probabilities."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward = _forward(params, values)
+        g = _softmax_no_sale(forward[0], kappa)[:, :-1]
+        return float(-(g * forward[3]).sum(axis=1).mean()), g, forward
 
 
 def loss(params: MonotoneNetParams, batch, kappa: float) -> float:
     """Mean negative expected revenue of truthful play over the batch."""
-    values = _batch_values(params, batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, _, _, g, _, _, p, _, _ = _forward(params, values, kappa)
-        return float(-(g * p).sum(axis=1).mean())
+    return _train_forward(params, _batch_values(params, batch), kappa)[0]
 
 
 def grad(params: MonotoneNetParams, batch, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Hand-assembled ``(dL/dtheta, dL/dbeta)`` for :func:`loss`."""
-    values = _batch_values(params, batch)
-    _, dtheta, dbeta = _loss_and_grad(params, values, kappa)
+    _, dtheta, dbeta = _loss_and_grad(params, _batch_values(params, batch), kappa)
     return dtheta, dbeta
 
 
 def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):
-        w, tbar, kmax, jsel_fwd, _, g, rarg, rmax, p, kmin_inv, jsel_inv = _forward(
+        loss_value, g, (_, rarg, rmax, p, fwd_piece, inv_piece) = _train_forward(
             params, values, kappa)
         n_samples, n_bidders = values.shape
-        loss_value = float(-(g * p).sum(axis=1).mean())
 
         scale = 1.0 / n_samples
         dp = -g * scale
@@ -396,10 +394,14 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
         inner = (dg * g).sum(axis=1, keepdims=True)
         dtbar = kappa * g * (dg - inner)
 
+        # Each sample's (bidder, group, unit) cell of its active forward and inverse piece.
+        rows = np.broadcast_to(np.arange(n_bidders)[None, :], (n_samples, n_bidders))
+        fwd_cell = (rows, *(index.T for index in fwd_piece))
+        inv_cell = (rows, *(index.T for index in inv_piece))
+
         # Payment backward through the active inverse piece:
         #   p = (r - beta) * exp(-theta)  =>  dp/dr = exp(-theta) = -dp/dbeta, dp/dtheta = -p.
-        rows = np.broadcast_to(np.arange(n_bidders)[None, :], (n_samples, n_bidders))
-        dr = dp * np.exp(-params.theta[rows, kmin_inv, jsel_inv])
+        dr = dp * np.exp(-params.theta[inv_cell])
         dtheta_inv = dp * (-p)
         dbeta_inv = -dr
 
@@ -410,16 +412,15 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
 
         # Forward transform backward through the active forward piece:
         #   tbar = w * v + beta  =>  d/dbeta = 1, d/dtheta = w * v.
-        w_fwd = w[rows, kmax, jsel_fwd]
-        dtheta_fwd = dtbar * w_fwd * values
+        dtheta_fwd = dtbar * np.exp(params.theta[fwd_cell]) * values
         dbeta_fwd = dtbar
 
         # One flat scatter per array.  bincount adds in input order, so each
         # cell sums its forward terms, then its inverse ones, in sample
         # order: the order the training goldens pin.
         shape = params.theta.shape
-        cells = np.concatenate([np.ravel_multi_index((rows, kmax, jsel_fwd), shape).ravel(),
-                                np.ravel_multi_index((rows, kmin_inv, jsel_inv), shape).ravel()])
+        cells = np.concatenate([np.ravel_multi_index(fwd_cell, shape).ravel(),
+                                np.ravel_multi_index(inv_cell, shape).ravel()])
         dtheta, dbeta = (np.bincount(cells, np.concatenate([fwd.ravel(), inv.ravel()]),
                                      minlength=params.theta.size).reshape(shape)
                          for fwd, inv in ((dtheta_fwd, dtheta_inv), (dbeta_fwd, dbeta_inv)))

@@ -7,7 +7,7 @@ named function.  These tests keep every wrapped name bound and called
 where the benchmark expects it, and the results its hooks read shaped as
 they expect, without running the benchmark.  The
 per-profile transform and payment must also agree with the batch
-training forward.
+forward.
 """
 
 import sys
@@ -108,7 +108,7 @@ def test_per_profile_kernels_match_batch_forward(spread):
         params = MonotoneNetParams(rng.normal(0.0, spread, shape),
                                    rng.normal(-0.2, spread, shape), config.kappa)
     values = rng.uniform(0.0, 1.0, (256, config.n_bidders))
-    _, tbar, _, _, _, _, _, _, p, _, _ = _forward(params, values, config.kappa)
+    tbar, _, _, p, _, _ = _forward(params, values)
     for row, tbar_row, p_row in zip(values, tbar, p):
         tb = transform_profile(params, row)
         assert np.array_equal(tb, tbar_row)

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import payment_soft, transform_profile
 from test_forward_oracle import nets_and_values
 
+from myerson_airnet import network
 from myerson_airnet.auction import AuctionOutcome, spa_batch, spa_clear
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_batch, clear_hard,
@@ -156,6 +157,19 @@ def test_batch_clears_match_rows_across_block_edges(rows):
     values[::7, 2] = 0.0
     assert_clear_batch_matches_rows(params, values)
     assert_spa_batch_matches_rows(values)
+
+
+def test_clear_batch_never_runs_the_softmax(monkeypatch):
+    # The softmax is training's; a clear reads only the argmax and the payments.
+    def softmax(*args):
+        raise AssertionError("clear_batch ran the training softmax")
+
+    monkeypatch.setattr(network, "_softmax_no_sale", softmax)
+    rng = np.random.default_rng(13)
+    params = init_params(NetConfig(), rng)
+    values = rng.uniform(0.0, 1.0, (2_000, params.n_bidders))
+    values[::5, 1] = 0.0
+    assert_clear_batch_matches_rows(params, values)
 
 
 def test_batch_clears_reject_what_row_clears_reject():

@@ -9,6 +9,7 @@ import pytest
 
 from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
                                     spa_clear)
+from myerson_airnet import cli
 from myerson_airnet.checkpoint import save_params
 from myerson_airnet.cli import _TAG_EVAL, _TAG_GAP, _TAG_TRAIN_EVAL, main
 from myerson_airnet.network import _TAG_TRAIN, MonotoneNetParams, NetConfig, train
@@ -66,6 +67,27 @@ def test_train_single_iteration(tmp_path):
 def test_train_requires_out(capsys):
     assert main(["train", *TINY]) == 2
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["train", *TINY, "--iterations", "2"],
+    ["revenue-gap", "--checkpoint", "identity.ckpt", "--cases", "40"],
+    ["simulate", "--mechanism", "spa", "--max-rounds", "6"],
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, source):
+    monkeypatch.chdir(tmp_path)
+    identity_checkpoint(tmp_path)
+    for name in ("train", "_revenues", "run_episode"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    if source == "flag":
+        command = [*command, "--out", ""]
+    else:
+        (tmp_path / "run.cfg").write_text("out =\n")
+        command = [*command, "--config", "run.cfg"]
+    assert main(command) == 2
+    assert "out must be a non-empty path" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} <= {"identity.ckpt", "run.cfg"}
 
 
 def test_train_divergence_exits_3(tmp_path, capsys):

@@ -4,10 +4,11 @@
 active piece by scanning the short leading axes.  The reference below is
 the earlier form: pieces laid out ``(S, N, K, J)``, selected with
 ``np.argmin``/``np.argmax`` and ``take_along_axis`` over the trailing
-axes.  Both must agree on every output to the bit, sign of zero and NaN
-positions included, on nets full of ties, on ``±0`` bids, and on a slope
-that overflows to ``inf`` against a zero bid (a NaN piece, where argmin
-and argmax pick the first NaN).
+axes, with the training softmax in the same pass.  Every output of the
+forward, and training's win probabilities ``g``, must agree with it to
+the bit, sign of zero and NaN positions included, on nets full of ties,
+on ``±0`` bids, and on a slope that overflows to ``inf`` against a zero
+bid (a NaN piece, where argmin and argmax pick the first NaN).
 """
 
 import numpy as np
@@ -15,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
-                                    init_params)
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, _train_forward,
+                                    allocate_soft, init_params)
 
 OUTPUTS = ("w", "tbar", "kmax", "jsel_fwd", "soft", "g", "rarg", "rmax", "p", "kmin_inv",
            "jsel_inv")
+# What the forward and training's pass return; the index pairs are (N, S).
+COMPARED = ("tbar", "rarg", "rmax", "p", "kmax", "jsel_fwd", "kmin_inv", "jsel_inv", "g")
 
 
 def _select(pieces, inner, outer):
@@ -61,10 +64,12 @@ def reference_forward(params, values, kappa):
 
 def assert_forward_matches_reference(params, values, kappa):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        got = _forward(params, values, kappa)
-        want = reference_forward(params, values, kappa)
-    assert len(got) == len(OUTPUTS)
-    for name, a, b in zip(OUTPUTS, got, want):
+        tbar, rarg, rmax, p, fwd_piece, inv_piece = _forward(params, values)
+        want = dict(zip(OUTPUTS, reference_forward(params, values, kappa)))
+    got = (tbar, rarg, rmax, p, *(index.T for index in fwd_piece + inv_piece),
+           _train_forward(params, values, kappa)[1])
+    for name, a in zip(COMPARED, got, strict=True):
+        b = want[name]
         assert a.dtype == b.dtype and a.shape == b.shape, name
         if a.dtype == np.float64:
             a, b = a.view(np.uint64), b.view(np.uint64)
@@ -130,7 +135,7 @@ def test_allocate_soft_is_one_row_of_the_batch_softmax():
     rng = np.random.default_rng(12)
     params = init_params(config, rng)
     values = rng.uniform(0.0, 1.0, (config.batch_size, config.n_bidders))
-    _, tbar, _, _, soft, _, _, _, _, _, _ = _forward(params, values, config.kappa)
+    _, g, (tbar, *_) = _train_forward(params, values, config.kappa)
     for row in range(config.batch_size):
         assert np.array_equal(allocate_soft(tbar[row], config.kappa).view(np.uint64),
-                              soft[row, :-1].view(np.uint64))
+                              g[row].view(np.uint64))

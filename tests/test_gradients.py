@@ -1,8 +1,10 @@
 """Hand-derived gradients against the finite-difference oracle."""
 
 import numpy as np
+import pytest
 
-from myerson_airnet.network import MonotoneNetParams, grad, loss
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, _loss_and_grad, grad,
+                                    init_params, loss)
 
 
 def relative_error(got, want):
@@ -64,3 +66,26 @@ def test_gradient_deterministic_and_shaped():
     assert first[1].shape == params.beta.shape
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("net", ["init", "affine"])
+def test_public_loss_and_grad_are_the_training_step_bitwise(net):
+    """``loss`` and ``grad`` compute exactly what each training step does."""
+    rng = np.random.default_rng(17)
+    config = NetConfig()
+    if net == "init":
+        params = init_params(config, rng)
+        values = rng.uniform(0.0, 1.0, (config.batch_size, config.n_bidders))
+    else:
+        # One shared piece and bids on a coarse grid: transformed bids tie often.
+        params = MonotoneNetParams.affine(config.n_bidders, 1.5, -0.3, kappa=20.0)
+        values = rng.integers(0, 4, (config.batch_size, config.n_bidders)) / 4.0
+    step_loss, step_dtheta, step_dbeta = _loss_and_grad(params, values, params.kappa)
+    dtheta, dbeta = grad(params, values, params.kappa)
+    assert bits(loss(params, values, params.kappa)) == bits(step_loss)
+    assert np.array_equal(bits(dtheta), bits(step_dtheta))
+    assert np.array_equal(bits(dbeta), bits(step_dbeta))

@@ -253,7 +253,7 @@ def test_forward_rival_matches_masked_argmax_with_ties():
                        [0.0, 0.0, 0.0, 0.0],
                        [0.7, 0.1, 0.4, 0.3]])
     params = MonotoneNetParams.affine(4, 1.5, -0.3)
-    _, tbar, _, _, _, _, rarg, rmax, _, _, _ = _forward(params, values, params.kappa)
+    tbar, rarg, rmax, _, _, _ = _forward(params, values)
 
     n_samples, n_bidders = tbar.shape
     rivals = np.broadcast_to(tbar[:, None, :], (n_samples, n_bidders, n_bidders)).copy()
