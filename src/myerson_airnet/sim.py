@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -187,17 +188,24 @@ class _NoiseField:
 
 def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos: Position,
                   config: WorldConfig) -> np.ndarray:
-    """Sample a pile at ``pos``: jittered field windows plus sensor noise."""
-    rows, cols = config.image_rows, config.image_cols
+    """Sample a pile at ``pos``: jittered field windows plus sensor noise.
+
+    Each image draws its jitter, then its pixel noise; the field is then
+    sampled once for the whole pile on broadcast coordinates.
+    """
+    rows, cols, size = config.image_rows, config.image_cols, config.pile_size
     gx = pos.x + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
     gy = pos.y + (np.arange(rows) - rows / 2.0) * _PIXEL_METERS
-    images = []
-    for _ in range(config.pile_size):
-        ox, oy = rng.uniform(-_IMAGE_JITTER_METERS, _IMAGE_JITTER_METERS, 2)
-        mesh_x, mesh_y = np.meshgrid(gx + ox, gy + oy)
-        img = field_.sample(mesh_x, mesh_y) + rng.normal(0.0, _PIXEL_NOISE, (rows, cols))
-        images.append(np.clip(img, 0.0, 1.0))
-    return np.stack(images)
+    jitter = np.empty((size, 2))
+    noise = np.empty((size, rows, cols))
+    for k in range(size):
+        jitter[k] = rng.uniform(-_IMAGE_JITTER_METERS, _IMAGE_JITTER_METERS, 2)
+        noise[k] = rng.normal(0.0, _PIXEL_NOISE, (rows, cols))
+    xs = (gx + jitter[:, 0, None])[:, None, :]
+    ys = (gy + jitter[:, 1, None])[:, :, None]
+    pile = field_.sample(xs, ys)
+    pile += noise
+    return np.clip(pile, 0.0, 1.0, out=pile)
 
 
 def generate_world(config: WorldConfig) -> WorldState:
@@ -233,8 +241,9 @@ def form_valuations(state: WorldState) -> ValuationProfile:
     back to midpoint valuations for every device.
     """
     config = state.config
-    # math.hypot per device: np.hypot can differ in the last bit
-    dists = np.array([distance(state.uav_position, pos) for pos in state.positions])
+    # valuation.distance inlined; math.hypot per device, as np.hypot can differ in the last bit
+    ux, uy = state.uav_position.x, state.uav_position.y
+    dists = np.array([math.hypot(ux - pos.x, uy - pos.y) for pos in state.positions])
     sims = pile_similarity(state.piles, state.last_collected, config.similarity_aggregate)
     raws = valuation_score(sims, dists, config.valuation_rule)
     try:

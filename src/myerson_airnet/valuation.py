@@ -8,8 +8,8 @@ normalized onto the support of the market's valuation distribution.
 
 Similarity and scoring work on whole markets at once: piles are plain
 arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
-``(Q, R, C)`` reference pile in a single call, and scoring takes arrays
-or scalars.
+``(Q, R, C)`` reference pile in a single call through one reused
+``(D, Q, R*C)`` buffer, and scoring takes arrays or scalars.
 """
 
 from __future__ import annotations
@@ -46,8 +46,11 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     ``mean`` averages all cross pairs; ``min`` scores a pile by its most
     redundant image pair instead.  ``piles`` is a ``(D, P, R, C)`` stack of
     D piles and ``reference`` one ``(Q, R, C)`` pile; the result holds one
-    score per pile.  The stack is scored one image at a time, so the
-    largest temporary is ``(D, Q, R, C)``.
+    score per pile.  The stack is scored one image at a time through one
+    reused ``(D, Q, R*C)`` buffer of squared differences.  A row-major
+    pixel sum divided by ``R*C`` is how ``np.mean`` averages a row-major
+    image pair, so every score matches that per-pair mean bit for bit.  Empty piles and empty images raise
+    ``InputError``.
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
@@ -55,10 +58,19 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     reference = np.asarray(reference, dtype=float)
     if stack.ndim != 4 or reference.ndim != 3 or stack.shape[2:] != reference.shape[1:]:
         raise InputError("piles must share image dimensions")
-    per_pair = np.empty(stack.shape[:2] + reference.shape[:1])
-    for p in range(stack.shape[1]):
-        diffs = stack[:, p, None] - reference
-        per_pair[:, p] = np.mean(diffs ** 2, axis=(2, 3))
+    devices, images, rows, cols = stack.shape
+    pixels = rows * cols
+    if images == 0 or reference.shape[0] == 0 or pixels == 0:
+        raise InputError("piles and the reference must hold non-empty images")
+    stack = stack.reshape(devices, images, 1, pixels)
+    reference = reference.reshape(-1, pixels)
+    buf = np.empty((devices, reference.shape[0], pixels))
+    per_pair = np.empty((devices, images, reference.shape[0]))
+    for p in range(images):
+        np.subtract(stack[:, p], reference, out=buf)
+        np.square(buf, out=buf)
+        np.add.reduce(buf, axis=2, out=per_pair[:, p])
+    per_pair /= pixels
     reduce = np.mean if aggregate == "mean" else np.min
     return reduce(per_pair, axis=(1, 2))
 

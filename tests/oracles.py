@@ -5,6 +5,7 @@ import numpy as np
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, _check_bidder, _transformed,
                                     transform_inverse)
+from myerson_airnet.sim import _IMAGE_JITTER_METERS, _PIXEL_METERS, _PIXEL_NOISE
 
 
 def pair_mse(a, b) -> float:
@@ -38,3 +39,34 @@ def payment_soft(params: MonotoneNetParams, transformed_bids, bidder: int) -> fl
     _check_bidder(params, bidder)
     rival = float(np.max(np.delete(tb, bidder)))
     return transform_inverse(params, bidder, max(rival, 0.0))
+
+
+def pile_similarity_per_image(piles, reference, aggregate: str = "mean") -> np.ndarray:
+    """Pile similarity as a full ``(D, Q, R, C)`` difference tensor per pile image.
+
+    Each tensor is averaged over its pixels by ``np.mean``, which sums in
+    memory order, so on a C-contiguous stack this is the row-major
+    per-pair mean of every cross pair.
+    """
+    stack = np.asarray(piles, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    per_pair = np.empty(stack.shape[:2] + reference.shape[:1])
+    for p in range(stack.shape[1]):
+        diffs = stack[:, p, None] - reference
+        per_pair[:, p] = np.mean(diffs ** 2, axis=(2, 3))
+    reduce = np.mean if aggregate == "mean" else np.min
+    return reduce(per_pair, axis=(1, 2))
+
+
+def capture_pile_meshgrid(field_, rng, pos, config) -> np.ndarray:
+    """A pile captured one image at a time, each on its own meshgrid of field samples."""
+    rows, cols = config.image_rows, config.image_cols
+    gx = pos.x + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
+    gy = pos.y + (np.arange(rows) - rows / 2.0) * _PIXEL_METERS
+    images = []
+    for _ in range(config.pile_size):
+        ox, oy = rng.uniform(-_IMAGE_JITTER_METERS, _IMAGE_JITTER_METERS, 2)
+        mesh_x, mesh_y = np.meshgrid(gx + ox, gy + oy)
+        img = field_.sample(mesh_x, mesh_y) + rng.normal(0.0, _PIXEL_NOISE, (rows, cols))
+        images.append(np.clip(img, 0.0, 1.0))
+    return np.stack(images)

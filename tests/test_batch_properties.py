@@ -3,7 +3,8 @@
 The simulator scores a whole market per call; these properties pin that
 the batch results equal, bit for bit, what one pile or one device at a
 time computes, and that bad entries anywhere in a batch are still
-rejected.  The support test is checked against its spelled-out form on
+rejected.  Pile similarity must also equal, bit for bit, its per-image
+form in ``oracles`` on any shape, dtype or memory layout.  The support test is checked against its spelled-out form on
 arrays that mix in-support values with NaN and infinities, and the
 learned transform's inverse undoes it within a bound derived from its
 piece formulas.
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from oracles import pile_similarity_per_image
 
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import InputError
@@ -49,6 +51,54 @@ def test_batched_pile_similarity_equals_per_pile_loop(data, aggregate):
     per_pile = [pile_similarity(pile[None], reference, aggregate)[0] for pile in stack]
     oracle = [all_pairs_similarity(pile, reference, aggregate) for pile in stack]
     assert batched.tolist() == per_pile == oracle
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def laid_out(rng, shape, layout, integer):
+    """Random ``shape`` values, as integers or floats, in a C, strided or transposed layout."""
+    def fill(full):
+        return rng.integers(-40, 41, full) if integer else rng.uniform(-3.0, 3.0, full)
+    if layout == "strided":
+        return fill(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    if layout == "transposed":
+        return fill(shape[::-1]).T
+    return fill(shape)
+
+
+@st.composite
+def similarity_cases(draw):
+    """A stack and reference of 1 to 8 piles, 1x1 to 20x20 images, any layout."""
+    d = draw(st.integers(1, 8))
+    p, q = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    rows, cols = draw(st.one_of(st.just((1, 1)),
+                                st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                                # past numpy's 128-element pairwise-sum block
+                                st.tuples(st.integers(9, 20), st.integers(15, 20))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+    layouts = [draw(st.sampled_from(["c", "strided", "transposed"])) for _ in range(2)]
+    stack = laid_out(rng, (d, p, rows, cols), layouts[0], integer)
+    reference = laid_out(rng, (q, rows, cols), layouts[1], integer)
+    return stack, reference, "transposed" in layouts
+
+
+@settings(deadline=None)
+@given(similarity_cases(), st.sampled_from(["mean", "min"]))
+def test_pile_similarity_equals_per_image_oracle_bitwise(data, aggregate):
+    """The oracle's ``np.mean`` sums pixels in memory order and the kernel always
+    sums them row-major: they agree on row-major data, and the kernel's bits do
+    not depend on the layout it is given."""
+    stack, reference, transposed = data
+    result = pile_similarity(stack, reference, aggregate)
+    oracle = pile_similarity_per_image(np.ascontiguousarray(stack),
+                                       np.ascontiguousarray(reference), aggregate)
+    assert np.array_equal(bits(result), bits(oracle))
+    if not transposed:
+        assert np.array_equal(bits(result),
+                              bits(pile_similarity_per_image(stack, reference, aggregate)))
 
 
 @settings(deadline=None)

@@ -7,15 +7,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import capture_pile_meshgrid, pile_similarity_per_image
 
+from myerson_airnet import sim
 from myerson_airnet.auction import AuctionOutcome, ValuationDistribution, ValuationProfile
 from myerson_airnet.errors import EpisodeExhaustedError, InputError
-from myerson_airnet.network import MonotoneNetParams
+from myerson_airnet.checkpoint import save_params
+from myerson_airnet.cli import main
+from myerson_airnet.network import MonotoneNetParams, NetConfig, init_params
 from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, LearnedMechanism, RoundRecord,
                                 SecondPriceMechanism, WorldConfig, WorldState, form_valuations,
                                 generate_world, run_episode, step, write_episode_csv,
                                 write_episode_events)
-from myerson_airnet.valuation import Position
+from myerson_airnet.valuation import Position, distance
 
 
 def small_config(**overrides):
@@ -268,6 +274,81 @@ def test_episode_replays_bitwise_from_seed(tmp_path):
         write_episode_events(path, records)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# the lattice spans 17 cells of 120 m; coordinates past it, or negative, wrap around
+coordinates = st.floats(-6000.0, 6000.0)
+
+
+@settings(deadline=None)
+@given(coordinates, coordinates, st.integers(1, 5), st.integers(1, 9), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_capture_pile_equals_per_image_meshgrid_oracle_bitwise(x, y, size, rows, cols, seed):
+    config = small_config(pile_size=size, image_rows=rows, image_cols=cols, seed=seed % 1000)
+    field_ = sim._NoiseField(config.seed)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pile = sim._capture_pile(field_, rng, Position(x, y), config)
+    oracle = capture_pile_meshgrid(field_, oracle_rng, Position(x, y), config)
+    assert pile.shape == (size, rows, cols)
+    assert np.array_equal(bits(pile), bits(oracle))
+    # the draws are made in the same order, so the streams end in the same state
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def benchmark_scale_episode(tmp_path, tag):
+    """A seeded 200-device, 50-round dla episode with events, through the CLI."""
+    ckpt = tmp_path / "world.ckpt"
+    if not ckpt.exists():
+        save_params(init_params(NetConfig(n_bidders=200), np.random.default_rng(17)), ckpt)
+    out = tmp_path / tag
+    out.mkdir()
+    assert main(["simulate", "--mechanism", "dla", "--checkpoint", str(ckpt),
+                 "--n-devices", "200", "--max-rounds", "50", "--battery", "1e12",
+                 "--seed", "17", "--out", str(out / "episode.csv"),
+                 "--events", str(out / "episode.jsonl")]) == 0
+    return (out / "episode.csv").read_bytes(), (out / "episode.jsonl").read_bytes()
+
+
+def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, monkeypatch):
+    fast = benchmark_scale_episode(tmp_path, "kernels")
+    calls = []
+
+    def counted(oracle):
+        def wrapper(*args, **kwargs):
+            calls.append(oracle.__name__)
+            return oracle(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "pile_similarity", counted(pile_similarity_per_image))
+    monkeypatch.setattr(sim, "_capture_pile", counted(capture_pile_meshgrid))
+    slow = benchmark_scale_episode(tmp_path, "oracles")
+    assert calls.count("pile_similarity_per_image") == 50
+    assert calls.count("capture_pile_meshgrid") >= 201  # every device, the sentinel, the wins
+    assert fast[0].count(b"\n") == 51
+    assert fast == slow
+
+
+def test_form_valuations_distances_equal_distance_bitwise(monkeypatch):
+    state = generate_world(small_config(n_devices=200, area_width=1000.0, area_height=1000.0,
+                                        battery=1e12))
+    original, seen = sim.valuation_score, []
+
+    def spy(similarity, dist_meters, rule):
+        seen.append(np.array(dist_meters))
+        return original(similarity, dist_meters, rule)
+
+    monkeypatch.setattr(sim, "valuation_score", spy)
+    collectors = set()
+    for _ in range(20):
+        collectors.add(state.uav_position)
+        expected = [distance(state.uav_position, pos) for pos in state.positions]
+        step(state, SecondPriceMechanism())
+        assert np.array_equal(bits(seen[-1]), bits(expected))
+    assert len(collectors) > 1
 
 
 def test_write_episode_csv_round_trips(tmp_path):

@@ -84,6 +84,18 @@ def test_pile_similarity_validation():
         pile_similarity(small[None], small, aggregate="median")
 
 
+@pytest.mark.parametrize("aggregate", ["mean", "min"])
+@pytest.mark.parametrize("piles, reference", [
+    (np.zeros((2, 0, 4, 4)), np.zeros((3, 4, 4))),  # an empty pile
+    (np.zeros((2, 3, 4, 4)), np.zeros((0, 4, 4))),  # an empty reference
+    (np.zeros((2, 3, 0, 4)), np.zeros((3, 0, 4))),  # 0-pixel images
+    (np.zeros((2, 3, 4, 0)), np.zeros((3, 4, 0))),
+])
+def test_pile_similarity_rejects_empty_piles_and_images(piles, reference, aggregate):
+    with pytest.raises(InputError, match="non-empty"):
+        pile_similarity(piles, reference, aggregate)
+
+
 def test_raw_valuation():
     """The default product rule: redundancy gap times distance."""
     assert valuation_score(0.0, 123.0) == 0.0
