@@ -49,8 +49,8 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     score per pile.  The stack is scored one image at a time through one
     reused ``(D, Q, R*C)`` buffer of squared differences.  A row-major
     pixel sum divided by ``R*C`` is how ``np.mean`` averages a row-major
-    image pair, so every score matches that per-pair mean bit for bit.  Empty piles and empty images raise
-    ``InputError``.
+    image pair, so every score matches that per-pair mean bit for bit.
+    Empty piles and empty images raise ``InputError``.
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")

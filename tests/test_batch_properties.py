@@ -4,10 +4,10 @@ The simulator scores a whole market per call; these properties pin that
 the batch results equal, bit for bit, what one pile or one device at a
 time computes, and that bad entries anywhere in a batch are still
 rejected.  Pile similarity must also equal, bit for bit, its per-image
-form in ``oracles`` on any shape, dtype or memory layout.  The support test is checked against its spelled-out form on
-arrays that mix in-support values with NaN and infinities, and the
-learned transform's inverse undoes it within a bound derived from its
-piece formulas.
+form in ``oracles`` on any shape, dtype or memory layout.  The support
+test is checked against its spelled-out form on arrays that mix
+in-support values with NaN and infinities, and the learned transform's
+inverse undoes it within a bound derived from its piece formulas.
 """
 
 import numpy as np
