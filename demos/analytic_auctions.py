@@ -7,8 +7,9 @@ to sell when every virtual value is negative.
 
 import numpy as np
 
-from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
-                                    spa_clear, virtual_valuation, virtual_valuation_inverse)
+from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_batch,
+                                    myerson_clear, spa_batch, spa_clear, virtual_valuation,
+                                    virtual_valuation_inverse)
 
 u01 = ValuationDistribution(0.0, 1.0)
 
@@ -32,7 +33,7 @@ for values in ([0.8, 0.6], [0.6, 0.3], [0.3, 0.2]):
 # the reserve is worth about 0.8% of revenue with five bidders
 rng = np.random.default_rng(0)
 draws = u01.sample(rng, (50_000, 5))
-spa = np.mean([spa_clear(row).revenue for row in draws])
-mye = np.mean([myerson_clear(ValuationProfile(row, u01)).revenue for row in draws])
+spa = np.mean(spa_batch(draws)[1])
+mye = np.mean(myerson_batch(draws, u01)[1])
 print("\n= 50k-profile Monte Carlo, five bidders =")
 print(f"second price {spa:.4f} vs optimal {mye:.4f} (gap {mye - spa:+.4f})")

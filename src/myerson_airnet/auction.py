@@ -3,8 +3,15 @@
 Second-price (Vickrey) clearing and the revenue-optimal mechanism for a
 known uniform valuation distribution, plus the profile and outcome types
 shared by the learned mechanism and the simulator.  An outcome holds only
-what a clear decides, the winner and its payment; second price is written
-once, as :func:`spa_batch`, and :func:`spa_clear` is a one-row call of it.
+what a clear decides, the winner and its payment.
+
+Second price is written once, as a row argmax and runner-up kernel.
+:func:`spa_batch` runs it on bids.  The optimal auction is second price
+on virtual values (Myerson, 1981): :func:`myerson_batch` runs the same
+kernel on each row's virtual valuations, sells when the top one is
+non-negative, and charges the inverse virtual valuation of the stronger
+of the runner-up and the zero reserve.  :func:`spa_clear` and
+:func:`myerson_clear` are one-row calls of the batch clears.
 
 Every argmax in this package breaks ties toward the lowest bidder index,
 so outcomes are deterministic and directly testable.
@@ -110,7 +117,14 @@ def spa_batch(values) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("second-price clearing needs a non-empty matrix of at least two bids")
     if not np.all(np.isfinite(b)) or np.any(b < 0.0):
         raise InputError("bids must be finite and non-negative")
-    return b.argmax(axis=1), np.partition(b, -2, axis=1)[:, -2]
+    winner, _, runner_up = _second_price(b)
+    return winner, runner_up
+
+
+def _second_price(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's winner (lowest index on ties), top entry and runner-up entry."""
+    top_two = np.partition(x, -2, axis=-1)
+    return x.argmax(axis=-1), top_two[..., -1], top_two[..., -2]
 
 
 def virtual_valuation(v, dist: ValuationDistribution):
@@ -138,6 +152,11 @@ def virtual_valuation_inverse(y: float, dist: ValuationDistribution) -> float:
     low = 2.0 * dist.lower - dist.upper
     if not np.isfinite(y) or not low <= y <= dist.upper:
         raise DomainError(f"{y} outside the virtual-valuation image [{low}, {dist.upper}]")
+    return _virtual_valuation_inverse(y, dist)
+
+
+def _virtual_valuation_inverse(y, dist: ValuationDistribution):
+    """The inverse on virtual values already known to lie in its image."""
     return (y + dist.upper) / 2.0
 
 
@@ -150,10 +169,29 @@ def myerson_clear(profile: ValuationProfile) -> AuctionOutcome:
     negative the item is withheld.
     """
     dist = profile.distribution
-    values = profile.values
-    phi = _virtual_valuation(values, dist)  # the profile already checked the support
-    winner = int(np.argmax(phi))
-    if phi[winner] < 0.0:
-        return AuctionOutcome(None, 0.0)
-    runner_up = float(np.partition(phi, -2)[-2])
-    return AuctionOutcome(winner, virtual_valuation_inverse(max(runner_up, 0.0), dist))
+    phi = _virtual_valuation(profile.values[None, :], dist)  # the profile checked the support
+    winner, payment = _myerson_rows(phi, dist)
+    return AuctionOutcome(None if winner[0] < 0 else int(winner[0]), float(payment[0]))
+
+
+def myerson_batch(values, dist: ValuationDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`myerson_clear` for every row of an ``(S, N)`` value matrix.
+
+    Returns winners and payments; a row with no sale has winner ``-1``
+    and payment ``0.0``.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 2:
+        raise InputError("optimal clearing needs a non-empty matrix of at least two values")
+    if not np.all(np.isfinite(v)):
+        raise InputError("valuations must be finite")
+    return _myerson_rows(virtual_valuation(v, dist), dist)
+
+
+def _myerson_rows(phi: np.ndarray, dist: ValuationDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Second price with a zero reserve on rows of virtual values."""
+    winner, top, runner_up = _second_price(phi)
+    sold = top >= 0.0
+    reserve = np.where(runner_up < 0.0, 0.0, runner_up)  # max(runner_up, 0.0), -0.0 kept
+    payment = _virtual_valuation_inverse(reserve, dist)
+    return np.where(sold, winner, -1), np.where(sold, payment, 0.0)

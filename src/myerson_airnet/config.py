@@ -120,17 +120,25 @@ def _fill(cls, values: dict, prefix: str = "", **built):
     return cls(**given, **built)
 
 
+def _parse(name: str, text: str):
+    """Parse one key's text with its schema parser, naming the key on failure."""
+    try:
+        return SCHEMA[name].parse(text)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from None
+
+
 def build_config(config_path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Merge an optional config file and CLI overrides over the field defaults."""
     values = {}
     if config_path is not None:
         for name, text in read_config_file(config_path).items():
-            values[name] = SCHEMA[name].parse(text)
+            values[name] = _parse(name, text)
     for name, text in (overrides or {}).items():
         if name not in SCHEMA:
             raise InputError(f"unknown configuration key {name!r}")
         if text is not None:
-            values[name] = SCHEMA[name].parse(text) if isinstance(text, str) else text
+            values[name] = _parse(name, text) if isinstance(text, str) else text
 
     if values.get("cases", ExperimentConfig.cases) < 1:
         raise InputError("cases must be at least 1")

@@ -329,7 +329,7 @@ def write_episode_events(path, records) -> None:
         lines.append(json.dumps({
             "round": record.round,
             "mechanism": record.mechanism,
-            "valuations": [float(v) for v in record.valuations.values],
+            "valuations": record.valuations.values.tolist(),
             "winner": outcome.winner,
             "payment": float(outcome.payment),
             "revenue": float(outcome.revenue),

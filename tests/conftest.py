@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import masked_rivals
 
-from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
-                                    spa_clear)
+from myerson_airnet.auction import ValuationDistribution, myerson_batch, spa_batch
 from myerson_airnet.network import NetConfig, loss, train
 
 
@@ -40,11 +40,7 @@ def big_test_profiles(u01):
 @pytest.fixture(scope="session")
 def big_test_revenues(big_test_profiles, u01):
     """(spa, myerson) per-profile revenue oracles on the shared test set."""
-    n = len(big_test_profiles)
-    spa = np.fromiter((spa_clear(row).revenue for row in big_test_profiles), float, n)
-    mye = np.fromiter((myerson_clear(ValuationProfile(row, u01)).revenue
-                       for row in big_test_profiles), float, n)
-    return spa, mye
+    return spa_batch(big_test_profiles)[1], myerson_batch(big_test_profiles, u01)[1]
 
 
 @pytest.fixture(scope="session")
@@ -97,16 +93,12 @@ def nontie_sampler():
         srt = np.sort(min_j, axis=2)
         if min_j.shape[2] > 1 and (srt[..., -1] - srt[..., -2]).min() < margin:
             return False
-        tbar = min_j.max(axis=2)
-        n_samples, n_bidders = tbar.shape
-        rivals = np.broadcast_to(tbar[:, None, :], (n_samples, n_bidders, n_bidders)).copy()
-        diag = np.arange(n_bidders)
-        rivals[:, diag, diag] = -np.inf
+        rivals = masked_rivals(min_j.max(axis=2))
         rmax = rivals.max(axis=2)
         if np.abs(rmax).min() < margin:  # ReLU gate must not sit near 0
             return False
         top2 = np.sort(rivals, axis=2)
-        if n_bidders > 2 and (top2[..., -1] - top2[..., -2]).min() < margin:
+        if values.shape[1] > 2 and (top2[..., -1] - top2[..., -2]).min() < margin:
             return False
         r = np.maximum(rmax, 0.0)
         inv = (r[:, :, None, None] - params.beta[None]) / w[None]

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from myerson_airnet.auction import _virtual_valuation, virtual_valuation_inverse
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, _check_bidder, _transformed,
                                     transform_inverse)
@@ -39,6 +40,25 @@ def payment_soft(params: MonotoneNetParams, transformed_bids, bidder: int) -> fl
     _check_bidder(params, bidder)
     rival = float(np.max(np.delete(tb, bidder)))
     return transform_inverse(params, bidder, max(rival, 0.0))
+
+
+def myerson_scalar(values, dist) -> tuple[int | None, float]:
+    """The optimal clear of one in-support profile with its own argmax and partition."""
+    phi = _virtual_valuation(np.asarray(values, dtype=float), dist)
+    winner = int(np.argmax(phi))
+    if phi[winner] < 0.0:
+        return None, 0.0
+    runner_up = float(np.partition(phi, -2)[-2])
+    return winner, virtual_valuation_inverse(max(runner_up, 0.0), dist)
+
+
+def masked_rivals(tbar) -> np.ndarray:
+    """``(S, N, N)`` rival bids: ``[s, i]`` is ``tbar[s]`` with entry ``i`` masked to ``-inf``."""
+    n_samples, n_bidders = tbar.shape
+    rivals = np.broadcast_to(tbar[:, None, :], (n_samples, n_bidders, n_bidders)).copy()
+    diag = np.arange(n_bidders)
+    rivals[:, diag, diag] = -np.inf
+    return rivals
 
 
 def pile_similarity_per_image(piles, reference, aggregate: str = "mean") -> np.ndarray:

@@ -1,10 +1,11 @@
 """Batch clearing against the per-profile calls, bit for bit.
 
-``network.clear_batch`` and ``auction.spa_batch`` clear a whole
-``(S, N)`` matrix at once; ``train`` uses them for its held-out check.
-Each row must clear exactly as one ``clear_hard`` (``spa_clear``) call
-clears it: the same winner (``None`` is ``-1``) and the same payment
-bits, sign of zero included, and a zero price is ``+0.0``.  The nets come
+``network.clear_batch``, ``auction.spa_batch`` and ``auction.myerson_batch``
+clear a whole ``(S, N)`` matrix at once; ``train`` uses the first two for
+its held-out check.  Each row must clear exactly as one ``clear_hard``
+(``spa_clear``, ``myerson_clear``) call clears it: the same winner
+(``None`` is ``-1``) and the same payment bits, sign of zero included, and
+a learned clear's zero price is ``+0.0``.  The nets come
 from the forward oracle's tie-heavy strategy, sometimes shifted down so
 that rows go unsold.  ``clear_hard`` itself must clear as the per-profile
 reference in ``oracles`` composes it: ``transform_profile``, the argmax,
@@ -18,12 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import payment_soft, transform_profile
+from oracles import myerson_scalar, payment_soft, transform_profile
 from test_forward_oracle import nets_and_values
 
 from myerson_airnet import network
-from myerson_airnet.auction import AuctionOutcome, spa_batch, spa_clear
-from myerson_airnet.errors import InputError
+from myerson_airnet.auction import (AuctionOutcome, ValuationDistribution, ValuationProfile,
+                                    myerson_batch, myerson_clear, spa_batch, spa_clear)
+from myerson_airnet.errors import DomainError, InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_batch, clear_hard,
                                     init_params)
 
@@ -147,6 +149,59 @@ def test_a_zero_payment_is_positive_zero(case):
                                         st.floats(0.0, 1.0)))))
 def test_spa_batch_matches_spa_clear_bitwise(values):
     assert_spa_batch_matches_rows(values)
+
+
+# The CLI's default support and [0, 1], and two supports ending at zero,
+# where a -0.0 runner-up reaches the payment's sign.
+MYERSON_SUPPORTS = (ValuationDistribution(), ValuationDistribution(0.0, 1.0),
+                    ValuationDistribution(-1.0, 0.0), ValuationDistribution(-1.0, -0.0))
+
+
+@st.composite
+def myerson_cases(draw):
+    """A support and a value matrix with endpoint, tied and all-negative-virtual rows."""
+    dist = draw(st.sampled_from(MYERSON_SUPPORTS))
+    # the endpoints, the zero-virtual-value point and, where the support holds it, -0.0
+    points = [dist.lower, dist.upper, dist.upper / 2, *([-0.0] if dist.contains(0.0) else [])]
+    values = draw(arrays(np.float64, (draw(st.integers(1, 50)), draw(st.integers(2, 8))),
+                         elements=st.one_of(st.sampled_from(points),
+                                            st.floats(dist.lower, dist.upper))))
+    for row in values:
+        kind = draw(st.sampled_from(["free", "tied", "negative"]))
+        if kind == "tied":
+            row[:] = row[0]
+        elif kind == "negative" and dist.lower < dist.upper / 2:  # every virtual value < 0
+            below_reserve = st.floats(dist.lower, dist.upper / 2, exclude_max=True)
+            row[:] = draw(arrays(np.float64, row.shape, elements=below_reserve))
+    return values, dist
+
+
+@settings(deadline=None, max_examples=200)
+@given(myerson_cases())
+@example((np.array([[-0.0, -0.0, -0.5]]), MYERSON_SUPPORTS[3]))
+def test_myerson_batch_matches_myerson_clear_bitwise(case):
+    values, dist = case
+    winner, payment = myerson_batch(values, dist)
+    outcomes = [myerson_clear(ValuationProfile(row, dist)) for row in values]
+    assert winner.shape == payment.shape == (values.shape[0],)
+    assert winner.tolist() == [-1 if out.winner is None else out.winner for out in outcomes]
+    assert np.array_equal(bits(payment), bits([out.payment for out in outcomes]))
+    # and the one-row call clears as the scalar form it replaced
+    reference = [myerson_scalar(row, dist) for row in values]
+    assert [out.winner for out in outcomes] == [want for want, _ in reference]
+    assert np.array_equal(bits(payment), bits([price for _, price in reference]))
+
+
+def test_myerson_batch_rejects_bad_matrices():
+    dist = ValuationDistribution(0.0, 1.0)
+    bad = {"1-D": np.full(3, 0.5), "one column": np.full((4, 1), 0.5),
+           "empty": np.empty((0, 3)), "nan": np.array([[0.5, 0.2], [0.3, np.nan]])}
+    for name, values in bad.items():
+        with pytest.raises(InputError) as info:
+            myerson_batch(values, dist)
+        assert type(info.value) is InputError, name
+    with pytest.raises(DomainError):
+        myerson_batch(np.array([[0.5, 0.2], [0.3, 1.5]]), dist)
 
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])

@@ -7,8 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
-                                    spa_clear)
+from myerson_airnet.auction import ValuationDistribution, myerson_batch, spa_batch, spa_clear
 from myerson_airnet import cli
 from myerson_airnet.checkpoint import save_params
 from myerson_airnet.cli import _TAG_EVAL, _TAG_GAP, _TAG_TRAIN_EVAL, main
@@ -359,6 +358,7 @@ def test_config_file_without_flag_override(tmp_path):
     ("bogus = 1\n", "unknown key"),
     ("iterations = 4\niterations = 5\n", "duplicate key"),
     ("iterations\n", "expected 'key = value'"),
+    ("groups = 2.5\n", "groups"),
 ])
 def test_config_file_errors_exit_2(tmp_path, capsys, body, fragment):
     cfg = tmp_path / "bad.cfg"
@@ -366,6 +366,17 @@ def test_config_file_errors_exit_2(tmp_path, capsys, body, fragment):
     rc = main(["train", *TINY, "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
     assert rc == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n-bidders", "abc", "n_bidders: expected an integer, got 'abc'"),
+    ("--kappa", "hot", "kappa: expected a number, got 'hot'"),
+])
+def test_unparsable_flag_exits_2_naming_its_key(tmp_path, capsys, flag, value, message):
+    rc = main(["train", flag, value, "--out", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_binary_config_file_exits_2(tmp_path, capsys):
@@ -450,14 +461,10 @@ def test_trained_gap_tracks_analytic_gap_over_100k_cases(tmp_path):
     learned_gap = np.mean([float(row[1]) for row in rows])
     csv_spa_mean = np.mean([float(row[3]) for row in rows])
 
-    analytic_total = 0.0
-    spa_total = 0.0
-    for values in dist.sample(np.random.default_rng([0, _TAG_GAP]), (cases, config.n_bidders)):
-        spa_revenue = spa_clear(values).revenue
-        analytic_total += myerson_clear(ValuationProfile(values, dist)).revenue - spa_revenue
-        spa_total += spa_revenue
-    analytic_gap = analytic_total / cases
+    draws = dist.sample(np.random.default_rng([0, _TAG_GAP]), (cases, config.n_bidders))
+    spa = spa_batch(draws)[1]
+    analytic_gap = np.mean(myerson_batch(draws, dist)[1] - spa)
 
     # the oracle replayed the exact draws the CLI cleared
-    assert csv_spa_mean == pytest.approx(spa_total / cases, abs=1e-9)
+    assert csv_spa_mean == pytest.approx(np.mean(spa), abs=1e-9)
     assert abs(learned_gap - analytic_gap) <= 0.1 * analytic_gap

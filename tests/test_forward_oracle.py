@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import masked_rivals
 
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, _train_forward,
                                     allocate_soft, init_params)
@@ -38,7 +39,7 @@ def reference_forward(params, values, kappa):
     """The forward pass with trailing-axis argmin/argmax selections."""
     w = np.exp(params.theta)
     beta = params.beta
-    n_samples, n_bidders = values.shape
+    n_samples = values.shape[0]
 
     pieces = np.exp(params.theta) * values[:, :, None, None] + beta
     tbar, kmax, jsel_fwd = _select(pieces, np.argmin, np.argmax)
@@ -49,9 +50,7 @@ def reference_forward(params, values, kappa):
     soft = ez / ez.sum(axis=1, keepdims=True)
     g = soft[:, :-1]
 
-    rivals = np.broadcast_to(tbar[:, None, :], (n_samples, n_bidders, n_bidders)).copy()
-    diag = np.arange(n_bidders)
-    rivals[:, diag, diag] = -np.inf
+    rivals = masked_rivals(tbar)
     rarg = rivals.argmax(axis=2)
     rmax = np.take_along_axis(rivals, rarg[..., None], axis=2)[..., 0]
     r = np.maximum(rmax, 0.0)

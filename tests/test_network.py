@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import payment_soft, transform_profile
+from oracles import masked_rivals, payment_soft, transform_profile
 
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import InputError
@@ -255,10 +255,7 @@ def test_forward_rival_matches_masked_argmax_with_ties():
     params = MonotoneNetParams.affine(4, 1.5, -0.3)
     tbar, rarg, rmax, _, _, _ = _forward(params, values)
 
-    n_samples, n_bidders = tbar.shape
-    rivals = np.broadcast_to(tbar[:, None, :], (n_samples, n_bidders, n_bidders)).copy()
-    diag = np.arange(n_bidders)
-    rivals[:, diag, diag] = -np.inf
+    rivals = masked_rivals(tbar)
     expected_arg = rivals.argmax(axis=2)
     assert np.array_equal(rarg, expected_arg)
     assert np.array_equal(rmax, np.take_along_axis(rivals, expected_arg[..., None], axis=2)[..., 0])
