@@ -142,6 +142,8 @@ def _cmd_revenue_gap(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = build_config(args.config, _overrides(args, SCHEMA))
     out = _require_out(cfg)
+    if args.events and Path(args.events).resolve() == Path(out).resolve():
+        raise InputError(f"events must not be the out path {out}: the CSV would be overwritten")
     if args.mechanism == "spa":
         mechanism = SecondPriceMechanism()
     else:

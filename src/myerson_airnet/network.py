@@ -9,10 +9,13 @@ groups of max over pieces`` of ``(y - beta) * exp(-theta)``, the one
 inverse formula every payment here uses.  The batch forward ends at the
 payments: a bidder's conditional payment is the inverse transform of the
 rectified highest rival transformed bid.  Training adds the softmax, with
-temperature ``kappa`` against a fixed no-sale slot pinned at 0;
-:func:`clear_batch` clears a whole ``(S, N)`` batch on the forward by
-argmax, as :func:`clear_hard` clears each of its rows.  Every clear pays
-``+0.0``, never ``-0.0``, for a zero price.
+temperature ``kappa`` against a fixed no-sale slot pinned at 0.
+
+The hard clear is second price with a zero reserve on transformed bids
+(MyersonNet; Dütting et al., 2019): :func:`clear_hard` runs the analytic
+clears' second-price kernel on each profile, and :func:`clear_batch`
+clears an ``(S, N)`` batch on the forward with the same bits, row by row.
+Every clear pays ``+0.0``, never ``-0.0``, for a zero price.
 
 Training minimizes the negative expected revenue of truthful play by
 plain gradient descent.  Gradients are assembled by hand: argmax/argmin
@@ -22,9 +25,9 @@ use their standard derivatives, and ``exp`` reparameterization turns
 weight gradients into ``w * dL/dw``.
 
 Parameter arrays ``theta`` and ``beta`` have shape
-``(n_bidders, groups, linear_units)``.  The batch forward pass works on
-their transpose: its pieces are laid out ``(J, K, N, S)`` (units,
-groups, bidders, samples).
+``(n_bidders, groups, linear_units)``.  Every piece kernel works on
+their transpose: pieces are laid out ``(J, K, N[, S])`` (units, groups,
+bidders, then samples in the batch forward), and reduced over leading axes.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution
+from .auction import AuctionOutcome, ValuationDistribution, _second_price
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
@@ -79,9 +82,6 @@ class MonotoneNetParams:
 
     def weights(self) -> np.ndarray:
         return np.exp(self.theta)
-
-    def copy(self) -> "MonotoneNetParams":
-        return MonotoneNetParams(self.theta.copy(), self.beta.copy(), self.kappa)
 
     @classmethod
     def affine(cls, n_bidders: int, weight: float, offset: float,
@@ -143,19 +143,18 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
     return MonotoneNetParams(theta, beta, config.kappa)
 
 
-# Piece kernels of the per-profile calls.  ``v`` and ``y`` are scalars or
-# arrays whose last two axes have size 1, so they broadcast over the
-# (groups, units) axes of ``theta`` and ``beta`` and a leading bidder axis.
-# ``_forward`` builds the same pieces in its own layout.
+# Piece kernels of the per-profile calls, on transposed parameters: ``(J, K)``
+# for one bidder, ``(J, K, N)`` for all, with ``v`` or ``y`` a scalar or an
+# ``(N,)`` row.  C-ordered pieces let each reduction scan a leading axis.
 
-def _transformed(theta: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
+def _transformed(theta_t: np.ndarray, beta_t: np.ndarray, v) -> np.ndarray:
     """Transform of ``v``: pieces ``exp(theta) * v + beta``, min over units, max over groups."""
-    return (np.exp(theta) * v + beta).min(axis=-1).max(axis=-1)
+    return np.add(np.exp(theta_t) * v, beta_t, order="C").min(axis=0).max(axis=0)
 
 
-def _inverted(theta: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
+def _inverted(theta_t: np.ndarray, beta_t: np.ndarray, y) -> np.ndarray:
     """Inverse of ``y``: pieces ``(y - beta) * exp(-theta)``, max over units, min over groups."""
-    return ((y - beta) * np.exp(-theta)).max(axis=-1).min(axis=-1)
+    return np.multiply(y - beta_t, np.exp(-theta_t), order="C").max(axis=0).min(axis=0)
 
 
 def _check_bidder(params: MonotoneNetParams, bidder: int) -> None:
@@ -169,7 +168,7 @@ def transform(params: MonotoneNetParams, bidder: int, bid: float) -> float:
     bid = float(bid)
     if not np.isfinite(bid):
         raise InputError("bid must be finite")
-    return float(_transformed(params.theta[bidder], params.beta[bidder], bid))
+    return float(_transformed(params.theta[bidder].T, params.beta[bidder].T, bid))
 
 
 def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float:
@@ -178,7 +177,7 @@ def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float
     y = float(y)
     if not np.isfinite(y):
         raise InputError("transformed bid must be finite")
-    return float(_inverted(params.theta[bidder], params.beta[bidder], y))
+    return float(_inverted(params.theta[bidder].T, params.beta[bidder].T, y))
 
 
 def _softmax_no_sale(tbar: np.ndarray, kappa: float) -> np.ndarray:
@@ -222,17 +221,15 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
         raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise InputError("bids must be finite")
-    tb = _transformed(params.theta, params.beta, b[:, None, None])
-    winner = int(np.argmax(tb))
-    if not tb[winner] > 0.0:
+    tb = _transformed(params.theta.T, params.beta.T, b)
+    winner, top, rival = _second_price(tb)
+    if not top > 0.0:
         return AuctionOutcome(None, 0.0)
-    rival = float(np.delete(tb, winner).max())
-    if rival < 0.0:
-        rival = 0.0
+    rival = max(rival, 0.0)  # a -0.0 or NaN rival stays as it is
     if not np.isfinite(rival):
         raise InputError("transformed bid must be finite")
-    payment = _inverted(params.theta[winner], params.beta[winner], rival)
-    return AuctionOutcome(winner, float(payment) + 0.0)
+    payment = _inverted(params.theta[winner].T, params.beta[winner].T, rival)
+    return AuctionOutcome(int(winner), float(payment) + 0.0)
 
 
 # Rows per clear_batch block.  It bounds the temporaries (about 0.6 MB of

@@ -127,30 +127,32 @@ def nontie_sampler():
 def deviation_suite():
     """Dominant-strategy deviation harness shared by the truthfulness tests.
 
-    Returns (violations, trials, worst gain) for unilateral misreports
-    drawn from the support; a violation is a deviation utility exceeding
-    the truthful utility by more than float noise.
+    ``clear`` is a batch clear, ``(S, N) -> (winner, payment)`` with winner
+    ``-1`` on no sale.  Each profile draws its bidder, then that bidder's
+    misreports from the support; the truthful rows and the misreport rows
+    clear in one call.  Returns (violations, trials, worst gain); a
+    violation is a deviation utility exceeding the truthful utility by
+    more than float noise.
     """
 
     def run(clear, profiles, dist, deviations, rng, tol=1e-12):
-        violations = 0
-        trials = 0
-        worst = 0.0
-        for values in profiles:
-            truthful = clear(values)
-            bidder = int(rng.integers(values.size))
-            value = values[bidder]
-            base = (value - truthful.payment) if truthful.winner == bidder else 0.0
-            for _ in range(deviations):
-                report = values.copy()
-                report[bidder] = rng.uniform(dist.lower, dist.upper)
-                outcome = clear(report)
-                utility = (value - outcome.payment) if outcome.winner == bidder else 0.0
-                gain = utility - base
-                trials += 1
-                if gain > tol:
-                    violations += 1
-                    worst = max(worst, gain)
-        return violations, trials, worst
+        n_profiles, n_bidders = profiles.shape
+        bidder = np.empty(n_profiles, dtype=np.intp)
+        reports = np.empty((n_profiles, deviations))
+        for row in range(n_profiles):
+            bidder[row] = rng.integers(n_bidders)
+            reports[row] = rng.uniform(dist.lower, dist.upper, deviations)
+        misreported = np.repeat(profiles, deviations, axis=0)
+        who = np.repeat(bidder, deviations)
+        misreported[np.arange(who.size), who] = reports.ravel()
+        winner, payment = clear(np.vstack([profiles, misreported]))
+
+        value = profiles[np.arange(n_profiles), bidder]
+        base = np.where(winner[:n_profiles] == bidder, value - payment[:n_profiles], 0.0)
+        won = winner[n_profiles:] == who
+        utility = np.where(won, np.repeat(value, deviations) - payment[n_profiles:], 0.0)
+        gain = utility - np.repeat(base, deviations)
+        profitable = gain[gain > tol]
+        return profitable.size, who.size, float(profitable.max(initial=0.0))
 
     return run

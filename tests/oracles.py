@@ -4,8 +4,7 @@ import numpy as np
 
 from myerson_airnet.auction import _virtual_valuation, virtual_valuation_inverse
 from myerson_airnet.errors import InputError
-from myerson_airnet.network import (MonotoneNetParams, _check_bidder, _transformed,
-                                    transform_inverse)
+from myerson_airnet.network import MonotoneNetParams, _check_bidder, transform_inverse
 from myerson_airnet.sim import _IMAGE_JITTER_METERS, _PIXEL_METERS, _PIXEL_NOISE
 
 
@@ -27,7 +26,8 @@ def transform_profile(params: MonotoneNetParams, bids) -> np.ndarray:
         raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise InputError("bids must be finite")
-    return _transformed(params.theta, params.beta, b[:, None, None])
+    # pieces (N, K, J): min over the trailing units, then max over the groups
+    return (np.exp(params.theta) * b[:, None, None] + params.beta).min(axis=-1).max(axis=-1)
 
 
 def payment_soft(params: MonotoneNetParams, transformed_bids, bidder: int) -> float:

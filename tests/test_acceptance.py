@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from oracles import pair_mse
 
-from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_clear,
-                                    spa_clear)
+from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_batch,
+                                    myerson_clear, spa_batch)
 from myerson_airnet.checkpoint import load_params
 from myerson_airnet.cli import main
-from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_hard, grad,
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_batch, clear_hard, grad,
                                     train, transform, transform_inverse)
 from myerson_airnet.sim import SecondPriceMechanism, WorldConfig, generate_world, run_episode
 from myerson_airnet.valuation import Position, distance, pile_similarity, valuation_score
@@ -112,15 +112,14 @@ def test_acceptance_4_truthfulness(u01, trained_u01, deviation_suite):
     profiles = u01.sample(rng, (10_000, 5))
 
     failures = []
-    for label, clear in (("spa", spa_clear),
-                         ("myerson", lambda v: myerson_clear(ValuationProfile(v, u01)))):
+    for label, clear in (("spa", spa_batch), ("myerson", lambda v: myerson_batch(v, u01))):
         violations, trials, worst = deviation_suite(
             clear, profiles, u01, 10, np.random.default_rng(78))
         if violations:
             failures.append(f"{label}: {violations}/{trials} profitable misreports")
 
     violations, trials, worst = deviation_suite(
-        lambda v: clear_hard(params, v), profiles, u01, 10, np.random.default_rng(79))
+        lambda v: clear_batch(params, v), profiles, u01, 10, np.random.default_rng(79))
     if violations:
         failures.append(f"trained net: {violations}/{trials} profitable misreports, "
                         f"worst gain {worst:.3e}")
@@ -134,8 +133,7 @@ def test_acceptance_5_trained_net_beats_second_price(u01, big_test_profiles,
     revenue gap, all in under five minutes."""
     start = time.perf_counter()
     params, _ = train(NetConfig(seed=0), u01)
-    dla = np.fromiter((clear_hard(params, row).revenue for row in big_test_profiles),
-                      float, len(big_test_profiles))
+    dla = clear_batch(params, big_test_profiles)[1]
     elapsed = time.perf_counter() - start
 
     spa, mye = big_test_revenues

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from myerson_airnet.auction import (AuctionOutcome, ValuationDistribution, ValuationProfile,
-                                    myerson_clear, spa_clear, virtual_valuation,
-                                    virtual_valuation_inverse)
+                                    myerson_batch, myerson_clear, spa_batch, spa_clear,
+                                    virtual_valuation, virtual_valuation_inverse)
 from myerson_airnet.errors import DomainError, InputError
 
 
@@ -179,7 +179,7 @@ def test_outcome_invariants_random_profiles():
 def test_spa_truthfulness(deviation_suite, u01):
     rng = np.random.default_rng(17)
     profiles = u01.sample(rng, (10_000, 5))
-    violations, trials, worst = deviation_suite(spa_clear, profiles, u01, 1, rng)
+    violations, trials, worst = deviation_suite(spa_batch, profiles, u01, 1, rng)
     assert trials == 10_000
     assert violations == 0, f"worst gain {worst}"
 
@@ -188,7 +188,7 @@ def test_myerson_truthfulness(deviation_suite):
     rng = np.random.default_rng(19)
     for dist in (ValuationDistribution(0.0, 1.0), ValuationDistribution(0.5, 1.0)):
         profiles = dist.sample(rng, (5_000, 5))
-        clear = lambda values: myerson_clear(ValuationProfile(values, dist))
+        clear = lambda values: myerson_batch(values, dist)
         violations, _, worst = deviation_suite(clear, profiles, dist, 1, rng)
         assert violations == 0, f"worst gain {worst}"
 

@@ -204,10 +204,16 @@ def test_myerson_batch_rejects_bad_matrices():
         myerson_batch(np.array([[0.5, 0.2], [0.3, 1.5]]), dist)
 
 
-@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
-def test_batch_clears_match_rows_across_block_edges(rows):
+BLOCK_EDGE_ROWS = (1, 1023, 1024, 1025, 2049)
+
+
+# At the default market's width and at the episode's 200 bidders.
+@pytest.mark.parametrize("rows,width", [
+    *(pytest.param(rows, 5, id=str(rows)) for rows in BLOCK_EDGE_ROWS),
+    *(pytest.param(rows, 200, id=f"{rows}-200") for rows in BLOCK_EDGE_ROWS)])
+def test_batch_clears_match_rows_across_block_edges(rows, width):
     rng = np.random.default_rng(rows)
-    params = init_params(NetConfig(), rng)
+    params = init_params(NetConfig(n_bidders=width), rng)
     values = rng.uniform(0.0, 1.0, (rows, params.n_bidders))
     values[::7, 2] = 0.0
     assert_clear_batch_matches_rows(params, values)

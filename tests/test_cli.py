@@ -291,6 +291,20 @@ def test_simulate_event_stream(tmp_path, capsys):
     assert len(events.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("events", ["same.csv", "sub/../same.csv", "ABSOLUTE"])
+def test_simulate_events_at_the_out_path_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                                   capsys, events):
+    monkeypatch.chdir(tmp_path)
+    for name in ("generate_world", "run_episode"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    events = str(tmp_path / "same.csv") if events == "ABSOLUTE" else events
+    rc = main(["simulate", "--mechanism", "spa", "--max-rounds", "3",
+               "--out", "same.csv", "--events", events])
+    assert rc == 2
+    assert "events" in capsys.readouterr().err
+    assert not (tmp_path / "same.csv").exists()
+
+
 def parse_eval_table(stdout):
     table = {}
     for line in stdout.splitlines():

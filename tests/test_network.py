@@ -33,10 +33,6 @@ def test_params_validation():
     assert (params.n_bidders, params.groups, params.linear_units) == (3, 2, 4)
     assert np.all(params.weights() == 1.0)
 
-    clone = params.copy()
-    clone.theta[0, 0, 0] = 1.0
-    assert params.theta[0, 0, 0] == 0.0
-
 
 def test_affine_constructor():
     params = MonotoneNetParams.affine(3, 2.0, -1.0)
