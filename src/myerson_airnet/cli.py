@@ -54,6 +54,13 @@ def _require_out(cfg) -> str:
     return cfg.out
 
 
+def _require_apart(key: str, path, other_key: str, other) -> None:
+    """Refuse an output ``path`` that resolves to the file ``other`` the command also uses."""
+    if path and other and Path(path).resolve() == Path(other).resolve():
+        raise InputError(f"{key} must not be the {other_key} path {other}: "
+                         f"the {other_key} file would be overwritten")
+
+
 def _load_for_market(path, n_bidders: int, market: str):
     """Load a checkpoint; of its shape, only the bidder count must match the market."""
     params = load_params(path)
@@ -108,6 +115,11 @@ def _cmd_train(args) -> int:
 def _cmd_revenue_gap(args) -> int:
     cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
     out = _require_out(cfg)
+    svg_path = None
+    if args.svg:
+        svg_path = str(Path(out).with_suffix(".svg")) if out.endswith(".csv") else out + ".svg"
+    _require_apart("out", out, "checkpoint", args.checkpoint)
+    _require_apart("svg", svg_path, "checkpoint", args.checkpoint)
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
 
@@ -124,8 +136,7 @@ def _cmd_revenue_gap(args) -> int:
             writer.writerow([rank, repr(float(gaps[idx])), repr(float(dla[idx])),
                              repr(float(spa[idx]))])
 
-    if args.svg:
-        svg_path = str(Path(out).with_suffix(".svg")) if out.endswith(".csv") else out + ".svg"
+    if svg_path:
         Path(svg_path).write_text(_gap_curve_svg(gaps[order]), encoding="utf-8")
         print(f"wrote gap curve {svg_path}")
 
@@ -142,13 +153,14 @@ def _cmd_revenue_gap(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = build_config(args.config, _overrides(args, SCHEMA))
     out = _require_out(cfg)
-    if args.events and Path(args.events).resolve() == Path(out).resolve():
-        raise InputError(f"events must not be the out path {out}: the CSV would be overwritten")
+    _require_apart("events", args.events, "out", out)
     if args.mechanism == "spa":
         mechanism = SecondPriceMechanism()
     else:
         if args.checkpoint is None:
             raise InputError("simulate --mechanism dla needs --checkpoint")
+        _require_apart("out", out, "checkpoint", args.checkpoint)
+        _require_apart("events", args.events, "checkpoint", args.checkpoint)
         mechanism = LearnedMechanism(_load_for_market(
             args.checkpoint, cfg.world.n_devices, f"the world has {cfg.world.n_devices} devices"))
 

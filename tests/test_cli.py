@@ -305,6 +305,27 @@ def test_simulate_events_at_the_out_path_exits_2_before_any_work(tmp_path, monke
     assert not (tmp_path / "same.csv").exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    (["revenue-gap", "--out", "net.ckpt"], "out"),
+    (["revenue-gap", "--out", "sub/../net.ckpt", "--svg"], "out"),
+    (["revenue-gap", "--out", "net.csv", "--svg"], "svg"),
+    (["simulate", "--mechanism", "dla", "--out", "ABSOLUTE"], "out"),
+    (["simulate", "--mechanism", "dla", "--out", "e.csv", "--events", "net.ckpt"], "events"),
+])
+def test_outputs_at_the_checkpoint_path_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                               command, key):
+    monkeypatch.chdir(tmp_path)
+    ckpt = identity_checkpoint(tmp_path, name="net.svg" if key == "svg" else "net.ckpt")
+    before = ckpt.read_bytes()
+    monkeypatch.setattr(cli, "load_params", lambda *args: pytest.fail("load_params ran"))
+    command = [str(ckpt) if arg == "ABSOLUTE" else arg for arg in command]
+    rc = main([*command, "--checkpoint", ckpt.name])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must not be the checkpoint path")
+    assert ckpt.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == [ckpt.name]
+
+
 def parse_eval_table(stdout):
     table = {}
     for line in stdout.splitlines():
