@@ -1,14 +1,17 @@
 """The full experiment pipeline, driven through the CLI entry points.
 
 Trains a checkpoint, scores 300 fresh cases against second price, and
-writes the sorted gap curve as CSV + SVG into demos/output/.
+writes the sorted gap curve as CSV + SVG into demos/output/.  Paths are
+passed relative to the working directory, so what the demo prints does
+not depend on where the repository is checked out.
 """
 
+import os
 from pathlib import Path
 
 from myerson_airnet.cli import main
 
-out = Path(__file__).parent / "output"
+out = Path(os.path.relpath(Path(__file__).parent / "output"))
 out.mkdir(exist_ok=True)
 ckpt = out / "experiment.ckpt"
 gaps = out / "gaps.csv"
