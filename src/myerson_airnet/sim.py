@@ -9,8 +9,9 @@ a fresh pile.  Imagery comes from a seeded smooth value-noise field over
 the area, so nearby devices see correlated scenes.
 
 The world is held as arrays: every device's pile is one row of a
-``(D, P, R, C)`` array, so a round scores all devices' similarity in one
-batched call.  The noise field is built once per world.
+``(D, P, R, C)`` array and its position one row of a ``(D, 2)`` array,
+so a round prices all devices' similarity and distance in one batched
+call each.  The noise field is built once per world.
 
 All randomness derives from ``WorldConfig.seed`` through fixed
 sub-stream tags, so an episode replays bitwise from its seed.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,8 +98,8 @@ class WorldState:
     Device ``i`` sits at ``positions[i]`` and holds the pile
     ``piles[i]``; ``piles`` is ``(D, P, R, C)`` and ``last_collected``,
     the reference pile, is ``(P, R, C)``, both copied on construction so
-    the state owns them.  ``noise`` is the world's imagery field, built
-    from ``config.seed``.
+    the state owns them.  ``xy`` holds ``positions`` as a ``(D, 2)`` array
+    and ``noise`` is the world's imagery field, built from ``config.seed``.
     """
 
     config: WorldConfig
@@ -109,6 +109,7 @@ class WorldState:
     piles: np.ndarray
     last_collected: np.ndarray
     round: int = 0
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
     noise: _NoiseField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,6 +124,7 @@ class WorldState:
             raise InputError(f"piles {self.piles.shape} and last_collected "
                              f"{self.last_collected.shape} do not match the config's "
                              f"{config.n_devices} piles of shape {shape}")
+        self.xy = np.array([(pos.x, pos.y) for pos in self.positions])
         self.noise = _NoiseField(config.seed)
 
 
@@ -241,9 +243,8 @@ def form_valuations(state: WorldState) -> ValuationProfile:
     back to midpoint valuations for every device.
     """
     config = state.config
-    # valuation.distance inlined; math.hypot per device, as np.hypot can differ in the last bit
-    ux, uy = state.uav_position.x, state.uav_position.y
-    dists = np.array([math.hypot(ux - pos.x, uy - pos.y) for pos in state.positions])
+    uav = state.uav_position
+    dists = np.hypot(uav.x - state.xy[:, 0], uav.y - state.xy[:, 1])
     sims = pile_similarity(state.piles, state.last_collected, config.similarity_aggregate)
     raws = valuation_score(sims, dists, config.valuation_rule)
     try:

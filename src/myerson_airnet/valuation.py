@@ -8,13 +8,13 @@ normalized onto the support of the market's valuation distribution.
 
 Similarity and scoring work on whole markets at once: piles are plain
 arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
-``(Q, R, C)`` reference pile in a single call through one reused
-``(D, Q, R*C)`` buffer, and scoring takes arrays or scalars.
+``(Q, R, C)`` reference pile in a single call, in Gram form
+``|a|^2 - 2 a.b + |b|^2`` with every dot product taken by ``np.einsum``
+rather than BLAS, and scoring takes arrays or scalars.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +36,12 @@ class Position:
 
 
 def distance(a: Position, b: Position) -> float:
-    """Euclidean distance in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
+    """Euclidean distance in meters.
+
+    ``np.hypot`` on scalars gives the bits it gives elementwise on arrays,
+    so this matches the distances the simulator prices in one call.
+    """
+    return float(np.hypot(a.x - b.x, a.y - b.y))
 
 
 def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
@@ -46,11 +50,14 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     ``mean`` averages all cross pairs; ``min`` scores a pile by its most
     redundant image pair instead.  ``piles`` is a ``(D, P, R, C)`` stack of
     D piles and ``reference`` one ``(Q, R, C)`` pile; the result holds one
-    score per pile.  The stack is scored one image at a time through one
-    reused ``(D, Q, R*C)`` buffer of squared differences.  A row-major
-    pixel sum divided by ``R*C`` is how ``np.mean`` averages a row-major
-    image pair, so every score matches that per-pair mean bit for bit.
-    Empty piles and empty images raise ``InputError``.
+    score per pile.  Each pair's MSE is ``max(-2 a.b + |a|^2 + |b|^2, 0) / (R*C)``,
+    added in that order, with the three dot products taken by ``np.einsum``
+    (not BLAS, whose bits can depend on its kernel and thread count) on
+    row-major copies, so the bits depend neither on the input layout nor on
+    whether a pile is scored alone or in a stack.  An image against itself
+    gives exactly ``0.0``, and the clamp keeps a rounding residue from going
+    negative; scores lie within rounding of the direct per-pair mean, not on
+    its bits.  Empty piles and empty images raise ``InputError``.
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
@@ -62,14 +69,13 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     pixels = rows * cols
     if images == 0 or reference.shape[0] == 0 or pixels == 0:
         raise InputError("piles and the reference must hold non-empty images")
-    stack = stack.reshape(devices, images, 1, pixels)
-    reference = reference.reshape(-1, pixels)
-    buf = np.empty((devices, reference.shape[0], pixels))
-    per_pair = np.empty((devices, images, reference.shape[0]))
-    for p in range(images):
-        np.subtract(stack[:, p], reference, out=buf)
-        np.square(buf, out=buf)
-        np.add.reduce(buf, axis=2, out=per_pair[:, p])
+    a = np.ascontiguousarray(stack.reshape(devices, images, pixels))
+    b = np.ascontiguousarray(reference.reshape(-1, pixels))
+    per_pair = np.einsum("dpk,qk->dpq", a, b, optimize=False)
+    per_pair *= -2.0
+    per_pair += np.einsum("dpk,dpk->dp", a, a, optimize=False)[:, :, None]
+    per_pair += np.einsum("qk,qk->q", b, b, optimize=False)
+    np.maximum(per_pair, 0.0, out=per_pair)
     per_pair /= pixels
     reduce = np.mean if aggregate == "mean" else np.min
     return reduce(per_pair, axis=(1, 2))

@@ -3,11 +3,13 @@
 The simulator scores a whole market per call; these properties pin that
 the batch results equal, bit for bit, what one pile or one device at a
 time computes, and that bad entries anywhere in a batch are still
-rejected.  Pile similarity must also equal, bit for bit, its per-image
-form in ``oracles`` on any shape, dtype or memory layout.  The support
-test is checked against its spelled-out form on arrays that mix
-in-support values with NaN and infinities, and the learned transform's
-inverse undoes it within a bound derived from its piece formulas.
+rejected.  Pile similarity gives the same bits on any memory layout, is
+never negative, is exactly zero for an image against itself, and lies
+within a bound derived from its Gram formula of the direct per-pair mean
+in ``oracles`` on any shape or dtype.  The support test is checked
+against its spelled-out form on arrays that mix in-support values with
+NaN and infinities, and the learned transform's inverse undoes it within
+a bound derived from its piece formulas.
 """
 
 import numpy as np
@@ -25,6 +27,57 @@ from myerson_airnet.valuation import pile_similarity, valuation_score
 pixels = st.floats(0.0, 1.0)
 finite = st.floats(0.0, 1e6)
 small = st.integers(1, 5)
+
+U = 2.0 ** -53  # float64 unit roundoff
+TINY = 2.0 ** -1074  # smallest subnormal: the most an underflowing operation can lose
+
+
+def gamma(n):
+    """``n u / (1 - n u)``: the most ``n`` roundings can move a value, relatively."""
+    return n * U / (1 - n * U)
+
+
+def similarity_rounding_bound(piles, reference, aggregate):
+    """Largest ``|pile_similarity - pile_similarity_per_image|`` that rounding allows, per pile.
+
+    Over ``K`` pixels a pair's exact MSE is ``D / K``, ``D = sum((a - b)^2)``.
+    The direct form rounds each term twice (difference, square), sums
+    the ``K`` non-negative terms in some order and divides: it lies
+    within ``gamma(K + 2) * D / K``.  The Gram form takes ``a.b``,
+    ``|a|^2`` and ``|b|^2`` as sums of ``K`` rounded products, each
+    within ``gamma(K)`` of its terms' magnitudes, scales by the exact
+    ``-2`` and adds the three with two more roundings.  So before the
+    clamp it lies within ``gamma(K + 2) * M`` of ``D``, where
+    ``M = sum((|a| + |b|)^2)`` is the sum of those magnitudes.  The clamp
+    only moves it towards ``D >= 0``, and the division adds ``u`` of the
+    result, so it lies within ``gamma(K + 3) * M / K + u * D / K``.  With
+    ``D <= M`` the two forms of a pair differ by under
+    ``2 gamma(K + 4) * M / K``; ``M`` computed here loses under
+    ``gamma(K + 1)`` of itself, and the bound rounds both up to
+    ``3 gamma(K + 4) * M / K``.  An underflowing product loses at most
+    ``TINY``: ``4K`` products over both forms, carried through ``/ K``,
+    plus the divisions' own; the bound adds ``8 TINY``.
+
+    ``min`` moves by at most the largest pair bound.  ``mean`` averages
+    the same ``n = P*Q`` non-negative scores in the same order on both
+    sides, each within ``gamma(n)`` of its exact mean, so the two means
+    differ by under the largest pair bound plus ``gamma(2n)`` times
+    twice the oracle's mean plus that pair bound.
+    """
+    stack = np.asarray(piles, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    pixels = stack.shape[2] * stack.shape[3]
+    a = np.abs(stack.reshape(stack.shape[:2] + (1, pixels)))
+    b = np.abs(reference.reshape(1, 1, -1, pixels))
+    magnitude = ((a + b) ** 2).sum(axis=3)
+    per_pair = 3 * gamma(pixels + 4) * magnitude / pixels + 8 * TINY
+    largest = per_pair.max(axis=(1, 2))
+    if aggregate == "min":
+        return largest
+    n = per_pair.shape[1] * per_pair.shape[2]
+    oracle = pile_similarity_per_image(np.ascontiguousarray(stack),
+                                       np.ascontiguousarray(reference), aggregate)
+    return largest + gamma(2 * n) * (2 * oracle + largest)
 
 
 @st.composite
@@ -49,8 +102,10 @@ def test_batched_pile_similarity_equals_per_pile_loop(data, aggregate):
     batched = pile_similarity(stack, reference, aggregate)
     assert batched.shape == (stack.shape[0],)
     per_pile = [pile_similarity(pile[None], reference, aggregate)[0] for pile in stack]
+    assert batched.tolist() == per_pile
     oracle = [all_pairs_similarity(pile, reference, aggregate) for pile in stack]
-    assert batched.tolist() == per_pile == oracle
+    bound = similarity_rounding_bound(stack, reference, aggregate)
+    assert np.all(np.abs(batched - oracle) <= bound)
 
 
 def bits(x):
@@ -58,13 +113,15 @@ def bits(x):
 
 
 def laid_out(rng, shape, layout, integer):
-    """Random ``shape`` values, as integers or floats, in a C, strided or transposed layout."""
+    """Random ``shape`` values, as integers or floats, in a C, Fortran, strided or transposed layout."""
     def fill(full):
         return rng.integers(-40, 41, full) if integer else rng.uniform(-3.0, 3.0, full)
     if layout == "strided":
         return fill(shape[:-1] + (2 * shape[-1],))[..., ::2]
     if layout == "transposed":
         return fill(shape[::-1]).T
+    if layout == "fortran":
+        return np.asfortranarray(fill(shape))
     return fill(shape)
 
 
@@ -79,26 +136,58 @@ def similarity_cases(draw):
                                 st.tuples(st.integers(9, 20), st.integers(15, 20))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     integer = draw(st.booleans())
-    layouts = [draw(st.sampled_from(["c", "strided", "transposed"])) for _ in range(2)]
+    layouts = [draw(st.sampled_from(["c", "fortran", "strided", "transposed"]))
+               for _ in range(2)]
     stack = laid_out(rng, (d, p, rows, cols), layouts[0], integer)
     reference = laid_out(rng, (q, rows, cols), layouts[1], integer)
-    return stack, reference, "transposed" in layouts
+    return stack, reference
 
 
 @settings(deadline=None)
 @given(similarity_cases(), st.sampled_from(["mean", "min"]))
 def test_pile_similarity_equals_per_image_oracle_bitwise(data, aggregate):
-    """The oracle's ``np.mean`` sums pixels in memory order and the kernel always
-    sums them row-major: they agree on row-major data, and the kernel's bits do
-    not depend on the layout it is given."""
-    stack, reference, transposed = data
+    """The kernel's bits do not depend on the layout it is given, and lie
+    within the rounding bound of the direct per-image oracle, which sums
+    pixels row-major on C-contiguous copies."""
+    stack, reference = data
     result = pile_similarity(stack, reference, aggregate)
-    oracle = pile_similarity_per_image(np.ascontiguousarray(stack),
-                                       np.ascontiguousarray(reference), aggregate)
-    assert np.array_equal(bits(result), bits(oracle))
-    if not transposed:
-        assert np.array_equal(bits(result),
-                              bits(pile_similarity_per_image(stack, reference, aggregate)))
+    row_major = np.ascontiguousarray(stack), np.ascontiguousarray(reference)
+    assert np.array_equal(bits(result), bits(pile_similarity(*row_major, aggregate)))
+    oracle = pile_similarity_per_image(*row_major, aggregate)
+    assert np.all(np.abs(result - oracle) <= similarity_rounding_bound(stack, reference,
+                                                                       aggregate))
+
+
+@st.composite
+def near_copies(draw):
+    """A reference pile and a stack of its images, each pixel a few ulps away."""
+    d, q, rows, cols = (draw(small) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reference = rng.random((q, rows, cols))
+    steps = rng.integers(-3, 4, (d, q, rows, cols))
+    stack = reference + steps * np.spacing(reference)
+    return stack, reference
+
+
+@settings(deadline=None)
+@given(near_copies(), st.sampled_from(["mean", "min"]))
+def test_pile_similarity_is_never_negative(data, aggregate):
+    """``-2 a.b + |a|^2 + |b|^2`` of nearly equal images can round below
+    zero; scores stay non-negative, so ``valuation_score`` accepts them."""
+    stack, reference = data
+    similarity = pile_similarity(stack, reference, aggregate)
+    assert np.all(similarity >= 0.0)
+    valuation_score(similarity, np.ones(len(similarity)), "product")
+
+
+@settings(deadline=None)
+@given(similarity_cases(), st.data())
+def test_pile_similarity_of_identical_images_is_exactly_zero(data, draw):
+    stack, _ = data
+    device = draw.draw(st.integers(0, stack.shape[0] - 1))
+    assert pile_similarity(stack, stack[device], "min")[device] == 0.0
+    image = stack[device, :1]
+    assert pile_similarity(image[None], image, "mean")[0] == 0.0
 
 
 @settings(deadline=None)
@@ -132,10 +221,6 @@ def test_support_test_matches_its_elementwise_form(values):
     dist = ValuationDistribution(0.5, 1.0)
     inside = np.all(np.isfinite(values)) and np.all((values >= 0.5) & (values <= 1.0))
     assert dist.contains(values) is bool(inside)
-
-
-U = 2.0 ** -53  # float64 unit roundoff
-TINY = 2.0 ** -1074  # smallest subnormal: the most an underflowing operation can lose
 
 
 def round_trip_bound(theta, beta, bid):

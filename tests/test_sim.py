@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import capture_pile_meshgrid, pile_similarity_per_image
+from test_batch_properties import U, gamma, similarity_rounding_bound
 
 from myerson_airnet import sim
 from myerson_airnet.auction import AuctionOutcome, ValuationDistribution, ValuationProfile
@@ -313,23 +314,65 @@ def benchmark_scale_episode(tmp_path, tag):
     return (out / "episode.csv").read_bytes(), (out / "episode.jsonl").read_bytes()
 
 
+def normalized_gap_bound(similarity_bound, dists, raws, dist):
+    """Largest valuation gap that similarities within ``similarity_bound`` allow.
+
+    A product-rule raw score ``fl(s * d)`` moves by at most ``d * b``
+    plus a rounding of each side, under ``2 d b + 3u r`` for a similarity
+    bound ``b``; call the largest over the devices ``E``.  The low and
+    high raws, as a min and a max, move by at most ``E`` each, so the
+    exact min-max map ``W (r - low) / span`` moves by at most
+    ``4 W E / (span - 2E)``.  Each side computes it with four roundings
+    of that term (span, ``W / span``, ``r - low``, product) and one of
+    the sum with ``lower``, within ``gamma(5) * (W + upper)``; the clip
+    moves nothing further apart.  The span computed here loses ``u`` of
+    itself, so the bound takes ``span - 3E``.
+    """
+    spread = float(np.max(2 * dists * similarity_bound + 3 * U * raws))
+    span = float(raws.max() - raws.min())
+    assert span > 3 * spread
+    return 4 * dist.width * spread / (span - 3 * spread) + 2 * gamma(5) * (dist.width + dist.upper)
+
+
 def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, monkeypatch):
+    """Pile capture replays the episode byte for byte from its per-image
+    oracle.  The direct similarity oracle picks the same winners, so both
+    runs see the same worlds, and its valuations lie within the Gram
+    kernel's rounding bound of the kernel run's."""
     fast = benchmark_scale_episode(tmp_path, "kernels")
-    calls = []
+    captures = []
 
-    def counted(oracle):
-        def wrapper(*args, **kwargs):
-            calls.append(oracle.__name__)
-            return oracle(*args, **kwargs)
-        return wrapper
+    def capture(*args, **kwargs):
+        captures.append(args)
+        return capture_pile_meshgrid(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "pile_similarity", counted(pile_similarity_per_image))
-    monkeypatch.setattr(sim, "_capture_pile", counted(capture_pile_meshgrid))
-    slow = benchmark_scale_episode(tmp_path, "oracles")
-    assert calls.count("pile_similarity_per_image") == 50
-    assert calls.count("capture_pile_meshgrid") >= 201  # every device, the sentinel, the wins
+    monkeypatch.setattr(sim, "_capture_pile", capture)
+    assert benchmark_scale_episode(tmp_path, "capture") == fast
+    assert len(captures) >= 201  # every device, the sentinel, the wins
     assert fast[0].count(b"\n") == 51
-    assert fast == slow
+
+    rounds = []  # [similarity bound, distances, raw scores] of each oracle round
+    score = sim.valuation_score
+
+    def direct(piles, reference, aggregate):
+        rounds.append([similarity_rounding_bound(piles, reference, aggregate)])
+        return pile_similarity_per_image(piles, reference, aggregate)
+
+    def spy(similarity, dist_meters, rule):
+        raws = score(similarity, dist_meters, rule)
+        rounds[-1] += [dist_meters, raws]
+        return raws
+
+    monkeypatch.setattr(sim, "pile_similarity", direct)
+    monkeypatch.setattr(sim, "valuation_score", spy)
+    slow = benchmark_scale_episode(tmp_path, "oracles")
+    assert len(rounds) == 50
+    events = [[json.loads(line) for line in run[1].splitlines()] for run in (fast, slow)]
+    assert [e["winner"] for e in events[0]] == [e["winner"] for e in events[1]]
+    dist = ValuationDistribution()
+    for kernel, oracle, (bound, dists, raws) in zip(*events, rounds):
+        gap = np.abs(np.subtract(kernel["valuations"], oracle["valuations"])).max()
+        assert gap <= normalized_gap_bound(bound, dists, raws, dist)
 
 
 def test_form_valuations_distances_equal_distance_bitwise(monkeypatch):
