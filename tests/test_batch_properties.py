@@ -113,7 +113,7 @@ def bits(x):
 
 
 def laid_out(rng, shape, layout, integer):
-    """Random ``shape`` values, as integers or floats, in a C, Fortran, strided or transposed layout."""
+    """Random ``shape`` values, integers or floats, in C, Fortran, strided or transposed layout."""
     def fill(full):
         return rng.integers(-40, 41, full) if integer else rng.uniform(-3.0, 3.0, full)
     if layout == "strided":

@@ -331,7 +331,8 @@ def normalized_gap_bound(similarity_bound, dists, raws, dist):
     spread = float(np.max(2 * dists * similarity_bound + 3 * U * raws))
     span = float(raws.max() - raws.min())
     assert span > 3 * spread
-    return 4 * dist.width * spread / (span - 3 * spread) + 2 * gamma(5) * (dist.width + dist.upper)
+    rounding = 2 * gamma(5) * (dist.width + dist.upper)
+    return 4 * dist.width * spread / (span - 3 * spread) + rounding
 
 
 def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, monkeypatch):
@@ -340,15 +341,17 @@ def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, m
     runs see the same worlds, and its valuations lie within the Gram
     kernel's rounding bound of the kernel run's."""
     fast = benchmark_scale_episode(tmp_path, "kernels")
-    captures = []
+    calls = []
 
-    def capture(*args, **kwargs):
-        captures.append(args)
-        return capture_pile_meshgrid(*args, **kwargs)
+    def counted(oracle):
+        def wrapper(*args, **kwargs):
+            calls.append(oracle.__name__)
+            return oracle(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sim, "_capture_pile", capture)
+    monkeypatch.setattr(sim, "_capture_pile", counted(capture_pile_meshgrid))
     assert benchmark_scale_episode(tmp_path, "capture") == fast
-    assert len(captures) >= 201  # every device, the sentinel, the wins
+    assert calls.count("capture_pile_meshgrid") >= 201  # every device, the sentinel, the wins
     assert fast[0].count(b"\n") == 51
 
     rounds = []  # [similarity bound, distances, raw scores] of each oracle round
