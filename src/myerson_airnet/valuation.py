@@ -8,9 +8,12 @@ normalized onto the support of the market's valuation distribution.
 
 Similarity and scoring work on whole markets at once: piles are plain
 arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
-``(Q, R, C)`` reference pile in a single call, in Gram form
-``|a|^2 - 2 a.b + |b|^2`` with every dot product taken by ``np.einsum``
-rather than BLAS, and scoring takes arrays or scalars.
+``(Q, R, C)`` reference pile in a single call, and scoring takes arrays
+or scalars.  The mean over all cross pairs comes from per-pile sums,
+``Q sum|a_p|^2 - 2 sum a_p.B + P sum|b_q|^2`` with ``B = sum b_q``, so no
+pair table is built; the most redundant pair takes each pair in Gram
+form ``|a|^2 - 2 a.b + |b|^2``.  Every dot product is taken by
+``np.einsum`` rather than BLAS.
 """
 
 from __future__ import annotations
@@ -50,14 +53,20 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     ``mean`` averages all cross pairs; ``min`` scores a pile by its most
     redundant image pair instead.  ``piles`` is a ``(D, P, R, C)`` stack of
     D piles and ``reference`` one ``(Q, R, C)`` pile; the result holds one
-    score per pile.  Each pair's MSE is ``max(-2 a.b + |a|^2 + |b|^2, 0) / (R*C)``,
-    added in that order, with the three dot products taken by ``np.einsum``
-    (not BLAS, whose bits can depend on its kernel and thread count) on
-    row-major copies, so the bits depend neither on the input layout nor on
-    whether a pile is scored alone or in a stack.  An image against itself
-    gives exactly ``0.0``, and the clamp keeps a rounding residue from going
-    negative; scores lie within rounding of the direct per-pair mean, not on
-    its bits.  Empty piles and empty images raise ``InputError``.
+    score per pile.  Over ``K = R*C`` pixels, ``mean`` sums every pair at
+    once as ``Q sum|a_p|^2 - 2 sum a_p.B + P sum|b_q|^2`` with
+    ``B = sum b_q``, added in that order, and divides
+    ``max(sum, 0)`` by ``P*Q*K``.  ``min`` takes each pair's MSE as
+    ``max(-2 a.b + |a|^2 + |b|^2, 0) / K``, added in that order.  Dot
+    products are taken by ``np.einsum`` (not BLAS, whose bits can depend
+    on its kernel and thread count) on row-major copies, so the bits
+    depend neither on the input layout nor on whether a pile is scored
+    alone or in a stack.  One image against itself gives exactly ``0.0``
+    under either aggregate; under ``mean``, a pile of repeated identical
+    images against itself need not.  The clamp keeps a rounding residue
+    from going negative; scores lie within rounding of the direct
+    per-pair mean, not on its bits.  Empty piles and empty images raise
+    ``InputError``.
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
@@ -66,19 +75,23 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     if stack.ndim != 4 or reference.ndim != 3 or stack.shape[2:] != reference.shape[1:]:
         raise InputError("piles must share image dimensions")
     devices, images, rows, cols = stack.shape
-    pixels = rows * cols
-    if images == 0 or reference.shape[0] == 0 or pixels == 0:
+    refs, pixels = reference.shape[0], rows * cols
+    if images == 0 or refs == 0 or pixels == 0:
         raise InputError("piles and the reference must hold non-empty images")
     a = np.ascontiguousarray(stack.reshape(devices, images, pixels))
-    b = np.ascontiguousarray(reference.reshape(-1, pixels))
+    b = np.ascontiguousarray(reference.reshape(refs, pixels))
+    if aggregate == "mean":
+        total = refs * np.einsum("dpk,dpk->d", a, a, optimize=False)
+        total -= 2.0 * np.einsum("dpk,k->d", a, b.sum(axis=0), optimize=False)
+        total += images * np.einsum("qk,qk->", b, b, optimize=False)
+        return np.maximum(total, 0.0) / (images * refs * pixels)
     per_pair = np.einsum("dpk,qk->dpq", a, b, optimize=False)
     per_pair *= -2.0
     per_pair += np.einsum("dpk,dpk->dp", a, a, optimize=False)[:, :, None]
     per_pair += np.einsum("qk,qk->q", b, b, optimize=False)
     np.maximum(per_pair, 0.0, out=per_pair)
     per_pair /= pixels
-    reduce = np.mean if aggregate == "mean" else np.min
-    return reduce(per_pair, axis=(1, 2))
+    return np.min(per_pair, axis=(1, 2))
 
 
 def valuation_score(similarity, dist_meters, rule: str = "product"):

@@ -5,8 +5,8 @@ the batch results equal, bit for bit, what one pile or one device at a
 time computes, and that bad entries anywhere in a batch are still
 rejected.  Pile similarity gives the same bits on any memory layout, is
 never negative, is exactly zero for an image against itself, and lies
-within a bound derived from its Gram formula of the direct per-pair mean
-in ``oracles`` on any shape or dtype.  The support test is checked
+within a bound derived from its summation formulas of the direct
+per-pair mean in ``oracles`` on any shape or dtype.  The support test is checked
 against its spelled-out form on arrays that mix in-support values with
 NaN and infinities, and the learned transform's inverse undoes it within
 a bound derived from its piece formulas.
@@ -56,13 +56,36 @@ def similarity_rounding_bound(piles, reference, aggregate):
     ``gamma(K + 1)`` of itself, and the bound rounds both up to
     ``3 gamma(K + 4) * M / K``.  An underflowing product loses at most
     ``TINY``: ``4K`` products over both forms, carried through ``/ K``,
-    plus the divisions' own; the bound adds ``8 TINY``.
+    plus the divisions' own; the bound adds ``8 TINY``.  ``min`` moves by
+    at most the largest pair bound.
 
-    ``min`` moves by at most the largest pair bound.  ``mean`` averages
-    the same ``n = P*Q`` non-negative scores in the same order on both
-    sides, each within ``gamma(n)`` of its exact mean, so the two means
-    differ by under the largest pair bound plus ``gamma(2n)`` times
-    twice the oracle's mean plus that pair bound.
+    ``mean`` sums all ``n = P*Q`` pairs at once: the exact sum is
+    ``S = Q Sa - 2 C + P Sb`` with ``Sa = sum|a_p|^2``, ``C = sum a_p.B``,
+    ``B = sum b_q`` and ``Sb = sum|b_q|^2``, and its exact mean is
+    ``E = S / N``, ``N = n K``.  Each ``B`` pixel takes ``Q - 1``
+    additions; ``Sa`` and ``C`` are sums of ``PK`` rounded products and
+    ``Sb`` of ``QK``, each within ``gamma`` of that count times its
+    terms' magnitudes (``C`` also carries ``B``'s ``gamma(Q - 1)``).
+    Scaling by ``Q`` and ``P`` rounds once, by ``2`` not at all, and the
+    two additions round the first two terms twice and the last once.  So
+    before the clamp the sum lies within ``gamma(m) * M`` of ``S``, where
+    ``M = Q Sa + 2 sum|a_p||b_q| + P Sb`` is the sum of the ``n`` pairs'
+    magnitudes above and ``m = K max(P, Q) + Q + 3`` covers the three
+    terms' ``PK + 3``, ``PK + Q + 1`` and ``QK + 2``.  The clamp and the
+    division by the exact ``N`` leave the result within
+    ``gamma(m + 1) * M / N + u * E`` of ``E``.  The oracle averages the
+    ``n`` pair scores, each within ``gamma(K + 2)`` of its exact MSE, so
+    it lies within ``gamma(K + n + 2) * E`` of ``E``.  With ``E <= M / N``
+    the two differ by under ``gamma(m + K + n + 4) * M / N``.  ``M``
+    computed here sums the ``n`` pair magnitudes, so it loses under
+    ``gamma(K + n)`` of itself, which costs ``2 (K + n)`` more roundings
+    in ``gamma``, and the bound's own five operations five more:
+    ``gamma(m + 3K + 3n + 9) * M / N``.  An underflowing product loses
+    at most ``TINY``: the kernel's ``2N + 2PK <= 4N`` weighted products
+    through ``/ N`` and the division's own give ``5 TINY``, the oracle's
+    pair scores and its average ``3 TINY``; the bound adds ``8 TINY``.
+    Each ``TINY`` is twice what round-to-nearest loses, which leaves room
+    for the relative roundings that later operations put on it.
     """
     stack = np.asarray(piles, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -70,14 +93,13 @@ def similarity_rounding_bound(piles, reference, aggregate):
     a = np.abs(stack.reshape(stack.shape[:2] + (1, pixels)))
     b = np.abs(reference.reshape(1, 1, -1, pixels))
     magnitude = ((a + b) ** 2).sum(axis=3)
-    per_pair = 3 * gamma(pixels + 4) * magnitude / pixels + 8 * TINY
-    largest = per_pair.max(axis=(1, 2))
     if aggregate == "min":
-        return largest
-    n = per_pair.shape[1] * per_pair.shape[2]
-    oracle = pile_similarity_per_image(np.ascontiguousarray(stack),
-                                       np.ascontiguousarray(reference), aggregate)
-    return largest + gamma(2 * n) * (2 * oracle + largest)
+        per_pair = 3 * gamma(pixels + 4) * magnitude / pixels + 8 * TINY
+        return per_pair.max(axis=(1, 2))
+    images, refs = magnitude.shape[1:]
+    n = images * refs
+    rounds = pixels * max(images, refs) + refs + 3 * pixels + 3 * n + 12
+    return gamma(rounds) * magnitude.sum(axis=(1, 2)) / (n * pixels) + 8 * TINY
 
 
 @st.composite
@@ -172,8 +194,10 @@ def near_copies(draw):
 @settings(deadline=None)
 @given(near_copies(), st.sampled_from(["mean", "min"]))
 def test_pile_similarity_is_never_negative(data, aggregate):
-    """``-2 a.b + |a|^2 + |b|^2`` of nearly equal images can round below
-    zero; scores stay non-negative, so ``valuation_score`` accepts them."""
+    """``min``'s ``-2 a.b + |a|^2 + |b|^2`` and ``mean``'s
+    ``Q sum|a_p|^2 - 2 sum a_p.B + P sum|b_q|^2`` of nearly equal images
+    can round below zero; scores stay non-negative, so ``valuation_score``
+    accepts them."""
     stack, reference = data
     similarity = pile_similarity(stack, reference, aggregate)
     assert np.all(similarity >= 0.0)

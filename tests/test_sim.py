@@ -338,8 +338,9 @@ def normalized_gap_bound(similarity_bound, dists, raws, dist):
 def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, monkeypatch):
     """Pile capture replays the episode byte for byte from its per-image
     oracle.  The direct similarity oracle picks the same winners, so both
-    runs see the same worlds, and its valuations lie within the Gram
-    kernel's rounding bound of the kernel run's."""
+    runs see the same worlds.  The episode scores by ``mean``, which the
+    kernel takes from per-pile sums, and the oracle run's valuations lie
+    within that form's rounding bound of the kernel run's."""
     fast = benchmark_scale_episode(tmp_path, "kernels")
     calls = []
 
