@@ -55,8 +55,8 @@ def _require_out(cfg) -> str:
 
 
 def _require_apart(key: str, path, other_key: str, other) -> None:
-    """Refuse an output ``path`` that resolves to the file ``other`` the command also uses."""
-    if path and Path(path).resolve() == Path(other).resolve():
+    """Refuse an output ``path`` that resolves to the file ``other``, if given, the command uses."""
+    if path and other and Path(path).resolve() == Path(other).resolve():
         raise InputError(f"{key} must not be the {other_key} path {other}: "
                          f"the {other_key} file would be overwritten")
 
@@ -88,11 +88,13 @@ def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _cmd_train(args) -> int:
     cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
     out = _require_out(cfg)
+    trace_path = out + ".loss.csv"
+    _require_apart("out", out, "config", args.config)
+    _require_apart("loss trace", trace_path, "config", args.config)
     dist = cfg.world.distribution
     params, trace = train(cfg.net, dist)
     save_params(params, out)
 
-    trace_path = out + ".loss.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["iteration", "loss"])
@@ -118,8 +120,9 @@ def _cmd_revenue_gap(args) -> int:
     svg_path = None
     if args.svg:
         svg_path = str(Path(out).with_suffix(".svg")) if out.endswith(".csv") else out + ".svg"
-    _require_apart("out", out, "checkpoint", args.checkpoint)
-    _require_apart("svg", svg_path, "checkpoint", args.checkpoint)
+    for other_key, other in (("config", args.config), ("checkpoint", args.checkpoint)):
+        _require_apart("out", out, other_key, other)
+        _require_apart("svg", svg_path, other_key, other)
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
 
@@ -153,6 +156,8 @@ def _cmd_revenue_gap(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = build_config(args.config, _overrides(args, SCHEMA))
     out = _require_out(cfg)
+    _require_apart("out", out, "config", args.config)
+    _require_apart("events", args.events, "config", args.config)
     _require_apart("events", args.events, "out", out)
     if args.mechanism == "spa":
         mechanism = SecondPriceMechanism()

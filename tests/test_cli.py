@@ -326,6 +326,30 @@ def test_outputs_at_the_checkpoint_path_exit_2_before_any_work(tmp_path, monkeyp
     assert sorted(path.name for path in tmp_path.iterdir()) == [ckpt.name]
 
 
+@pytest.mark.parametrize("config, command, key", [
+    ("w.cfg", ["train", "--out", "w.cfg"], "out"),
+    ("w.loss.csv", ["train", "--out", "w"], "loss trace"),
+    ("w.cfg", ["revenue-gap", "--checkpoint", "net.ckpt", "--out", "sub/../w.cfg"], "out"),
+    ("w.svg", ["revenue-gap", "--checkpoint", "net.ckpt", "--out", "w.csv", "--svg"], "svg"),
+    ("w.cfg", ["simulate", "--mechanism", "spa", "--out", "ABSOLUTE"], "out"),
+    ("w.cfg", ["simulate", "--mechanism", "spa", "--out", "e.csv", "--events", "w.cfg"],
+     "events"),
+])
+def test_outputs_at_the_config_path_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                           config, command, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / config).write_text("seed = 5\n")
+    before = (tmp_path / config).read_bytes()
+    for name in ("train", "load_params", "generate_world"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    command = [str(tmp_path / config) if arg == "ABSOLUTE" else arg for arg in command]
+    rc = main([*command, "--config", config])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must not be the config path")
+    assert (tmp_path / config).read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == [config]
+
+
 def parse_eval_table(stdout):
     table = {}
     for line in stdout.splitlines():
