@@ -8,12 +8,10 @@ normalized onto the support of the market's valuation distribution.
 
 Similarity and scoring work on whole markets at once: piles are plain
 arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
-``(Q, R, C)`` reference pile in a single call, and scoring takes arrays
-or scalars.  The mean over all cross pairs comes from per-pile sums,
-``Q sum|a_p|^2 - 2 sum a_p.B + P sum|b_q|^2`` with ``B = sum b_q``, so no
-pair table is built; the most redundant pair takes each pair in Gram
-form ``|a|^2 - 2 a.b + |b|^2``.  Every dot product is taken by
-``np.einsum`` rather than BLAS.
+``(Q, R, C)`` reference pile in a single call with every dot product
+taken by ``np.einsum`` rather than BLAS, and scoring takes arrays or
+scalars.  The mean over all cross pairs comes from per-pile sums, so no
+table of pairs is built; the most redundant pair is found in Gram form.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     if images == 0 or refs == 0 or pixels == 0:
         raise InputError("piles and the reference must hold non-empty images")
     a = np.ascontiguousarray(stack.reshape(devices, images, pixels))
-    b = np.ascontiguousarray(reference.reshape(refs, pixels))
+    b = np.ascontiguousarray(reference.reshape(-1, pixels))
     if aggregate == "mean":
         total = refs * np.einsum("dpk,dpk->d", a, a, optimize=False)
         total -= 2.0 * np.einsum("dpk,k->d", a, b.sum(axis=0), optimize=False)
