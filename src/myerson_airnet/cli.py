@@ -55,7 +55,7 @@ def _require_out(cfg) -> str:
 
 
 def _require_apart(key: str, path, other_key: str, other) -> None:
-    """Refuse an output ``path`` that resolves to the file ``other``, if given, the command uses."""
+    """Refuse an output ``path`` that resolves to ``other``, a file the command uses, if given."""
     if path and other and Path(path).resolve() == Path(other).resolve():
         raise InputError(f"{key} must not be the {other_key} path {other}: "
                          f"the {other_key} file would be overwritten")

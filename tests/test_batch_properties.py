@@ -6,10 +6,10 @@ time computes, and that bad entries anywhere in a batch are still
 rejected.  Pile similarity gives the same bits on any memory layout, is
 never negative, is exactly zero for an image against itself, and lies
 within a bound derived from its summation formulas of the direct
-per-pair mean in ``oracles`` on any shape or dtype.  The support test is checked
-against its spelled-out form on arrays that mix in-support values with
-NaN and infinities, and the learned transform's inverse undoes it within
-a bound derived from its piece formulas.
+per-pair mean in ``oracles`` on any shape or dtype.  The support test is
+checked against its spelled-out form on arrays that mix in-support
+values with NaN and infinities, and the learned transform's inverse
+undoes it within a bound derived from its piece formulas.
 """
 
 import numpy as np
