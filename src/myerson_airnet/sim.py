@@ -11,7 +11,13 @@ the area, so nearby devices see correlated scenes.
 The world is held as arrays: every device's pile is one row of a
 ``(D, P, R, C)`` array and its position one row of a ``(D, 2)`` array,
 so a round prices all devices' similarity and distance in one batched
-call each.  The noise field is built once per world.
+call each.  The state keeps the piles' similarity terms (each image's
+squared norm and each pile's pixel sums, ``valuation.pile_terms``) and
+hands them to ``pile_similarity``, so a round reads ``(D, K)`` sums, not
+every pixel.  Only the winner's pile changes in a round, so only its
+row of terms is recomputed; the piles are exposed read-only and change
+only through ``WorldState.replace_pile``, which keeps the terms in step.
+The noise field is built once per world.
 
 All randomness derives from ``WorldConfig.seed`` through fixed
 sub-stream tags, so an episode replays bitwise from its seed.
@@ -29,7 +35,8 @@ import numpy as np
 from .auction import AuctionOutcome, ValuationDistribution, ValuationProfile, spa_clear
 from .errors import DegenerateProfileError, EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
-from .valuation import Position, distance, normalize_profile, pile_similarity, valuation_score
+from .valuation import (Position, distance, normalize_profile, pile_similarity, pile_terms,
+                        valuation_score)
 
 # Sub-stream tags for seed derivation; changing these changes every world.
 _TAG_PLACEMENT = 0
@@ -91,41 +98,63 @@ class WorldConfig:
             raise InputError("max_rounds must be at least 1")
 
 
-@dataclass
 class WorldState:
     """Mutable episode state advanced by :func:`step`.
 
     Device ``i`` sits at ``positions[i]`` and holds the pile
     ``piles[i]``; ``piles`` is ``(D, P, R, C)`` and ``last_collected``,
     the reference pile, is ``(P, R, C)``, both copied on construction so
-    the state owns them.  ``xy`` holds ``positions`` as a ``(D, 2)`` array
-    and ``noise`` is the world's imagery field, built from ``config.seed``.
+    the state owns them.  ``piles`` and ``terms``, the piles' cached
+    :func:`~myerson_airnet.valuation.pile_terms`, are read-only views
+    (a write through them raises ``ValueError``, also on a copy of the
+    state); :meth:`replace_pile` is their one writer.  ``xy`` holds
+    ``positions`` as a ``(D, 2)`` array and ``noise`` is the world's
+    imagery field, built from ``config.seed``.
     """
 
-    config: WorldConfig
-    uav_position: Position
-    battery: float
-    positions: tuple[Position, ...]
-    piles: np.ndarray
-    last_collected: np.ndarray
-    round: int = 0
-    xy: np.ndarray = field(init=False, repr=False, compare=False)
-    noise: _NoiseField = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        config = self.config
-        self.positions = tuple(self.positions)
-        self.piles = np.array(self.piles, dtype=float)
-        self.last_collected = np.array(self.last_collected, dtype=float)
+    def __init__(self, config: WorldConfig, uav_position: Position, battery: float,
+                 positions, piles, last_collected, round: int = 0):
+        self.config = config
+        self.uav_position = uav_position
+        self.battery = battery
+        self.positions = tuple(positions)
+        self._piles = np.array(piles, dtype=float)
+        self.last_collected = np.array(last_collected, dtype=float)
+        self.round = round
         shape = (config.pile_size, config.image_rows, config.image_cols)
         if len(self.positions) != config.n_devices:
             raise InputError(f"{len(self.positions)} positions for {config.n_devices} devices")
-        if self.piles.shape != (config.n_devices, *shape) or self.last_collected.shape != shape:
-            raise InputError(f"piles {self.piles.shape} and last_collected "
+        if self._piles.shape != (config.n_devices, *shape) or self.last_collected.shape != shape:
+            raise InputError(f"piles {self._piles.shape} and last_collected "
                              f"{self.last_collected.shape} do not match the config's "
                              f"{config.n_devices} piles of shape {shape}")
+        self._norms, self._sums = pile_terms(self._piles)
         self.xy = np.array([(pos.x, pos.y) for pos in self.positions])
         self.noise = _NoiseField(config.seed)
+
+    @property
+    def piles(self) -> np.ndarray:
+        return _read_only(self._piles)
+
+    @property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(self._norms), _read_only(self._sums)
+
+    def replace_pile(self, device: int, pile) -> None:
+        """Write ``pile`` into ``device``'s row and recompute that row's terms."""
+        pile = np.asarray(pile, dtype=float)
+        if pile.shape != self._piles.shape[1:]:
+            raise InputError(f"pile {pile.shape} does not match the piles' "
+                             f"{self._piles.shape[1:]}")
+        row = slice(device, device + 1)
+        self._piles[row] = pile
+        self._norms[row], self._sums[row] = pile_terms(self._piles[row])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -226,11 +255,12 @@ def generate_world(config: WorldConfig) -> WorldState:
     start = Position(config.uav_x, config.uav_y)
     shape = (config.pile_size, config.image_rows, config.image_cols)
     state = WorldState(config=config, uav_position=start, battery=float(config.battery),
-                       positions=positions, piles=np.empty((config.n_devices, *shape)),
+                       # zeros, not empty: the constructor takes the terms of these piles
+                       positions=positions, piles=np.zeros((config.n_devices, *shape)),
                        last_collected=np.empty(shape))
     for idx, pos in enumerate(positions):
         pile_rng = np.random.default_rng([config.seed, _TAG_PILE, idx])
-        state.piles[idx] = _capture_pile(state.noise, pile_rng, pos, config)
+        state.replace_pile(idx, _capture_pile(state.noise, pile_rng, pos, config))
     sentinel_rng = np.random.default_rng([config.seed, _TAG_SENTINEL])
     state.last_collected[...] = _capture_pile(state.noise, sentinel_rng, start, config)
     return state
@@ -245,7 +275,8 @@ def form_valuations(state: WorldState) -> ValuationProfile:
     config = state.config
     uav = state.uav_position
     dists = np.hypot(uav.x - state.xy[:, 0], uav.y - state.xy[:, 1])
-    sims = pile_similarity(state.piles, state.last_collected, config.similarity_aggregate)
+    sims = pile_similarity(state.piles, state.last_collected, config.similarity_aggregate,
+                           terms=state.terms)
     raws = valuation_score(sims, dists, config.valuation_rule)
     try:
         return normalize_profile(raws, config.distribution)
@@ -259,9 +290,9 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
 
     A winning round flies the collector to the winner (battery floors at
     zero on the final hop), copies the collected pile in as the new
-    reference, and recaptures the winner's pile into its row.  A no-sale
-    round leaves the collector and battery untouched.  The round counter
-    advances either way.
+    reference, and recaptures the winner's pile, and its terms, into its
+    row.  A no-sale round leaves the collector and battery untouched.  The
+    round counter advances either way.
     """
     if state.battery <= 0.0:
         raise EpisodeExhaustedError(f"battery empty before round {state.round}")
@@ -278,7 +309,7 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
         # a copy, so the recapture below cannot write through to the reference
         state.last_collected = state.piles[winner].copy()
         regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, winner])
-        state.piles[winner] = _capture_pile(state.noise, regen, position, state.config)
+        state.replace_pile(winner, _capture_pile(state.noise, regen, position, state.config))
 
     record = RoundRecord(round=state.round, valuations=profile, mechanism=mechanism.name,
                          outcome=outcome, distance_flown=flown,

@@ -10,8 +10,12 @@ Similarity and scoring work on whole markets at once: piles are plain
 arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
 ``(Q, R, C)`` reference pile in a single call with every dot product
 taken by ``np.einsum`` rather than BLAS, and scoring takes arrays or
-scalars.  The mean over all cross pairs comes from per-pile sums, so no
-table of pairs is built; the most redundant pair is found in Gram form.
+scalars.  Similarity reads a stack through its terms, each image's
+squared norm and each pile's pixel sums (:func:`pile_terms`); a caller
+that keeps a stack's terms, as the simulator does, passes them in so a
+call reads ``(D, K)`` sums instead of ``(D, P, K)`` pixels.  The mean
+over all cross pairs comes from those sums, so no table of pairs is
+built; the most redundant pair is found in Gram form.
 """
 
 from __future__ import annotations
@@ -45,17 +49,37 @@ def distance(a: Position, b: Position) -> float:
     return float(np.hypot(a.x - b.x, a.y - b.y))
 
 
-def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
+def pile_terms(piles) -> tuple[np.ndarray, np.ndarray]:
+    """Each image's squared norm ``(D, P)`` and each pile's pixel sums ``(D, K)``.
+
+    ``piles`` is a ``(D, P, R, C)`` stack and ``K = R*C``.  The norms are
+    ``np.einsum`` dot products and the sums add a pile's images in order,
+    both on a row-major copy, so a pile's terms have the same bits
+    whether it is taken alone or in a stack, on any layout.
+    """
+    stack = np.asarray(piles, dtype=float)
+    if stack.ndim != 4:
+        raise InputError("piles must come as a (D, P, R, C) stack")
+    devices, images, rows, cols = stack.shape
+    a = np.ascontiguousarray(stack.reshape(devices, images, rows * cols))
+    return np.einsum("dpk,dpk->dp", a, a, optimize=False), a.sum(axis=1)
+
+
+def pile_similarity(piles, reference, aggregate: str = "mean", terms=None) -> np.ndarray:
     """Aggregate pairwise MSE between every image of each pile and the reference.
 
     ``mean`` averages all cross pairs; ``min`` scores a pile by its most
     redundant image pair instead.  ``piles`` is a ``(D, P, R, C)`` stack of
     D piles and ``reference`` one ``(Q, R, C)`` pile; the result holds one
-    score per pile.  Over ``K = R*C`` pixels, ``mean`` sums every pair at
-    once as ``Q sum|a_p|^2 - 2 sum a_p.B + P sum|b_q|^2`` with
-    ``B = sum b_q``, added in that order, and divides
-    ``max(sum, 0)`` by ``P*Q*K``.  ``min`` takes each pair's MSE as
-    ``max(-2 a.b + |a|^2 + |b|^2, 0) / K``, added in that order.  Dot
+    score per pile.  ``terms`` are the stack's :func:`pile_terms`, the
+    norms ``n_p = |a_p|^2`` and sums ``A = sum a_p``; they are computed
+    here when not given, and a caller that passes them vouches that they
+    are the stack's.  Over ``K = R*C`` pixels, with the reference's own
+    norms ``m_q`` and sums ``B``, ``mean`` sums every pair at once as
+    ``Q sum n_p - 2 A.B + P sum m_q``, added in that order, and divides
+    ``max(sum, 0)`` by ``P*Q*K``, so it reads the stack only through
+    its terms.  ``min`` takes each pair's MSE as
+    ``max(-2 a.b + n_p + m_q, 0) / K``, added in that order.  Dot
     products are taken by ``np.einsum`` (not BLAS, whose bits can depend
     on its kernel and thread count) on row-major copies, so the bits
     depend neither on the input layout nor on whether a pile is scored
@@ -64,7 +88,7 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     images against itself need not.  The clamp keeps a rounding residue
     from going negative; scores lie within rounding of the direct
     per-pair mean, not on its bits.  Empty piles and empty images raise
-    ``InputError``.
+    ``InputError``, as do terms of the wrong shape.
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
@@ -76,17 +100,22 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     refs, pixels = reference.shape[0], rows * cols
     if images == 0 or refs == 0 or pixels == 0:
         raise InputError("piles and the reference must hold non-empty images")
+    norms, sums = pile_terms(stack) if terms is None else terms
+    if np.shape(norms) != (devices, images) or np.shape(sums) != (devices, pixels):
+        raise InputError(f"terms of shapes {np.shape(norms)} and {np.shape(sums)} do not "
+                         f"match {devices} piles of {images} images of {pixels} pixels")
+    ref_norms, ref_sums = pile_terms(reference[None])
+    if aggregate == "mean":
+        total = refs * norms.sum(axis=1)
+        total -= 2.0 * np.einsum("dk,k->d", sums, ref_sums[0], optimize=False)
+        total += images * ref_norms.sum()
+        return np.maximum(total, 0.0) / (images * refs * pixels)
     a = np.ascontiguousarray(stack.reshape(devices, images, pixels))
     b = np.ascontiguousarray(reference.reshape(-1, pixels))
-    if aggregate == "mean":
-        total = refs * np.einsum("dpk,dpk->d", a, a, optimize=False)
-        total -= 2.0 * np.einsum("dpk,k->d", a, b.sum(axis=0), optimize=False)
-        total += images * np.einsum("qk,qk->", b, b, optimize=False)
-        return np.maximum(total, 0.0) / (images * refs * pixels)
     per_pair = np.einsum("dpk,qk->dpq", a, b, optimize=False)
     per_pair *= -2.0
-    per_pair += np.einsum("dpk,dpk->dp", a, a, optimize=False)[:, :, None]
-    per_pair += np.einsum("qk,qk->q", b, b, optimize=False)
+    per_pair += norms[:, :, None]
+    per_pair += ref_norms[0]
     np.maximum(per_pair, 0.0, out=per_pair)
     per_pair /= pixels
     return np.min(per_pair, axis=(1, 2))

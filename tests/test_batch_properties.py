@@ -3,13 +3,15 @@
 The simulator scores a whole market per call; these properties pin that
 the batch results equal, bit for bit, what one pile or one device at a
 time computes, and that bad entries anywhere in a batch are still
-rejected.  Pile similarity gives the same bits on any memory layout, is
-never negative, is exactly zero for an image against itself, and lies
-within a bound derived from its summation formulas of the direct
-per-pair mean in ``oracles`` on any shape or dtype.  The support test is
-checked against its spelled-out form on arrays that mix in-support
-values with NaN and infinities, and the learned transform's inverse
-undoes it within a bound derived from its piece formulas.
+rejected.  A pile's similarity terms taken alone are the bits of its
+row of a stack's, as the simulator's cached terms need.  Pile similarity
+gives the same bits on any memory layout, is never negative, is exactly
+zero for an image against itself, and lies within a bound derived from
+its summation formulas of the direct per-pair mean in ``oracles`` on any
+shape or dtype.  The support test is checked against its spelled-out
+form on arrays that mix in-support values with NaN and infinities, and
+the learned transform's inverse undoes it within a bound derived from
+its piece formulas.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from oracles import pile_similarity_per_image
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import MonotoneNetParams, transform, transform_inverse
-from myerson_airnet.valuation import pile_similarity, valuation_score
+from myerson_airnet.valuation import pile_similarity, pile_terms, valuation_score
 
 pixels = st.floats(0.0, 1.0)
 finite = st.floats(0.0, 1e6)
@@ -59,20 +61,23 @@ def similarity_rounding_bound(piles, reference, aggregate):
     plus the divisions' own; the bound adds ``8 TINY``.  ``min`` moves by
     at most the largest pair bound.
 
-    ``mean`` sums all ``n = P*Q`` pairs at once: the exact sum is
-    ``S = Q Sa - 2 C + P Sb`` with ``Sa = sum|a_p|^2``, ``C = sum a_p.B``,
-    ``B = sum b_q`` and ``Sb = sum|b_q|^2``, and its exact mean is
-    ``E = S / N``, ``N = n K``.  Each ``B`` pixel takes ``Q - 1``
-    additions; ``Sa`` and ``C`` are sums of ``PK`` rounded products and
-    ``Sb`` of ``QK``, each within ``gamma`` of that count times its
-    terms' magnitudes (``C`` also carries ``B``'s ``gamma(Q - 1)``).
-    Scaling by ``Q`` and ``P`` rounds once, by ``2`` not at all, and the
-    two additions round the first two terms twice and the last once.  So
+    ``mean`` sums all ``n = P*Q`` pairs at once from the piles' terms:
+    the exact sum is ``S = Q Sa - 2 C + P Sb`` with ``Sa = sum_p n_p``,
+    ``n_p = |a_p|^2``, ``C = A.B``, ``A = sum a_p``, ``B = sum b_q`` and
+    ``Sb = sum_q m_q``, ``m_q = |b_q|^2``, and its exact mean is
+    ``E = S / N``, ``N = n K``.  Each ``n_p`` and ``m_q`` is a sum of
+    ``K`` rounded products, within ``gamma(K)`` of its terms'
+    magnitudes, and ``Sa`` and ``Sb`` add ``P - 1`` and ``Q - 1`` more
+    roundings.  Each ``A`` pixel takes ``P - 1`` additions and each ``B``
+    pixel ``Q - 1``, and ``C`` is a ``K``-term dot of them, so it lies
+    within ``gamma(K + P + Q - 2)`` of ``sum|a_p||b_q|``.  Scaling by
+    ``Q`` and ``P`` rounds once, by ``2`` not at all, and the two
+    additions round the first two terms twice and the last once.  So
     before the clamp the sum lies within ``gamma(m) * M`` of ``S``, where
-    ``M = Q Sa + 2 sum|a_p||b_q| + P Sb`` is the sum of the ``n`` pairs'
-    magnitudes above and ``m = K max(P, Q) + Q + 3`` covers the three
-    terms' ``PK + 3``, ``PK + Q + 1`` and ``QK + 2``.  The clamp and the
-    division by the exact ``N`` leave the result within
+    ``M = Q sum|a_p|^2 + 2 sum|a_p||b_q| + P sum|b_q|^2`` is the sum of
+    the ``n`` pairs' magnitudes above and ``m = K + P + Q + 1`` covers
+    the three terms' ``K + P + 2``, ``K + P + Q`` and ``K + Q + 1``.  The
+    clamp and the division by the exact ``N`` leave the result within
     ``gamma(m + 1) * M / N + u * E`` of ``E``.  The oracle averages the
     ``n`` pair scores, each within ``gamma(K + 2)`` of its exact MSE, so
     it lies within ``gamma(K + n + 2) * E`` of ``E``.  With ``E <= M / N``
@@ -80,10 +85,11 @@ def similarity_rounding_bound(piles, reference, aggregate):
     computed here sums the ``n`` pair magnitudes, so it loses under
     ``gamma(K + n)`` of itself, which costs ``2 (K + n)`` more roundings
     in ``gamma``, and the bound's own five operations five more:
-    ``gamma(m + 3K + 3n + 9) * M / N``.  An underflowing product loses
-    at most ``TINY``: the kernel's ``2N + 2PK <= 4N`` weighted products
-    through ``/ N`` and the division's own give ``5 TINY``, the oracle's
-    pair scores and its average ``3 TINY``; the bound adds ``8 TINY``.
+    ``gamma(m + 3K + 3n + 9) * M / N``.  An underflowing product loses at most ``TINY``, and an integer scaling
+    or an addition loses nothing to underflow: the kernel's
+    ``2N + 2K <= 4N`` weighted products through ``/ N`` and the
+    division's own give ``5 TINY``, the oracle's pair scores and its
+    average ``3 TINY``; the bound adds ``8 TINY``.
     Each ``TINY`` is twice what round-to-nearest loses, which leaves room
     for the relative roundings that later operations put on it.
     """
@@ -98,7 +104,7 @@ def similarity_rounding_bound(piles, reference, aggregate):
         return per_pair.max(axis=(1, 2))
     images, refs = magnitude.shape[1:]
     n = images * refs
-    rounds = pixels * max(images, refs) + refs + 3 * pixels + 3 * n + 12
+    rounds = pixels + images + refs + 1 + 3 * pixels + 3 * n + 9
     return gamma(rounds) * magnitude.sum(axis=(1, 2)) / (n * pixels) + 8 * TINY
 
 
@@ -178,6 +184,22 @@ def test_pile_similarity_equals_per_image_oracle_bitwise(data, aggregate):
     oracle = pile_similarity_per_image(*row_major, aggregate)
     assert np.all(np.abs(result - oracle) <= similarity_rounding_bound(stack, reference,
                                                                        aggregate))
+
+
+@settings(deadline=None)
+@given(similarity_cases(), st.sampled_from(["mean", "min"]))
+def test_pile_terms_of_one_pile_equal_its_row_of_the_stack_bitwise(data, aggregate):
+    """The simulator recomputes one device's row of terms at a time and
+    scores its whole stack with them, so a pile's terms taken alone must
+    be the bits of its row of the stack's, on any layout, and scoring
+    with the terms given must give the bits of scoring without."""
+    stack, reference = data
+    terms = pile_terms(stack)
+    for device, pile in enumerate(stack):
+        for whole, alone in zip(terms, pile_terms(pile[None])):
+            assert np.array_equal(bits(whole[device]), bits(alone[0]))
+    given_terms = pile_similarity(stack, reference, aggregate, terms=terms)
+    assert np.array_equal(bits(given_terms), bits(pile_similarity(stack, reference, aggregate)))
 
 
 @st.composite

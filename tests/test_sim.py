@@ -13,7 +13,8 @@ from oracles import capture_pile_meshgrid, pile_similarity_per_image
 from test_batch_properties import U, gamma, similarity_rounding_bound
 
 from myerson_airnet import sim
-from myerson_airnet.auction import AuctionOutcome, ValuationDistribution, ValuationProfile
+from myerson_airnet.auction import (AuctionOutcome, ValuationDistribution, ValuationProfile,
+                                    spa_clear)
 from myerson_airnet.errors import EpisodeExhaustedError, InputError
 from myerson_airnet.checkpoint import save_params
 from myerson_airnet.cli import main
@@ -22,7 +23,7 @@ from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, LearnedMechanism, RoundReco
                                 SecondPriceMechanism, WorldConfig, WorldState, form_valuations,
                                 generate_world, run_episode, step, write_episode_csv,
                                 write_episode_events)
-from myerson_airnet.valuation import Position, distance
+from myerson_airnet.valuation import Position, distance, pile_similarity, pile_terms
 
 
 def small_config(**overrides):
@@ -121,6 +122,29 @@ def test_world_state_owns_arrays_of_the_config_shape():
         hand_world([Position(0.0, 0.0)] * 3, piles, np.ones((2, 1, 2)))
 
 
+def test_piles_and_terms_are_read_only_with_one_writer():
+    """A write through ``piles`` or ``terms`` raises rather than leaving the
+    terms stale, also on a deep copy, whose arrays numpy hands back
+    writeable; ``replace_pile`` is the one writer, per copy."""
+    state = three_device_world()
+    before = state.piles.copy()
+    frozen = copy.deepcopy(state)
+    for world in (state, frozen):
+        for view in (world.piles, *world.terms):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                view += 1.0
+        with pytest.raises(AttributeError):
+            world.piles = np.zeros_like(before)
+        with pytest.raises(InputError, match="pile"):
+            world.replace_pile(0, np.zeros((1, 2, 2)))
+    frozen.replace_pile(1, np.full((1, 1, 2), 0.25))
+    assert np.array_equal(state.piles, before)
+    assert frozen.piles[1].tolist() == [[[0.25, 0.25]]]
+    assert [term[1].tolist() for term in frozen.terms] == [[0.125], [0.25, 0.25]]
+
+
 def test_form_valuations_hand_computed():
     profile = form_valuations(three_device_world())
     # raw = mse * distance: 1.0*5, 0.5*5, 0.25*7 -> normalized onto [0.5, 1]
@@ -138,7 +162,7 @@ def test_form_valuations_zero_distance_scores_lowest():
 
 def test_form_valuations_identical_pile_scores_lowest():
     state = three_device_world()
-    state.piles[0] = state.last_collected  # mse 0 -> raw 0
+    state.replace_pile(0, state.last_collected)  # mse 0 -> raw 0
     profile = form_valuations(state)
     assert profile.values[0] == state.config.distribution.lower
 
@@ -168,7 +192,8 @@ def test_step_winner_flies_and_swaps_pile():
     assert state.round == 1
     # the reference is a copy: writing the pile array leaves it alone
     assert not np.shares_memory(state.last_collected, state.piles)
-    state.piles[:] = 0.25
+    for device in range(3):
+        state.replace_pile(device, np.full((1, 1, 2), 0.25))
     assert np.array_equal(state.last_collected, old_pile)
 
 
@@ -205,6 +230,45 @@ def test_step_no_sale_leaves_world_untouched():
     assert (record.uav_position, record.battery) == (frozen.uav_position, frozen.battery)
     assert np.array_equal(state.last_collected, frozen.last_collected)
     assert np.array_equal(state.piles, frozen.piles)
+
+
+class EveryThirdUnsold:
+    """Second price, except that every third round sells nothing."""
+
+    name = "spa"
+
+    def __init__(self):
+        self.rounds = 0
+
+    def clear(self, values):
+        self.rounds += 1
+        return AuctionOutcome(None, 0.0) if self.rounds % 3 == 0 else spa_clear(values)
+
+
+@pytest.mark.parametrize("aggregate", ["mean", "min"])
+@pytest.mark.parametrize("seed, shape", [(4, (5, 2, 4, 4)), (29, (40, 3, 16, 16))])
+def test_cached_terms_track_the_piles_every_round(aggregate, seed, shape, monkeypatch):
+    """After generation and after every sold or unsold step, the state's
+    terms equal, bit for bit, those recomputed from its piles, and its
+    valuations equal those scored from the piles with no terms given."""
+    devices, size, rows, cols = shape
+    state = generate_world(small_config(n_devices=devices, pile_size=size, image_rows=rows,
+                                        image_cols=cols, seed=seed, battery=float("inf"),
+                                        similarity_aggregate=aggregate))
+
+    def uncached(piles, reference, aggregate, terms):
+        return pile_similarity(piles, reference, aggregate)
+
+    mechanism, sold = EveryThirdUnsold(), []
+    for _ in range(16):
+        for cached, fresh in zip(state.terms, pile_terms(state.piles)):
+            assert np.array_equal(bits(cached), bits(fresh))
+        values = form_valuations(state).values
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "pile_similarity", uncached)
+            assert np.array_equal(bits(values), bits(form_valuations(state).values))
+        sold.append(step(state, mechanism)[1].outcome.sold)
+    assert 0 < sum(sold) < len(sold)
 
 
 def test_step_requires_charge():
@@ -337,9 +401,10 @@ def normalized_gap_bound(similarity_bound, dists, raws, dist):
 
 def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, monkeypatch):
     """Pile capture replays the episode byte for byte from its per-image
-    oracle.  The direct similarity oracle picks the same winners, so both
-    runs see the same worlds.  The episode scores by ``mean``, which the
-    kernel takes from per-pile sums, and the oracle run's valuations lie
+    oracle.  The direct similarity oracle ignores the state's cached terms
+    and reads the piles; it picks the same winners, so both runs see the
+    same worlds.  The episode scores by ``mean``, which the kernel takes
+    from the cached per-pile sums, and the oracle run's valuations lie
     within that form's rounding bound of the kernel run's."""
     fast = benchmark_scale_episode(tmp_path, "kernels")
     calls = []
@@ -358,7 +423,7 @@ def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, m
     rounds = []  # [similarity bound, distances, raw scores] of each oracle round
     score = sim.valuation_score
 
-    def direct(piles, reference, aggregate):
+    def direct(piles, reference, aggregate, terms):
         rounds.append([similarity_rounding_bound(piles, reference, aggregate)])
         return pile_similarity_per_image(piles, reference, aggregate)
 

@@ -7,7 +7,7 @@ from oracles import pair_mse
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import DegenerateProfileError, InputError
 from myerson_airnet.valuation import (Position, distance, normalize_profile, pile_similarity,
-                                      valuation_score)
+                                      pile_terms, valuation_score)
 
 
 def test_distance_examples():
@@ -82,6 +82,14 @@ def test_pile_similarity_validation():
         pile_similarity(small, small)  # the piles must come as a (D, P, R, C) stack
     with pytest.raises(InputError):
         pile_similarity(small[None], small, aggregate="median")
+    # terms of another stack's shape
+    norms, sums = pile_terms(np.zeros((2, 1, 2, 2)))
+    with pytest.raises(InputError, match="terms"):
+        pile_similarity(small[None], small, terms=(norms, sums))
+    with pytest.raises(InputError, match="terms"):
+        pile_similarity(small[None], small, terms=(norms[:1], sums[:1, :3]))
+    with pytest.raises(InputError, match="stack"):
+        pile_terms(small)
 
 
 @pytest.mark.parametrize("aggregate", ["mean", "min"])
