@@ -146,9 +146,9 @@ class WorldState:
         if pile.shape != self._piles.shape[1:]:
             raise InputError(f"pile {pile.shape} does not match the piles' "
                              f"{self._piles.shape[1:]}")
-        row = slice(device, device + 1)
-        self._piles[row] = pile
-        self._norms[row], self._sums[row] = pile_terms(self._piles[row])
+        self._piles[device] = pile
+        norms, sums = pile_terms(self._piles[device][None])
+        self._norms[device], self._sums[device] = norms[0], sums[0]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

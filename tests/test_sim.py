@@ -139,6 +139,8 @@ def test_piles_and_terms_are_read_only_with_one_writer():
             world.piles = np.zeros_like(before)
         with pytest.raises(InputError, match="pile"):
             world.replace_pile(0, np.zeros((1, 2, 2)))
+        with pytest.raises(IndexError):
+            world.replace_pile(3, np.zeros((1, 1, 2)))
     frozen.replace_pile(1, np.full((1, 1, 2), 0.25))
     assert np.array_equal(state.piles, before)
     assert frozen.piles[1].tolist() == [[[0.25, 0.25]]]
