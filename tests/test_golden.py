@@ -42,13 +42,15 @@ directory in place of ``{tmp}``, that directory's path then replaced by
 The ``mean``-aggregate episode goldens (``golden_dla_episode.*``,
 ``golden_simulate.stdout`` and ``golden_episode.csv``, which
 ``test_acceptance`` pins) were last regenerated, in a commit that
-changed nothing else, when the ``mean`` similarity moved to per-pile
-sums: every round, mechanism and winner stayed the same, valuations and
-the payments derived from them moved in their last bits, and
-``golden_simulate.stdout`` came out byte-identical.  The ``min``-aggregate
-``golden_spa_min_episode.*`` and ``golden_simulate-spa-min.stdout`` were
-not regenerated then; they were last regenerated, with the others, when
-pile similarity moved to its Gram form and distances to ``np.hypot``.
+changed nothing else, when the ``mean`` similarity moved onto the pile
+terms the world state caches (``Q sum n_p - 2 A.B + P sum m_q`` from
+per-image norms and per-pile pixel sums): every round, mechanism and
+winner stayed the same, valuations and the payments derived from them
+moved in their last bits, and ``golden_simulate.stdout`` came out
+byte-identical.  The ``min``-aggregate ``golden_spa_min_episode.*`` and
+``golden_simulate-spa-min.stdout`` were not regenerated then, as ``min``
+kept its bits; they were last regenerated, with the others, when pile
+similarity moved to its Gram form and distances to ``np.hypot``.
 
 ``reader_net.ckpt`` is a copy of ``golden_net.ckpt`` as the training
 case wrote it before training drew from its own tagged stream.  Replace
