@@ -192,7 +192,7 @@ def test_step_winner_flies_and_swaps_pile():
     assert np.array_equal(state.last_collected, old_pile)
     assert not np.array_equal(state.piles[0], old_pile)
     assert state.round == 1
-    # the reference is a copy: writing the pile array leaves it alone
+    # the reference is a copy: replacing the piles leaves it alone
     assert not np.shares_memory(state.last_collected, state.piles)
     for device in range(3):
         state.replace_pile(device, np.full((1, 1, 2), 0.25))
