@@ -28,6 +28,10 @@ Parameter arrays ``theta`` and ``beta`` have shape
 ``(n_bidders, groups, linear_units)``.  Every piece kernel works on
 their transpose: pieces are laid out ``(J, K, N[, S])`` (units, groups,
 bidders, then samples in the batch forward), and reduced over leading axes.
+The batch path keeps samples innermost all the way to the gradient: the
+transformed bids, rivals, payments, softmax columns and backward terms
+are ``(N, S)`` arrays, so every reduction over bidders is a few
+whole-row operations rather than one short row per sample.
 """
 
 from __future__ import annotations
@@ -42,6 +46,14 @@ from .errors import InputError, TrainingDivergedError
 DEFAULT_KAPPA = 100.0
 # Training's seed tag: SeedSequence zero-pads, so the bare seed is sim's tag 0.
 _TAG_TRAIN = 900000
+
+
+def _checked_kappa(kappa) -> float:
+    """The softmax temperature as a float; anything but finite and positive raises."""
+    kappa = float(kappa)
+    if not np.isfinite(kappa) or kappa <= 0.0:
+        raise InputError("kappa must be finite and positive")
+    return kappa
 
 
 @dataclass
@@ -61,12 +73,9 @@ class MonotoneNetParams:
             raise InputError("every parameter dimension must be at least 1")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(beta))):
             raise InputError("parameters must be finite")
-        kappa = float(self.kappa)
-        if not np.isfinite(kappa) or kappa <= 0.0:
-            raise InputError("kappa must be finite and positive")
         self.theta = theta
         self.beta = beta
-        self.kappa = kappa
+        self.kappa = _checked_kappa(self.kappa)
 
     @property
     def n_bidders(self) -> int:
@@ -113,8 +122,7 @@ class NetConfig:
             raise InputError("need at least two bidders")
         if self.groups < 1 or self.linear_units < 1:
             raise InputError("groups and linear_units must be at least 1")
-        if not np.isfinite(self.kappa) or self.kappa <= 0.0:
-            raise InputError("kappa must be finite and positive")
+        _checked_kappa(self.kappa)
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
             raise InputError("learning_rate must be finite and positive")
         if self.batch_size < 1:
@@ -181,14 +189,18 @@ def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float
 
 
 def _softmax_no_sale(tbar: np.ndarray, kappa: float) -> np.ndarray:
-    """Row softmax of ``kappa * [tbar, 0]`` for ``(S, N)`` transformed bids.
+    """Column softmax of ``kappa * [tbar; 0]`` for ``(N, S)`` transformed bids.
 
-    Column ``N`` is the no-sale slot.
+    Row ``N`` is the no-sale slot.  A column whose first bid is NaN takes
+    ``+NaN`` as its maximum, as a row maximum starting at a NaN does, so a
+    NaN's sign bit does not depend on the layout.
     """
-    z = kappa * np.concatenate([tbar, np.zeros((tbar.shape[0], 1))], axis=1)
-    z -= z.max(axis=1, keepdims=True)
+    z = kappa * np.concatenate([tbar, np.zeros((1, tbar.shape[1]))])
+    top = z.max(axis=0)
+    np.copyto(top, np.nan, where=np.isnan(z[0]))
+    z -= top
     ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    return ez / ez.sum(axis=0)
 
 
 def allocate_soft(transformed_bids, kappa: float) -> np.ndarray:
@@ -202,9 +214,7 @@ def allocate_soft(transformed_bids, kappa: float) -> np.ndarray:
         raise InputError("need at least one transformed bid")
     if not np.all(np.isfinite(tb)):
         raise InputError("transformed bids must be finite")
-    if not np.isfinite(kappa) or kappa <= 0.0:
-        raise InputError("kappa must be finite and positive")
-    return _softmax_no_sale(tb[None, :], kappa)[0, :-1]
+    return _softmax_no_sale(tb[:, None], _checked_kappa(kappa))[:-1, 0]
 
 
 def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
@@ -252,13 +262,13 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
         for start in range(0, values.shape[0], _CLEAR_BLOCK):
             block = slice(start, start + _CLEAR_BLOCK)
             tbar, _, rmax, p, _, _ = _forward(params, values[block])
-            rows = np.arange(tbar.shape[0])
-            win = tbar.argmax(axis=1)
-            sold = tbar[rows, win] > 0.0
-            if not np.all(np.isfinite(np.maximum(rmax[rows, win], 0.0)[sold])):
+            cols = np.arange(tbar.shape[1])
+            win = tbar.argmax(axis=0)
+            sold = tbar[win, cols] > 0.0
+            if not np.all(np.isfinite(np.maximum(rmax[win, cols], 0.0)[sold])):
                 raise InputError("transformed bid must be finite")
             winner[block] = np.where(sold, win, -1)
-            payment[block] = np.where(sold, p[rows, win] + 0.0, 0.0)
+            payment[block] = np.where(sold, p[win, cols] + 0.0, 0.0)
     return winner, payment
 
 
@@ -288,54 +298,55 @@ def _beats_max(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
     return ~(candidate <= best) & (best == best)
 
 
-def _scan(a: np.ndarray, beats):
-    """Value and index of the first best entry along the leading axis.
+def _scan(a: np.ndarray, beats, labels):
+    """Value and label of the first best entry along the leading axis.
 
-    ``beats`` is strict, so a tie keeps the lower index; the value is a
-    copy of the chosen entry, so its sign of zero and NaNs survive.
+    ``labels[i]`` labels the entries of ``a[i]``.  ``beats`` is strict, so
+    a tie keeps the lower index; the value is a copy of the chosen entry,
+    so its sign of zero and NaNs survive.
     """
     best = a[0].copy()
-    index = np.zeros(best.shape, dtype=np.intp)
+    label = np.full(best.shape, labels[0])
     for i in range(1, a.shape[0]):
         take = beats(a[i], best)
         np.copyto(best, a[i], where=take)
-        index[take] = i
-    return best, index
+        np.copyto(label, labels[i], where=take)
+    return best, label
 
 
 def _active_piece(pieces: np.ndarray, inner, outer):
-    """Active piece of ``(J, K, N, S)`` pieces: its ``(N, S)`` value, group and unit.
+    """Active piece of ``(J, K, N, S)`` pieces: its ``(N, S)`` value and cell.
 
     ``outer`` selects over groups of ``inner`` over units; both are
-    :func:`_beats_min` or :func:`_beats_max`.
+    :func:`_beats_min` or :func:`_beats_max`.  A cell is the flat index of
+    the piece's ``(bidder, group, unit)`` entry in ``theta``.
     """
-    over_units, unit = _scan(pieces, inner)
-    value, group = _scan(over_units, outer)
-    return value, group, np.take_along_axis(unit, group[None], axis=0)[0]
+    n_units, n_groups, n_bidders = pieces.shape[:3]
+    over_units, cell = _scan(pieces, inner, range(n_units))
+    cell += n_units * (n_groups * np.arange(n_bidders) + np.arange(n_groups)[:, None])[..., None]
+    return _scan(over_units, outer, cell)
 
 
 def _top_rival(tbar: np.ndarray):
     """Index and value of each bidder's highest rival bid, ties to the lowest index.
 
-    A top-2 reduction: the top bidder faces the best of the rest, and
-    every other bidder faces the top bid.
+    A top-2 reduction over the bidders of ``(N, S)`` bids: the top bidder
+    faces the best of the rest, and every other bidder faces the top bid.
     """
-    rows = np.arange(tbar.shape[0])
-    first = tbar.argmax(axis=1)
+    cols = np.arange(tbar.shape[1])
+    first = tbar.argmax(axis=0)
     rest = tbar.copy()
-    rest[rows, first] = -np.inf
-    second = rest.argmax(axis=1)
-    is_top = np.arange(tbar.shape[1])[None, :] == first[:, None]
-    rarg = np.where(is_top, second[:, None], first[:, None])
-    rmax = np.where(is_top, rest[rows, second][:, None], tbar[rows, first][:, None])
-    return rarg, rmax
+    rest[first, cols] = -np.inf
+    second = rest.argmax(axis=0)
+    is_top = np.arange(tbar.shape[0])[:, None] == first
+    return np.where(is_top, second, first), np.where(is_top, rest[second, cols], tbar[first, cols])
 
 
 def _forward(params: MonotoneNetParams, values: np.ndarray):
     """Batch forward pass of training and :func:`clear_batch`, up to the payments.
 
-    Returns ``tbar, rarg, rmax, p`` as ``(S, N)`` arrays, then the forward and
-    inverse active pieces' ``(group, unit)`` indices in the pieces' ``(N, S)`` layout.
+    Returns ``tbar, rarg, rmax, p``, then the forward and inverse active
+    pieces' cells (see :func:`_active_piece`), all as ``(N, S)`` arrays.
     """
     # Pieces are laid out (J, K, N, S), samples innermost: numpy reduces a
     # short trailing axis row by row, but scans a short leading one in a few
@@ -346,41 +357,42 @@ def _forward(params: MonotoneNetParams, values: np.ndarray):
     pieces = np.empty(w_t.shape[:3] + values.shape[:1])
     np.multiply(w_t, values.T, out=pieces)
     pieces += beta_t
-    tbar, *fwd_piece = _active_piece(pieces, _beats_min, _beats_max)
-    tbar = tbar.T.copy()
+    tbar, fwd_cell = _active_piece(pieces, _beats_min, _beats_max)
 
     rarg, rmax = _top_rival(tbar)
-    np.subtract(np.maximum(rmax, 0.0).T, beta_t, out=pieces)
+    np.subtract(np.maximum(rmax, 0.0), beta_t, out=pieces)
     pieces *= np.exp(-params.theta).T[..., None]
-    p, *inv_piece = _active_piece(pieces, _beats_max, _beats_min)
+    p, inv_cell = _active_piece(pieces, _beats_max, _beats_min)
 
-    return tbar, rarg, rmax, p.T.copy(), tuple(fwd_piece), tuple(inv_piece)
+    return tbar, rarg, rmax, p, fwd_cell, inv_cell
 
 
 def _train_forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     """Training's pass: ``(loss, g, forward)``, ``g`` the bidders' softmax win probabilities."""
     with np.errstate(over="ignore", invalid="ignore"):
         forward = _forward(params, values)
-        g = _softmax_no_sale(forward[0], kappa)[:, :-1]
-        return float(-(g * forward[3]).sum(axis=1).mean()), g, forward
+        g = _softmax_no_sale(forward[0], kappa)[:-1]
+        return float(-(g * forward[3]).sum(axis=0).mean()), g, forward
 
 
 def loss(params: MonotoneNetParams, batch, kappa: float) -> float:
     """Mean negative expected revenue of truthful play over the batch."""
-    return _train_forward(params, _batch_values(params, batch), kappa)[0]
+    return _train_forward(params, _batch_values(params, batch), _checked_kappa(kappa))[0]
 
 
 def grad(params: MonotoneNetParams, batch, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Hand-assembled ``(dL/dtheta, dL/dbeta)`` for :func:`loss`."""
-    _, dtheta, dbeta = _loss_and_grad(params, _batch_values(params, batch), kappa)
+    _, dtheta, dbeta = _loss_and_grad(params, _batch_values(params, batch),
+                                      _checked_kappa(kappa))
     return dtheta, dbeta
 
 
 def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):
-        loss_value, g, (_, rarg, rmax, p, fwd_piece, inv_piece) = _train_forward(
+        loss_value, g, (_, rarg, rmax, p, fwd_cell, inv_cell) = _train_forward(
             params, values, kappa)
-        n_samples, n_bidders = values.shape
+        theta = params.theta.ravel()
+        n_samples = values.shape[0]
 
         scale = 1.0 / n_samples
         dp = -g * scale
@@ -388,38 +400,34 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
 
         # Softmax backward over the bidder slots: the no-sale slot earns no
         # revenue and carries no parameters, so it adds nothing to either term.
-        inner = (dg * g).sum(axis=1, keepdims=True)
+        inner = (dg * g).sum(axis=0)
         dtbar = kappa * g * (dg - inner)
-
-        # Each sample's (bidder, group, unit) cell of its active forward and inverse piece.
-        rows = np.broadcast_to(np.arange(n_bidders)[None, :], (n_samples, n_bidders))
-        fwd_cell = (rows, *(index.T for index in fwd_piece))
-        inv_cell = (rows, *(index.T for index in inv_piece))
 
         # Payment backward through the active inverse piece:
         #   p = (r - beta) * exp(-theta)  =>  dp/dr = exp(-theta) = -dp/dbeta, dp/dtheta = -p.
-        dr = dp * np.exp(-params.theta[inv_cell])
+        dr = dp * np.exp(-theta[inv_cell])
         dtheta_inv = dp * (-p)
         dbeta_inv = -dr
 
         # ReLU gate, then route the rival maximum to the bidder that set it.
+        # A one-dimensional add.at is numpy's fast path, and it adds each
+        # entry's terms in bidder order.
         drmax = np.where(rmax > 0.0, dr, 0.0)
-        cols = np.broadcast_to(np.arange(n_samples)[:, None], (n_samples, n_bidders))
-        np.add.at(dtbar, (cols.ravel(), rarg.ravel()), drmax.ravel())
+        np.add.at(dtbar.reshape(-1), (rarg * n_samples + np.arange(n_samples)).ravel(),
+                  drmax.ravel())
 
         # Forward transform backward through the active forward piece:
         #   tbar = w * v + beta  =>  d/dbeta = 1, d/dtheta = w * v.
-        dtheta_fwd = dtbar * np.exp(params.theta[fwd_cell]) * values
+        dtheta_fwd = dtbar * np.exp(theta[fwd_cell]) * values.T
         dbeta_fwd = dtbar
 
-        # One flat scatter per array.  bincount adds in input order, so each
-        # cell sums its forward terms, then its inverse ones, in sample
-        # order: the order the training goldens pin.
-        shape = params.theta.shape
-        cells = np.concatenate([np.ravel_multi_index(fwd_cell, shape).ravel(),
-                                np.ravel_multi_index(inv_cell, shape).ravel()])
+        # One flat scatter per array.  Every cell belongs to one bidder, and
+        # bincount adds in input order, so each cell sums its forward terms,
+        # then its inverse ones, in sample order: the order the training
+        # goldens pin.
+        cells = np.concatenate([fwd_cell.ravel(), inv_cell.ravel()])
         dtheta, dbeta = (np.bincount(cells, np.concatenate([fwd.ravel(), inv.ravel()]),
-                                     minlength=params.theta.size).reshape(shape)
+                                     minlength=theta.size).reshape(params.theta.shape)
                          for fwd, inv in ((dtheta_fwd, dtheta_inv), (dbeta_fwd, dbeta_inv)))
 
         return loss_value, dtheta, dbeta

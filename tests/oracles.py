@@ -61,6 +61,89 @@ def masked_rivals(tbar) -> np.ndarray:
     return rivals
 
 
+# The forward pass's outputs, in the order reference_forward returns them.
+OUTPUTS = ("w", "tbar", "kmax", "jsel_fwd", "soft", "g", "rarg", "rmax", "p", "kmin_inv",
+           "jsel_inv")
+
+
+def _select(pieces, inner, outer):
+    """Active piece of ``(S, N, K, J)`` pieces: its ``(S, N)`` value, group and unit."""
+    unit = inner(pieces, axis=3)
+    over_units = np.take_along_axis(pieces, unit[..., None], axis=3)[..., 0]
+    group = outer(over_units, axis=2)
+    value = np.take_along_axis(over_units, group[..., None], axis=2)[..., 0]
+    return value, group, np.take_along_axis(unit, group[..., None], axis=2)[..., 0]
+
+
+def reference_forward(params, values, kappa):
+    """The forward pass with trailing-axis argmin/argmax selections, laid out ``(S, N)``."""
+    w = np.exp(params.theta)
+    beta = params.beta
+    n_samples = values.shape[0]
+
+    pieces = np.exp(params.theta) * values[:, :, None, None] + beta
+    tbar, kmax, jsel_fwd = _select(pieces, np.argmin, np.argmax)
+
+    z = kappa * np.concatenate([tbar, np.zeros((n_samples, 1))], axis=1)
+    z -= z.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    soft = ez / ez.sum(axis=1, keepdims=True)
+    g = soft[:, :-1]
+
+    rivals = masked_rivals(tbar)
+    rarg = rivals.argmax(axis=2)
+    rmax = np.take_along_axis(rivals, rarg[..., None], axis=2)[..., 0]
+    r = np.maximum(rmax, 0.0)
+
+    inv_pieces = (r[:, :, None, None] - beta[None]) * np.exp(-params.theta)
+    p, kmin_inv, jsel_inv = _select(inv_pieces, np.argmax, np.argmin)
+
+    return w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv
+
+
+def reference_loss_and_grad(params, values, kappa):
+    """The training step laid out ``(S, N)``: loss and hand-built backward.
+
+    Built on :func:`reference_forward`.  Every sum over bidders is a row
+    sum, each sample's active pieces are addressed by ``(bidder, group,
+    unit)`` index tuples, and one ``bincount`` per array adds each cell's
+    forward terms, then its inverse ones, in sample order.
+    """
+    _, _, kmax, jsel_fwd, _, g, rarg, rmax, p, kmin_inv, jsel_inv = reference_forward(
+        params, values, kappa)
+    n_samples, n_bidders = values.shape
+    loss_value = float(-(g * p).sum(axis=1).mean())
+
+    scale = 1.0 / n_samples
+    dp = -g * scale
+    dg = -p * scale
+    inner = (dg * g).sum(axis=1, keepdims=True)
+    dtbar = kappa * g * (dg - inner)
+
+    rows = np.broadcast_to(np.arange(n_bidders)[None, :], (n_samples, n_bidders))
+    fwd_cell = (rows, kmax, jsel_fwd)
+    inv_cell = (rows, kmin_inv, jsel_inv)
+
+    dr = dp * np.exp(-params.theta[inv_cell])
+    dtheta_inv = dp * (-p)
+    dbeta_inv = -dr
+
+    drmax = np.where(rmax > 0.0, dr, 0.0)
+    cols = np.broadcast_to(np.arange(n_samples)[:, None], (n_samples, n_bidders))
+    np.add.at(dtbar, (cols.ravel(), rarg.ravel()), drmax.ravel())
+
+    dtheta_fwd = dtbar * np.exp(params.theta[fwd_cell]) * values
+    dbeta_fwd = dtbar
+
+    shape = params.theta.shape
+    cells = np.concatenate([np.ravel_multi_index(fwd_cell, shape).ravel(),
+                            np.ravel_multi_index(inv_cell, shape).ravel()])
+    dtheta, dbeta = (np.bincount(cells, np.concatenate([fwd.ravel(), inv.ravel()]),
+                                 minlength=params.theta.size).reshape(shape)
+                     for fwd, inv in ((dtheta_fwd, dtheta_inv), (dbeta_fwd, dbeta_inv)))
+    return loss_value, dtheta, dbeta
+
+
 def pile_similarity_per_image(piles, reference, aggregate: str = "mean") -> np.ndarray:
     """Pile similarity as a full ``(D, Q, R, C)`` difference tensor per pile image.
 

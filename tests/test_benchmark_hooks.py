@@ -109,7 +109,7 @@ def test_per_profile_kernels_match_batch_forward(spread):
                                    rng.normal(-0.2, spread, shape), config.kappa)
     values = rng.uniform(0.0, 1.0, (256, config.n_bidders))
     tbar, _, _, p, _, _ = _forward(params, values)
-    for row, tbar_row, p_row in zip(values, tbar, p):
+    for row, tbar_row, p_row in zip(values, tbar.T, p.T):
         tb = transform_profile(params, row)
         assert np.array_equal(tb, tbar_row)
         payments = np.array([payment_soft(params, tb, i) for i in range(config.n_bidders)])

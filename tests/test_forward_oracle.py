@@ -1,74 +1,41 @@
 """The batch forward pass against its argmin/argmax form, bit for bit.
 
-``network._forward`` lays its pieces out ``(J, K, N, S)`` and selects the
-active piece by scanning the short leading axes.  The reference below is
-the earlier form: pieces laid out ``(S, N, K, J)``, selected with
+``network._forward`` lays its pieces out ``(J, K, N, S)``, selects the
+active piece by scanning the short leading axes and returns ``(N, S)``
+arrays.  The reference (``oracles.reference_forward``) is the earlier
+form: pieces laid out ``(S, N, K, J)``, selected with
 ``np.argmin``/``np.argmax`` and ``take_along_axis`` over the trailing
-axes, with the training softmax in the same pass.  Every output of the
-forward, and training's win probabilities ``g``, must agree with it to
-the bit, sign of zero and NaN positions included, on nets full of ties,
-on ``±0`` bids, and on a slope that overflows to ``inf`` against a zero
-bid (a NaN piece, where argmin and argmax pick the first NaN).
+axes, with the training softmax in the same pass, all ``(S, N)``.  Every
+output of the forward, and training's win probabilities ``g``, must
+agree with it to the bit, signs of zero and NaN bits included, on nets
+full of ties, on ``±0`` bids, and on a slope that overflows to ``inf``
+against a zero bid (a NaN piece, where argmin and argmax pick the first
+NaN).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import masked_rivals
+from oracles import OUTPUTS, reference_forward
 
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, _train_forward,
                                     allocate_soft, init_params)
 
-OUTPUTS = ("w", "tbar", "kmax", "jsel_fwd", "soft", "g", "rarg", "rmax", "p", "kmin_inv",
-           "jsel_inv")
-# What the forward and training's pass return; the index pairs are (N, S).
-COMPARED = ("tbar", "rarg", "rmax", "p", "kmax", "jsel_fwd", "kmin_inv", "jsel_inv", "g")
-
-
-def _select(pieces, inner, outer):
-    """Active piece of ``(S, N, K, J)`` pieces: its ``(S, N)`` value, group and unit."""
-    unit = inner(pieces, axis=3)
-    over_units = np.take_along_axis(pieces, unit[..., None], axis=3)[..., 0]
-    group = outer(over_units, axis=2)
-    value = np.take_along_axis(over_units, group[..., None], axis=2)[..., 0]
-    return value, group, np.take_along_axis(unit, group[..., None], axis=2)[..., 0]
-
-
-def reference_forward(params, values, kappa):
-    """The forward pass with trailing-axis argmin/argmax selections."""
-    w = np.exp(params.theta)
-    beta = params.beta
-    n_samples = values.shape[0]
-
-    pieces = np.exp(params.theta) * values[:, :, None, None] + beta
-    tbar, kmax, jsel_fwd = _select(pieces, np.argmin, np.argmax)
-
-    z = kappa * np.concatenate([tbar, np.zeros((n_samples, 1))], axis=1)
-    z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    soft = ez / ez.sum(axis=1, keepdims=True)
-    g = soft[:, :-1]
-
-    rivals = masked_rivals(tbar)
-    rarg = rivals.argmax(axis=2)
-    rmax = np.take_along_axis(rivals, rarg[..., None], axis=2)[..., 0]
-    r = np.maximum(rmax, 0.0)
-
-    inv_pieces = (r[:, :, None, None] - beta[None]) * np.exp(-params.theta)
-    p, kmin_inv, jsel_inv = _select(inv_pieces, np.argmax, np.argmin)
-
-    return w, tbar, kmax, jsel_fwd, soft, g, rarg, rmax, p, kmin_inv, jsel_inv
+# What the forward and training's pass return, each read transposed to (S, N).
+COMPARED = ("tbar", "rarg", "rmax", "p", "fwd_cell", "inv_cell", "g")
 
 
 def assert_forward_matches_reference(params, values, kappa):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tbar, rarg, rmax, p, fwd_piece, inv_piece = _forward(params, values)
+        got = (*_forward(params, values), _train_forward(params, values, kappa)[1])
         want = dict(zip(OUTPUTS, reference_forward(params, values, kappa)))
-    got = (tbar, rarg, rmax, p, *(index.T for index in fwd_piece + inv_piece),
-           _train_forward(params, values, kappa)[1])
+    # A cell is the flat index of the active piece's (bidder, group, unit) in theta.
+    bidders = np.broadcast_to(np.arange(params.n_bidders), values.shape)
+    for cell, group, unit in (("fwd_cell", "kmax", "jsel_fwd"), ("inv_cell", "kmin_inv", "jsel_inv")):
+        want[cell] = np.ravel_multi_index((bidders, want[group], want[unit]), params.theta.shape)
     for name, a in zip(COMPARED, got, strict=True):
-        b = want[name]
+        a, b = a.T, want[name]
         assert a.dtype == b.dtype and a.shape == b.shape, name
         if a.dtype == np.float64:
             a, b = a.view(np.uint64), b.view(np.uint64)
@@ -136,5 +103,5 @@ def test_allocate_soft_is_one_row_of_the_batch_softmax():
     values = rng.uniform(0.0, 1.0, (config.batch_size, config.n_bidders))
     _, g, (tbar, *_) = _train_forward(params, values, config.kappa)
     for row in range(config.batch_size):
-        assert np.array_equal(allocate_soft(tbar[row], config.kappa).view(np.uint64),
-                              g[row].view(np.uint64))
+        assert np.array_equal(allocate_soft(tbar[:, row], config.kappa).view(np.uint64),
+                              g[:, row].view(np.uint64))

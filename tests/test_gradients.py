@@ -1,7 +1,10 @@
-"""Hand-derived gradients against the finite-difference oracle."""
+"""Hand-derived gradients against the finite-difference oracle and the row-layout step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from oracles import reference_loss_and_grad
+from test_forward_oracle import nets_and_values
 
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _loss_and_grad, grad,
                                     init_params, loss)
@@ -15,8 +18,10 @@ def relative_error(got, want):
 def test_gradient_matches_finite_differences(fd_grad, nontie_sampler):
     """Central differences at points away from every selection boundary."""
     rng = np.random.default_rng(101)
-    shapes = [(2, 1, 1), (3, 2, 2), (5, 5, 3), (2, 3, 1), (4, 1, 4)]
-    for trial in range(15):
+    # Eight bidders: the softmax sums 9 terms a sample, past numpy's 8-term
+    # blocks for a row sum, where the column sums add in another order.
+    shapes = [(2, 1, 1), (3, 2, 2), (5, 5, 3), (2, 3, 1), (4, 1, 4), (8, 2, 2)]
+    for trial in range(18):
         shape = shapes[trial % len(shapes)]
         kappa = rng.uniform(2.0, 8.0)
         params, values = nontie_sampler(rng, shape, kappa)
@@ -89,3 +94,26 @@ def test_public_loss_and_grad_are_the_training_step_bitwise(net):
     assert bits(loss(params, values, params.kappa)) == bits(step_loss)
     assert np.array_equal(bits(dtheta), bits(step_dtheta))
     assert np.array_equal(bits(dbeta), bits(step_dbeta))
+
+
+@settings(deadline=None, max_examples=300)
+@given(nets_and_values())
+def test_loss_and_grad_match_the_row_layout_reference_bitwise(case):
+    """The ``(N, S)`` training step equals the ``(S, N)`` one bit for bit.
+
+    At 2 to 6 bidders a row sum over bidders adds in the order a column sum
+    does, so ties and ``±0`` bids must give the reference's loss and
+    gradient bits, signs of zero included.  An overflowing slope makes NaNs,
+    and those must sit in the same entries; their sign bits are not
+    compared.  numpy's SIMD loops take a NaN times (or plus) a NaN of the
+    other sign from one operand and their scalar remainder loops from the
+    other, so the sign follows an entry's place in memory, not its values.
+    """
+    params, values, kappa = case
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        want = reference_loss_and_grad(params, values, kappa)
+    got = _loss_and_grad(params, values, kappa)
+    for name, a, b in zip(("loss", "dtheta", "dbeta"), got, want, strict=True):
+        assert np.array_equal(np.isnan(a), np.isnan(b)), name
+        assert np.array_equal(bits(np.where(np.isnan(a), np.nan, a)),
+                              bits(np.where(np.isnan(b), np.nan, b))), name

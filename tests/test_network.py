@@ -7,7 +7,8 @@ from oracles import masked_rivals, payment_soft, transform_profile
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
-                                    clear_hard, init_params, loss, transform, transform_inverse)
+                                    clear_hard, grad, init_params, loss, transform,
+                                    transform_inverse)
 
 
 def identity_params(n):
@@ -224,6 +225,19 @@ def test_loss_accepts_profiles_and_requires_batch():
         loss(params, np.zeros((2, 3)), 100.0)  # bidder count mismatch
 
 
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", ["loss", "grad", "allocate_soft"])
+def test_public_calls_reject_a_bad_kappa(call, kappa):
+    # A NaN temperature gave a NaN loss and -1.0 the loss of another objective.
+    params = identity_params(2)
+    batch = np.array([[0.8, 0.6], [0.4, 0.9]])
+    calls = {"loss": lambda: loss(params, batch, kappa),
+             "grad": lambda: grad(params, batch, kappa),
+             "allocate_soft": lambda: allocate_soft([0.8, 0.6], kappa)}
+    with pytest.raises(InputError, match="kappa"):
+        calls[call]()
+
+
 def test_loss_bounded_by_top_valuation_symmetric_params():
     """Revenue cannot exceed the best value when bidders share one transform.
 
@@ -249,7 +263,7 @@ def test_forward_rival_matches_masked_argmax_with_ties():
                        [0.0, 0.0, 0.0, 0.0],
                        [0.7, 0.1, 0.4, 0.3]])
     params = MonotoneNetParams.affine(4, 1.5, -0.3)
-    tbar, rarg, rmax, _, _, _ = _forward(params, values)
+    tbar, rarg, rmax = (a.T for a in _forward(params, values)[:3])
 
     rivals = masked_rivals(tbar)
     expected_arg = rivals.argmax(axis=2)
