@@ -323,6 +323,7 @@ def _active_piece(pieces: np.ndarray, inner, outer):
     """
     n_units, n_groups, n_bidders = pieces.shape[:3]
     over_units, cell = _scan(pieces, inner, range(n_units))
+    # Unit j of group k of bidder n is theta's flat entry (n * K + k) * J + j.
     cell += n_units * (n_groups * np.arange(n_bidders) + np.arange(n_groups)[:, None])[..., None]
     return _scan(over_units, outer, cell)
 

@@ -32,7 +32,8 @@ def assert_forward_matches_reference(params, values, kappa):
         want = dict(zip(OUTPUTS, reference_forward(params, values, kappa)))
     # A cell is the flat index of the active piece's (bidder, group, unit) in theta.
     bidders = np.broadcast_to(np.arange(params.n_bidders), values.shape)
-    for cell, group, unit in (("fwd_cell", "kmax", "jsel_fwd"), ("inv_cell", "kmin_inv", "jsel_inv")):
+    for cell, group, unit in (("fwd_cell", "kmax", "jsel_fwd"),
+                              ("inv_cell", "kmin_inv", "jsel_inv")):
         want[cell] = np.ravel_multi_index((bidders, want[group], want[unit]), params.theta.shape)
     for name, a in zip(COMPARED, got, strict=True):
         a, b = a.T, want[name]
