@@ -8,7 +8,9 @@ byte-identical files.  ``train``'s held-out check, ``revenue-gap`` and
 ``eval`` each draw their profiles in one call from a stream that derives
 from the master seed through a fixed tag.  ``revenue-gap`` and ``eval``
 clear one profile per :func:`clear_hard` call; ``train``'s held-out check
-clears its profiles in one :func:`clear_batch` call.
+clears its profiles in one :func:`clear_batch` call.  An output that
+resolves to ``--config``, to ``--checkpoint`` or to another output of the
+same command exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -42,10 +44,7 @@ def _add_override_flags(parser: argparse.ArgumentParser, schema) -> None:
     for name, key in schema.items():
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
                             metavar="V", help=key.help)
-
-
-def _overrides(args: argparse.Namespace, names) -> dict[str, str]:
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    parser.set_defaults(schema=schema)
 
 
 def _require_out(cfg) -> str:
@@ -54,11 +53,15 @@ def _require_out(cfg) -> str:
     return cfg.out
 
 
-def _require_apart(key: str, path, other_key: str, other) -> None:
-    """Refuse an output ``path`` that resolves to ``other``, a file the command uses, if given."""
-    if path and other and Path(path).resolve() == Path(other).resolve():
-        raise InputError(f"{key} must not be the {other_key} path {other}: "
-                         f"the {other_key} file would be overwritten")
+def _require_apart(args, outputs: dict) -> None:
+    """Refuse an output that resolves to ``--config``, ``--checkpoint`` or an earlier output."""
+    taken = {"config": args.config, "checkpoint": getattr(args, "checkpoint", None)}
+    for key, path in outputs.items():
+        for other_key, other in taken.items():
+            if path and other and Path(path).resolve() == Path(other).resolve():
+                raise InputError(f"{key} must not be the {other_key} path {other}: "
+                                 f"the {other_key} file would be overwritten")
+        taken[key] = path
 
 
 def _load_for_market(path, n_bidders: int, market: str):
@@ -85,12 +88,10 @@ def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.array(dla), np.array(spa), np.array(optimum)
 
 
-def _cmd_train(args) -> int:
-    cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
+def _cmd_train(args, cfg) -> int:
     out = _require_out(cfg)
     trace_path = out + ".loss.csv"
-    _require_apart("out", out, "config", args.config)
-    _require_apart("loss trace", trace_path, "config", args.config)
+    _require_apart(args, {"out": out, "loss trace": trace_path})
     dist = cfg.world.distribution
     params, trace = train(cfg.net, dist)
     save_params(params, out)
@@ -114,15 +115,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_revenue_gap(args) -> int:
-    cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
+def _cmd_revenue_gap(args, cfg) -> int:
     out = _require_out(cfg)
     svg_path = None
     if args.svg:
         svg_path = str(Path(out).with_suffix(".svg")) if out.endswith(".csv") else out + ".svg"
-    for other_key, other in (("config", args.config), ("checkpoint", args.checkpoint)):
-        _require_apart("out", out, other_key, other)
-        _require_apart("svg", svg_path, other_key, other)
+    _require_apart(args, {"out": out, "svg": svg_path})
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
 
@@ -153,19 +151,14 @@ def _cmd_revenue_gap(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = build_config(args.config, _overrides(args, SCHEMA))
+def _cmd_simulate(args, cfg) -> int:
     out = _require_out(cfg)
-    _require_apart("out", out, "config", args.config)
-    _require_apart("events", args.events, "config", args.config)
-    _require_apart("events", args.events, "out", out)
+    _require_apart(args, {"out": out, "events": args.events})
     if args.mechanism == "spa":
         mechanism = SecondPriceMechanism()
     else:
         if args.checkpoint is None:
             raise InputError("simulate --mechanism dla needs --checkpoint")
-        _require_apart("out", out, "checkpoint", args.checkpoint)
-        _require_apart("events", args.events, "checkpoint", args.checkpoint)
         mechanism = LearnedMechanism(_load_for_market(
             args.checkpoint, cfg.world.n_devices, f"the world has {cfg.world.n_devices} devices"))
 
@@ -187,8 +180,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = build_config(args.config, _overrides(args, RUN_SCHEMA))
+def _cmd_eval(args, cfg) -> int:
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
     samples = args.samples
@@ -286,7 +278,8 @@ def main(argv=None) -> int:
     try:
         # An overflowing slope is a valid net: its transforms are +-inf, not warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            cfg = build_config(args.config, {name: getattr(args, name) for name in args.schema})
+            return args.func(args, cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

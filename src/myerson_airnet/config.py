@@ -129,7 +129,7 @@ def _parse(name: str, text: str):
 
 
 def build_config(config_path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Merge an optional config file and CLI overrides over the field defaults."""
+    """Merge an optional config file and CLI override texts over the defaults; skip a ``None``."""
     values = {}
     if config_path is not None:
         for name, text in read_config_file(config_path).items():
@@ -138,7 +138,7 @@ def build_config(config_path=None, overrides: dict[str, str] | None = None) -> E
         if name not in SCHEMA:
             raise InputError(f"unknown configuration key {name!r}")
         if text is not None:
-            values[name] = _parse(name, text) if isinstance(text, str) else text
+            values[name] = _parse(name, text)
 
     if values.get("cases", ExperimentConfig.cases) < 1:
         raise InputError("cases must be at least 1")

@@ -47,6 +47,9 @@ _TAG_REGEN = 4
 
 _LATTICE_N = 17
 _CELL_METERS = 120.0
+# Largest |coordinate| a world may name: floor(x / _CELL_METERS) then fits an int64 with
+# half its range to spare for a pile's pixel offsets and jitter.
+_COORD_LIMIT = _CELL_METERS * 2.0**62
 _PIXEL_METERS = 3.0
 _IMAGE_JITTER_METERS = 6.0
 _PIXEL_NOISE = 0.02
@@ -76,8 +79,9 @@ class WorldConfig:
             raise InputError("a market needs at least two devices")
         for key in ("area_width", "area_height", "uav_x", "uav_y"):
             value = getattr(self, key)
-            if not np.isfinite(value):
-                raise InputError(f"{key} must be finite, got {value}")
+            if not abs(value) <= _COORD_LIMIT:  # also true for nan
+                raise InputError(f"{key} must be finite and at most {_COORD_LIMIT:g} "
+                                 f"in magnitude, got {value}")
         if self.area_width <= 0.0 or self.area_height <= 0.0:
             raise InputError("area dimensions must be positive")
         if self.image_rows < 1 or self.image_cols < 1:
@@ -253,17 +257,13 @@ def generate_world(config: WorldConfig) -> WorldState:
     positions = tuple(Position(float(x), float(y)) for x, y in xy)
 
     start = Position(config.uav_x, config.uav_y)
-    shape = (config.pile_size, config.image_rows, config.image_cols)
-    state = WorldState(config=config, uav_position=start, battery=float(config.battery),
-                       # zeros, not empty: the constructor takes the terms of these piles
-                       positions=positions, piles=np.zeros((config.n_devices, *shape)),
-                       last_collected=np.empty(shape))
-    for idx, pos in enumerate(positions):
-        pile_rng = np.random.default_rng([config.seed, _TAG_PILE, idx])
-        state.replace_pile(idx, _capture_pile(state.noise, pile_rng, pos, config))
+    noise = _NoiseField(config.seed)
+    piles = [_capture_pile(noise, np.random.default_rng([config.seed, _TAG_PILE, idx]),
+                           pos, config) for idx, pos in enumerate(positions)]
     sentinel_rng = np.random.default_rng([config.seed, _TAG_SENTINEL])
-    state.last_collected[...] = _capture_pile(state.noise, sentinel_rng, start, config)
-    return state
+    sentinel = _capture_pile(noise, sentinel_rng, start, config)
+    return WorldState(config=config, uav_position=start, battery=float(config.battery),
+                      positions=positions, piles=piles, last_collected=sentinel)
 
 
 def form_valuations(state: WorldState) -> ValuationProfile:

@@ -109,6 +109,9 @@ def test_train_overflowing_step_exits_3_without_checkpoint(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value,key", [
     ("--area-width", "nan", "area_width"), ("--uav-x", "inf", "uav_x"),
+    # finite, but past the range where the noise field's cell index fits an int64
+    ("--area-width", "1e30", "area_width"), ("--area-height", "1e300", "area_height"),
+    ("--uav-x", "1e300", "uav_x"), ("--uav-y", "1e30", "uav_y"),
 ])
 def test_simulate_non_finite_geometry_names_the_key(tmp_path, capsys, flag, value, key):
     rc = main(["simulate", "--mechanism", "spa", "--out", str(tmp_path / "e.csv"), flag, value])
@@ -311,6 +314,8 @@ def test_simulate_events_at_the_out_path_exits_2_before_any_work(tmp_path, monke
     (["revenue-gap", "--out", "net.csv", "--svg"], "svg"),
     (["simulate", "--mechanism", "dla", "--out", "ABSOLUTE"], "out"),
     (["simulate", "--mechanism", "dla", "--out", "e.csv", "--events", "net.ckpt"], "events"),
+    (["simulate", "--mechanism", "spa", "--out", "net.ckpt"], "out"),
+    (["simulate", "--mechanism", "spa", "--out", "e.csv", "--events", "net.ckpt"], "events"),
 ])
 def test_outputs_at_the_checkpoint_path_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                                command, key):

@@ -41,6 +41,12 @@ def test_one_support_bound_keeps_the_other_default():
     assert upper_only.world.distribution == ValuationDistribution(default.lower, 2.0)
 
 
+def test_a_none_override_keeps_the_default():
+    assert build_config(overrides={"seed": None, "area_width": None}) == build_config()
+    assert build_config(overrides={"seed": None, "iterations": "3"}) == build_config(
+        overrides={"iterations": "3"})
+
+
 def test_checks_run_cases_first_then_distribution_net_world():
     bad = {"n_bidders": "1", "n_devices": "1"}
     with pytest.raises(InputError, match="cases must be at least 1"):

@@ -63,6 +63,18 @@ def test_world_config_validation():
     assert small_config(battery=float("inf")).battery == float("inf")
 
 
+@pytest.mark.parametrize("key, sign", [
+    ("area_width", 1.0), ("area_height", 1.0), ("uav_x", -1.0), ("uav_y", 1.0),
+])
+def test_world_coordinates_stop_at_the_noise_cell_index_limit(key, sign):
+    limit = sign * sim._COORD_LIMIT
+    # at the limit the noise field's cell index still casts to an int64 (a bad cast
+    # warns, and the suite fails on warnings); one ulp past it is refused
+    assert generate_world(small_config(**{key: limit})).piles.shape == (3, 2, 4, 4)
+    with pytest.raises(InputError, match=f"^{key} must be finite and at most"):
+        small_config(**{key: np.nextafter(limit, sign * np.inf)})
+
+
 def test_generate_world_is_deterministic():
     a = generate_world(small_config())
     b = generate_world(small_config())
