@@ -10,13 +10,17 @@ from the master seed through a fixed tag.  ``revenue-gap`` and ``eval``
 clear one profile per :func:`clear_hard` call; ``train``'s held-out check
 clears its profiles in one :func:`clear_batch` call.  An output that
 resolves to ``--config``, to ``--checkpoint`` or to another output of the
-same command exits 2 before any work.
+same command exits 2 before any work.  Each subcommand takes ``--config``,
+its own arguments, then one ``--<key>`` flag per config key it reads; a
+key's text parses as its field's type (see :mod:`.config`), and a
+negative value may follow its flag (``--uav-y -1e3``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -39,12 +43,10 @@ _TAG_GAP = 900003
 
 _HELDOUT_PROFILES = 10_000  # fresh profiles train checks its net on
 
-
-def _add_override_flags(parser: argparse.ArgumentParser, schema) -> None:
-    for name, key in schema.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
-                            metavar="V", help=key.help)
-    parser.set_defaults(schema=schema)
+# A value argparse takes for a negative number, not a flag: its own pattern
+# admits plain decimals only, so --uav-y -1e2 would lack its value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 def _require_out(cfg) -> str:
@@ -72,6 +74,12 @@ def _load_for_market(path, n_bidders: int, market: str):
     return params
 
 
+def _profiles(cfg, tag: int, count: int) -> np.ndarray:
+    """``count`` profiles of the config's market from the master seed's ``tag`` stream."""
+    rng = np.random.default_rng([cfg.net.seed, tag])
+    return cfg.world.distribution.sample(rng, (count, cfg.net.n_bidders))
+
+
 def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row revenue of the learned auction, second price and, given ``dist``, the optimum.
 
@@ -92,8 +100,7 @@ def _cmd_train(args, cfg) -> int:
     out = _require_out(cfg)
     trace_path = out + ".loss.csv"
     _require_apart(args, {"out": out, "loss trace": trace_path})
-    dist = cfg.world.distribution
-    params, trace = train(cfg.net, dist)
+    params, trace = train(cfg.net, cfg.world.distribution)
     save_params(params, out)
 
     with open(trace_path, "w", newline="", encoding="utf-8") as handle:
@@ -102,8 +109,7 @@ def _cmd_train(args, cfg) -> int:
         for iteration, value in enumerate(trace.losses):
             writer.writerow([iteration, repr(float(value))])
 
-    rng = np.random.default_rng([cfg.net.seed, _TAG_TRAIN_EVAL])
-    heldout = dist.sample(rng, (_HELDOUT_PROFILES, cfg.net.n_bidders))
+    heldout = _profiles(cfg, _TAG_TRAIN_EVAL, _HELDOUT_PROFILES)
     dla = clear_batch(params, heldout)[1]
     spa = spa_batch(heldout)[1]
     print(f"trained {len(trace.losses)} iterations; final loss {trace.losses[-1]:.6f}")
@@ -124,9 +130,7 @@ def _cmd_revenue_gap(args, cfg) -> int:
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
 
-    rng = np.random.default_rng([cfg.net.seed, _TAG_GAP])
-    cases = cfg.world.distribution.sample(rng, (cfg.cases, params.n_bidders))
-    dla, spa, _ = _revenues(params, cases)
+    dla, spa, _ = _revenues(params, _profiles(cfg, _TAG_GAP, cfg.cases))
     gaps = dla - spa
     order = np.argsort(gaps, kind="stable")
 
@@ -187,10 +191,9 @@ def _cmd_eval(args, cfg) -> int:
     if samples < 1:
         raise InputError("--samples must be at least 1")
 
-    rng = np.random.default_rng([cfg.net.seed, _TAG_EVAL])
-    dist = cfg.world.distribution
-    values = dist.sample(rng, (samples, cfg.net.n_bidders))
-    revenue = dict(zip(("dla", "spa", "myerson"), _revenues(params, values, dist)))
+    values = _profiles(cfg, _TAG_EVAL, samples)
+    revenue = dict(zip(("dla", "spa", "myerson"),
+                       _revenues(params, values, cfg.world.distribution)))
 
     print(f"samples: {samples} (common random numbers)")
     print(f"{'mechanism':<10} {'mean_revenue':>14} {'stddev':>12}")
@@ -235,41 +238,34 @@ def _gap_curve_svg(sorted_gaps: np.ndarray) -> str:
     )
 
 
+def _add_command(sub, name: str, summary: str, func, schema=RUN_SCHEMA, **own) -> None:
+    """Declare one subcommand: ``--config``, its own ``--<flag>`` arguments, then its keys."""
+    parser = sub.add_parser(name, help=summary)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
+    for flag, kwargs in own.items():
+        parser.add_argument(f"--{flag}", **kwargs)
+    for key, text in schema.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", metavar="V", help=text)
+    parser.set_defaults(func=func, schema=schema)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="myerson-airnet",
         description="Learned-auction experiments for aerial data collection.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    train_p = sub.add_parser("train", help="train a learned auction and save a checkpoint")
-    train_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    _add_override_flags(train_p, RUN_SCHEMA)
-    train_p.set_defaults(func=_cmd_train)
-
-    gap_p = sub.add_parser("revenue-gap",
-                           help="compare a checkpoint against second-price on fresh cases")
-    gap_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    gap_p.add_argument("--checkpoint", metavar="PATH", required=True)
-    gap_p.add_argument("--svg", action="store_true", help="also write a gap-curve SVG")
-    _add_override_flags(gap_p, RUN_SCHEMA)
-    gap_p.set_defaults(func=_cmd_revenue_gap)
-
-    sim_p = sub.add_parser("simulate", help="run one collection episode and log it")
-    sim_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    sim_p.add_argument("--checkpoint", metavar="PATH")
-    sim_p.add_argument("--mechanism", choices=("dla", "spa"), default="dla")
-    sim_p.add_argument("--events", metavar="PATH", help="also write a JSONL event stream")
-    _add_override_flags(sim_p, SCHEMA)
-    sim_p.set_defaults(func=_cmd_simulate)
-
-    eval_p = sub.add_parser("eval",
-                            help="mean revenue of dla, spa, and the analytic optimum")
-    eval_p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    eval_p.add_argument("--checkpoint", metavar="PATH", required=True)
-    eval_p.add_argument("--samples", type=int, default=10_000)
-    _add_override_flags(eval_p, RUN_SCHEMA)
-    eval_p.set_defaults(func=_cmd_eval)
-
+    _add_command(sub, "train", "train a learned auction and save a checkpoint", _cmd_train)
+    _add_command(sub, "revenue-gap", "compare a checkpoint against second-price on fresh cases",
+                 _cmd_revenue_gap, checkpoint=dict(metavar="PATH", required=True),
+                 svg=dict(action="store_true", help="also write a gap-curve SVG"))
+    _add_command(sub, "simulate", "run one collection episode and log it", _cmd_simulate,
+                 SCHEMA, checkpoint=dict(metavar="PATH"),
+                 mechanism=dict(choices=("dla", "spa"), default="dla"),
+                 events=dict(metavar="PATH", help="also write a JSONL event stream"))
+    _add_command(sub, "eval", "mean revenue of dla, spa, and the analytic optimum", _cmd_eval,
+                 checkpoint=dict(metavar="PATH", required=True),
+                 samples=dict(type=int, default=10_000))
     return parser
 
 

@@ -6,76 +6,59 @@ the defaults.  :data:`SCHEMA` is :data:`RUN_SCHEMA`, the keys every
 subcommand takes, followed by :data:`WORLD_SCHEMA`, the keys only
 ``simulate`` adds; that order is the ``--help`` order.
 
-:data:`SCHEMA` only parses and explains the keys.  Defaults live on the
-dataclass fields the keys fill by name (``NetConfig``, ``WorldConfig``,
-``ExperimentConfig``); ``dist_lower``/``dist_upper`` fill the fields of
-``ValuationDistribution``, the one place the default support is written.
+:data:`SCHEMA` only explains the keys.  Each key fills the dataclass
+field of its name (``NetConfig``, ``WorldConfig``, ``ExperimentConfig``;
+``dist_lower``/``dist_upper`` fill the fields of ``ValuationDistribution``,
+the one place the default support is written), which holds its default,
+and its text parses as that field's declared type: an ``int`` field takes
+an integer, a ``float`` field a number, and any other field the text as
+written.  A negative value may follow its flag (``--uav-y -1e3``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .auction import ValuationDistribution
 from .errors import InputError
 from .network import NetConfig
 from .sim import WorldConfig
 
-
-def _parser(kind, noun: str):
-    """Parse text with ``kind``, raising :class:`InputError` that names ``noun``."""
-    def parse(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise InputError(f"expected {noun}, got {text!r}") from None
-    return parse
-
-
-_parse_int = _parser(int, "an integer")
-_parse_float = _parser(float, "a number")
-
-
-@dataclass(frozen=True)
-class _Key:
-    parse: object
-    help: str
-
-
-RUN_SCHEMA: dict[str, _Key] = {
+RUN_SCHEMA: dict[str, str] = {
     # market
-    "n_bidders": _Key(_parse_int, "number of bidders / devices"),
-    "dist_lower": _Key(_parse_float, "valuation support lower bound"),
-    "dist_upper": _Key(_parse_float, "valuation support upper bound"),
+    "n_bidders": "number of bidders / devices",
+    "dist_lower": "valuation support lower bound",
+    "dist_upper": "valuation support upper bound",
     # network and training
-    "groups": _Key(_parse_int, "max-min groups per bidder"),
-    "linear_units": _Key(_parse_int, "affine pieces per group"),
-    "kappa": _Key(_parse_float, "softmax temperature"),
-    "learning_rate": _Key(_parse_float, "gradient-descent step size"),
-    "batch_size": _Key(_parse_int, "training batch size"),
-    "iterations": _Key(_parse_int, "training iterations"),
-    "convergence_tol": _Key(_parse_float, "early-stop loss range over 20 iterations (0 disables)"),
-    "seed": _Key(_parse_int, "master RNG seed"),
+    "groups": "max-min groups per bidder",
+    "linear_units": "affine pieces per group",
+    "kappa": "softmax temperature",
+    "learning_rate": "gradient-descent step size",
+    "batch_size": "training batch size",
+    "iterations": "training iterations",
+    "convergence_tol": "early-stop loss range over 20 iterations (0 disables)",
+    "seed": "master RNG seed",
     # experiments
-    "cases": _Key(_parse_int, "number of revenue-gap cases"),
-    "out": _Key(str, "primary output path"),
+    "cases": "number of revenue-gap cases",
+    "out": "primary output path",
 }
-WORLD_SCHEMA: dict[str, _Key] = {
-    "n_devices": _Key(_parse_int, "devices in the simulated world"),
-    "area_width": _Key(_parse_float, "world width in meters"),
-    "area_height": _Key(_parse_float, "world height in meters"),
-    "image_rows": _Key(_parse_int, "image height in pixels"),
-    "image_cols": _Key(_parse_int, "image width in pixels"),
-    "pile_size": _Key(_parse_int, "images per pile"),
-    "battery": _Key(_parse_float, "battery budget in meters of flight"),
-    "uav_x": _Key(_parse_float, "collector start x"),
-    "uav_y": _Key(_parse_float, "collector start y"),
-    "max_rounds": _Key(_parse_int, "episode round cap"),
-    "similarity_aggregate": _Key(str, "pile similarity aggregation: mean or min"),
-    "valuation_rule": _Key(str, "raw valuation rule: product or proximity"),
+WORLD_SCHEMA: dict[str, str] = {
+    "n_devices": "devices in the simulated world",
+    "area_width": "world width in meters",
+    "area_height": "world height in meters",
+    "image_rows": "image height in pixels",
+    "image_cols": "image width in pixels",
+    "pile_size": "images per pile",
+    "battery": "battery budget in meters of flight",
+    "uav_x": "collector start x",
+    "uav_y": "collector start y",
+    "max_rounds": "episode round cap",
+    "similarity_aggregate": "pile similarity aggregation: mean or min",
+    "valuation_rule": "raw valuation rule: product or proximity",
 }
-SCHEMA: dict[str, _Key] = {**RUN_SCHEMA, **WORLD_SCHEMA}
+SCHEMA: dict[str, str] = {**RUN_SCHEMA, **WORLD_SCHEMA}
 
 
 @dataclass(frozen=True)
@@ -120,12 +103,23 @@ def _fill(cls, values: dict, prefix: str = "", **built):
     return cls(**given, **built)
 
 
+# The declared type of the field each key fills; dist_lower fills the support's lower.
+_TYPES = {prefix + name: kind
+          for cls, prefix in ((ValuationDistribution, "dist_"), (NetConfig, ""),
+                              (WorldConfig, ""), (ExperimentConfig, ""))
+          for name, kind in get_type_hints(cls).items()}
+_NOUNS = {int: "an integer", float: "a number"}
+
+
 def _parse(name: str, text: str):
-    """Parse one key's text with its schema parser, naming the key on failure."""
+    """Parse one key's text as its field's type, naming the key on failure."""
+    kind = _TYPES[name]
+    if kind not in _NOUNS:
+        return text
     try:
-        return SCHEMA[name].parse(text)
-    except InputError as exc:
-        raise InputError(f"{name}: {exc}") from None
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{name}: expected {_NOUNS[kind]}, got {text!r}") from None
 
 
 def build_config(config_path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:

@@ -273,10 +273,8 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
 
 
 def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
-    """Check an (S, N) valuation matrix; a single row becomes a one-row batch."""
+    """Check an (S, N) valuation matrix."""
     values = np.asarray(batch, dtype=float)
-    if values.ndim == 1:
-        values = values[None, :]
     if values.ndim != 2 or values.shape[0] < 1:
         raise InputError("batch must be a non-empty matrix of valuations")
     if values.shape[1] != params.n_bidders:

@@ -27,7 +27,7 @@ from myerson_airnet.auction import (AuctionOutcome, ValuationDistribution, Valua
                                     myerson_batch, myerson_clear, spa_batch, spa_clear)
 from myerson_airnet.errors import DomainError, InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_batch, clear_hard,
-                                    init_params)
+                                    grad, init_params, loss)
 
 
 def bits(x):
@@ -252,6 +252,11 @@ def test_batch_clears_reject_what_row_clears_reject():
                 spa_batch(values)
     with pytest.raises(InputError):
         clear_batch(MonotoneNetParams.affine(1, 1.0, 0.0), good[:, :1])
+    # A batch call takes an (S, N) matrix only; a single row is not a one-row batch.
+    for batch_call in (lambda row: clear_batch(params, row), lambda row: loss(params, row, 1.0),
+                       lambda row: grad(params, row, 1.0), spa_batch):
+        with pytest.raises(InputError):
+            batch_call(good[0])
     # Two overflowing transforms: the winner's rival bid is inf, not a price.
     overflowing, tied = overflowing_net(), np.array([[0.5, 0.5, 0.1]])
     with np.errstate(over="ignore"), pytest.raises(InputError, match="transformed bid"):

@@ -112,12 +112,25 @@ def test_train_overflowing_step_exits_3_without_checkpoint(tmp_path, capsys):
     # finite, but past the range where the noise field's cell index fits an int64
     ("--area-width", "1e30", "area_width"), ("--area-height", "1e300", "area_height"),
     ("--uav-x", "1e300", "uav_x"), ("--uav-y", "1e30", "uav_y"),
+    # a negative value follows its flag in any form float() reads
+    ("--uav-x", "-inf", "uav_x"), ("--area-width", "-NaN", "area_width"),
+    ("--uav-y", "-1e300", "uav_y"),
 ])
 def test_simulate_non_finite_geometry_names_the_key(tmp_path, capsys, flag, value, key):
     rc = main(["simulate", "--mechanism", "spa", "--out", str(tmp_path / "e.csv"), flag, value])
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-1e2", "-.5E+2", "-100"])
+def test_negative_value_may_follow_its_flag(tmp_path, capsys, value):
+    base = ["simulate", "--mechanism", "spa", "--max-rounds", "2"]
+    assert main([*base, f"--uav-y={value}", "--out", str(tmp_path / "joined.csv")]) == 0
+    joined = capsys.readouterr().out.replace("joined.csv", "{out}")
+    assert main([*base, "--uav-y", value, "--out", str(tmp_path / "apart.csv")]) == 0
+    assert capsys.readouterr().out.replace("apart.csv", "{out}") == joined
+    assert (tmp_path / "apart.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
 
 
 def test_train_unwritable_out_exits_3(tmp_path, capsys):
@@ -435,6 +448,7 @@ def test_config_file_errors_exit_2(tmp_path, capsys, body, fragment):
 @pytest.mark.parametrize("flag,value,message", [
     ("--n-bidders", "abc", "n_bidders: expected an integer, got 'abc'"),
     ("--kappa", "hot", "kappa: expected a number, got 'hot'"),
+    ("--seed", "-1e0", "seed: expected an integer, got '-1e0'"),
 ])
 def test_unparsable_flag_exits_2_naming_its_key(tmp_path, capsys, flag, value, message):
     rc = main(["train", flag, value, "--out", str(tmp_path / "x.ckpt")])

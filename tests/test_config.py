@@ -2,11 +2,13 @@
 
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from myerson_airnet.auction import ValuationDistribution
-from myerson_airnet.config import SCHEMA, ExperimentConfig, build_config, read_config_file
+from myerson_airnet.config import (SCHEMA, ExperimentConfig, _parse, build_config,
+                                   read_config_file)
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import NetConfig
 from myerson_airnet.sim import WorldConfig
@@ -57,3 +59,23 @@ def test_checks_run_cases_first_then_distribution_net_world():
         build_config(overrides=bad)
     with pytest.raises(InputError, match="a market needs at least two devices"):
         build_config(overrides={"n_devices": "1"})
+
+
+FIELD_TYPES = {"dist_" + name: kind for name, kind in get_type_hints(ValuationDistribution).items()}
+for cls in (NetConfig, WorldConfig, ExperimentConfig):
+    FIELD_TYPES.update(get_type_hints(cls))
+
+
+@pytest.mark.parametrize("key", list(SCHEMA))
+def test_every_key_parses_as_its_fields_type(key):
+    kind = FIELD_TYPES[key]
+    if kind is int:
+        with pytest.raises(InputError, match=f"^{key}: expected an integer, got '1.5'$"):
+            build_config(overrides={key: "1.5"})
+        assert type(_parse(key, "-7")) is int and _parse(key, "-7") == -7
+    elif kind is float:
+        assert type(_parse(key, "1e3")) is float and _parse(key, "1e3") == 1000.0
+        with pytest.raises(InputError, match=f"^{key}: expected a number, got 'x'$"):
+            build_config(overrides={key: "x"})
+    else:
+        assert _parse(key, " 1e3") == " 1e3"

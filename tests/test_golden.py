@@ -52,6 +52,15 @@ byte-identical.  The ``min``-aggregate ``golden_spa_min_episode.*`` and
 kept its bits; they were last regenerated, with the others, when pile
 similarity moved to its Gram form and distances to ``np.hypot``.
 
+Each ``golden_help_<command>.txt`` pins the ``--help`` text of a
+subcommand (``main`` is the program's own), printed with ``COLUMNS=80``
+because argparse wraps help to the terminal width.  Regenerate with
+
+    COLUMNS=80 python -m myerson_airnet --help > tests/data/golden_help_main.txt
+    COLUMNS=80 python -m myerson_airnet train --help > tests/data/golden_help_train.txt
+
+and likewise for ``revenue-gap``, ``simulate`` and ``eval``.
+
 ``reader_net.ckpt`` is a copy of ``golden_net.ckpt`` as the training
 case wrote it before training drew from its own tagged stream.  Replace
 it only to move the readers onto a new net, with
@@ -105,3 +114,13 @@ def test_cli_outputs_match_goldens(command, tmp_path, datadir, capsys):
         assert (tmp_path / name).read_bytes() == (datadir / name).read_bytes(), name
     stdout = capsys.readouterr().out.replace(str(tmp_path), "{tmp}").replace(str(datadir), "{data}")
     assert stdout == (datadir / f"golden_{command}.stdout").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["main", "train", "revenue-gap", "simulate", "eval"])
+def test_help_matches_golden(command, datadir, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"] if command == "main" else [command, "--help"])
+    assert exited.value.code == 0
+    golden = (datadir / f"golden_help_{command}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
