@@ -16,7 +16,7 @@ print(f"collector starts at ({config.uav_x:.0f}, {config.uav_y:.0f}) "
 for idx, position in enumerate(state.positions):
     print(f"  device {idx} at ({position.x:7.1f}, {position.y:7.1f})")
 
-records = run_episode(state, SecondPriceMechanism(), config.max_rounds)
+records = run_episode(state, SecondPriceMechanism())
 
 print(f"\n{'round':>5} {'winner':>6} {'payment':>8} {'flown':>8} {'battery':>8} {'values'}")
 for record in records:

@@ -167,7 +167,7 @@ def _cmd_simulate(args, cfg) -> int:
             args.checkpoint, cfg.world.n_devices, f"the world has {cfg.world.n_devices} devices"))
 
     state = generate_world(cfg.world)
-    records = run_episode(state, mechanism, cfg.world.max_rounds)
+    records = run_episode(state, mechanism)
 
     write_episode_csv(out, records)
     if args.events:

@@ -105,6 +105,8 @@ class WorldConfig:
 class WorldState:
     """Mutable episode state advanced by :func:`step`.
 
+    The collector starts at the config's ``(uav_x, uav_y)`` with its
+    ``battery`` at round 0, and :func:`run_episode` stops at its ``max_rounds``.
     Device ``i`` sits at ``positions[i]`` and holds the pile
     ``piles[i]``; ``piles`` is ``(D, P, R, C)`` and ``last_collected``,
     the reference pile, is ``(P, R, C)``, both copied on construction so
@@ -116,15 +118,14 @@ class WorldState:
     imagery field, built from ``config.seed``.
     """
 
-    def __init__(self, config: WorldConfig, uav_position: Position, battery: float,
-                 positions, piles, last_collected, round: int = 0):
+    def __init__(self, config: WorldConfig, positions, piles, last_collected):
         self.config = config
-        self.uav_position = uav_position
-        self.battery = battery
+        self.uav_position = Position(config.uav_x, config.uav_y)
+        self.battery = float(config.battery)
         self.positions = tuple(positions)
         self._piles = np.array(piles, dtype=float)
         self.last_collected = np.array(last_collected, dtype=float)
-        self.round = round
+        self.round = 0
         shape = (config.pile_size, config.image_rows, config.image_cols)
         if len(self.positions) != config.n_devices:
             raise InputError(f"{len(self.positions)} positions for {config.n_devices} devices")
@@ -256,14 +257,12 @@ def generate_world(config: WorldConfig) -> WorldState:
     xy[:, 1] *= config.area_height
     positions = tuple(Position(float(x), float(y)) for x, y in xy)
 
-    start = Position(config.uav_x, config.uav_y)
     noise = _NoiseField(config.seed)
     piles = [_capture_pile(noise, np.random.default_rng([config.seed, _TAG_PILE, idx]),
                            pos, config) for idx, pos in enumerate(positions)]
     sentinel_rng = np.random.default_rng([config.seed, _TAG_SENTINEL])
-    sentinel = _capture_pile(noise, sentinel_rng, start, config)
-    return WorldState(config=config, uav_position=start, battery=float(config.battery),
-                      positions=positions, piles=piles, last_collected=sentinel)
+    sentinel = _capture_pile(noise, sentinel_rng, Position(config.uav_x, config.uav_y), config)
+    return WorldState(config=config, positions=positions, piles=piles, last_collected=sentinel)
 
 
 def form_valuations(state: WorldState) -> ValuationProfile:
@@ -318,16 +317,14 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
     return state, record
 
 
-def run_episode(state: WorldState, mechanism, max_rounds: int) -> list[RoundRecord]:
-    """Step until the battery is exhausted or ``max_rounds`` rounds ran.
+def run_episode(state: WorldState, mechanism) -> list[RoundRecord]:
+    """Step until the battery is exhausted or ``state.config.max_rounds`` rounds ran.
 
     Starting with an empty battery is an error; exhausting it mid-episode
     simply ends the episode after the exhausting round.
     """
-    if max_rounds < 1:
-        raise InputError("max_rounds must be at least 1")
     records = [step(state, mechanism)[1]]  # step raises on an empty battery
-    while len(records) < max_rounds and state.battery > 0.0:
+    while len(records) < state.config.max_rounds and state.battery > 0.0:
         records.append(step(state, mechanism)[1])
     return records
 

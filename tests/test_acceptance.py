@@ -234,7 +234,7 @@ def test_acceptance_8_simulator_replay_and_invariants(tmp_path, datadir):
                              image_rows=6, image_cols=6, pile_size=2, battery=1200.0,
                              uav_x=300.0, uav_y=300.0, seed=seed, max_rounds=8)
         state = generate_world(config)
-        records = run_episode(state, SecondPriceMechanism(), config.max_rounds)
+        records = run_episode(state, SecondPriceMechanism())
         battery = config.battery
         for record in records:
             after = max(0.0, battery - record.distance_flown)

@@ -103,12 +103,12 @@ def test_generate_world_geometry():
     assert np.all((state.piles >= 0.0) & (state.piles <= 1.0))
 
 
-def hand_world(positions, piles, last_collected, uav=Position(0.0, 0.0), battery=1000.0,
-               **overrides):
-    config = small_config(n_devices=len(positions), image_rows=1, image_cols=2,
-                          pile_size=1, battery=battery, **overrides)
-    return WorldState(config=config, uav_position=uav, battery=battery,
-                      positions=positions, piles=piles, last_collected=last_collected)
+def hand_world(positions, piles, last_collected, **overrides):
+    config = small_config(**{"n_devices": len(positions), "image_rows": 1, "image_cols": 2,
+                             "pile_size": 1, "uav_x": 0.0, "uav_y": 0.0, "battery": 1000.0,
+                             **overrides})
+    return WorldState(config=config, positions=positions, piles=piles,
+                      last_collected=last_collected)
 
 
 def three_device_world(**overrides):
@@ -126,12 +126,22 @@ def test_world_state_owns_arrays_of_the_config_shape():
     assert not np.shares_memory(state.last_collected, last)
     assert not np.shares_memory(state.piles, state.last_collected)
     with pytest.raises(InputError, match="positions"):
-        WorldState(config=state.config, uav_position=Position(0.0, 0.0), battery=1.0,
-                   positions=[Position(0.0, 0.0)] * 2, piles=piles, last_collected=last)
+        WorldState(config=state.config, positions=[Position(0.0, 0.0)] * 2, piles=piles,
+                   last_collected=last)
     with pytest.raises(InputError, match="piles"):
         hand_world([Position(0.0, 0.0)] * 3, np.zeros((3, 1, 2, 2)), last)
     with pytest.raises(InputError, match="last_collected"):
         hand_world([Position(0.0, 0.0)] * 3, piles, np.ones((2, 1, 2)))
+
+
+def test_hand_built_state_starts_where_its_config_says():
+    config = small_config(n_devices=2, image_rows=1, image_cols=2, pile_size=1,
+                          uav_x=-7.5, uav_y=12.0, battery=321)
+    state = WorldState(config=config, positions=[Position(0.0, 0.0)] * 2,
+                       piles=np.zeros((2, 1, 1, 2)), last_collected=np.zeros((1, 1, 2)))
+    assert state.uav_position == Position(-7.5, 12.0)
+    assert type(state.battery) is float and state.battery == 321.0
+    assert state.round == 0
 
 
 def test_piles_and_terms_are_read_only_with_one_writer():
@@ -292,36 +302,37 @@ def test_step_requires_charge():
 
 
 def test_run_episode_lengths():
-    records = run_episode(generate_world(small_config()), SecondPriceMechanism(), 1)
+    records = run_episode(generate_world(small_config(max_rounds=1)), SecondPriceMechanism())
     assert len(records) == 1
     assert records[0].round == 0
 
-    state = generate_world(small_config(battery=float("inf")))
-    records = run_episode(state, SecondPriceMechanism(), 10)
+    state = generate_world(small_config(battery=float("inf"), max_rounds=10))
+    records = run_episode(state, SecondPriceMechanism())
     assert len(records) == 10
     assert [r.round for r in records] == list(range(10))
 
 
 def test_run_episode_rejects_bad_inputs():
-    state = generate_world(small_config())
-    with pytest.raises(InputError):
-        run_episode(state, SecondPriceMechanism(), 0)
+    # the round cap is checked once, where the config is built
+    with pytest.raises(InputError, match="max_rounds must be at least 1"):
+        small_config(max_rounds=0)
+    state = generate_world(small_config(max_rounds=5))
     state.battery = 0.0
     with pytest.raises(EpisodeExhaustedError):
-        run_episode(state, SecondPriceMechanism(), 5)
+        run_episode(state, SecondPriceMechanism())
 
 
 def test_run_episode_stops_when_battery_dies():
-    state = generate_world(small_config(battery=200.0))
-    records = run_episode(state, SecondPriceMechanism(), 50)
+    state = generate_world(small_config(battery=200.0, max_rounds=50))
+    records = run_episode(state, SecondPriceMechanism())
     assert len(records) < 50
     assert state.battery == 0.0
 
 
 def test_episode_battery_and_distance_invariants():
-    config = small_config(n_devices=5, battery=900.0, seed=3)
+    config = small_config(n_devices=5, battery=900.0, seed=3, max_rounds=60)
     state = generate_world(config)
-    records = run_episode(state, SecondPriceMechanism(), 60)
+    records = run_episode(state, SecondPriceMechanism())
     batteries = []
     battery = config.battery
     for record in records:
@@ -337,8 +348,9 @@ def test_episode_battery_and_distance_invariants():
 def test_episode_winner_is_argmax_of_valuations():
     mechanism = SecondPriceMechanism()
     for seed in range(8):
-        state = generate_world(small_config(seed=seed, n_devices=4, battery=3000.0))
-        for record in run_episode(state, mechanism, 12):
+        state = generate_world(small_config(seed=seed, n_devices=4, battery=3000.0,
+                                            max_rounds=12))
+        for record in run_episode(state, mechanism):
             values = record.valuations.values
             if record.outcome.winner is not None:
                 assert record.outcome.winner == int(np.argmax(values))
@@ -347,8 +359,8 @@ def test_episode_winner_is_argmax_of_valuations():
 def test_episode_replays_bitwise_from_seed(tmp_path):
     paths = []
     for tag in ("a", "b"):
-        state = generate_world(small_config(seed=21))
-        records = run_episode(state, SecondPriceMechanism(), 6)
+        state = generate_world(small_config(seed=21, max_rounds=6))
+        records = run_episode(state, SecondPriceMechanism())
         path = tmp_path / f"{tag}.jsonl"
         write_episode_events(path, records)
         paths.append(path)
@@ -478,10 +490,10 @@ def test_form_valuations_distances_equal_distance_bitwise(monkeypatch):
 
 
 def test_write_episode_csv_round_trips(tmp_path):
-    config = small_config(seed=5, battery=1500.0)
+    config = small_config(seed=5, battery=1500.0, max_rounds=5)
     state = generate_world(config)
     start = state.uav_position
-    records = run_episode(state, SecondPriceMechanism(), 5)
+    records = run_episode(state, SecondPriceMechanism())
     path = tmp_path / "episode.csv"
     write_episode_csv(path, records)
 
@@ -522,9 +534,9 @@ def test_write_episode_csv_marks_no_sale(tmp_path):
 
 
 def test_write_episode_events_fields(tmp_path):
-    config = small_config(seed=9)
+    config = small_config(seed=9, max_rounds=3)
     state = generate_world(config)
-    records = run_episode(state, SecondPriceMechanism(), 3)
+    records = run_episode(state, SecondPriceMechanism())
     path = tmp_path / "events.jsonl"
     write_episode_events(path, records)
     lines = path.read_text().splitlines()
