@@ -8,7 +8,7 @@ gap over second price. Takes a few seconds.
 import numpy as np
 
 from myerson_airnet.auction import ValuationDistribution, myerson_batch, spa_batch
-from myerson_airnet.network import NetConfig, clear_hard, train, transform_inverse
+from myerson_airnet.network import NetConfig, clear_batch, train, transform_inverse
 
 dist = ValuationDistribution(0.0, 1.0)
 config = NetConfig(seed=0)
@@ -24,7 +24,7 @@ print("(the analytic optimum posts 0.5)")
 
 rng = np.random.default_rng(12345)
 draws = dist.sample(rng, (20_000, config.n_bidders))
-dla = np.mean([clear_hard(params, row).revenue for row in draws])
+dla = np.mean(clear_batch(params, draws)[1])
 spa = np.mean(spa_batch(draws)[1])
 mye = np.mean(myerson_batch(draws, dist)[1])
 print(f"\nmean revenue over 20k fresh profiles:")

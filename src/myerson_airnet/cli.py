@@ -10,7 +10,9 @@ from the master seed through a fixed tag.  ``revenue-gap`` and ``eval``
 clear one profile per :func:`clear_hard` call; ``train``'s held-out check
 clears its profiles in one :func:`clear_batch` call.  An output that
 resolves to ``--config``, to ``--checkpoint`` or to another output of the
-same command exits 2 before any work.  Each subcommand takes ``--config``,
+same command exits 2 before any work.  A command writes its outputs to
+temp files beside them and renames them only once every write succeeded,
+so a failed write leaves no output behind.  Each subcommand takes ``--config``,
 its own arguments, then one ``--<key>`` flag per config key it reads; a
 key's text parses as its field's type (see :mod:`.config`), and a
 negative value may follow its flag (``--uav-y -1e3``).
@@ -20,8 +22,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import re
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +71,38 @@ def _require_apart(args, outputs: dict) -> None:
         taken[key] = path
 
 
+@contextmanager
+def _outputs(*paths):
+    """Yield a temp path beside each output (``None`` for none); once the block succeeds,
+    rename each onto its output, else remove them all.  An error names the output.
+
+    As a plain write would, a symlinked output is written through and an
+    existing output keeps its mode.
+    """
+    temps = [path and f"{os.path.realpath(path)}.{os.getpid()}.tmp" for path in paths]
+    landing = {temp: path for temp, path in zip(temps, paths) if path}
+    try:
+        yield temps
+        for temp, path in landing.items():
+            if os.path.exists(path):
+                shutil.copymode(path, temp)
+            os.replace(temp, os.path.realpath(path))
+    except OSError as exc:
+        if exc.filename not in landing:
+            raise
+        raise OSError(exc.errno, exc.strerror, landing[exc.filename]) from None
+    finally:
+        for temp in landing:
+            Path(temp).unlink(missing_ok=True)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)  # streamed: revenue-gap writes one row per case
+
+
 def _load_for_market(path, n_bidders: int, market: str):
     """Load a checkpoint; of its shape, only the bidder count must match the market."""
     params = load_params(path)
@@ -101,13 +138,10 @@ def _cmd_train(args, cfg) -> int:
     trace_path = out + ".loss.csv"
     _require_apart(args, {"out": out, "loss trace": trace_path})
     params, trace = train(cfg.net, cfg.world.distribution)
-    save_params(params, out)
-
-    with open(trace_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "loss"])
-        for iteration, value in enumerate(trace.losses):
-            writer.writerow([iteration, repr(float(value))])
+    with _outputs(out, trace_path) as (out_temp, trace_temp):
+        save_params(params, out_temp)
+        _write_csv(trace_temp, ["iteration", "loss"],
+                   ([i, repr(float(value))] for i, value in enumerate(trace.losses)))
 
     heldout = _profiles(cfg, _TAG_TRAIN_EVAL, _HELDOUT_PROFILES)
     dla = clear_batch(params, heldout)[1]
@@ -134,15 +168,13 @@ def _cmd_revenue_gap(args, cfg) -> int:
     gaps = dla - spa
     order = np.argsort(gaps, kind="stable")
 
-    with open(out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rank", "gap", "dla_revenue", "spa_revenue"])
-        for rank, idx in enumerate(order, start=1):
-            writer.writerow([rank, repr(float(gaps[idx])), repr(float(dla[idx])),
-                             repr(float(spa[idx]))])
-
+    with _outputs(out, svg_path) as (out_temp, svg_temp):
+        _write_csv(out_temp, ["rank", "gap", "dla_revenue", "spa_revenue"],
+                   ([rank, repr(float(gaps[idx])), repr(float(dla[idx])), repr(float(spa[idx]))]
+                    for rank, idx in enumerate(order, start=1)))
+        if svg_temp:
+            Path(svg_temp).write_text(_gap_curve_svg(gaps[order]), encoding="utf-8")
     if svg_path:
-        Path(svg_path).write_text(_gap_curve_svg(gaps[order]), encoding="utf-8")
         print(f"wrote gap curve {svg_path}")
 
     positive = float(np.mean(gaps > 0.0))
@@ -169,9 +201,11 @@ def _cmd_simulate(args, cfg) -> int:
     state = generate_world(cfg.world)
     records = run_episode(state, mechanism)
 
-    write_episode_csv(out, records)
+    with _outputs(out, args.events) as (out_temp, events_temp):
+        write_episode_csv(out_temp, records)
+        if events_temp:
+            write_episode_events(events_temp, records)
     if args.events:
-        write_episode_events(args.events, records)
         print(f"wrote event stream {args.events}")
 
     revenue = sum(record.outcome.revenue for record in records)

@@ -119,9 +119,11 @@ class NetConfig:
 
     def __post_init__(self):
         if self.n_bidders < 2:
-            raise InputError("need at least two bidders")
-        if self.groups < 1 or self.linear_units < 1:
-            raise InputError("groups and linear_units must be at least 1")
+            raise InputError(f"need at least two bidders, got n_bidders = {self.n_bidders}")
+        for key in ("groups", "linear_units"):
+            if getattr(self, key) < 1:
+                raise InputError(f"groups and linear_units must be at least 1, got {key} = "
+                                 f"{getattr(self, key)}")
         _checked_kappa(self.kappa)
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
             raise InputError("learning_rate must be finite and positive")

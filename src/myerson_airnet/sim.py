@@ -76,16 +76,21 @@ class WorldConfig:
 
     def __post_init__(self):
         if self.n_devices < 2:
-            raise InputError("a market needs at least two devices")
+            raise InputError(f"a market needs at least two devices, got n_devices = "
+                             f"{self.n_devices}")
         for key in ("area_width", "area_height", "uav_x", "uav_y"):
             value = getattr(self, key)
             if not abs(value) <= _COORD_LIMIT:  # also true for nan
                 raise InputError(f"{key} must be finite and at most {_COORD_LIMIT:g} "
                                  f"in magnitude, got {value}")
-        if self.area_width <= 0.0 or self.area_height <= 0.0:
-            raise InputError("area dimensions must be positive")
-        if self.image_rows < 1 or self.image_cols < 1:
-            raise InputError("image dimensions must be at least 1x1")
+        for key in ("area_width", "area_height"):
+            if getattr(self, key) <= 0.0:
+                raise InputError(f"area dimensions must be positive, got {key} = "
+                                 f"{getattr(self, key)}")
+        for key in ("image_rows", "image_cols"):
+            if getattr(self, key) < 1:
+                raise InputError(f"image dimensions must be at least 1x1, got {key} = "
+                                 f"{getattr(self, key)}")
         if self.pile_size < 1:
             raise InputError("pile_size must be at least 1")
         if np.isnan(self.battery) or self.battery < 0.0:

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: files written, determinism, exit codes."""
 
 import csv
+import errno
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -305,6 +308,78 @@ def test_simulate_event_stream(tmp_path, capsys):
     assert rc == 0
     assert f"wrote event stream {events}" in capsys.readouterr().out
     assert len(events.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("existing", [None, b"old episode\n"])
+def test_simulate_events_in_a_missing_directory_leaves_no_output(tmp_path, capsys, existing):
+    out, events = tmp_path / "s.csv", tmp_path / "missing" / "e.jsonl"
+    if existing is not None:
+        out.write_bytes(existing)
+    rc = main(["simulate", "--mechanism", "spa", "--max-rounds", "3", "--out", str(out),
+               "--events", str(events)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"'{events}'" in err and ".tmp" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ([out.name] if existing else [])
+    assert existing is None or out.read_bytes() == existing
+
+
+def fail_to_write(path, *args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+@pytest.mark.parametrize("command, owner, writer, second", [
+    (["train", *TINY, "--iterations", "2", "--out", "net.ckpt"], cli, "_write_csv",
+     "net.ckpt.loss.csv"),
+    (["revenue-gap", "--checkpoint", "identity.ckpt", "--cases", "40", "--out", "gaps.csv",
+      "--svg"], pathlib.Path, "write_text", "gaps.svg"),
+], ids=["train", "revenue-gap"])
+def test_a_failed_second_write_lands_no_output(tmp_path, monkeypatch, capsys, command, owner,
+                                               writer, second):
+    monkeypatch.chdir(tmp_path)
+    identity_checkpoint(tmp_path)
+    monkeypatch.setattr(owner, writer, fail_to_write)
+    assert main(command) == 3
+    err = capsys.readouterr().err
+    assert f"No space left on device: '{second}'" in err and ".tmp" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["identity.ckpt"]
+
+
+def test_outputs_land_as_a_plain_write_would(tmp_path):
+    """A new output gets a new file's mode; an existing one keeps its mode,
+    and a symlinked one is written through its link."""
+    (tmp_path / "plain").write_text("")
+    mode = os.stat(tmp_path / "plain").st_mode
+    (tmp_path / "real.jsonl").write_text("")
+    os.chmod(tmp_path / "real.jsonl", 0o600)
+    (tmp_path / "e.jsonl").symlink_to("real.jsonl")
+    train_tiny(tmp_path)
+    assert main(["simulate", "--mechanism", "spa", "--max-rounds", "2", "--out",
+                 str(tmp_path / "e.csv"), "--events", str(tmp_path / "e.jsonl")]) == 0
+    new = {"net.ckpt", "net.ckpt.loss.csv", "e.csv"}
+    assert {path.name for path in tmp_path.iterdir()} == new | {"plain", "real.jsonl", "e.jsonl"}
+    assert all(os.stat(tmp_path / name).st_mode == mode for name in new)
+    assert (tmp_path / "e.jsonl").is_symlink()
+    assert os.stat(tmp_path / "real.jsonl").st_mode & 0o777 == 0o600
+    assert len((tmp_path / "real.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("simulate", "--n-devices", "1", "n_devices = 1"),
+    ("simulate", "--area-width", "0", "area_width = 0.0"),
+    ("simulate", "--area-height", "-5", "area_height = -5.0"),
+    ("simulate", "--image-rows", "0", "image_rows = 0"),
+    ("simulate", "--image-cols", "0", "image_cols = 0"),
+    ("train", "--n-bidders", "1", "n_bidders = 1"),
+    ("train", "--groups", "0", "groups = 0"),
+    ("train", "--linear-units", "0", "linear_units = 0"),
+])
+def test_range_errors_name_their_key(tmp_path, capsys, command, flag, value, named):
+    extra = ["--mechanism", "spa"] if command == "simulate" else []
+    rc = main([command, *extra, flag, value, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(f", got {named}\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("events", ["same.csv", "sub/../same.csv", "ABSOLUTE"])
