@@ -74,11 +74,8 @@ def _require_apart(args, outputs: dict) -> None:
 @contextmanager
 def _outputs(*paths):
     """Yield a temp path beside each output (``None`` for none); once the block succeeds,
-    rename each onto its output, else remove them all.  An error names the output.
-
-    As a plain write would, a symlinked output is written through and an
-    existing output keeps its mode.
-    """
+    rename each onto its output as a plain write would land (through a symlink, keeping an
+    existing file's mode), else remove them all.  An error names the output, not its temp."""
     temps = [path and f"{os.path.realpath(path)}.{os.getpid()}.tmp" for path in paths]
     landing = {temp: path for temp, path in zip(temps, paths) if path}
     try:
