@@ -61,6 +61,14 @@ because argparse wraps help to the terminal width.  Regenerate with
 
 and likewise for ``revenue-gap``, ``simulate`` and ``eval``.
 
+Each ``golden_demo_<name>.stdout`` pins what ``demos/<name>.py`` prints
+when run from the repository root; the CI's Demos step compares them.
+Regenerate with
+
+    PYTHONPATH=src python demos/uav_episode.py > tests/data/golden_demo_uav_episode.stdout
+
+and likewise for the other demos.
+
 ``reader_net.ckpt`` is a copy of ``golden_net.ckpt`` as the training
 case wrote it before training drew from its own tagged stream.  Replace
 it only to move the readers onto a new net, with
