@@ -13,8 +13,8 @@ state = generate_world(config)
 
 print(f"collector starts at ({config.uav_x:.0f}, {config.uav_y:.0f}) "
       f"with {config.battery:.0f} m of battery")
-for idx, position in enumerate(state.positions):
-    print(f"  device {idx} at ({position.x:7.1f}, {position.y:7.1f})")
+for idx, (x, y) in enumerate(state.positions):
+    print(f"  device {idx} at ({x:7.1f}, {y:7.1f})")
 
 records = run_episode(state, SecondPriceMechanism())
 

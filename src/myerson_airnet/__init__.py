@@ -18,8 +18,7 @@ from .network import (MonotoneNetParams, NetConfig, TrainingTrace, allocate_soft
 from .sim import (LearnedMechanism, RoundRecord, SecondPriceMechanism, WorldConfig, WorldState,
                   form_valuations, generate_world, run_episode, step, write_episode_csv,
                   write_episode_events)
-from .valuation import (Position, distance, normalize_profile, pile_similarity, pile_terms,
-                        valuation_score)
+from .valuation import distance, normalize_profile, pile_similarity, pile_terms, valuation_score
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "MonotoneNetParams", "NetConfig", "TrainingTrace", "allocate_soft", "clear_hard",
     "grad", "init_params", "loss", "train", "transform", "transform_inverse",
     "load_params", "save_params",
-    "Position", "distance", "normalize_profile", "pile_similarity", "pile_terms",
+    "distance", "normalize_profile", "pile_similarity", "pile_terms",
     "valuation_score",
     "LearnedMechanism", "RoundRecord", "SecondPriceMechanism", "WorldConfig",
     "WorldState", "form_valuations", "generate_world", "run_episode", "step",

@@ -10,14 +10,17 @@ the area, so nearby devices see correlated scenes.
 
 The world is held as arrays: every device's pile is one row of a
 ``(D, P, R, C)`` array and its position one row of a ``(D, 2)`` array,
-so a round prices all devices' similarity and distance in one batched
-call each.  The state keeps the piles' similarity terms (each image's
-squared norm and each pile's pixel sums, ``valuation.pile_terms``) and
-hands them to ``pile_similarity``, so a round reads ``(D, K)`` sums, not
-every pixel.  Only the winner's pile changes in a round, so only its
-row of terms is recomputed; the piles are exposed read-only and change
-only through ``WorldState.replace_pile``, which keeps the terms in step.
-The noise field is built once per world.
+the one store of positions, checked once against the coordinate bound
+when the state is built, so a round prices all devices' similarity and
+distance in one batched call each.  The collector's position is an
+``(x, y)`` pair of floats.  The state keeps the piles' similarity terms
+(each image's squared norm and each pile's pixel sums,
+``valuation.pile_terms``) and hands them to ``pile_similarity``, so a
+round reads ``(D, K)`` sums, not every pixel.  Only the winner's pile
+changes in a round, so only its row of terms is recomputed; the piles
+are exposed read-only and change only through
+``WorldState.replace_pile``, which keeps the terms in step.  The noise
+field is built once per world.
 
 All randomness derives from ``WorldConfig.seed`` through fixed
 sub-stream tags, so an episode replays bitwise from its seed.
@@ -35,8 +38,7 @@ import numpy as np
 from .auction import AuctionOutcome, ValuationDistribution, ValuationProfile, spa_clear
 from .errors import DegenerateProfileError, EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
-from .valuation import (Position, distance, normalize_profile, pile_similarity, pile_terms,
-                        valuation_score)
+from .valuation import distance, normalize_profile, pile_similarity, pile_terms, valuation_score
 
 # Sub-stream tags for seed derivation; changing these changes every world.
 _TAG_PLACEMENT = 0
@@ -110,36 +112,40 @@ class WorldConfig:
 class WorldState:
     """Mutable episode state advanced by :func:`step`.
 
-    The collector starts at the config's ``(uav_x, uav_y)`` with its
-    ``battery`` at round 0, and :func:`run_episode` stops at its ``max_rounds``.
-    Device ``i`` sits at ``positions[i]`` and holds the pile
-    ``piles[i]``; ``piles`` is ``(D, P, R, C)`` and ``last_collected``,
-    the reference pile, is ``(P, R, C)``, both copied on construction so
-    the state owns them.  ``piles`` and ``terms``, the piles' cached
-    :func:`~myerson_airnet.valuation.pile_terms`, are read-only views
-    (a write through them raises ``ValueError``, also on a copy of the
-    state); :meth:`replace_pile` is their one writer.  ``xy`` holds
-    ``positions`` as a ``(D, 2)`` array and ``noise`` is the world's
-    imagery field, built from ``config.seed``.
+    The collector starts at the config's ``(uav_x, uav_y)``, held as
+    ``uav_position``, a pair of floats, with its ``battery`` at round 0,
+    and :func:`run_episode` stops at its ``max_rounds``.  Device ``i``
+    sits at ``positions[i]`` and holds the pile ``piles[i]``;
+    ``positions`` is ``(D, 2)``, every coordinate finite and within the
+    bound the config puts on its own, ``piles`` is ``(D, P, R, C)`` and
+    ``last_collected``, the reference pile, is ``(P, R, C)``, all copied
+    on construction so the state owns them.  ``piles`` and ``terms``, the
+    piles' cached :func:`~myerson_airnet.valuation.pile_terms`, are
+    read-only views (a write through them raises ``ValueError``, also on
+    a copy of the state); :meth:`replace_pile` is their one writer.
+    ``noise`` is the world's imagery field, built from ``config.seed``.
     """
 
     def __init__(self, config: WorldConfig, positions, piles, last_collected):
         self.config = config
-        self.uav_position = Position(config.uav_x, config.uav_y)
+        self.uav_position = (float(config.uav_x), float(config.uav_y))
         self.battery = float(config.battery)
-        self.positions = tuple(positions)
+        self.positions = np.array(positions, dtype=float)
         self._piles = np.array(piles, dtype=float)
         self.last_collected = np.array(last_collected, dtype=float)
         self.round = 0
         shape = (config.pile_size, config.image_rows, config.image_cols)
-        if len(self.positions) != config.n_devices:
-            raise InputError(f"{len(self.positions)} positions for {config.n_devices} devices")
+        if self.positions.shape != (config.n_devices, 2):
+            raise InputError(f"positions {self.positions.shape} do not match the config's "
+                             f"{config.n_devices} devices of (x, y)")
+        if not np.all(np.abs(self.positions) <= _COORD_LIMIT):  # also false for nan
+            raise InputError(f"positions must be finite and at most {_COORD_LIMIT:g} "
+                             f"in magnitude")
         if self._piles.shape != (config.n_devices, *shape) or self.last_collected.shape != shape:
             raise InputError(f"piles {self._piles.shape} and last_collected "
                              f"{self.last_collected.shape} do not match the config's "
                              f"{config.n_devices} piles of shape {shape}")
         self._norms, self._sums = pile_terms(self._piles)
-        self.xy = np.array([(pos.x, pos.y) for pos in self.positions])
         self.noise = _NoiseField(config.seed)
 
     @property
@@ -176,7 +182,7 @@ class RoundRecord:
     mechanism: str
     outcome: AuctionOutcome
     distance_flown: float
-    uav_position: Position
+    uav_position: tuple[float, float]
     battery: float
 
 
@@ -227,16 +233,16 @@ class _NoiseField:
         return top * (1.0 - fv) + bottom * fv
 
 
-def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos: Position,
+def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
                   config: WorldConfig) -> np.ndarray:
-    """Sample a pile at ``pos``: jittered field windows plus sensor noise.
+    """Sample a pile at the ``(x, y)`` point ``pos``: jittered field windows plus sensor noise.
 
     Each image draws its jitter, then its pixel noise; the field is then
     sampled once for the whole pile on broadcast coordinates.
     """
     rows, cols, size = config.image_rows, config.image_cols, config.pile_size
-    gx = pos.x + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
-    gy = pos.y + (np.arange(rows) - rows / 2.0) * _PIXEL_METERS
+    gx = pos[0] + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
+    gy = pos[1] + (np.arange(rows) - rows / 2.0) * _PIXEL_METERS
     jitter = np.empty((size, 2))
     noise = np.empty((size, rows, cols))
     for k in range(size):
@@ -260,14 +266,13 @@ def generate_world(config: WorldConfig) -> WorldState:
     xy = placement.random((config.n_devices, 2))
     xy[:, 0] *= config.area_width
     xy[:, 1] *= config.area_height
-    positions = tuple(Position(float(x), float(y)) for x, y in xy)
 
     noise = _NoiseField(config.seed)
     piles = [_capture_pile(noise, np.random.default_rng([config.seed, _TAG_PILE, idx]),
-                           pos, config) for idx, pos in enumerate(positions)]
+                           pos, config) for idx, pos in enumerate(xy)]
     sentinel_rng = np.random.default_rng([config.seed, _TAG_SENTINEL])
-    sentinel = _capture_pile(noise, sentinel_rng, Position(config.uav_x, config.uav_y), config)
-    return WorldState(config=config, positions=positions, piles=piles, last_collected=sentinel)
+    sentinel = _capture_pile(noise, sentinel_rng, (config.uav_x, config.uav_y), config)
+    return WorldState(config=config, positions=xy, piles=piles, last_collected=sentinel)
 
 
 def form_valuations(state: WorldState) -> ValuationProfile:
@@ -277,8 +282,8 @@ def form_valuations(state: WorldState) -> ValuationProfile:
     back to midpoint valuations for every device.
     """
     config = state.config
-    uav = state.uav_position
-    dists = np.hypot(uav.x - state.xy[:, 0], uav.y - state.xy[:, 1])
+    x, y = state.uav_position
+    dists = np.hypot(x - state.positions[:, 0], y - state.positions[:, 1])
     sims = pile_similarity(state.piles, state.last_collected, config.similarity_aggregate,
                            terms=state.terms)
     raws = valuation_score(sims, dists, config.valuation_rule)
@@ -306,7 +311,7 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
     flown = 0.0
     winner = outcome.winner
     if winner is not None:
-        position = state.positions[winner]
+        position = tuple(state.positions[winner].tolist())  # floats, not np.float64
         flown = distance(state.uav_position, position)
         state.uav_position = position
         state.battery = max(0.0, state.battery - flown)
@@ -348,7 +353,7 @@ def write_episode_csv(path, records) -> None:
             winner = -1 if outcome.winner is None else outcome.winner
             writer.writerow([record.round, record.mechanism, winner,
                              repr(float(outcome.payment)), repr(float(outcome.revenue)),
-                             repr(record.uav_position.x), repr(record.uav_position.y),
+                             *map(repr, record.uav_position),
                              repr(record.battery), repr(float(record.distance_flown))])
 
 
@@ -368,7 +373,7 @@ def write_episode_events(path, records) -> None:
             "payment": float(outcome.payment),
             "revenue": float(outcome.revenue),
             "allocation": allocation,
-            "uav": [record.uav_position.x, record.uav_position.y],
+            "uav": list(record.uav_position),
             "battery": record.battery,
             "distance_flown": float(record.distance_flown),
         }, separators=(",", ":")))

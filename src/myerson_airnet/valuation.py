@@ -1,9 +1,9 @@
 """Distance and image-redundancy valuation model.
 
 A device's willingness to sell is scored from how far the collector
-must fly (Euclidean distance) and how different the device's current
-image pile is from the pile collected in the previous round (mean
-squared error across all cross pairs).  Raw scores are min-max
+must fly (the Euclidean distance between ``(x, y)`` points) and how
+different the device's current image pile is from the pile collected in
+the previous round (mean squared error across all cross pairs).  Raw scores are min-max
 normalized onto the support of the market's valuation distribution.
 
 Similarity and scoring work on whole markets at once: piles are plain
@@ -20,33 +20,19 @@ built; the most redundant pair is found in Gram form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .auction import ValuationDistribution, ValuationProfile
 from .errors import DegenerateProfileError, InputError
 
 
-@dataclass(frozen=True)
-class Position:
-    """Planar position in meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise InputError("coordinates must be finite")
-
-
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance in meters.
+def distance(a, b) -> float:
+    """Euclidean distance in meters between the ``(x, y)`` points ``a`` and ``b``.
 
     ``np.hypot`` on scalars gives the bits it gives elementwise on arrays,
     so this matches the distances the simulator prices in one call.
     """
-    return float(np.hypot(a.x - b.x, a.y - b.y))
+    return float(np.hypot(a[0] - b[0], a[1] - b[1]))
 
 
 def pile_terms(piles) -> tuple[np.ndarray, np.ndarray]:

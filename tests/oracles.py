@@ -164,8 +164,8 @@ def pile_similarity_per_image(piles, reference, aggregate: str = "mean") -> np.n
 def capture_pile_meshgrid(field_, rng, pos, config) -> np.ndarray:
     """A pile captured one image at a time, each on its own meshgrid of field samples."""
     rows, cols = config.image_rows, config.image_cols
-    gx = pos.x + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
-    gy = pos.y + (np.arange(rows) - rows / 2.0) * _PIXEL_METERS
+    gx = pos[0] + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
+    gy = pos[1] + (np.arange(rows) - rows / 2.0) * _PIXEL_METERS
     images = []
     for _ in range(config.pile_size):
         ox, oy = rng.uniform(-_IMAGE_JITTER_METERS, _IMAGE_JITTER_METERS, 2)

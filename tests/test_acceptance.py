@@ -19,7 +19,7 @@ from myerson_airnet.cli import main
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, clear_batch, clear_hard, grad,
                                     train, transform, transform_inverse)
 from myerson_airnet.sim import SecondPriceMechanism, WorldConfig, generate_world, run_episode
-from myerson_airnet.valuation import Position, distance, pile_similarity, valuation_score
+from myerson_airnet.valuation import distance, pile_similarity, valuation_score
 
 
 def report(number, label, failures):
@@ -181,9 +181,9 @@ def test_acceptance_7_valuation_oracles():
     """Distance, image MSE, bilinear pricing, and pile aggregation
     against hand-computed and brute-force oracles."""
     failures = []
-    if distance(Position(0.0, 0.0), Position(3.0, 4.0)) != 5.0:
+    if distance((0.0, 0.0), (3.0, 4.0)) != 5.0:
         failures.append("3-4-5 distance")
-    if distance(Position(1.0, 1.0), Position(4.0, 5.0)) != math.sqrt(9.0 + 16.0):
+    if distance((1.0, 1.0), (4.0, 5.0)) != math.sqrt(9.0 + 16.0):
         failures.append("offset 3-4-5 distance")
 
     img = np.full((4, 4), 0.3)

@@ -23,7 +23,7 @@ from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, LearnedMechanism, RoundReco
                                 SecondPriceMechanism, WorldConfig, WorldState, form_valuations,
                                 generate_world, run_episode, step, write_episode_csv,
                                 write_episode_events)
-from myerson_airnet.valuation import Position, distance, pile_similarity, pile_terms
+from myerson_airnet.valuation import distance, pile_similarity, pile_terms
 
 
 def small_config(**overrides):
@@ -81,23 +81,23 @@ def test_generate_world_is_deterministic():
     assert a.uav_position == b.uav_position
     assert a.battery == b.battery
     assert np.array_equal(a.last_collected, b.last_collected)
-    assert a.positions == b.positions
+    assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.piles, b.piles)
 
     other = generate_world(small_config(seed=12))
-    assert any(pa != po for pa, po in zip(a.positions, other.positions))
+    assert not np.array_equal(a.positions, other.positions)
 
 
 def test_generate_world_geometry():
     config = small_config(n_devices=6, image_rows=5, image_cols=7, pile_size=3)
     state = generate_world(config)
-    assert len(state.positions) == 6
-    assert state.uav_position == Position(config.uav_x, config.uav_y)
+    assert state.positions.shape == (6, 2)
+    assert state.uav_position == (config.uav_x, config.uav_y)
     assert state.battery == config.battery
     assert state.round == 0
-    for position in state.positions:
-        assert 0.0 <= position.x <= config.area_width
-        assert 0.0 <= position.y <= config.area_height
+    for x, y in state.positions:
+        assert 0.0 <= x <= config.area_width
+        assert 0.0 <= y <= config.area_height
     assert state.piles.shape == (6, 3, 5, 7)
     assert state.last_collected.shape == (3, 5, 7)
     assert np.all((state.piles >= 0.0) & (state.piles <= 1.0))
@@ -113,33 +113,63 @@ def hand_world(positions, piles, last_collected, **overrides):
 
 def three_device_world(**overrides):
     """Hand-checkable market: raw scores 5.0, 2.5, and 1.75."""
-    positions = (Position(3.0, 4.0), Position(0.0, 5.0), Position(7.0, 0.0))
+    positions = ((3.0, 4.0), (0.0, 5.0), (7.0, 0.0))
     piles = [np.ones((1, 1, 2)), np.array([[[1.0, 0.0]]]), np.full((1, 1, 2), 0.5)]
     return hand_world(positions, piles, np.zeros((1, 1, 2)), **overrides)
 
 
 def test_world_state_owns_arrays_of_the_config_shape():
+    positions = np.zeros((3, 2))
     piles = np.zeros((3, 1, 1, 2))
     last = np.ones((1, 1, 2))
-    state = hand_world([Position(0.0, 0.0)] * 3, piles, last)
+    state = hand_world(positions, piles, last)
+    assert not np.shares_memory(state.positions, positions)
     assert not np.shares_memory(state.piles, piles)
     assert not np.shares_memory(state.last_collected, last)
     assert not np.shares_memory(state.piles, state.last_collected)
     with pytest.raises(InputError, match="positions"):
-        WorldState(config=state.config, positions=[Position(0.0, 0.0)] * 2, piles=piles,
+        WorldState(config=state.config, positions=[(0.0, 0.0)] * 2, piles=piles,
                    last_collected=last)
     with pytest.raises(InputError, match="piles"):
-        hand_world([Position(0.0, 0.0)] * 3, np.zeros((3, 1, 2, 2)), last)
+        hand_world([(0.0, 0.0)] * 3, np.zeros((3, 1, 2, 2)), last)
     with pytest.raises(InputError, match="last_collected"):
-        hand_world([Position(0.0, 0.0)] * 3, piles, np.ones((2, 1, 2)))
+        hand_world([(0.0, 0.0)] * 3, piles, np.ones((2, 1, 2)))
+
+
+def one_entry(device, coordinate, value):
+    positions = np.zeros((3, 2))
+    positions[device, coordinate] = value
+    return positions
+
+
+PAST_LIMIT = np.nextafter(sim._COORD_LIMIT, np.inf)
+
+
+@pytest.mark.parametrize("positions", [
+    np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((4, 2)),
+    *(one_entry(device, coordinate, value) for device, coordinate in ((0, 0), (2, 1))
+      for value in (np.nan, np.inf, -np.inf, PAST_LIMIT, -PAST_LIMIT)),
+])
+def test_world_state_refuses_positions_off_shape_or_past_the_coordinate_bound(positions):
+    """Positions are checked once, where the state takes them, against the
+    bound ``WorldConfig`` puts on its own coordinates."""
+    config = small_config(image_rows=1, image_cols=2, pile_size=1)
+    with pytest.raises(InputError, match="positions"):
+        WorldState(config=config, positions=positions, piles=np.zeros((3, 1, 1, 2)),
+                   last_collected=np.zeros((1, 1, 2)))
+    at_limit = np.full((3, 2), sim._COORD_LIMIT) * [[1.0, -1.0]]
+    state = WorldState(config=config, positions=at_limit, piles=np.zeros((3, 1, 1, 2)),
+                       last_collected=np.zeros((1, 1, 2)))
+    assert np.array_equal(state.positions, at_limit)
 
 
 def test_hand_built_state_starts_where_its_config_says():
     config = small_config(n_devices=2, image_rows=1, image_cols=2, pile_size=1,
-                          uav_x=-7.5, uav_y=12.0, battery=321)
-    state = WorldState(config=config, positions=[Position(0.0, 0.0)] * 2,
+                          uav_x=-7.5, uav_y=12, battery=321)
+    state = WorldState(config=config, positions=[(0.0, 0.0)] * 2,
                        piles=np.zeros((2, 1, 1, 2)), last_collected=np.zeros((1, 1, 2)))
-    assert state.uav_position == Position(-7.5, 12.0)
+    assert state.uav_position == (-7.5, 12.0)
+    assert [type(coordinate) for coordinate in state.uav_position] == [float, float]
     assert type(state.battery) is float and state.battery == 321.0
     assert state.round == 0
 
@@ -179,7 +209,7 @@ def test_form_valuations_hand_computed():
 
 def test_form_valuations_zero_distance_scores_lowest():
     state = three_device_world()
-    state.uav_position = state.positions[2]  # distance 0 -> raw 0
+    state.uav_position = tuple(state.positions[2])  # distance 0 -> raw 0
     profile = form_valuations(state)
     assert profile.values[2] == state.config.distribution.lower
 
@@ -193,7 +223,7 @@ def test_form_valuations_identical_pile_scores_lowest():
 
 def test_form_valuations_degenerate_falls_back_to_midpoint():
     pile = np.full((1, 1, 2), 0.5)
-    state = hand_world([Position(10.0, 0.0)] * 3, [pile] * 3, pile)
+    state = hand_world([(10.0, 0.0)] * 3, [pile] * 3, pile)
     # equal similarity and equal distance: zero spread
     profile = form_valuations(state)
     assert np.all(profile.values == state.config.distribution.midpoint)
@@ -208,9 +238,9 @@ def test_step_winner_flies_and_swaps_pile():
     assert record.outcome.winner == 0
     assert record.outcome.payment == pytest.approx(0.6153846153846154, abs=1e-12)
     assert record.distance_flown == 5.0
-    assert state.uav_position == Position(3.0, 4.0)
+    assert state.uav_position == (3.0, 4.0)
     assert state.battery == 995.0
-    assert (record.uav_position, record.battery) == (Position(3.0, 4.0), 995.0)
+    assert (record.uav_position, record.battery) == ((3.0, 4.0), 995.0)
     assert np.array_equal(state.last_collected, old_pile)
     assert not np.array_equal(state.piles[0], old_pile)
     assert state.round == 1
@@ -234,8 +264,8 @@ def test_step_battery_floors_on_final_hop():
     _, record = step(state, SecondPriceMechanism())
     assert record.distance_flown == 5.0
     assert state.battery == 0.0
-    assert state.uav_position == Position(3.0, 4.0)
-    assert (record.uav_position, record.battery) == (Position(3.0, 4.0), 0.0)
+    assert state.uav_position == (3.0, 4.0)
+    assert (record.uav_position, record.battery) == ((3.0, 4.0), 0.0)
 
 
 def test_step_no_sale_leaves_world_untouched():
@@ -382,8 +412,8 @@ def test_capture_pile_equals_per_image_meshgrid_oracle_bitwise(x, y, size, rows,
     config = small_config(pile_size=size, image_rows=rows, image_cols=cols, seed=seed % 1000)
     field_ = sim._NoiseField(config.seed)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    pile = sim._capture_pile(field_, rng, Position(x, y), config)
-    oracle = capture_pile_meshgrid(field_, oracle_rng, Position(x, y), config)
+    pile = sim._capture_pile(field_, rng, (x, y), config)
+    oracle = capture_pile_meshgrid(field_, oracle_rng, (x, y), config)
     assert pile.shape == (size, rows, cols)
     assert np.array_equal(bits(pile), bits(oracle))
     # the draws are made in the same order, so the streams end in the same state
@@ -514,8 +544,8 @@ def test_write_episode_csv_round_trips(tmp_path):
         if record.outcome.sold:
             position = state.positions[winner]
             battery = max(0.0, battery - record.distance_flown)
-        assert float(row[5]) == position.x
-        assert float(row[6]) == position.y
+        assert float(row[5]) == position[0]
+        assert float(row[6]) == position[1]
         assert float(row[7]) == battery
         assert float(row[8]) == record.distance_flown
 
@@ -554,7 +584,7 @@ def test_write_episode_events_fields(tmp_path):
 
 def test_write_episode_events_allocation_is_one_hot_on_the_winner(tmp_path):
     dist = ValuationDistribution(0.0, 1.0)
-    here = Position(0.0, 0.0)
+    here = (0.0, 0.0)
     records = [RoundRecord(round=r, valuations=ValuationProfile([0.2, 0.9, 0.4], dist),
                            mechanism="dla", outcome=outcome, distance_flown=0.0,
                            uav_position=here, battery=10.0)

@@ -6,29 +6,22 @@ from oracles import pair_mse
 
 from myerson_airnet.auction import ValuationDistribution
 from myerson_airnet.errors import DegenerateProfileError, InputError
-from myerson_airnet.valuation import (Position, distance, normalize_profile, pile_similarity,
-                                      pile_terms, valuation_score)
+from myerson_airnet.valuation import (distance, normalize_profile, pile_similarity, pile_terms,
+                                      valuation_score)
 
 
 def test_distance_examples():
-    assert distance(Position(0.0, 0.0), Position(3.0, 4.0)) == 5.0
-    assert distance(Position(2.5, -1.0), Position(2.5, -1.0)) == 0.0
-    assert distance(Position(1.0, 1.0), Position(4.0, 5.0)) == 5.0
+    assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
+    assert distance((2.5, -1.0), (2.5, -1.0)) == 0.0
+    assert distance((1.0, 1.0), (4.0, 5.0)) == 5.0
 
 
 def test_distance_symmetry_and_triangle():
     rng = np.random.default_rng(301)
     for _ in range(300):
-        a, b, c = (Position(*rng.uniform(-100.0, 100.0, 2)) for _ in range(3))
+        a, b, c = (tuple(rng.uniform(-100.0, 100.0, 2)) for _ in range(3))
         assert distance(a, b) == distance(b, a)
         assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
-
-
-def test_position_requires_finite():
-    with pytest.raises(InputError):
-        Position(float("nan"), 0.0)
-    with pytest.raises(InputError):
-        Position(0.0, float("inf"))
 
 
 def test_pair_mse_examples():
