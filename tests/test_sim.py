@@ -119,10 +119,11 @@ def three_device_world(**overrides):
 
 
 def test_world_state_owns_arrays_of_the_config_shape():
-    positions = np.zeros((3, 2))
+    positions = np.full((3, 2), sim._COORD_LIMIT) * [1.0, -1.0]  # the bound is inclusive
     piles = np.zeros((3, 1, 1, 2))
     last = np.ones((1, 1, 2))
     state = hand_world(positions, piles, last)
+    assert np.array_equal(state.positions, positions)
     assert not np.shares_memory(state.positions, positions)
     assert not np.shares_memory(state.piles, piles)
     assert not np.shares_memory(state.last_collected, last)
@@ -157,10 +158,6 @@ def test_world_state_refuses_positions_off_shape_or_past_the_coordinate_bound(po
     with pytest.raises(InputError, match="positions"):
         WorldState(config=config, positions=positions, piles=np.zeros((3, 1, 1, 2)),
                    last_collected=np.zeros((1, 1, 2)))
-    at_limit = np.full((3, 2), sim._COORD_LIMIT) * [[1.0, -1.0]]
-    state = WorldState(config=config, positions=at_limit, piles=np.zeros((3, 1, 1, 2)),
-                       last_collected=np.zeros((1, 1, 2)))
-    assert np.array_equal(state.positions, at_limit)
 
 
 def test_hand_built_state_starts_where_its_config_says():
