@@ -85,6 +85,20 @@ class ValuationProfile:
         object.__setattr__(self, "values", values)
 
 
+def _trusted_profile(values: np.ndarray, dist: ValuationDistribution) -> ValuationProfile:
+    """A profile over ``values`` that the caller vouches pass the profile's checks.
+
+    ``values`` must be a float ``(N,)`` array, ``N >= 2``, of finite entries
+    within the support.  The profile keeps it without a copy and marks it
+    read-only.
+    """
+    values.setflags(write=False)
+    profile = object.__new__(ValuationProfile)
+    object.__setattr__(profile, "values", values)
+    object.__setattr__(profile, "distribution", dist)
+    return profile
+
+
 @dataclass(frozen=True)
 class AuctionOutcome:
     """Clearing result: the winner (``None`` on no sale) and what it pays."""

@@ -10,17 +10,23 @@ the area, so nearby devices see correlated scenes.
 
 The world is held as arrays: every device's pile is one row of a
 ``(D, P, R, C)`` array and its position one row of a ``(D, 2)`` array,
-the one store of positions, checked once against the coordinate bound
-when the state is built, so a round prices all devices' similarity and
-distance in one batched call each.  The collector's position is an
-``(x, y)`` pair of floats.  The state keeps the piles' similarity terms
-(each image's squared norm and each pile's pixel sums,
-``valuation.pile_terms``) and hands them to ``pile_similarity``, so a
-round reads ``(D, K)`` sums, not every pixel.  Only the winner's pile
-changes in a round, so only its row of terms is recomputed; the piles
-are exposed read-only and change only through
-``WorldState.replace_pile``, which keeps the terms in step.  The noise
-field is built once per world.
+so a round prices all devices' similarity and distance in one batched
+call each.  The collector's position is an ``(x, y)`` pair of floats.
+The state keeps the piles' similarity terms (each image's squared norm
+and each pile's pixel sums, ``valuation.pile_terms``) and the reference
+pile's, so a round reads ``(D, K)`` sums, not every pixel.  Only the
+winner's pile changes in a round, so only its row of terms is
+recomputed, and the new reference's terms are that row's old ones,
+copied; the arrays are exposed read-only and change only through
+``WorldState.replace_pile`` and ``WorldState.collect``, which keep the
+terms in step.  The noise field is built once per world.
+
+A round is checked once, at the ``WorldState`` boundary: the state takes
+only positions within the coordinate bound, pixels within ``[0, 1]``
+and terms of its own making, so ``form_valuations`` runs the private
+kernels behind ``pile_similarity``, ``valuation_score`` and
+``normalize_profile`` with no further checks.  Those public calls stay
+checked over the same kernels and give the round's bits.
 
 All randomness derives from ``WorldConfig.seed`` through fixed
 sub-stream tags, so an episode replays bitwise from its seed.
@@ -35,10 +41,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution, ValuationProfile, spa_clear
-from .errors import DegenerateProfileError, EpisodeExhaustedError, InputError
+from .auction import AuctionOutcome, ValuationDistribution, _trusted_profile, spa_clear
+from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
-from .valuation import distance, normalize_profile, pile_similarity, pile_terms, valuation_score
+from .valuation import _normalized, _score, _similarity, distance, pile_terms
+
+# The round calls none of these checked names; perfbench patches them here to time
+# layers, and its hook test pins that they stay bound.  They can go once the package
+# times its own stages (ROADMAP item 3).
+from .auction import ValuationProfile  # noqa: F401
+from .valuation import normalize_profile, pile_similarity, valuation_score  # noqa: F401
 
 # Sub-stream tags for seed derivation; changing these changes every world.
 _TAG_PLACEMENT = 0
@@ -116,45 +128,81 @@ class WorldState:
     ``uav_position``, a pair of floats, with its ``battery`` at round 0,
     and :func:`run_episode` stops at its ``max_rounds``.  Device ``i``
     sits at ``positions[i]`` and holds the pile ``piles[i]``;
-    ``positions`` is ``(D, 2)``, every coordinate finite and within the
-    bound the config puts on its own, ``piles`` is ``(D, P, R, C)`` and
+    ``positions`` is ``(D, 2)``, ``piles`` is ``(D, P, R, C)`` and
     ``last_collected``, the reference pile, is ``(P, R, C)``, all copied
-    on construction so the state owns them.  ``piles`` and ``terms``, the
-    piles' cached :func:`~myerson_airnet.valuation.pile_terms`, are
-    read-only views (a write through them raises ``ValueError``, also on
-    a copy of the state); :meth:`replace_pile` is their one writer.
+    on construction so the state owns them.
+
+    The state is the round's one boundary: everything a round reads is
+    checked where it enters the state, so :func:`form_valuations` prices
+    it unchecked.  Every coordinate, ``uav_position`` included whenever
+    it is set, is finite and within the bound the config puts on its
+    own, and every pixel lies in ``[0, 1]``.  ``positions``, ``piles``,
+    ``last_collected``, ``terms`` (the piles' cached
+    :func:`~myerson_airnet.valuation.pile_terms`) and ``reference_terms``
+    (the reference's, one row of them) are read-only views (a write
+    through them raises ``ValueError``, also on a copy of the state);
+    :meth:`replace_pile` and :meth:`collect` are their writers.
     ``noise`` is the world's imagery field, built from ``config.seed``.
     """
 
     def __init__(self, config: WorldConfig, positions, piles, last_collected):
         self.config = config
-        self.uav_position = (float(config.uav_x), float(config.uav_y))
+        self.uav_position = (config.uav_x, config.uav_y)
         self.battery = float(config.battery)
-        self.positions = np.array(positions, dtype=float)
-        self._piles = np.array(piles, dtype=float)
-        self.last_collected = np.array(last_collected, dtype=float)
+        self._positions = _owned("positions", positions)
+        self._piles = _owned("piles", piles)
+        self._last_collected = _owned("last_collected", last_collected)
         self.round = 0
         shape = (config.pile_size, config.image_rows, config.image_cols)
-        if self.positions.shape != (config.n_devices, 2):
-            raise InputError(f"positions {self.positions.shape} do not match the config's "
+        if self._positions.shape != (config.n_devices, 2):
+            raise InputError(f"positions {self._positions.shape} do not match the config's "
                              f"{config.n_devices} devices of (x, y)")
-        if not np.all(np.abs(self.positions) <= _COORD_LIMIT):  # also false for nan
+        if not np.all(np.abs(self._positions) <= _COORD_LIMIT):  # also false for nan
             raise InputError(f"positions must be finite and at most {_COORD_LIMIT:g} "
                              f"in magnitude")
-        if self._piles.shape != (config.n_devices, *shape) or self.last_collected.shape != shape:
+        if self._piles.shape != (config.n_devices, *shape) or self._last_collected.shape != shape:
             raise InputError(f"piles {self._piles.shape} and last_collected "
-                             f"{self.last_collected.shape} do not match the config's "
+                             f"{self._last_collected.shape} do not match the config's "
                              f"{config.n_devices} piles of shape {shape}")
+        _require_pixels("piles", self._piles)
+        _require_pixels("last_collected", self._last_collected)
         self._norms, self._sums = pile_terms(self._piles)
+        norms, sums = pile_terms(self._last_collected[None])
+        self._reference_terms = norms[0], sums[0]
         self.noise = _NoiseField(config.seed)
+
+    @property
+    def uav_position(self) -> tuple[float, float]:
+        return self._uav_position
+
+    @uav_position.setter
+    def uav_position(self, position) -> None:
+        x, y = float(position[0]), float(position[1])
+        if not (abs(x) <= _COORD_LIMIT and abs(y) <= _COORD_LIMIT):  # also false for nan
+            raise InputError(f"uav_position must be finite and at most {_COORD_LIMIT:g} "
+                             f"in magnitude, got {(x, y)}")
+        self._uav_position = (x, y)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return _read_only(self._positions)
 
     @property
     def piles(self) -> np.ndarray:
         return _read_only(self._piles)
 
     @property
+    def last_collected(self) -> np.ndarray:
+        return _read_only(self._last_collected)
+
+    @property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
         return _read_only(self._norms), _read_only(self._sums)
+
+    @property
+    def reference_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        norms, sums = self._reference_terms
+        return _read_only(norms), _read_only(sums)
 
     def replace_pile(self, device: int, pile) -> None:
         """Write ``pile`` into ``device``'s row and recompute that row's terms."""
@@ -162,9 +210,35 @@ class WorldState:
         if pile.shape != self._piles.shape[1:]:
             raise InputError(f"pile {pile.shape} does not match the piles' "
                              f"{self._piles.shape[1:]}")
+        _require_pixels("pile", pile)
         self._piles[device] = pile
         norms, sums = pile_terms(self._piles[device][None])
         self._norms[device], self._sums[device] = norms[0], sums[0]
+
+    def collect(self, device: int, pile) -> None:
+        """Make ``device``'s pile the reference, with its cached terms, and ``pile`` its new one.
+
+        A pile's terms alone equal its row of the stack's, so the
+        reference's terms are copied, not recomputed.  Nothing changes if
+        ``pile`` is refused.
+        """
+        reference = self._piles[device].copy()
+        terms = self._norms[device].copy(), self._sums[device].copy()
+        self.replace_pile(device, pile)
+        self._last_collected, self._reference_terms = reference, terms
+
+
+def _owned(key: str, value) -> np.ndarray:
+    """A float copy of ``value``; a ragged or non-numeric one is an error naming ``key``."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise InputError(f"{key} must be a regular array of numbers ({error})") from None
+
+
+def _require_pixels(key: str, pile: np.ndarray) -> None:
+    if not (pile.min() >= 0.0 and pile.max() <= 1.0):  # also false for nan
+        raise InputError(f"{key} must hold pixels within [0, 1]")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -227,9 +301,12 @@ class _NoiseField:
         j0 %= _LATTICE_N
         i1 = (i0 + 1) % _LATTICE_N
         j1 = (j0 + 1) % _LATTICE_N
-        lat = self.lattice
-        top = lat[i0, j0] * (1.0 - fu) + lat[i1, j0] * fu
-        bottom = lat[i0, j1] * (1.0 - fu) + lat[i1, j1] * fu
+        # one flat gather per corner: lattice[i, j] is lattice.ravel()[i * N + j]
+        lat = self.lattice.ravel()
+        i0 *= _LATTICE_N
+        i1 *= _LATTICE_N
+        top = lat.take(i0 + j0) * (1.0 - fu) + lat.take(i1 + j0) * fu
+        bottom = lat.take(i0 + j1) * (1.0 - fu) + lat.take(i1 + j1) * fu
         return top * (1.0 - fv) + bottom * fv
 
 
@@ -278,20 +355,23 @@ def generate_world(config: WorldConfig) -> WorldState:
 def form_valuations(state: WorldState) -> ValuationProfile:
     """Score every device and normalize onto the market support.
 
-    A zero-spread round (for example, identical piles everywhere) falls
-    back to midpoint valuations for every device.
+    Runs the kernels behind ``pile_similarity``, ``valuation_score`` and
+    ``normalize_profile`` on the state's own arrays and cached terms,
+    with the same bits as those checked calls: the state checked its
+    inputs where it took them.  A zero-spread round (for example,
+    identical piles everywhere) falls back to midpoint valuations for
+    every device.
     """
     config = state.config
     x, y = state.uav_position
-    dists = np.hypot(x - state.positions[:, 0], y - state.positions[:, 1])
-    sims = pile_similarity(state.piles, state.last_collected, config.similarity_aggregate,
-                           terms=state.terms)
-    raws = valuation_score(sims, dists, config.valuation_rule)
-    try:
-        return normalize_profile(raws, config.distribution)
-    except DegenerateProfileError:
-        mid = config.distribution.midpoint
-        return ValuationProfile(np.full(len(raws), mid), config.distribution)
+    positions = state._positions
+    dists = np.hypot(x - positions[:, 0], y - positions[:, 1])
+    sims = _similarity(state._piles, state._last_collected, (state._norms, state._sums),
+                       state._reference_terms, config.similarity_aggregate)
+    values = _normalized(_score(sims, dists, config.valuation_rule), config.distribution)
+    if values is None:
+        values = np.full(dists.shape, config.distribution.midpoint)
+    return _trusted_profile(values, config.distribution)
 
 
 def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
@@ -311,14 +391,12 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
     flown = 0.0
     winner = outcome.winner
     if winner is not None:
-        position = tuple(state.positions[winner].tolist())  # floats, not np.float64
+        position = tuple(state._positions[winner].tolist())
         flown = distance(state.uav_position, position)
         state.uav_position = position
         state.battery = max(0.0, state.battery - flown)
-        # a copy, so the recapture below cannot write through to the reference
-        state.last_collected = state.piles[winner].copy()
         regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, winner])
-        state.replace_pile(winner, _capture_pile(state.noise, regen, position, state.config))
+        state.collect(winner, _capture_pile(state.noise, regen, position, state.config))
 
     record = RoundRecord(round=state.round, valuations=profile, mechanism=mechanism.name,
                          outcome=outcome, distance_flown=flown,
@@ -353,8 +431,8 @@ def write_episode_csv(path, records) -> None:
             winner = -1 if outcome.winner is None else outcome.winner
             writer.writerow([record.round, record.mechanism, winner,
                              repr(float(outcome.payment)), repr(float(outcome.revenue)),
-                             *map(repr, record.uav_position),
-                             repr(record.battery), repr(float(record.distance_flown))])
+                             *(repr(float(c)) for c in record.uav_position),
+                             repr(float(record.battery)), repr(float(record.distance_flown))])
 
 
 def write_episode_events(path, records) -> None:

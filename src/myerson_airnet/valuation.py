@@ -16,9 +16,18 @@ that keeps a stack's terms, as the simulator does, passes them in so a
 call reads ``(D, K)`` sums instead of ``(D, P, K)`` pixels.  The mean
 over all cross pairs comes from those sums, so no table of pairs is
 built; the most redundant pair is found in Gram form.
+
+Each public function checks its input and then runs a private kernel
+that holds the only copy of its math: ``_similarity`` (given the
+stack's and the reference's terms), ``_score`` and ``_normalized``.
+The simulator's round calls the kernels directly, on a state that
+checked what it holds and caches the reference's terms, so a round is
+checked once and gives the public calls' bits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,17 +100,31 @@ def pile_similarity(piles, reference, aggregate: str = "mean", terms=None) -> np
         raise InputError(f"terms of shapes {np.shape(norms)} and {np.shape(sums)} do not "
                          f"match {devices} piles of {images} images of {pixels} pixels")
     ref_norms, ref_sums = pile_terms(reference[None])
+    return _similarity(stack, reference, (norms, sums), (ref_norms[0], ref_sums[0]), aggregate)
+
+
+def _similarity(piles, reference, terms, reference_terms, aggregate: str) -> np.ndarray:
+    """:func:`pile_similarity` on inputs already checked, given both sets of terms.
+
+    ``piles`` is a ``(D, P, R, C)`` float array with its ``terms``;
+    ``reference`` is one ``(Q, R, C)`` pile and ``reference_terms`` its own
+    norms ``(Q,)`` and sums ``(K,)``, a row of :func:`pile_terms`.
+    """
+    norms, sums = terms
+    ref_norms, ref_sums = reference_terms
+    devices, images = norms.shape
+    refs, pixels = ref_norms.size, ref_sums.size
     if aggregate == "mean":
         total = refs * norms.sum(axis=1)
-        total -= 2.0 * np.einsum("dk,k->d", sums, ref_sums[0], optimize=False)
+        total -= 2.0 * np.einsum("dk,k->d", sums, ref_sums, optimize=False)
         total += images * ref_norms.sum()
         return np.maximum(total, 0.0) / (images * refs * pixels)
-    a = np.ascontiguousarray(stack.reshape(devices, images, pixels))
-    b = np.ascontiguousarray(reference.reshape(-1, pixels))
+    a = np.ascontiguousarray(piles.reshape(devices, images, pixels))
+    b = np.ascontiguousarray(reference.reshape(refs, pixels))
     per_pair = np.einsum("dpk,qk->dpq", a, b, optimize=False)
     per_pair *= -2.0
     per_pair += norms[:, :, None]
-    per_pair += ref_norms[0]
+    per_pair += ref_norms
     np.maximum(per_pair, 0.0, out=per_pair)
     per_pair /= pixels
     return np.min(per_pair, axis=(1, 2))
@@ -121,32 +144,52 @@ def valuation_score(similarity, dist_meters, rule: str = "product"):
         raise InputError("similarity must be a finite non-negative number")
     if not np.all((d >= 0.0) & np.isfinite(d)):
         raise InputError("distance must be a finite non-negative number")
-    if rule == "product":
-        score = s * d
-    elif rule == "proximity":
-        score = s / (1.0 + d)
-    else:
+    if rule not in ("product", "proximity"):
         raise InputError(f"unknown valuation rule {rule!r} (use 'product' or 'proximity')")
+    score = _score(s, d, rule)
     return float(score) if score.ndim == 0 else score
+
+
+def _score(similarity: np.ndarray, dist_meters: np.ndarray, rule: str) -> np.ndarray:
+    """:func:`valuation_score` on finite non-negative arrays and a known rule."""
+    if rule == "product":
+        return similarity * dist_meters
+    return similarity / (1.0 + dist_meters)
 
 
 def normalize_profile(raw_values, dist: ValuationDistribution) -> ValuationProfile:
     """Affine min-max map of raw scores onto the distribution support.
 
     Order preserving; the smallest raw score lands on ``dist.lower`` and
-    the largest on ``dist.upper``.  A zero-spread vector cannot be
-    normalized and raises ``DegenerateProfileError`` so the caller can
-    assign midpoint values instead.
+    the largest on ``dist.upper``.  A zero-spread vector, or one whose
+    spread is too small to scale onto the support, cannot be normalized
+    and raises ``DegenerateProfileError`` so the caller can assign
+    midpoint values instead.
     """
     raw = np.asarray(raw_values, dtype=float)
     if raw.ndim != 1 or raw.size < 2:
         raise InputError("need at least two raw valuations")
     if not np.all(np.isfinite(raw)):
         raise InputError("raw valuations must be finite")
+    scaled = _normalized(raw, dist)
+    if scaled is None:
+        raise DegenerateProfileError("raw valuations have too little spread to normalize")
+    return ValuationProfile(scaled, dist)
+
+
+def _normalized(raw: np.ndarray, dist: ValuationDistribution) -> np.ndarray | None:
+    """The min-max map of a finite ``(N,)`` array into the support, as a new array.
+
+    Returns ``None`` on zero spread, and on a spread so small that
+    ``width / span`` overflows, which would turn the smallest score into
+    NaN.  Any other finite non-negative input maps onto finite values in
+    the support.
+    """
     low = float(raw.min())
     span = float(raw.max()) - low
-    if span == 0.0:
-        raise DegenerateProfileError("all raw valuations are equal")
-    scaled = dist.lower + (raw - low) * (dist.width / span)
+    scale = dist.width / span if span != 0.0 else math.inf
+    if math.isinf(scale):
+        return None
+    scaled = dist.lower + (raw - low) * scale
     np.clip(scaled, dist.lower, dist.upper, out=scaled)
-    return ValuationProfile(scaled, dist)
+    return scaled

@@ -5,7 +5,8 @@ import numpy as np
 from myerson_airnet.auction import _virtual_valuation, virtual_valuation_inverse
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import MonotoneNetParams, _check_bidder, transform_inverse
-from myerson_airnet.sim import _IMAGE_JITTER_METERS, _PIXEL_METERS, _PIXEL_NOISE
+from myerson_airnet.sim import (_CELL_METERS, _IMAGE_JITTER_METERS, _LATTICE_N,
+                                _PIXEL_METERS, _PIXEL_NOISE)
 
 
 def pair_mse(a, b) -> float:
@@ -173,3 +174,23 @@ def capture_pile_meshgrid(field_, rng, pos, config) -> np.ndarray:
         img = field_.sample(mesh_x, mesh_y) + rng.normal(0.0, _PIXEL_NOISE, (rows, cols))
         images.append(np.clip(img, 0.0, 1.0))
     return np.stack(images)
+
+
+def noise_sample_2d_index(field_, xs, ys) -> np.ndarray:
+    """The field's value noise with each lattice corner read by a 2-D fancy index."""
+    u = np.asarray(xs, dtype=float) / _CELL_METERS
+    v = np.asarray(ys, dtype=float) / _CELL_METERS
+    i0 = np.floor(u).astype(int)
+    j0 = np.floor(v).astype(int)
+    fu = u - i0
+    fv = v - j0
+    fu = fu * fu * (3.0 - 2.0 * fu)
+    fv = fv * fv * (3.0 - 2.0 * fv)
+    i0 %= _LATTICE_N
+    j0 %= _LATTICE_N
+    i1 = (i0 + 1) % _LATTICE_N
+    j1 = (j0 + 1) % _LATTICE_N
+    lat = field_.lattice
+    top = lat[i0, j0] * (1.0 - fu) + lat[i1, j0] * fu
+    bottom = lat[i0, j1] * (1.0 - fu) + lat[i1, j1] * fu
+    return top * (1.0 - fv) + bottom * fv

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import capture_pile_meshgrid, pile_similarity_per_image
+from oracles import capture_pile_meshgrid, noise_sample_2d_index, pile_similarity_per_image
 from test_batch_properties import U, gamma, similarity_rounding_bound
 
 from myerson_airnet import sim
 from myerson_airnet.auction import (AuctionOutcome, ValuationDistribution, ValuationProfile,
                                     spa_clear)
-from myerson_airnet.errors import EpisodeExhaustedError, InputError
+from myerson_airnet.errors import DegenerateProfileError, EpisodeExhaustedError, InputError
 from myerson_airnet.checkpoint import save_params
 from myerson_airnet.cli import main
 from myerson_airnet.network import MonotoneNetParams, NetConfig, init_params
@@ -23,7 +23,8 @@ from myerson_airnet.sim import (EPISODE_CSV_COLUMNS, LearnedMechanism, RoundReco
                                 SecondPriceMechanism, WorldConfig, WorldState, form_valuations,
                                 generate_world, run_episode, step, write_episode_csv,
                                 write_episode_events)
-from myerson_airnet.valuation import distance, pile_similarity, pile_terms
+from myerson_airnet.valuation import (distance, normalize_profile, pile_similarity, pile_terms,
+                                      valuation_score)
 
 
 def small_config(**overrides):
@@ -160,6 +161,54 @@ def test_world_state_refuses_positions_off_shape_or_past_the_coordinate_bound(po
                    last_collected=np.zeros((1, 1, 2)))
 
 
+RAGGED = {"positions": [(0.0, 0.0), (1.0,), (2.0, 2.0)],
+          "piles": [np.zeros((1, 1, 2)), np.zeros((1, 1, 3)), np.zeros((1, 1, 2))],
+          "last_collected": [[[0.0, 0.0], [0.0]]]}
+
+
+@pytest.mark.parametrize("key", sorted(RAGGED))
+def test_world_state_names_the_key_of_a_ragged_array(key):
+    arrays = {"positions": np.zeros((3, 2)), "piles": np.zeros((3, 1, 1, 2)),
+              "last_collected": np.zeros((1, 1, 2)), key: RAGGED[key]}
+    config = small_config(image_rows=1, image_cols=2, pile_size=1)
+    with pytest.raises(InputError, match=f"^{key} must be a regular array of numbers"):
+        WorldState(config=config, **arrays)
+
+
+@pytest.mark.parametrize("key", ["piles", "last_collected"])
+@pytest.mark.parametrize("pixel", [-1e-300, np.nextafter(1.0, 2.0), np.nan, np.inf])
+def test_world_state_refuses_pixels_outside_the_unit_interval(key, pixel):
+    """The round prices piles unchecked, so the state takes only pixels a
+    capture can produce, and ``replace_pile`` and ``collect`` refuse the
+    rest without changing the state."""
+    arrays = {"piles": np.zeros((3, 1, 1, 2)), "last_collected": np.zeros((1, 1, 2))}
+    arrays[key].flat[-1] = pixel
+    with pytest.raises(InputError, match=f"^{key} must hold pixels within"):
+        hand_world([(0.0, 0.0)] * 3, **arrays)
+    state = three_device_world()
+    before = copy.deepcopy(state)
+    bad = np.full((1, 1, 2), pixel)
+    for write in (state.replace_pile, state.collect):
+        with pytest.raises(InputError, match="^pile must hold pixels within"):
+            write(1, bad)
+    for now, then in ((state.piles, before.piles), (state.last_collected, before.last_collected),
+                      *zip((*state.terms, *state.reference_terms),
+                           (*before.terms, *before.reference_terms))):
+        assert np.array_equal(bits(now), bits(then))
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -PAST_LIMIT])
+def test_uav_position_is_checked_whenever_it_is_set(x):
+    state = three_device_world()
+    state.uav_position = (np.float64(7.0), 0)
+    assert state.uav_position == (7.0, 0.0)
+    assert [type(coordinate) for coordinate in state.uav_position] == [float, float]
+    for position in ((x, 0.0), (0.0, x)):
+        with pytest.raises(InputError, match="^uav_position must be finite and at most"):
+            state.uav_position = position
+    assert state.uav_position == (7.0, 0.0)
+
+
 def test_hand_built_state_starts_where_its_config_says():
     config = small_config(n_devices=2, image_rows=1, image_cols=2, pile_size=1,
                           uav_x=-7.5, uav_y=12, battery=321)
@@ -179,13 +228,15 @@ def test_piles_and_terms_are_read_only_with_one_writer():
     before = state.piles.copy()
     frozen = copy.deepcopy(state)
     for world in (state, frozen):
-        for view in (world.piles, *world.terms):
+        for view in (world.piles, *world.terms, world.last_collected, *world.reference_terms,
+                     world.positions):
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 view += 1.0
-        with pytest.raises(AttributeError):
-            world.piles = np.zeros_like(before)
+        for name in ("piles", "terms", "last_collected", "reference_terms", "positions"):
+            with pytest.raises(AttributeError):
+                setattr(world, name, getattr(world, name))
         with pytest.raises(InputError, match="pile"):
             world.replace_pile(0, np.zeros((1, 2, 2)))
         with pytest.raises(IndexError):
@@ -218,10 +269,14 @@ def test_form_valuations_identical_pile_scores_lowest():
     assert profile.values[0] == state.config.distribution.lower
 
 
-def test_form_valuations_degenerate_falls_back_to_midpoint():
-    pile = np.full((1, 1, 2), 0.5)
-    state = hand_world([(10.0, 0.0)] * 3, [pile] * 3, pile)
-    # equal similarity and equal distance: zero spread
+@pytest.mark.parametrize("tiny", [0.0, 1e-160])
+def test_form_valuations_degenerate_falls_back_to_midpoint(tiny):
+    """Equal similarity and equal distance leave zero spread.  A pixel of
+    1e-160 leaves a raw spread of about 5e-321, whose scale ``width / span``
+    overflows; normalizing it would give NaN, so it is no spread either."""
+    reference = np.zeros((1, 1, 2))
+    state = hand_world([(10.0, 0.0)] * 3, [reference, reference, np.full((1, 1, 2), tiny)],
+                       reference)
     profile = form_valuations(state)
     assert np.all(profile.values == state.config.distribution.midpoint)
 
@@ -307,19 +362,63 @@ def test_cached_terms_track_the_piles_every_round(aggregate, seed, shape, monkey
                                         image_cols=cols, seed=seed, battery=float("inf"),
                                         similarity_aggregate=aggregate))
 
-    def uncached(piles, reference, aggregate, terms):
+    calls = []
+
+    def uncached(piles, reference, terms, reference_terms, aggregate):
+        calls.append(None)
         return pile_similarity(piles, reference, aggregate)
 
     mechanism, sold = EveryThirdUnsold(), []
     for _ in range(16):
         for cached, fresh in zip(state.terms, pile_terms(state.piles)):
             assert np.array_equal(bits(cached), bits(fresh))
+        for cached, fresh in zip(state.reference_terms, pile_terms(state.last_collected[None])):
+            assert np.array_equal(bits(cached), bits(fresh[0]))
         values = form_valuations(state).values
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "pile_similarity", uncached)
+            patch.setattr(sim, "_similarity", uncached)
             assert np.array_equal(bits(values), bits(form_valuations(state).values))
         sold.append(step(state, mechanism)[1].outcome.sold)
     assert 0 < sum(sold) < len(sold)
+    assert len(calls) == 16
+
+
+@settings(deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 999), st.sampled_from(["mean", "min"]),
+       st.sampled_from(["product", "proximity"]), st.booleans())
+def test_round_path_equals_the_checked_public_chain_bitwise(devices, size, rows, cols, seed,
+                                                            aggregate, rule, flat):
+    """``form_valuations`` runs the kernels unchecked on the state's cached
+    terms; the checked public calls on the same state give the same bits,
+    round after sold and unsold round.  A ``flat`` world holds one pile at
+    one spot everywhere, so its first round has zero spread and both take
+    the midpoint."""
+    config = small_config(n_devices=devices, pile_size=size, image_rows=rows, image_cols=cols,
+                          seed=seed, battery=float("inf"), similarity_aggregate=aggregate,
+                          valuation_rule=rule)
+    state = generate_world(config)
+    if flat:
+        state = WorldState(config, np.full((devices, 2), 100.0),
+                           [state.last_collected] * devices, state.last_collected)
+    mechanism, degenerate = EveryThirdUnsold(), []
+    for _ in range(4):
+        profile = form_valuations(state)
+        raws = valuation_score(pile_similarity(state.piles, state.last_collected, aggregate),
+                               [distance(state.uav_position, pos) for pos in state.positions],
+                               rule)
+        try:
+            expected = normalize_profile(raws, config.distribution).values
+        except DegenerateProfileError:
+            expected = np.full(devices, config.distribution.midpoint)
+            degenerate.append(len(degenerate))
+        assert np.array_equal(bits(profile.values), bits(expected))
+        assert not profile.values.flags.writeable
+        assert profile.distribution is config.distribution
+        step(state, mechanism)
+        for cached, fresh in zip(state.reference_terms, pile_terms(state.last_collected[None])):
+            assert np.array_equal(bits(cached), bits(fresh[0]))
+    assert not flat or degenerate[:1] == [0]
 
 
 def test_step_requires_charge():
@@ -417,6 +516,19 @@ def test_capture_pile_equals_per_image_meshgrid_oracle_bitwise(x, y, size, rows,
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.floats(1.0, 1e6))
+def test_noise_sample_equals_the_2d_index_oracle_bitwise(seed, field_seed, spread):
+    """The field gathers each lattice corner from the flat lattice; on a
+    capture's broadcast ``(P, 1, C)`` and ``(P, R, 1)`` grids it gives the
+    2-D fancy index's bits."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-spread, spread, (3, 1, 5))
+    ys = rng.uniform(-spread, spread, (3, 4, 1))
+    field_ = sim._NoiseField(field_seed)
+    assert np.array_equal(bits(field_.sample(xs, ys)), bits(noise_sample_2d_index(field_, xs, ys)))
+
+
 def benchmark_scale_episode(tmp_path, tag):
     """A seeded 200-device, 50-round dla episode with events, through the CLI."""
     ckpt = tmp_path / "world.ckpt"
@@ -474,9 +586,9 @@ def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, m
     assert fast[0].count(b"\n") == 51
 
     rounds = []  # [similarity bound, distances, raw scores] of each oracle round
-    score = sim.valuation_score
+    score = sim._score
 
-    def direct(piles, reference, aggregate, terms):
+    def direct(piles, reference, terms, reference_terms, aggregate):
         rounds.append([similarity_rounding_bound(piles, reference, aggregate)])
         return pile_similarity_per_image(piles, reference, aggregate)
 
@@ -485,10 +597,11 @@ def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, m
         rounds[-1] += [dist_meters, raws]
         return raws
 
-    monkeypatch.setattr(sim, "pile_similarity", direct)
-    monkeypatch.setattr(sim, "valuation_score", spy)
+    monkeypatch.setattr(sim, "_similarity", direct)
+    monkeypatch.setattr(sim, "_score", spy)
     slow = benchmark_scale_episode(tmp_path, "oracles")
     assert len(rounds) == 50
+    assert all(len(entries) == 3 for entries in rounds)  # the spy ran every round
     events = [[json.loads(line) for line in run[1].splitlines()] for run in (fast, slow)]
     assert [e["winner"] for e in events[0]] == [e["winner"] for e in events[1]]
     dist = ValuationDistribution()
@@ -500,19 +613,20 @@ def test_benchmark_scale_episode_matches_the_oracle_kernels_bytewise(tmp_path, m
 def test_form_valuations_distances_equal_distance_bitwise(monkeypatch):
     state = generate_world(small_config(n_devices=200, area_width=1000.0, area_height=1000.0,
                                         battery=1e12))
-    original, seen = sim.valuation_score, []
+    original, seen = sim._score, []
 
     def spy(similarity, dist_meters, rule):
         seen.append(np.array(dist_meters))
         return original(similarity, dist_meters, rule)
 
-    monkeypatch.setattr(sim, "valuation_score", spy)
+    monkeypatch.setattr(sim, "_score", spy)
     collectors = set()
     for _ in range(20):
         collectors.add(state.uav_position)
         expected = [distance(state.uav_position, pos) for pos in state.positions]
         step(state, SecondPriceMechanism())
         assert np.array_equal(bits(seen[-1]), bits(expected))
+    assert len(seen) == 20
     assert len(collectors) > 1
 
 
@@ -545,6 +659,16 @@ def test_write_episode_csv_round_trips(tmp_path):
         assert float(row[6]) == position[1]
         assert float(row[7]) == battery
         assert float(row[8]) == record.distance_flown
+
+
+def test_write_episode_csv_writes_numpy_scalars_as_floats(tmp_path):
+    record = RoundRecord(round=0, valuations=ValuationProfile([0.2, 0.9], ValuationDistribution(0.0, 1.0)),
+                         mechanism="spa", outcome=AuctionOutcome(1, np.float64(0.2)),
+                         distance_flown=np.float64(0.0), uav_position=(np.float64(1.0), 2.0),
+                         battery=np.float64(3.0))
+    path = tmp_path / "numpy.csv"
+    write_episode_csv(path, [record])
+    assert path.read_text().splitlines()[1] == "0,spa,1,0.2,0.2,1.0,2.0,3.0,0.0"
 
 
 def test_write_episode_csv_marks_no_sale(tmp_path):

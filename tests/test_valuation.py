@@ -133,6 +133,9 @@ def test_normalize_profile_examples():
 
     with pytest.raises(DegenerateProfileError):
         normalize_profile([3.0, 3.0, 3.0], dist)
+    # width / span overflows, and the smallest score would map to 0 * inf = NaN
+    with pytest.raises(DegenerateProfileError):
+        normalize_profile([0.0, 5e-324, 1e-323], dist)
     with pytest.raises(InputError):
         normalize_profile([1.0], dist)
 
