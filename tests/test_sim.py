@@ -269,13 +269,20 @@ def test_form_valuations_identical_pile_scores_lowest():
     assert profile.values[0] == state.config.distribution.lower
 
 
-@pytest.mark.parametrize("tiny", [0.0, 1e-160])
-def test_form_valuations_degenerate_falls_back_to_midpoint(tiny):
-    """Equal similarity and equal distance leave zero spread.  A pixel of
-    1e-160 leaves a raw spread of about 5e-321, whose scale ``width / span``
-    overflows; normalizing it would give NaN, so it is no spread either."""
+def test_form_valuations_degenerate_falls_back_to_midpoint():
+    pile = np.full((1, 1, 2), 0.5)
+    state = hand_world([(10.0, 0.0)] * 3, [pile] * 3, pile)
+    # equal similarity and equal distance: zero spread
+    profile = form_valuations(state)
+    assert np.all(profile.values == state.config.distribution.midpoint)
+
+
+def test_form_valuations_takes_a_spread_too_small_to_scale_as_none():
+    """A pixel of 1e-160 leaves a raw spread of about 5e-321, whose scale
+    ``width / span`` overflows; normalizing it would map the lowest score
+    to ``0 * inf = NaN``, so the round takes the midpoint instead."""
     reference = np.zeros((1, 1, 2))
-    state = hand_world([(10.0, 0.0)] * 3, [reference, reference, np.full((1, 1, 2), tiny)],
+    state = hand_world([(10.0, 0.0)] * 3, [reference, reference, np.full((1, 1, 2), 1e-160)],
                        reference)
     profile = form_valuations(state)
     assert np.all(profile.values == state.config.distribution.midpoint)
