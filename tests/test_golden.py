@@ -24,7 +24,8 @@ for a deliberate change of output bytes:
     python -m myerson_airnet train --dist-lower 0 --dist-upper 1 --seed 3 \\
         --iterations 40 --out tests/data/golden_net_default_batch.ckpt
     python -m myerson_airnet revenue-gap --checkpoint tests/data/reader_net.ckpt \\
-        --dist-lower 0 --dist-upper 1 --seed 3 --cases 200 --out tests/data/golden_gaps.csv
+        --dist-lower 0 --dist-upper 1 --seed 3 --cases 200 --svg \\
+        --out tests/data/golden_gaps.csv
     python -m myerson_airnet simulate --mechanism dla --checkpoint tests/data/reader_net.ckpt \\
         --config tests/data/golden_world.cfg --battery 1e9 \\
         --out tests/data/golden_dla_episode.csv --events tests/data/golden_dla_episode.jsonl
@@ -35,7 +36,9 @@ for a deliberate change of output bytes:
         --out tests/data/golden_spa_min_episode.csv \\
         --events tests/data/golden_spa_min_episode.jsonl
 
-and each ``.stdout`` file from the case's command run with its output
+(``--svg`` on the revenue-gap command also writes ``golden_gaps.svg``,
+the gap curve, which a test of its own compares), and each ``.stdout``
+file from the case's command run with its output
 directory in place of ``{tmp}``, that directory's path then replaced by
 ``{tmp}`` (``{data}`` likewise).
 
@@ -132,3 +135,11 @@ def test_help_matches_golden(command, datadir, monkeypatch, capsys):
     assert exited.value.code == 0
     golden = (datadir / f"golden_help_{command}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_revenue_gap_svg_matches_golden(tmp_path, datadir):
+    """``--svg`` adds the gap curve to the revenue-gap case and leaves its CSV as pinned."""
+    argv, _ = CASES["revenue-gap"]
+    assert main([arg.format(tmp=tmp_path, data=datadir) for arg in argv] + ["--svg"]) == 0
+    for name in ("golden_gaps.csv", "golden_gaps.svg"):
+        assert (tmp_path / name).read_bytes() == (datadir / name).read_bytes(), name
