@@ -7,8 +7,9 @@ mean revenue against the analytic optimum.  Every command honors
 byte-identical files.  ``train``'s held-out check, ``revenue-gap`` and
 ``eval`` each draw their profiles in one call from a stream that derives
 from the master seed through a fixed tag.  ``revenue-gap`` and ``eval``
-clear one profile per :func:`clear_hard` call; ``train``'s held-out check
-clears its profiles in one :func:`clear_batch` call.  An output that
+clear the analytic baselines as one batch and the learned auction one
+profile per :func:`clear_hard` call; ``train``'s held-out check clears its
+profiles in one :func:`clear_batch` call.  An output that
 resolves to ``--config``, to ``--checkpoint`` or to another output of the
 same command exits 2 before any work.  A command writes its outputs to
 temp files beside them and renames them only once every write succeeded,
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import ValuationProfile, myerson_clear, spa_batch, spa_clear
+from .auction import myerson_batch, spa_batch
 from .checkpoint import load_params, save_params
 from .config import RUN_SCHEMA, SCHEMA, build_config
 from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
@@ -39,6 +40,9 @@ from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
 from .network import clear_batch, clear_hard, train
 from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_episode,
                   write_episode_csv, write_episode_events)
+
+# Bound for perfbench's tracer alone, which patches them here; the clears call none.
+from .auction import ValuationProfile, myerson_clear, spa_clear  # noqa: F401
 
 # Seed-derivation tags for the profiles of train's held-out check, eval
 # and revenue-gap; they differ from each other and from the simulator's.
@@ -118,16 +122,13 @@ def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Per-row revenue of the learned auction, second price and, given ``dist``, the optimum.
 
     ``revenue-gap`` and ``eval`` clear their ``(S, N)`` profile matrix
-    through here, one row per mechanism call.  The optimum's array is
-    empty without ``dist``.
+    through here: the analytic baselines as one batch each, the learned
+    auction one profile per :func:`clear_hard` call.  The optimum's array
+    is empty without ``dist``.
     """
-    dla, spa, optimum = [], [], []
-    for row in rows:
-        dla.append(clear_hard(params, row).revenue)
-        spa.append(spa_clear(row).revenue)
-        if dist is not None:
-            optimum.append(myerson_clear(ValuationProfile(row, dist)).revenue)
-    return np.array(dla), np.array(spa), np.array(optimum)
+    dla = np.array([clear_hard(params, row).revenue for row in rows])
+    optimum = np.empty(0) if dist is None else myerson_batch(rows, dist)[1]
+    return dla, spa_batch(rows)[1].copy(), optimum  # not a view pinning the (S, N) partition
 
 
 def _cmd_train(args, cfg) -> int:
@@ -167,8 +168,8 @@ def _cmd_revenue_gap(args, cfg) -> int:
 
     with _outputs(out, svg_path) as (out_temp, svg_temp):
         _write_csv(out_temp, ["rank", "gap", "dla_revenue", "spa_revenue"],
-                   ([rank, repr(float(gaps[idx])), repr(float(dla[idx])), repr(float(spa[idx]))]
-                    for rank, idx in enumerate(order, start=1)))
+                   zip(range(1, order.size + 1), map(float, gaps[order]), map(float, dla[order]),
+                       map(float, spa[order])))
         if svg_temp:
             Path(svg_temp).write_text(_gap_curve_svg(gaps[order]), encoding="utf-8")
     if svg_path:
@@ -242,13 +243,12 @@ def _gap_curve_svg(sorted_gaps: np.ndarray) -> str:
     if hi == lo:
         hi = lo + 1.0
 
-    def sx(i: float) -> float:
-        return margin + (width - 2 * margin) * (i / max(n - 1, 1))
+    xs = margin + (width - 2 * margin) * (np.arange(n) / max(n - 1, 1))
 
-    def sy(v: float) -> float:
+    def sy(v):
         return height - margin - (height - 2 * margin) * ((v - lo) / (hi - lo))
 
-    points = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(sorted_gaps))
+    points = " ".join(map("{:.2f},{:.2f}".format, map(float, xs), map(float, sy(sorted_gaps))))
     zero_y = sy(0.0)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from myerson_airnet.auction import ValuationDistribution, myerson_batch, spa_batch, spa_clear
+from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_batch,
+                                    myerson_clear, spa_batch, spa_clear)
 from myerson_airnet import cli
-from myerson_airnet.checkpoint import save_params
+from myerson_airnet.checkpoint import load_params, save_params
 from myerson_airnet.cli import _TAG_EVAL, _TAG_GAP, _TAG_TRAIN_EVAL, main
-from myerson_airnet.network import _TAG_TRAIN, MonotoneNetParams, NetConfig, train
+from myerson_airnet.network import _TAG_TRAIN, MonotoneNetParams, NetConfig, clear_hard, train
 
 TINY = ("--n-bidders", "3", "--groups", "2", "--linear-units", "2",
         "--batch-size", "32", "--learning-rate", "0.1")
@@ -214,11 +215,11 @@ def test_revenue_gap_cases_repeat_no_other_stream_of_the_seed(tmp_path, monkeypa
     seed, cases = 3, 8
     cleared = []
 
-    def recording_spa_clear(values):
+    def recording_clear_hard(params, values):
         cleared.append(np.array(values))
-        return spa_clear(values)
+        return clear_hard(params, values)
 
-    monkeypatch.setattr("myerson_airnet.cli.spa_clear", recording_spa_clear)
+    monkeypatch.setattr("myerson_airnet.cli.clear_hard", recording_clear_hard)
     ckpt = identity_checkpoint(tmp_path)
     rc = main(["revenue-gap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv"),
                "--groups", "1", "--linear-units", "1", "--dist-lower", "0",
@@ -232,6 +233,47 @@ def test_revenue_gap_cases_repeat_no_other_stream_of_the_seed(tmp_path, monkeypa
     for stream in streams:
         first = dist.sample(np.random.default_rng(stream), cleared[0].size)
         assert not any(np.array_equal(row, first) for row in cleared), stream
+
+
+# Unit-interval rows, scaled onto each support: a tie at the top, every value at the lower
+# end (and at the upper), both ends in one row with a tie at the midpoint, every value under
+# the midpoint (on [0, 1] every virtual value is negative and the optimum does not sell) and
+# a runner-up under it.
+EDGE_ROWS = np.array([[0.7, 0.7, 0.3, 0.2, 0.1],
+                      [0.0, 0.0, 0.0, 0.0, 0.0],
+                      [1.0, 1.0, 1.0, 1.0, 1.0],
+                      [1.0, 0.0, 0.5, 0.5, 0.25],
+                      [0.1, 0.2, 0.3, 0.4, 0.45],
+                      [0.6, 0.1, 0.2, 0.3, 0.4]])
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (0.5, 1.0)])
+@pytest.mark.parametrize("net", ["reader", "identity"])
+def test_revenues_equal_the_per_row_public_clears_bitwise(net, lower, upper, datadir, tmp_path):
+    """The batch baselines and the per-row learned clear give the public per-row calls' bits.
+
+    Bits are compared as integers, so a zero's sign counts.  Without a
+    distribution the learned and second-price series are the same and the
+    optimum's is empty.
+    """
+    params = load_params(datadir / "reader_net.ckpt" if net == "reader"
+                         else identity_checkpoint(tmp_path))
+    dist = ValuationDistribution(lower, upper)
+    rows = np.vstack([lower + (upper - lower) * EDGE_ROWS,
+                      dist.sample(np.random.default_rng(0), (200, 5))])
+    assert dist.contains(rows)
+    expected = ([clear_hard(params, row).revenue for row in rows],
+                [spa_clear(row).revenue for row in rows],
+                [myerson_clear(ValuationProfile(row, dist)).revenue for row in rows])
+    revenues = cli._revenues(params, rows, dist)
+    for got, want in zip(revenues, expected):
+        np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    if lower == 0.0:
+        assert revenues[2][[1, 4]].tolist() == [0.0, 0.0]  # all-negative rows do not sell
+    dla, spa, optimum = cli._revenues(params, rows)
+    np.testing.assert_array_equal(dla.view(np.uint64), revenues[0].view(np.uint64))
+    np.testing.assert_array_equal(spa.view(np.uint64), revenues[1].view(np.uint64))
+    assert optimum.shape == (0,) and optimum.dtype == np.float64
 
 
 def test_simulate_spa_episode(tmp_path, capsys):
