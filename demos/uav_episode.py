@@ -20,7 +20,7 @@ records = run_episode(state, SecondPriceMechanism())
 
 print(f"\n{'round':>5} {'winner':>6} {'payment':>8} {'flown':>8} {'battery':>8} {'values'}")
 for record in records:
-    values = " ".join(f"{v:.2f}" for v in record.valuations.values)
+    values = " ".join(f"{v:.2f}" for v in record.valuations)
     winner = "-" if record.outcome.winner is None else record.outcome.winner
     print(f"{record.round:>5} {winner:>6} {record.outcome.payment:8.4f} "
           f"{record.distance_flown:8.1f} {record.battery:8.1f}  [{values}]")

@@ -37,9 +37,11 @@ class ValuationDistribution:
         lower = float(self.lower)
         upper = float(self.upper)
         if not (np.isfinite(lower) and np.isfinite(upper)):
-            raise InputError("distribution bounds must be finite")
+            raise InputError(f"distribution bounds must be finite, got dist_lower = {lower}, "
+                             f"dist_upper = {upper}")
         if not lower < upper:
-            raise InputError(f"need lower < upper, got [{lower}, {upper}]")
+            raise InputError(f"need lower < upper, got dist_lower = {lower}, "
+                             f"dist_upper = {upper}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -85,20 +87,6 @@ class ValuationProfile:
         object.__setattr__(self, "values", values)
 
 
-def _trusted_profile(values: np.ndarray, dist: ValuationDistribution) -> ValuationProfile:
-    """A profile over ``values`` that the caller vouches pass the profile's checks.
-
-    ``values`` must be a float ``(N,)`` array, ``N >= 2``, of finite entries
-    within the support.  The profile keeps it without a copy and marks it
-    read-only.
-    """
-    values.setflags(write=False)
-    profile = object.__new__(ValuationProfile)
-    object.__setattr__(profile, "values", values)
-    object.__setattr__(profile, "distribution", dist)
-    return profile
-
-
 @dataclass(frozen=True)
 class AuctionOutcome:
     """Clearing result: the winner (``None`` on no sale) and what it pays."""
@@ -132,7 +120,7 @@ def spa_batch(values) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(b)) or np.any(b < 0.0):
         raise InputError("bids must be finite and non-negative")
     winner, _, runner_up = _second_price(b)
-    return winner, runner_up
+    return winner, runner_up.copy()  # not a view pinning the (S, N) partition
 
 
 def _second_price(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

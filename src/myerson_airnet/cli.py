@@ -128,7 +128,7 @@ def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     dla = np.array([clear_hard(params, row).revenue for row in rows])
     optimum = np.empty(0) if dist is None else myerson_batch(rows, dist)[1]
-    return dla, spa_batch(rows)[1].copy(), optimum  # not a view pinning the (S, N) partition
+    return dla, spa_batch(rows)[1], optimum
 
 
 def _cmd_train(args, cfg) -> int:

@@ -26,7 +26,9 @@ only positions within the coordinate bound, pixels within ``[0, 1]``
 and terms of its own making, so ``form_valuations`` runs the private
 kernels behind ``pile_similarity``, ``valuation_score`` and
 ``normalize_profile`` with no further checks.  Those public calls stay
-checked over the same kernels and give the round's bits.
+checked over the same kernels and give the round's bits.  The round's
+valuations stay one read-only ``(D,)`` array from ``form_valuations``
+through the mechanism's clear to ``RoundRecord.valuations``.
 
 All randomness derives from ``WorldConfig.seed`` through fixed
 sub-stream tags, so an episode replays bitwise from its seed.
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution, _trusted_profile, spa_clear
+from .auction import AuctionOutcome, ValuationDistribution, spa_clear
 from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
 from .valuation import _normalized, _score, _similarity, distance, pile_terms
@@ -112,7 +114,8 @@ class WorldConfig:
         if self.seed < 0:
             raise InputError("seed must be a non-negative integer")
         if self.distribution.lower < 0.0:
-            raise InputError("simulation needs a non-negative valuation support")
+            raise InputError(f"simulation needs a non-negative valuation support, got "
+                             f"dist_lower = {self.distribution.lower}")
         if self.similarity_aggregate not in ("mean", "min"):
             raise InputError("similarity_aggregate must be 'mean' or 'min'")
         if self.valuation_rule not in ("product", "proximity"):
@@ -249,10 +252,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Everything one auction round decided, plus the collector after it."""
+    """Everything one auction round decided, plus the collector after it.
+
+    ``valuations`` is the read-only values array the mechanism cleared.
+    """
 
     round: int
-    valuations: ValuationProfile
+    valuations: np.ndarray
     mechanism: str
     outcome: AuctionOutcome
     distance_flown: float
@@ -352,8 +358,8 @@ def generate_world(config: WorldConfig) -> WorldState:
     return WorldState(config=config, positions=xy, piles=piles, last_collected=sentinel)
 
 
-def form_valuations(state: WorldState) -> ValuationProfile:
-    """Score every device and normalize onto the market support.
+def form_valuations(state: WorldState) -> np.ndarray:
+    """Score every device and normalize onto the market support, as a read-only ``(D,)`` array.
 
     Runs the kernels behind ``pile_similarity``, ``valuation_score`` and
     ``normalize_profile`` on the state's own arrays and cached terms,
@@ -371,7 +377,8 @@ def form_valuations(state: WorldState) -> ValuationProfile:
     values = _normalized(_score(sims, dists, config.valuation_rule), config.distribution)
     if values is None:
         values = np.full(dists.shape, config.distribution.midpoint)
-    return _trusted_profile(values, config.distribution)
+    values.flags.writeable = False
+    return values
 
 
 def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
@@ -385,8 +392,8 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
     """
     if state.battery <= 0.0:
         raise EpisodeExhaustedError(f"battery empty before round {state.round}")
-    profile = form_valuations(state)
-    outcome = mechanism.clear(profile.values)
+    values = form_valuations(state)
+    outcome = mechanism.clear(values)
 
     flown = 0.0
     winner = outcome.winner
@@ -398,7 +405,7 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
         regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, winner])
         state.collect(winner, _capture_pile(state.noise, regen, position, state.config))
 
-    record = RoundRecord(round=state.round, valuations=profile, mechanism=mechanism.name,
+    record = RoundRecord(round=state.round, valuations=values, mechanism=mechanism.name,
                          outcome=outcome, distance_flown=flown,
                          uav_position=state.uav_position, battery=state.battery)
     state.round += 1
@@ -440,13 +447,13 @@ def write_episode_events(path, records) -> None:
     lines = []
     for record in records:
         outcome = record.outcome
-        allocation = [0.0] * record.valuations.values.size
+        allocation = [0.0] * record.valuations.size
         if outcome.winner is not None:
             allocation[outcome.winner] = 1.0
         lines.append(json.dumps({
             "round": record.round,
             "mechanism": record.mechanism,
-            "valuations": record.valuations.values.tolist(),
+            "valuations": record.valuations.tolist(),
             "winner": outcome.winner,
             "payment": float(outcome.payment),
             "revenue": float(outcome.revenue),

@@ -11,11 +11,10 @@ arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
 ``(Q, R, C)`` reference pile in a single call with every dot product
 taken by ``np.einsum`` rather than BLAS, and scoring takes arrays or
 scalars.  Similarity reads a stack through its terms, each image's
-squared norm and each pile's pixel sums (:func:`pile_terms`); a caller
-that keeps a stack's terms, as the simulator does, passes them in so a
-call reads ``(D, K)`` sums instead of ``(D, P, K)`` pixels.  The mean
-over all cross pairs comes from those sums, so no table of pairs is
-built; the most redundant pair is found in Gram form.
+squared norm and each pile's pixel sums (:func:`pile_terms`), so the
+mean over all cross pairs reads ``(D, K)`` sums instead of ``(D, P, K)``
+pixels and builds no table of pairs; the most redundant pair is found in
+Gram form.
 
 Each public function checks its input and then runs a private kernel
 that holds the only copy of its math: ``_similarity`` (given the
@@ -60,20 +59,18 @@ def pile_terms(piles) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("dpk,dpk->dp", a, a, optimize=False), a.sum(axis=1)
 
 
-def pile_similarity(piles, reference, aggregate: str = "mean", terms=None) -> np.ndarray:
+def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     """Aggregate pairwise MSE between every image of each pile and the reference.
 
     ``mean`` averages all cross pairs; ``min`` scores a pile by its most
     redundant image pair instead.  ``piles`` is a ``(D, P, R, C)`` stack of
     D piles and ``reference`` one ``(Q, R, C)`` pile; the result holds one
-    score per pile.  ``terms`` are the stack's :func:`pile_terms`, the
-    norms ``n_p = |a_p|^2`` and sums ``A = sum a_p``; they are computed
-    here when not given, and a caller that passes them vouches that they
-    are the stack's.  Over ``K = R*C`` pixels, with the reference's own
-    norms ``m_q`` and sums ``B``, ``mean`` sums every pair at once as
-    ``Q sum n_p - 2 A.B + P sum m_q``, added in that order, and divides
-    ``max(sum, 0)`` by ``P*Q*K``, so it reads the stack only through
-    its terms.  ``min`` takes each pair's MSE as
+    score per pile.  The stack's :func:`pile_terms` are the norms
+    ``n_p = |a_p|^2`` and sums ``A = sum a_p``.  Over ``K = R*C`` pixels,
+    with the reference's own norms ``m_q`` and sums ``B``, ``mean`` sums
+    every pair at once as ``Q sum n_p - 2 A.B + P sum m_q``, added in that
+    order, and divides ``max(sum, 0)`` by ``P*Q*K``, so it reads the stack
+    only through its terms.  ``min`` takes each pair's MSE as
     ``max(-2 a.b + n_p + m_q, 0) / K``, added in that order.  Dot
     products are taken by ``np.einsum`` (not BLAS, whose bits can depend
     on its kernel and thread count) on row-major copies, so the bits
@@ -83,7 +80,7 @@ def pile_similarity(piles, reference, aggregate: str = "mean", terms=None) -> np
     images against itself need not.  The clamp keeps a rounding residue
     from going negative; scores lie within rounding of the direct
     per-pair mean, not on its bits.  Empty piles and empty images raise
-    ``InputError``, as do terms of the wrong shape.
+    ``InputError``.
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
@@ -91,16 +88,13 @@ def pile_similarity(piles, reference, aggregate: str = "mean", terms=None) -> np
     reference = np.asarray(reference, dtype=float)
     if stack.ndim != 4 or reference.ndim != 3 or stack.shape[2:] != reference.shape[1:]:
         raise InputError("piles must share image dimensions")
-    devices, images, rows, cols = stack.shape
+    _, images, rows, cols = stack.shape
     refs, pixels = reference.shape[0], rows * cols
     if images == 0 or refs == 0 or pixels == 0:
         raise InputError("piles and the reference must hold non-empty images")
-    norms, sums = pile_terms(stack) if terms is None else terms
-    if np.shape(norms) != (devices, images) or np.shape(sums) != (devices, pixels):
-        raise InputError(f"terms of shapes {np.shape(norms)} and {np.shape(sums)} do not "
-                         f"match {devices} piles of {images} images of {pixels} pixels")
     ref_norms, ref_sums = pile_terms(reference[None])
-    return _similarity(stack, reference, (norms, sums), (ref_norms[0], ref_sums[0]), aggregate)
+    return _similarity(stack, reference, pile_terms(stack), (ref_norms[0], ref_sums[0]),
+                       aggregate)
 
 
 def _similarity(piles, reference, terms, reference_terms, aggregate: str) -> np.ndarray:

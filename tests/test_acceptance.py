@@ -242,7 +242,7 @@ def test_acceptance_8_simulator_replay_and_invariants(tmp_path, datadir):
                 failures.append(f"seed {seed}: battery increased")
             battery = after
             winner = record.outcome.winner
-            if winner is not None and winner != int(np.argmax(record.valuations.values)):
+            if winner is not None and winner != int(np.argmax(record.valuations)):
                 failures.append(f"seed {seed}: winner not the top valuation")
         if battery != state.battery:
             failures.append(f"seed {seed}: battery accounting drifted")

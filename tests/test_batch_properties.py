@@ -187,19 +187,16 @@ def test_pile_similarity_equals_per_image_oracle_bitwise(data, aggregate):
 
 
 @settings(deadline=None)
-@given(similarity_cases(), st.sampled_from(["mean", "min"]))
-def test_pile_terms_of_one_pile_equal_its_row_of_the_stack_bitwise(data, aggregate):
+@given(similarity_cases())
+def test_pile_terms_of_one_pile_equal_its_row_of_the_stack_bitwise(data):
     """The simulator recomputes one device's row of terms at a time and
     scores its whole stack with them, so a pile's terms taken alone must
-    be the bits of its row of the stack's, on any layout, and scoring
-    with the terms given must give the bits of scoring without."""
-    stack, reference = data
+    be the bits of its row of the stack's, on any layout."""
+    stack, _ = data
     terms = pile_terms(stack)
     for device, pile in enumerate(stack):
         for whole, alone in zip(terms, pile_terms(pile[None])):
             assert np.array_equal(bits(whole[device]), bits(alone[0]))
-    given_terms = pile_similarity(stack, reference, aggregate, terms=terms)
-    assert np.array_equal(bits(given_terms), bits(pile_similarity(stack, reference, aggregate)))
 
 
 @st.composite

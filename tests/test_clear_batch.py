@@ -151,6 +151,14 @@ def test_spa_batch_matches_spa_clear_bitwise(values):
     assert_spa_batch_matches_rows(values)
 
 
+def test_batch_clears_return_payments_they_own():
+    """A caller keeping only the payments must not keep the ``(S, N)``
+    partitioned copy behind them alive."""
+    values = np.random.default_rng(3).uniform(0.5, 1.0, (64, 5))
+    assert spa_batch(values)[1].flags.owndata
+    assert myerson_batch(values, ValuationDistribution())[1].flags.owndata
+
+
 # The CLI's default support and [0, 1], and two supports ending at zero,
 # where a -0.0 runner-up reaches the payment's sign.
 MYERSON_SUPPORTS = (ValuationDistribution(), ValuationDistribution(0.0, 1.0),

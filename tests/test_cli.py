@@ -127,6 +127,19 @@ def test_simulate_non_finite_geometry_names_the_key(tmp_path, capsys, flag, valu
     assert not (tmp_path / "e.csv").exists()
 
 
+@pytest.mark.parametrize("command, value, message", [
+    ("train", "nan", "distribution bounds must be finite, got dist_lower = nan"),
+    ("train", "3", "need lower < upper, got dist_lower = 3.0, dist_upper = 1.0"),
+    ("simulate", "-0.5", "non-negative valuation support, got dist_lower = -0.5"),
+])
+def test_bad_valuation_support_names_the_key(tmp_path, capsys, command, value, message):
+    out = tmp_path / "out"
+    mechanism = ("--mechanism", "spa") if command == "simulate" else ()
+    assert main([command, *mechanism, "--dist-lower", value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-1e2", "-.5E+2", "-100"])
 def test_negative_value_may_follow_its_flag(tmp_path, capsys, value):
     base = ["simulate", "--mechanism", "spa", "--max-rounds", "2"]

@@ -13,8 +13,7 @@ from oracles import capture_pile_meshgrid, noise_sample_2d_index, pile_similarit
 from test_batch_properties import U, gamma, similarity_rounding_bound
 
 from myerson_airnet import sim
-from myerson_airnet.auction import (AuctionOutcome, ValuationDistribution, ValuationProfile,
-                                    spa_clear)
+from myerson_airnet.auction import AuctionOutcome, ValuationDistribution, spa_clear
 from myerson_airnet.errors import DegenerateProfileError, EpisodeExhaustedError, InputError
 from myerson_airnet.checkpoint import save_params
 from myerson_airnet.cli import main
@@ -248,33 +247,30 @@ def test_piles_and_terms_are_read_only_with_one_writer():
 
 
 def test_form_valuations_hand_computed():
-    profile = form_valuations(three_device_world())
+    values = form_valuations(three_device_world())
     # raw = mse * distance: 1.0*5, 0.5*5, 0.25*7 -> normalized onto [0.5, 1]
-    assert profile.values[0] == 1.0
-    assert profile.values[2] == 0.5
-    assert profile.values[1] == pytest.approx(0.6153846153846154, abs=1e-12)
+    assert values[0] == 1.0
+    assert values[2] == 0.5
+    assert values[1] == pytest.approx(0.6153846153846154, abs=1e-12)
 
 
 def test_form_valuations_zero_distance_scores_lowest():
     state = three_device_world()
     state.uav_position = tuple(state.positions[2])  # distance 0 -> raw 0
-    profile = form_valuations(state)
-    assert profile.values[2] == state.config.distribution.lower
+    assert form_valuations(state)[2] == state.config.distribution.lower
 
 
 def test_form_valuations_identical_pile_scores_lowest():
     state = three_device_world()
     state.replace_pile(0, state.last_collected)  # mse 0 -> raw 0
-    profile = form_valuations(state)
-    assert profile.values[0] == state.config.distribution.lower
+    assert form_valuations(state)[0] == state.config.distribution.lower
 
 
 def test_form_valuations_degenerate_falls_back_to_midpoint():
     pile = np.full((1, 1, 2), 0.5)
     state = hand_world([(10.0, 0.0)] * 3, [pile] * 3, pile)
     # equal similarity and equal distance: zero spread
-    profile = form_valuations(state)
-    assert np.all(profile.values == state.config.distribution.midpoint)
+    assert np.all(form_valuations(state) == state.config.distribution.midpoint)
 
 
 def test_form_valuations_takes_a_spread_too_small_to_scale_as_none():
@@ -284,8 +280,7 @@ def test_form_valuations_takes_a_spread_too_small_to_scale_as_none():
     reference = np.zeros((1, 1, 2))
     state = hand_world([(10.0, 0.0)] * 3, [reference, reference, np.full((1, 1, 2), 1e-160)],
                        reference)
-    profile = form_valuations(state)
-    assert np.all(profile.values == state.config.distribution.midpoint)
+    assert np.all(form_valuations(state) == state.config.distribution.midpoint)
 
 
 def test_step_winner_flies_and_swaps_pile():
@@ -308,6 +303,27 @@ def test_step_winner_flies_and_swaps_pile():
     for device in range(3):
         state.replace_pile(device, np.full((1, 1, 2), 0.25))
     assert np.array_equal(state.last_collected, old_pile)
+
+
+def test_record_holds_the_read_only_array_the_mechanism_cleared():
+    class Spy:
+        name = "spa"
+
+        def __init__(self):
+            self.cleared = []
+
+        def clear(self, values):
+            self.cleared.append(values)
+            return spa_clear(values)
+
+    spy = Spy()
+    records = run_episode(generate_world(small_config(max_rounds=3)), spy)
+    assert len(records) == len(spy.cleared) == 3
+    for record, cleared in zip(records, spy.cleared):
+        assert record.valuations is cleared
+        assert not record.valuations.flags.writeable
+        with pytest.raises(ValueError):
+            record.valuations[0] = 0.0
 
 
 def test_step_regeneration_is_seeded():
@@ -381,10 +397,10 @@ def test_cached_terms_track_the_piles_every_round(aggregate, seed, shape, monkey
             assert np.array_equal(bits(cached), bits(fresh))
         for cached, fresh in zip(state.reference_terms, pile_terms(state.last_collected[None])):
             assert np.array_equal(bits(cached), bits(fresh[0]))
-        values = form_valuations(state).values
+        values = form_valuations(state)
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_similarity", uncached)
-            assert np.array_equal(bits(values), bits(form_valuations(state).values))
+            assert np.array_equal(bits(values), bits(form_valuations(state)))
         sold.append(step(state, mechanism)[1].outcome.sold)
     assert 0 < sum(sold) < len(sold)
     assert len(calls) == 16
@@ -410,7 +426,7 @@ def test_round_path_equals_the_checked_public_chain_bitwise(devices, size, rows,
                            [state.last_collected] * devices, state.last_collected)
     mechanism, degenerate = EveryThirdUnsold(), []
     for _ in range(4):
-        profile = form_valuations(state)
+        values = form_valuations(state)
         raws = valuation_score(pile_similarity(state.piles, state.last_collected, aggregate),
                                [distance(state.uav_position, pos) for pos in state.positions],
                                rule)
@@ -419,9 +435,8 @@ def test_round_path_equals_the_checked_public_chain_bitwise(devices, size, rows,
         except DegenerateProfileError:
             expected = np.full(devices, config.distribution.midpoint)
             degenerate.append(len(degenerate))
-        assert np.array_equal(bits(profile.values), bits(expected))
-        assert not profile.values.flags.writeable
-        assert profile.distribution is config.distribution
+        assert np.array_equal(bits(values), bits(expected))
+        assert not values.flags.writeable
         step(state, mechanism)
         for cached, fresh in zip(state.reference_terms, pile_terms(state.last_collected[None])):
             assert np.array_equal(bits(cached), bits(fresh[0]))
@@ -484,7 +499,7 @@ def test_episode_winner_is_argmax_of_valuations():
         state = generate_world(small_config(seed=seed, n_devices=4, battery=3000.0,
                                             max_rounds=12))
         for record in run_episode(state, mechanism):
-            values = record.valuations.values
+            values = record.valuations
             if record.outcome.winner is not None:
                 assert record.outcome.winner == int(np.argmax(values))
 
@@ -669,7 +684,7 @@ def test_write_episode_csv_round_trips(tmp_path):
 
 
 def test_write_episode_csv_writes_numpy_scalars_as_floats(tmp_path):
-    record = RoundRecord(round=0, valuations=ValuationProfile([0.2, 0.9], ValuationDistribution(0.0, 1.0)),
+    record = RoundRecord(round=0, valuations=np.array([0.2, 0.9]),
                          mechanism="spa", outcome=AuctionOutcome(1, np.float64(0.2)),
                          distance_flown=np.float64(0.0), uav_position=(np.float64(1.0), 2.0),
                          battery=np.float64(3.0))
@@ -705,15 +720,15 @@ def test_write_episode_events_fields(tmp_path):
         assert event["mechanism"] == "spa"
         assert event["winner"] == record.outcome.winner
         assert event["payment"] == record.outcome.payment
+        assert event["valuations"] == record.valuations.tolist()
         assert len(event["valuations"]) == config.n_devices
         assert len(event["allocation"]) == config.n_devices
         assert math.isfinite(event["battery"])
 
 
 def test_write_episode_events_allocation_is_one_hot_on_the_winner(tmp_path):
-    dist = ValuationDistribution(0.0, 1.0)
     here = (0.0, 0.0)
-    records = [RoundRecord(round=r, valuations=ValuationProfile([0.2, 0.9, 0.4], dist),
+    records = [RoundRecord(round=r, valuations=np.array([0.2, 0.9, 0.4]),
                            mechanism="dla", outcome=outcome, distance_flown=0.0,
                            uav_position=here, battery=10.0)
                for r, outcome in enumerate([AuctionOutcome(1, 0.4), AuctionOutcome(None, 0.0)])]
