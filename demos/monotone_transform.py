@@ -37,10 +37,16 @@ dtheta, dbeta = grad(params, batch, params.kappa)
 h = 1e-5
 idx = (0, 1, 1)
 keep = params.theta[idx]
-params.theta[idx] = keep + h
-up = loss(params, batch, params.kappa)
-params.theta[idx] = keep - h
-down = loss(params, batch, params.kappa)
-params.theta[idx] = keep
+
+
+def nudged(value):
+    """The parameters with ``theta[idx]`` set to ``value``; a parameter set is immutable."""
+    theta = params.theta.copy()
+    theta[idx] = value
+    return MonotoneNetParams(theta, params.beta, params.kappa)
+
+
+up = loss(nudged(keep + h), batch, params.kappa)
+down = loss(nudged(keep - h), batch, params.kappa)
 fd = (up - down) / (2 * h)
 print(f"  dL/dtheta{idx}: hand {dtheta[idx]:+.8f}  finite-diff {fd:+.8f}")

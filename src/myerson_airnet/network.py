@@ -25,9 +25,13 @@ use their standard derivatives, and ``exp`` reparameterization turns
 weight gradients into ``w * dL/dw``.
 
 Parameter arrays ``theta`` and ``beta`` have shape
-``(n_bidders, groups, linear_units)``.  Every piece kernel works on
-their transpose: pieces are laid out ``(J, K, N[, S])`` (units, groups,
-bidders, then samples in the batch forward), and reduced over leading axes.
+``(n_bidders, groups, linear_units)``.  A parameter set is immutable: it
+holds read-only copies of both and carries its slopes ``exp(theta)``,
+``exp(-theta)`` and offsets ``beta``, computed once, in the kernels'
+``(J, K, N)`` layout, so a trained net is a new parameter set per step.
+Every piece kernel works on that layout: pieces are laid out
+``(J, K, N[, S])`` (units, groups, bidders, then samples in the batch
+forward), and reduced over leading axes.
 The batch path keeps samples innermost all the way to the gradient: the
 transformed bids, rivals, payments, softmax columns and backward terms
 are ``(N, S)`` arrays, so every reduction over bidders is a few
@@ -36,6 +40,8 @@ whole-row operations rather than one short row per sample.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +56,23 @@ _TAG_TRAIN = 900000
 
 def _checked_kappa(kappa) -> float:
     """The softmax temperature as a float; anything but finite and positive raises."""
-    kappa = float(kappa)
-    if not np.isfinite(kappa) or kappa <= 0.0:
+    try:
+        kappa = float(kappa)
+    except (TypeError, ValueError):
+        raise InputError("kappa must be finite and positive") from None
+    if not math.isfinite(kappa) or kappa <= 0.0:
         raise InputError("kappa must be finite and positive")
     return kappa
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MonotoneNetParams:
-    """Per-bidder log-slopes and offsets, plus the softmax temperature."""
+    """Per-bidder log-slopes and offsets, plus the softmax temperature.
+
+    Immutable: ``theta`` and ``beta`` are read-only copies, and the piece
+    kernels' ``(J, K, N)`` slopes ``exp(theta)``, ``exp(-theta)`` and offsets
+    ``beta`` are computed once, here.  A changed net is a new parameter set.
+    """
 
     theta: np.ndarray
     beta: np.ndarray
@@ -71,11 +85,21 @@ class MonotoneNetParams:
             raise InputError("theta and beta must share shape (n_bidders, groups, linear_units)")
         if min(theta.shape) < 1:
             raise InputError("every parameter dimension must be at least 1")
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(beta))):
+        if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
             raise InputError("parameters must be finite")
-        self.theta = theta
-        self.beta = beta
-        self.kappa = _checked_kappa(self.kappa)
+        with np.errstate(over="ignore"):  # an inf slope clears; train refuses one
+            w, w_inv = np.exp(theta), np.exp(-theta)
+        # The kernels' copies are C-ordered (J, K, N): units, groups, bidders.
+        for name, array in (("theta", theta), ("beta", beta), ("_w", w.T.copy()),
+                            ("_w_inv", w_inv.T.copy()), ("_beta", beta.T.copy())):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "kappa", _checked_kappa(self.kappa))
+
+    def __reduce__(self):
+        # A copy or an unpickled set is built anew, so its arrays stay read-only
+        # and its slopes stay those of its theta.
+        return type(self), (self.theta, self.beta, self.kappa)
 
     @property
     def n_bidders(self) -> int:
@@ -90,7 +114,8 @@ class MonotoneNetParams:
         return self.theta.shape[2]
 
     def weights(self) -> np.ndarray:
-        return np.exp(self.theta)
+        """The slopes ``exp(theta)``, a read-only view of the cached ones."""
+        return self._w.T
 
     @classmethod
     def affine(cls, n_bidders: int, weight: float, offset: float,
@@ -153,41 +178,53 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
     return MonotoneNetParams(theta, beta, config.kappa)
 
 
-# Piece kernels of the per-profile calls, on transposed parameters: ``(J, K)``
-# for one bidder, ``(J, K, N)`` for all, with ``v`` or ``y`` a scalar or an
-# ``(N,)`` row.  C-ordered pieces let each reduction scan a leading axis.
+# Piece kernels of the per-profile calls, on a parameter set's cached slopes
+# and offsets: ``(J, K)`` for one bidder, ``(J, K, N)`` for all, with ``v`` or
+# ``y`` a scalar or an ``(N,)`` row.  The cache is C-ordered and a bidder's
+# slice keeps its axis order, so the pieces are C-ordered too, and each
+# reduction scans a leading axis.
 
-def _transformed(theta_t: np.ndarray, beta_t: np.ndarray, v) -> np.ndarray:
-    """Transform of ``v``: pieces ``exp(theta) * v + beta``, min over units, max over groups."""
-    return np.add(np.exp(theta_t) * v, beta_t, order="C").min(axis=0).max(axis=0)
+def _transformed(w: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
+    """Transform of ``v``: pieces ``w * v + beta``, min over units, max over groups."""
+    pieces = w * v
+    pieces += beta
+    return np.maximum.reduce(np.minimum.reduce(pieces))
 
 
-def _inverted(theta_t: np.ndarray, beta_t: np.ndarray, y) -> np.ndarray:
-    """Inverse of ``y``: pieces ``(y - beta) * exp(-theta)``, max over units, min over groups."""
-    return np.multiply(y - beta_t, np.exp(-theta_t), order="C").max(axis=0).min(axis=0)
+def _inverted(w_inv: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
+    """Inverse of ``y``: pieces ``(y - beta) * w_inv``, max over units, min over groups."""
+    pieces = y - beta
+    pieces *= w_inv
+    return np.minimum.reduce(np.maximum.reduce(pieces))
 
 
-def _check_bidder(params: MonotoneNetParams, bidder: int) -> None:
+def _check_bidder(params: MonotoneNetParams, bidder) -> int:
+    """``bidder`` as an index into the bidders; a non-integer or one out of range raises."""
+    try:
+        bidder = operator.index(bidder)
+    except TypeError:
+        raise InputError(f"bidder index must be an integer, got {bidder!r}") from None
     if not 0 <= bidder < params.n_bidders:
         raise InputError(f"bidder index {bidder} out of range for {params.n_bidders} bidders")
+    return bidder
 
 
 def transform(params: MonotoneNetParams, bidder: int, bid: float) -> float:
     """Strictly increasing max-min transform of one bidder's bid."""
-    _check_bidder(params, bidder)
+    bidder = _check_bidder(params, bidder)
     bid = float(bid)
     if not np.isfinite(bid):
         raise InputError("bid must be finite")
-    return float(_transformed(params.theta[bidder].T, params.beta[bidder].T, bid))
+    return float(_transformed(params._w[..., bidder], params._beta[..., bidder], bid))
 
 
 def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float:
     """Exact inverse of :func:`transform`: min over groups of max over pieces."""
-    _check_bidder(params, bidder)
+    bidder = _check_bidder(params, bidder)
     y = float(y)
     if not np.isfinite(y):
         raise InputError("transformed bid must be finite")
-    return float(_inverted(params.theta[bidder].T, params.beta[bidder].T, y))
+    return float(_inverted(params._w_inv[..., bidder], params._beta[..., bidder], y))
 
 
 def _softmax_no_sale(tbar: np.ndarray, kappa: float) -> np.ndarray:
@@ -231,16 +268,16 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
         raise InputError("clearing needs at least two bids")
     if b.ndim != 1 or b.size != params.n_bidders:
         raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise InputError("bids must be finite")
-    tb = _transformed(params.theta.T, params.beta.T, b)
-    winner, top, rival = _second_price(tb)
-    if not top > 0.0:
+    winner, top, rival = _second_price(_transformed(params._w, params._beta, b))
+    # Python floats, as they compare faster than numpy scalars, with the same bits.
+    if not float(top) > 0.0:
         return AuctionOutcome(None, 0.0)
-    rival = max(rival, 0.0)  # a -0.0 or NaN rival stays as it is
-    if not np.isfinite(rival):
+    rival = max(float(rival), 0.0)  # a -0.0 or NaN rival stays as it is
+    if not math.isfinite(rival):
         raise InputError("transformed bid must be finite")
-    payment = _inverted(params.theta[winner].T, params.beta[winner].T, rival)
+    payment = _inverted(params._w_inv[..., winner], params._beta[..., winner], rival)
     return AuctionOutcome(int(winner), float(payment) + 0.0)
 
 
@@ -353,16 +390,15 @@ def _forward(params: MonotoneNetParams, values: np.ndarray):
     # short trailing axis row by row, but scans a short leading one in a few
     # whole-slice comparisons.  The forward and inverse pieces share one
     # buffer, because each fresh pieces-sized temporary costs page faults.
-    w_t = np.exp(params.theta).T[..., None]
-    beta_t = params.beta.T[..., None]
-    pieces = np.empty(w_t.shape[:3] + values.shape[:1])
-    np.multiply(w_t, values.T, out=pieces)
-    pieces += beta_t
+    beta = params._beta[..., None]
+    pieces = np.empty(beta.shape[:3] + values.shape[:1])
+    np.multiply(params._w[..., None], values.T, out=pieces)
+    pieces += beta
     tbar, fwd_cell = _active_piece(pieces, _beats_min, _beats_max)
 
     rarg, rmax = _top_rival(tbar)
-    np.subtract(np.maximum(rmax, 0.0), beta_t, out=pieces)
-    pieces *= np.exp(-params.theta).T[..., None]
+    np.subtract(np.maximum(rmax, 0.0), beta, out=pieces)
+    pieces *= params._w_inv[..., None]
     p, inv_cell = _active_piece(pieces, _beats_max, _beats_min)
 
     return tbar, rarg, rmax, p, fwd_cell, inv_cell
@@ -392,7 +428,9 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):
         loss_value, g, (_, rarg, rmax, p, fwd_cell, inv_cell) = _train_forward(
             params, values, kappa)
-        theta = params.theta.ravel()
+        # The cached slopes in theta's flat layout, which the cells index.
+        w = params._w.T.ravel()
+        w_inv = params._w_inv.T.ravel()
         n_samples = values.shape[0]
 
         scale = 1.0 / n_samples
@@ -406,7 +444,7 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
 
         # Payment backward through the active inverse piece:
         #   p = (r - beta) * exp(-theta)  =>  dp/dr = exp(-theta) = -dp/dbeta, dp/dtheta = -p.
-        dr = dp * np.exp(-theta[inv_cell])
+        dr = dp * w_inv[inv_cell]
         dtheta_inv = dp * (-p)
         dbeta_inv = -dr
 
@@ -419,7 +457,7 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
 
         # Forward transform backward through the active forward piece:
         #   tbar = w * v + beta  =>  d/dbeta = 1, d/dtheta = w * v.
-        dtheta_fwd = dtbar * np.exp(theta[fwd_cell]) * values.T
+        dtheta_fwd = dtbar * w[fwd_cell] * values.T
         dbeta_fwd = dtbar
 
         # One flat scatter per array.  Every cell belongs to one bidder, and
@@ -428,7 +466,7 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
         # goldens pin.
         cells = np.concatenate([fwd_cell.ravel(), inv_cell.ravel()])
         dtheta, dbeta = (np.bincount(cells, np.concatenate([fwd.ravel(), inv.ravel()]),
-                                     minlength=theta.size).reshape(params.theta.shape)
+                                     minlength=w.size).reshape(params.theta.shape)
                          for fwd, inv in ((dtheta_fwd, dtheta_inv), (dbeta_fwd, dbeta_inv)))
 
         return loss_value, dtheta, dbeta
@@ -454,13 +492,14 @@ def train(config: NetConfig,
         value, dtheta, dbeta = _loss_and_grad(params, batch, config.kappa)
         if not np.isfinite(value):
             raise TrainingDivergedError(f"non-finite loss at iteration {iteration}")
-        params.theta -= config.learning_rate * dtheta
-        params.beta -= config.learning_rate * dbeta
+        theta = params.theta - config.learning_rate * dtheta
+        beta = params.beta - config.learning_rate * dbeta
         with np.errstate(over="ignore"):
-            slopes = params.weights()
-        if not (np.all(np.isfinite(params.beta)) and np.all((0.0 < slopes) & (slopes < np.inf))):
+            slopes = np.exp(theta)
+        if not (np.all(np.isfinite(beta)) and np.all((0.0 < slopes) & (slopes < np.inf))):
             raise TrainingDivergedError(
                 f"parameters left the finite range at iteration {iteration}")
+        params = MonotoneNetParams(theta, beta, params.kappa)
         losses.append(value)
         if config.convergence_tol > 0.0 and len(losses) >= 20:
             window = losses[-20:]

@@ -114,7 +114,7 @@ class WorldConfig:
         if self.seed < 0:
             raise InputError("seed must be a non-negative integer")
         if self.distribution.lower < 0.0:
-            raise InputError(f"simulation needs a non-negative valuation support, got "
+            raise InputError(f"the valuation support must be non-negative, got "
                              f"dist_lower = {self.distribution.lower}")
         if self.similarity_aggregate not in ("mean", "min"):
             raise InputError("similarity_aggregate must be 'mean' or 'min'")

@@ -5,6 +5,7 @@ parameters) are session scoped so the revenue and truthfulness tests
 share one computation.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,19 +54,20 @@ def trained_u01(u01):
 def fd_grad():
     """Central finite differences of the loss, the gradient oracle."""
 
+    def nudged_loss(params, name, idx, value, values, kappa):
+        """The loss of ``params`` with entry ``idx`` of its ``name`` array set to ``value``."""
+        array = getattr(params, name).copy()
+        array[idx] = value
+        return loss(replace(params, **{name: array}), values, kappa)
+
     def differentiate(params, values, kappa, h=1e-5):
         dtheta = np.zeros_like(params.theta)
         dbeta = np.zeros_like(params.beta)
-        for array, out in ((params.theta, dtheta), (params.beta, dbeta)):
-            it = np.nditer(array, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                keep = array[idx]
-                array[idx] = keep + h
-                up = loss(params, values, kappa)
-                array[idx] = keep - h
-                down = loss(params, values, kappa)
-                array[idx] = keep
+        for name, out in (("theta", dtheta), ("beta", dbeta)):
+            for idx in np.ndindex(out.shape):
+                keep = getattr(params, name)[idx]
+                up = nudged_loss(params, name, idx, keep + h, values, kappa)
+                down = nudged_loss(params, name, idx, keep - h, values, kappa)
                 out[idx] = (up - down) / (2.0 * h)
         return dtheta, dbeta
 

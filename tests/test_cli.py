@@ -130,12 +130,17 @@ def test_simulate_non_finite_geometry_names_the_key(tmp_path, capsys, flag, valu
 @pytest.mark.parametrize("command, value, message", [
     ("train", "nan", "distribution bounds must be finite, got dist_lower = nan"),
     ("train", "3", "need lower < upper, got dist_lower = 3.0, dist_upper = 1.0"),
-    ("simulate", "-0.5", "non-negative valuation support, got dist_lower = -0.5"),
+    ("simulate", "-0.5", "valuation support must be non-negative, got dist_lower = -0.5"),
+    # every command builds the world's config, so the message names no simulation
+    ("train", "-0.5", "valuation support must be non-negative, got dist_lower = -0.5"),
+    ("eval", "-0.5", "valuation support must be non-negative, got dist_lower = -0.5"),
 ])
-def test_bad_valuation_support_names_the_key(tmp_path, capsys, command, value, message):
+def test_bad_valuation_support_names_the_key(tmp_path, capsys, datadir, command, value,
+                                             message):
     out = tmp_path / "out"
-    mechanism = ("--mechanism", "spa") if command == "simulate" else ()
-    assert main([command, *mechanism, "--dist-lower", value, "--out", str(out)]) == 2
+    extra = {"simulate": ("--mechanism", "spa"),
+             "eval": ("--checkpoint", str(datadir / "reader_net.ckpt"))}.get(command, ())
+    assert main([command, *extra, "--dist-lower", value, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -1,13 +1,21 @@
 """Monotone transform network: forward, inverse, allocation, payment, loss."""
 
+import copy
+import dataclasses
+import pickle
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import masked_rivals, payment_soft, transform_profile
+from test_batch_properties import bits
 
 from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
+from myerson_airnet.checkpoint import load_params
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
-                                    clear_hard, grad, init_params, loss, transform,
+                                    clear_hard, grad, init_params, loss, train, transform,
                                     transform_inverse)
 
 
@@ -44,6 +52,55 @@ def test_affine_constructor():
         MonotoneNetParams.affine(3, 0.0, 0.0)
 
 
+def test_params_are_immutable():
+    theta = np.full((2, 1, 1), np.log(2.0))
+    params = MonotoneNetParams(theta, np.full((2, 1, 1), -1.0))
+    theta[0, 0, 0] = 5.0  # the parameter set holds a copy
+    assert params.theta[0, 0, 0] == np.log(2.0)
+    for array in (params.theta, params.beta, params.weights()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 0.0
+    for name in ("theta", "beta"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, np.zeros((2, 1, 1)))
+    # Equality is identity: numpy's ambiguous truth value is never asked for.
+    assert params == params
+    assert params != MonotoneNetParams(params.theta, params.beta, params.kappa)
+    # A copy or an unpickled set is rebuilt, read-only, with its slopes.
+    for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        for name in ("theta", "beta", "_w", "_w_inv", "_beta"):
+            assert not getattr(twin, name).flags.writeable
+            assert np.array_equal(getattr(twin, name), getattr(params, name))
+        assert twin.kappa == params.kappa
+
+
+def _slope_nets():
+    overflowing = np.zeros((3, 2, 2))
+    overflowing[0, 1, 0] = 800.0  # exp(theta) overflows to inf, exp(-theta) to 0
+    return {"affine": lambda: MonotoneNetParams.affine(3, 2.0, -1.0),
+            "loaded": lambda: load_params(Path(__file__).parent / "data" / "golden_net.ckpt"),
+            # train builds a parameter set per step; one updated in place keeps stale slopes
+            "trained": lambda: train(NetConfig(n_bidders=3, groups=2, linear_units=2,
+                                               iterations=20, batch_size=64),
+                                     ValuationDistribution(0.0, 1.0))[0],
+            "overflowing": lambda: MonotoneNetParams(overflowing, np.zeros_like(overflowing))}
+
+
+@pytest.mark.parametrize("net", sorted(_slope_nets()))
+def test_cached_slopes_are_the_exponentials_of_theta_bitwise(net):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # not even an overflowing slope may warn
+        params = _slope_nets()[net]()
+    n, k, j = params.theta.shape
+    for cached in (params._w, params._w_inv, params._beta):
+        assert cached.shape == (j, k, n) and cached.flags.c_contiguous
+        assert not cached.flags.writeable
+    with np.errstate(over="ignore"):
+        assert np.array_equal(bits(params.weights()), bits(np.exp(params.theta)))
+        assert np.array_equal(bits(params._w_inv.T), bits(np.exp(-params.theta)))
+    assert np.array_equal(bits(params._beta.T), bits(params.beta))
+
+
 def test_netconfig_validation():
     cfg = NetConfig()
     assert cfg.n_bidders == 5 and cfg.groups == 5 and cfg.linear_units == 3
@@ -66,6 +123,15 @@ def test_transform_examples():
         transform(ident, 5, 0.1)
     with pytest.raises(InputError):
         transform(ident, 0, float("nan"))
+    assert transform(ident, np.int64(1), 0.7) == 0.7
+
+
+@pytest.mark.parametrize("bidder", [1.5, "1", None, np.float64(1.0)])
+@pytest.mark.parametrize("call", [transform, transform_inverse])
+def test_a_non_integer_bidder_is_refused(call, bidder):
+    # 1.5 raised numpy's IndexError and "1" its TypeError.
+    with pytest.raises(InputError, match="bidder index must be an integer"):
+        call(identity_params(2), bidder, 0.3)
 
 
 def test_transform_strictly_increasing():
@@ -225,7 +291,7 @@ def test_loss_accepts_profiles_and_requires_batch():
         loss(params, np.zeros((2, 3)), 100.0)  # bidder count mismatch
 
 
-@pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, -1.0, "x"])
 @pytest.mark.parametrize("call", ["loss", "grad", "allocate_soft"])
 def test_public_calls_reject_a_bad_kappa(call, kappa):
     # A NaN temperature gave a NaN loss and -1.0 the loss of another objective.
