@@ -6,36 +6,34 @@ Each bidder owns a piecewise-linear max-min network: ``K`` groups of
 ``exp(theta)`` so every piece is strictly increasing, which makes the
 transform invertible in closed form: the inverse of ``y`` is ``min over
 groups of max over pieces`` of ``(y - beta) * exp(-theta)``, the one
-inverse formula every payment here uses.  The batch forward ends at the
-payments: a bidder's conditional payment is the inverse transform of the
-rectified highest rival transformed bid.  Training adds the softmax, with
-temperature ``kappa`` against a fixed no-sale slot pinned at 0.
+inverse formula every payment here uses.
 
 The hard clear is second price with a zero reserve on transformed bids
-(MyersonNet; Dütting et al., 2019): :func:`clear_hard` runs the analytic
-clears' second-price kernel on each profile, and :func:`clear_batch`
-clears an ``(S, N)`` batch on the forward with the same bits, row by row.
-Every clear pays ``+0.0``, never ``-0.0``, for a zero price.
+(MyersonNet; Dütting et al., 2019): the top positive transformed bid wins
+and pays the inverse transform of the rectified top rival bid.
+:func:`clear_hard` clears a profile and :func:`clear_batch` an ``(S, N)``
+batch on the same piece kernels and the analytic clears' second-price
+kernel, so both pay the same bits, and ``+0.0``, never ``-0.0``, for a
+zero price.
 
-Training minimizes the negative expected revenue of truthful play by
-plain gradient descent.  Gradients are assembled by hand: argmax/argmin
-selections route subgradients through the active piece only (ties to
-the lowest index, matching the forward tie-break), the softmax and ReLU
-use their standard derivatives, and ``exp`` reparameterization turns
-weight gradients into ``w * dL/dw``.
+Training has a batch forward of its own: every bidder's conditional
+payment and a softmax, with temperature ``kappa``, against a no-sale
+slot pinned at 0.  It minimizes the negative expected revenue of
+truthful play by plain gradient descent.  Gradients are assembled by
+hand: argmax/argmin selections route subgradients through the active
+piece only (ties to the lowest index, matching the forward tie-break),
+the softmax and ReLU use their standard derivatives, and ``exp``
+reparameterization turns weight gradients into ``w * dL/dw``.
 
-Parameter arrays ``theta`` and ``beta`` have shape
-``(n_bidders, groups, linear_units)``.  A parameter set is immutable: it
-holds read-only copies of both and carries its slopes ``exp(theta)``,
-``exp(-theta)`` and offsets ``beta``, computed once, in the kernels'
-``(J, K, N)`` layout, so a trained net is a new parameter set per step.
-Every piece kernel works on that layout: pieces are laid out
-``(J, K, N[, S])`` (units, groups, bidders, then samples in the batch
-forward), and reduced over leading axes.
-The batch path keeps samples innermost all the way to the gradient: the
-transformed bids, rivals, payments, softmax columns and backward terms
-are ``(N, S)`` arrays, so every reduction over bidders is a few
-whole-row operations rather than one short row per sample.
+A parameter set is immutable: it holds read-only ``theta`` and ``beta``
+of shape ``(n_bidders, groups, linear_units)`` and carries the slopes
+``exp(theta)``, ``exp(-theta)`` and offsets ``beta``, computed once, in
+the kernels' ``(J, K, N)`` layout.  Pieces are laid out ``(J, K, N)`` for
+a profile, ``(J, K, S, N)`` in a batch clear and ``(J, K, N, S)`` in
+training, and reduced over leading axes.  Training keeps samples
+innermost all the way to the gradient: the transformed bids, rivals,
+payments, softmax columns and backward terms are ``(N, S)`` arrays, so
+every reduction over bidders is a few whole-row operations.
 """
 
 from __future__ import annotations
@@ -54,13 +52,32 @@ DEFAULT_KAPPA = 100.0
 _TAG_TRAIN = 900000
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a finite float; anything else raises :class:`InputError`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise InputError(f"{what} must be finite")
+    return number
+
+
+def _finite_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array of finite entries; anything else raises :class:`InputError`."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be numbers") from None
+    if not np.isfinite(array).all():
+        raise InputError(f"{what} must be finite")
+    return array
+
+
 def _checked_kappa(kappa) -> float:
     """The softmax temperature as a float; anything but finite and positive raises."""
-    try:
-        kappa = float(kappa)
-    except (TypeError, ValueError):
-        raise InputError("kappa must be finite and positive") from None
-    if not math.isfinite(kappa) or kappa <= 0.0:
+    kappa = _finite(kappa, "kappa")
+    if kappa <= 0.0:
         raise InputError("kappa must be finite and positive")
     return kappa
 
@@ -79,14 +96,12 @@ class MonotoneNetParams:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        beta = np.array(self.beta, dtype=float)
+        theta = np.array(_finite_array(self.theta, "theta"))
+        beta = np.array(_finite_array(self.beta, "beta"))
         if theta.ndim != 3 or theta.shape != beta.shape:
             raise InputError("theta and beta must share shape (n_bidders, groups, linear_units)")
         if min(theta.shape) < 1:
             raise InputError("every parameter dimension must be at least 1")
-        if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
-            raise InputError("parameters must be finite")
         with np.errstate(over="ignore"):  # an inf slope clears; train refuses one
             w, w_inv = np.exp(theta), np.exp(-theta)
         # The kernels' copies are C-ordered (J, K, N): units, groups, bidders.
@@ -121,10 +136,11 @@ class MonotoneNetParams:
     def affine(cls, n_bidders: int, weight: float, offset: float,
                kappa: float = DEFAULT_KAPPA) -> "MonotoneNetParams":
         """Single-piece network ``weight * b + offset`` shared by all bidders."""
+        weight = _finite(weight, "affine weight")
         if weight <= 0.0:
             raise InputError("affine weight must be positive")
         theta = np.full((n_bidders, 1, 1), np.log(weight))
-        beta = np.full((n_bidders, 1, 1), float(offset))
+        beta = np.full((n_bidders, 1, 1), _finite(offset, "affine offset"))
         return cls(theta, beta, kappa)
 
 
@@ -178,11 +194,11 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
     return MonotoneNetParams(theta, beta, config.kappa)
 
 
-# Piece kernels of the per-profile calls, on a parameter set's cached slopes
-# and offsets: ``(J, K)`` for one bidder, ``(J, K, N)`` for all, with ``v`` or
-# ``y`` a scalar or an ``(N,)`` row.  The cache is C-ordered and a bidder's
-# slice keeps its axis order, so the pieces are C-ordered too, and each
-# reduction scans a leading axis.
+# Piece kernels of the clears, on a parameter set's cached slopes and offsets:
+# ``(J, K)`` or ``(J, K, N)`` against a scalar or an ``(N,)`` row, ``(J, K, 1, N)``
+# against an ``(S, N)`` block, ``(J, K, S)`` (the winners') against ``(S,)`` rivals.
+# A slice or a gather of the C-ordered cache keeps its axis order, so the pieces
+# are C-ordered too, and each reduction scans a leading axis.
 
 def _transformed(w: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
     """Transform of ``v``: pieces ``w * v + beta``, min over units, max over groups."""
@@ -212,18 +228,14 @@ def _check_bidder(params: MonotoneNetParams, bidder) -> int:
 def transform(params: MonotoneNetParams, bidder: int, bid: float) -> float:
     """Strictly increasing max-min transform of one bidder's bid."""
     bidder = _check_bidder(params, bidder)
-    bid = float(bid)
-    if not np.isfinite(bid):
-        raise InputError("bid must be finite")
+    bid = _finite(bid, "bid")
     return float(_transformed(params._w[..., bidder], params._beta[..., bidder], bid))
 
 
 def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float:
     """Exact inverse of :func:`transform`: min over groups of max over pieces."""
     bidder = _check_bidder(params, bidder)
-    y = float(y)
-    if not np.isfinite(y):
-        raise InputError("transformed bid must be finite")
+    y = _finite(y, "transformed bid")
     return float(_inverted(params._w_inv[..., bidder], params._beta[..., bidder], y))
 
 
@@ -248,11 +260,9 @@ def allocate_soft(transformed_bids, kappa: float) -> np.ndarray:
     Returns the bidder entries only; the no-sale slot keeps the leftover
     mass so the full vector sums to one.
     """
-    tb = np.asarray(transformed_bids, dtype=float)
+    tb = _finite_array(transformed_bids, "transformed bids")
     if tb.ndim != 1 or tb.size < 1:
         raise InputError("need at least one transformed bid")
-    if not np.all(np.isfinite(tb)):
-        raise InputError("transformed bids must be finite")
     return _softmax_no_sale(tb[:, None], _checked_kappa(kappa))[:-1, 0]
 
 
@@ -263,13 +273,11 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
     which is independent of its own bid, so truthful reporting is a
     dominant strategy.
     """
-    b = np.asarray(bids, dtype=float)
+    b = _finite_array(bids, "bids")
     if b.size < 2:
         raise InputError("clearing needs at least two bids")
     if b.ndim != 1 or b.size != params.n_bidders:
         raise InputError(f"expected {params.n_bidders} bids, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise InputError("bids must be finite")
     winner, top, rival = _second_price(_transformed(params._w, params._beta, b))
     # Python floats, as they compare faster than numpy scalars, with the same bits.
     if not float(top) > 0.0:
@@ -289,8 +297,9 @@ _CLEAR_BLOCK = 1024
 def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarray]:
     """:func:`clear_hard` for every row of an ``(S, N)`` valuation batch.
 
-    Returns each row's winner and payment, equal to :func:`clear_hard`'s bit
-    for bit; a row with no sale has winner ``-1`` and payment ``0.0``.
+    A block of rows runs :func:`clear_hard`'s kernels and rules on whole rows,
+    so each row's winner and payment are :func:`clear_hard`'s, bit for bit;
+    a row with no sale has winner ``-1`` and payment ``0.0``.
     """
     if params.n_bidders < 2:
         raise InputError("clearing needs at least two bids")
@@ -300,26 +309,25 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, values.shape[0], _CLEAR_BLOCK):
             block = slice(start, start + _CLEAR_BLOCK)
-            tbar, _, rmax, p, _, _ = _forward(params, values[block])
-            cols = np.arange(tbar.shape[1])
-            win = tbar.argmax(axis=0)
-            sold = tbar[win, cols] > 0.0
-            if not np.all(np.isfinite(np.maximum(rmax[win, cols], 0.0)[sold])):
+            win, top, rival = _second_price(
+                _transformed(params._w[:, :, None], params._beta[:, :, None], values[block]))
+            sold = top > 0.0
+            rival = np.where(rival < 0.0, 0.0, rival)  # max(rival, 0.0): -0.0 and NaN stay
+            if not np.isfinite(rival[sold]).all():
                 raise InputError("transformed bid must be finite")
+            price = _inverted(params._w_inv[..., win], params._beta[..., win], rival) + 0.0
             winner[block] = np.where(sold, win, -1)
-            payment[block] = np.where(sold, p[win, cols] + 0.0, 0.0)
+            payment[block] = np.where(sold, price, 0.0)
     return winner, payment
 
 
 def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
     """Check an (S, N) valuation matrix."""
-    values = np.asarray(batch, dtype=float)
+    values = _finite_array(batch, "batch values")
     if values.ndim != 2 or values.shape[0] < 1:
         raise InputError("batch must be a non-empty matrix of valuations")
     if values.shape[1] != params.n_bidders:
         raise InputError(f"batch has {values.shape[1]} bidders, params expect {params.n_bidders}")
-    if not np.all(np.isfinite(values)):
-        raise InputError("batch values must be finite")
     return values
 
 
@@ -380,54 +388,43 @@ def _top_rival(tbar: np.ndarray):
     return np.where(is_top, second, first), np.where(is_top, rest[second, cols], tbar[first, cols])
 
 
-def _forward(params: MonotoneNetParams, values: np.ndarray):
-    """Batch forward pass of training and :func:`clear_batch`, up to the payments.
+def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
+    """Training's batch pass: ``(loss, g, forward)``, ``g`` the bidders' win probabilities.
 
-    Returns ``tbar, rarg, rmax, p``, then the forward and inverse active
-    pieces' cells (see :func:`_active_piece`), all as ``(N, S)`` arrays.
+    ``forward`` is ``tbar, rarg, rmax, p`` and the forward and inverse active
+    pieces' cells (see :func:`_active_piece`), all ``(N, S)`` like ``g``.
     """
     # Pieces are laid out (J, K, N, S), samples innermost: numpy reduces a
     # short trailing axis row by row, but scans a short leading one in a few
     # whole-slice comparisons.  The forward and inverse pieces share one
     # buffer, because each fresh pieces-sized temporary costs page faults.
-    beta = params._beta[..., None]
-    pieces = np.empty(beta.shape[:3] + values.shape[:1])
-    np.multiply(params._w[..., None], values.T, out=pieces)
-    pieces += beta
-    tbar, fwd_cell = _active_piece(pieces, _beats_min, _beats_max)
-
-    rarg, rmax = _top_rival(tbar)
-    np.subtract(np.maximum(rmax, 0.0), beta, out=pieces)
-    pieces *= params._w_inv[..., None]
-    p, inv_cell = _active_piece(pieces, _beats_max, _beats_min)
-
-    return tbar, rarg, rmax, p, fwd_cell, inv_cell
-
-
-def _train_forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
-    """Training's pass: ``(loss, g, forward)``, ``g`` the bidders' softmax win probabilities."""
     with np.errstate(over="ignore", invalid="ignore"):
-        forward = _forward(params, values)
-        g = _softmax_no_sale(forward[0], kappa)[:-1]
-        return float(-(g * forward[3]).sum(axis=0).mean()), g, forward
+        beta = params._beta[..., None]
+        pieces = np.empty(beta.shape[:3] + values.shape[:1])
+        np.multiply(params._w[..., None], values.T, out=pieces)
+        pieces += beta
+        tbar, fwd_cell = _active_piece(pieces, _beats_min, _beats_max)
+        rarg, rmax = _top_rival(tbar)
+        np.subtract(np.maximum(rmax, 0.0), beta, out=pieces)
+        pieces *= params._w_inv[..., None]
+        p, inv_cell = _active_piece(pieces, _beats_max, _beats_min)
+        g = _softmax_no_sale(tbar, kappa)[:-1]
+        return float(-(g * p).sum(axis=0).mean()), g, (tbar, rarg, rmax, p, fwd_cell, inv_cell)
 
 
 def loss(params: MonotoneNetParams, batch, kappa: float) -> float:
     """Mean negative expected revenue of truthful play over the batch."""
-    return _train_forward(params, _batch_values(params, batch), _checked_kappa(kappa))[0]
+    return _forward(params, _batch_values(params, batch), _checked_kappa(kappa))[0]
 
 
 def grad(params: MonotoneNetParams, batch, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Hand-assembled ``(dL/dtheta, dL/dbeta)`` for :func:`loss`."""
-    _, dtheta, dbeta = _loss_and_grad(params, _batch_values(params, batch),
-                                      _checked_kappa(kappa))
-    return dtheta, dbeta
+    return _loss_and_grad(params, _batch_values(params, batch), _checked_kappa(kappa))[1:]
 
 
 def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):
-        loss_value, g, (_, rarg, rmax, p, fwd_cell, inv_cell) = _train_forward(
-            params, values, kappa)
+        loss_value, g, (_, rarg, rmax, p, fwd_cell, inv_cell) = _forward(params, values, kappa)
         # The cached slopes in theta's flat layout, which the cells index.
         w = params._w.T.ravel()
         w_inv = params._w_inv.T.ravel()

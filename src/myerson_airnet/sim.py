@@ -19,7 +19,8 @@ winner's pile changes in a round, so only its row of terms is
 recomputed, and the new reference's terms are that row's old ones,
 copied; the arrays are exposed read-only and change only through
 ``WorldState.replace_pile`` and ``WorldState.collect``, which keep the
-terms in step.  The noise field is built once per world.
+terms in step.  Two noise fields are built from ``config.seed``, equal:
+``generate_world``'s for the initial piles and ``WorldState``'s own.
 
 A round is checked once, at the ``WorldState`` boundary: the state takes
 only positions within the coordinate bound, pixels within ``[0, 1]``

@@ -108,7 +108,7 @@ def test_per_profile_kernels_match_batch_forward(spread):
         params = MonotoneNetParams(rng.normal(0.0, spread, shape),
                                    rng.normal(-0.2, spread, shape), config.kappa)
     values = rng.uniform(0.0, 1.0, (256, config.n_bidders))
-    tbar, _, _, p, _, _ = _forward(params, values)
+    tbar, _, _, p, _, _ = _forward(params, values, config.kappa)[2]
     for row, tbar_row, p_row in zip(values, tbar.T, p.T):
         tb = transform_profile(params, row)
         assert np.array_equal(tb, tbar_row)

@@ -228,12 +228,14 @@ def test_batch_clears_match_rows_across_block_edges(rows, width):
     assert_spa_batch_matches_rows(values)
 
 
-def test_clear_batch_never_runs_the_softmax(monkeypatch):
-    # The softmax is training's; a clear reads only the argmax and the payments.
-    def softmax(*args):
-        raise AssertionError("clear_batch ran the training softmax")
+def test_clear_batch_never_enters_training_forward(monkeypatch):
+    # The forward, its piece scans and its rivals are training's; a clear runs
+    # clear_hard's kernels only.
+    def training_only(*args):
+        raise AssertionError("clear_batch entered training's forward")
 
-    monkeypatch.setattr(network, "_softmax_no_sale", softmax)
+    for name in ("_forward", "_active_piece", "_top_rival", "_softmax_no_sale"):
+        monkeypatch.setattr(network, name, training_only)
     rng = np.random.default_rng(13)
     params = init_params(NetConfig(), rng)
     values = rng.uniform(0.0, 1.0, (2_000, params.n_bidders))

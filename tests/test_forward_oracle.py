@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import OUTPUTS, reference_forward
 
-from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, _train_forward,
-                                    allocate_soft, init_params)
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
+                                    init_params)
 
 # What the forward and training's pass return, each read transposed to (S, N).
 COMPARED = ("tbar", "rarg", "rmax", "p", "fwd_cell", "inv_cell", "g")
@@ -28,7 +28,8 @@ COMPARED = ("tbar", "rarg", "rmax", "p", "fwd_cell", "inv_cell", "g")
 
 def assert_forward_matches_reference(params, values, kappa):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        got = (*_forward(params, values), _train_forward(params, values, kappa)[1])
+        _, g, forward = _forward(params, values, kappa)
+        got = (*forward, g)
         want = dict(zip(OUTPUTS, reference_forward(params, values, kappa)))
     # A cell is the flat index of the active piece's (bidder, group, unit) in theta.
     bidders = np.broadcast_to(np.arange(params.n_bidders), values.shape)
@@ -102,7 +103,7 @@ def test_allocate_soft_is_one_row_of_the_batch_softmax():
     rng = np.random.default_rng(12)
     params = init_params(config, rng)
     values = rng.uniform(0.0, 1.0, (config.batch_size, config.n_bidders))
-    _, g, (tbar, *_) = _train_forward(params, values, config.kappa)
+    _, g, (tbar, *_) = _forward(params, values, config.kappa)
     for row in range(config.batch_size):
         assert np.array_equal(allocate_soft(tbar[:, row], config.kappa).view(np.uint64),
                               g[:, row].view(np.uint64))

@@ -15,8 +15,8 @@ from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myer
 from myerson_airnet.checkpoint import load_params
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
-                                    clear_hard, grad, init_params, loss, train, transform,
-                                    transform_inverse)
+                                    clear_batch, clear_hard, grad, init_params, loss, train,
+                                    transform, transform_inverse)
 
 
 def identity_params(n):
@@ -132,6 +132,24 @@ def test_a_non_integer_bidder_is_refused(call, bidder):
     # 1.5 raised numpy's IndexError and "1" its TypeError.
     with pytest.raises(InputError, match="bidder index must be an integer"):
         call(identity_params(2), bidder, 0.3)
+
+
+NON_NUMERIC_CALLS = {
+    "transform": lambda params: transform(params, 0, "x"),
+    "transform_inverse": lambda params: transform_inverse(params, 0, None),
+    "clear_hard": lambda params: clear_hard(params, ["x", 1]),
+    "clear_batch": lambda params: clear_batch(params, [["x", 1]]),
+    "loss": lambda params: loss(params, [["x", 1]], 1.0),
+    "allocate_soft": lambda params: allocate_soft(["x"], 1.0),
+    "affine": lambda params: MonotoneNetParams.affine(2, "x", 0.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_NUMERIC_CALLS))
+def test_non_numeric_input_is_refused(call):
+    # Each raised Python's ValueError or TypeError.
+    with pytest.raises(InputError, match="must be (a number|numbers)"):
+        NON_NUMERIC_CALLS[call](identity_params(2))
 
 
 def test_transform_strictly_increasing():
@@ -329,7 +347,7 @@ def test_forward_rival_matches_masked_argmax_with_ties():
                        [0.0, 0.0, 0.0, 0.0],
                        [0.7, 0.1, 0.4, 0.3]])
     params = MonotoneNetParams.affine(4, 1.5, -0.3)
-    tbar, rarg, rmax = (a.T for a in _forward(params, values)[:3])
+    tbar, rarg, rmax = (a.T for a in _forward(params, values, params.kappa)[2][:3])
 
     rivals = masked_rivals(tbar)
     expected_arg = rivals.argmax(axis=2)
