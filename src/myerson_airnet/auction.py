@@ -25,6 +25,25 @@ import numpy as np
 
 from .errors import DomainError, InputError
 
+_FLOAT = np.dtype(float)
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a non-numeric or complex one raises :class:`InputError`.
+
+    A complex array is refused rather than cast, which would keep only its
+    real part.  A float array is returned as it is.
+    """
+    try:
+        array = np.asarray(values)
+        if array.dtype is not _FLOAT and array.dtype.kind != "c":
+            array = array.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be numbers") from None
+    if array.dtype is not _FLOAT:
+        raise InputError(f"{what} must be real numbers, not complex")
+    return array
+
 
 @dataclass(frozen=True)
 class ValuationDistribution:
@@ -76,7 +95,7 @@ class ValuationProfile:
     distribution: ValuationDistribution
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = np.array(_real_array(self.values, "valuations"))
         if values.ndim != 1 or values.size < 2:
             raise InputError("a valuation profile needs at least two bidders")
         if not np.all(np.isfinite(values)):
@@ -105,7 +124,7 @@ class AuctionOutcome:
 
 def spa_clear(bids) -> AuctionOutcome:
     """Second-price sealed-bid clearing: highest bid wins, pays the runner-up bid."""
-    b = np.asarray(bids, dtype=float)
+    b = _real_array(bids, "bids")
     if b.ndim != 1 or b.size < 2:
         raise InputError("second-price clearing needs at least two bids")
     winner, payment = spa_batch(b[None, :])
@@ -114,7 +133,7 @@ def spa_clear(bids) -> AuctionOutcome:
 
 def spa_batch(values) -> tuple[np.ndarray, np.ndarray]:
     """:func:`spa_clear` for every row of an ``(S, N)`` bid matrix: winners and payments."""
-    b = np.asarray(values, dtype=float)
+    b = _real_array(values, "bids")
     if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 2:
         raise InputError("second-price clearing needs a non-empty matrix of at least two bids")
     if not np.all(np.isfinite(b)) or np.any(b < 0.0):
@@ -135,7 +154,7 @@ def virtual_valuation(v, dist: ValuationDistribution):
     For uniform[a, b] this reduces to ``2 v - b``.  A scalar ``v`` gives a
     float and an array gives an array; every entry must lie in the support.
     """
-    v = np.asarray(v, dtype=float)
+    v = _real_array(v, "valuations")
     if not dist.contains(v):
         shown = f"value {float(v)}" if v.ndim == 0 else "a value"
         raise DomainError(f"{shown} outside support [{dist.lower}, {dist.upper}]")
@@ -182,7 +201,7 @@ def myerson_batch(values, dist: ValuationDistribution) -> tuple[np.ndarray, np.n
     Returns winners and payments; a row with no sale has winner ``-1``
     and payment ``0.0``.
     """
-    v = np.asarray(values, dtype=float)
+    v = _real_array(values, "valuations")
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 2:
         raise InputError("optimal clearing needs a non-empty matrix of at least two values")
     if not np.all(np.isfinite(v)):

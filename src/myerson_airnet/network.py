@@ -30,10 +30,14 @@ of shape ``(n_bidders, groups, linear_units)`` and carries the slopes
 ``exp(theta)``, ``exp(-theta)`` and offsets ``beta``, computed once, in
 the kernels' ``(J, K, N)`` layout.  Pieces are laid out ``(J, K, N)`` for
 a profile, ``(J, K, S, N)`` in a batch clear and ``(J, K, N, S)`` in
-training, and reduced over leading axes.  Training keeps samples
-innermost all the way to the gradient: the transformed bids, rivals,
-payments, softmax columns and backward terms are ``(N, S)`` arrays, so
-every reduction over bidders is a few whole-row operations.
+training, and reduced over leading axes.  Training also needs each active
+piece's index: it takes the first group whose reduction is the best and
+the first unit of that group that is, and gathers the piece itself, so
+the choice, the sign of a zero and a NaN's bits are ``np.argmin``'s and
+``np.argmax``'s.  Training keeps samples innermost all the way to the
+gradient: the transformed bids, rivals, payments, softmax columns and
+backward terms are ``(N, S)`` arrays, so every reduction over bidders is
+a few whole-row operations.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution, _second_price
+from .auction import AuctionOutcome, ValuationDistribution, _real_array, _second_price
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
@@ -54,6 +58,8 @@ _TAG_TRAIN = 900000
 
 def _finite(value, what: str) -> float:
     """``value`` as a finite float; anything else raises :class:`InputError`."""
+    if isinstance(value, (complex, np.complexfloating)):  # float() would keep the real part
+        raise InputError(f"{what} must be a real number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -64,14 +70,19 @@ def _finite(value, what: str) -> float:
 
 
 def _finite_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array of finite entries; anything else raises :class:`InputError`."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what} must be numbers") from None
+    """``value`` as a float array of finite real entries; anything else raises :class:`InputError`."""
+    array = _real_array(value, what)
     if not np.isfinite(array).all():
         raise InputError(f"{what} must be finite")
     return array
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, as ``operator.index`` reads it; anything else raises :class:`InputError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _checked_kappa(kappa) -> float:
@@ -139,8 +150,9 @@ class MonotoneNetParams:
         weight = _finite(weight, "affine weight")
         if weight <= 0.0:
             raise InputError("affine weight must be positive")
-        theta = np.full((n_bidders, 1, 1), np.log(weight))
-        beta = np.full((n_bidders, 1, 1), _finite(offset, "affine offset"))
+        shape = (_integer(n_bidders, "n_bidders"), 1, 1)
+        theta = np.full(shape, np.log(weight))
+        beta = np.full(shape, _finite(offset, "affine offset"))
         return cls(theta, beta, kappa)
 
 
@@ -159,6 +171,8 @@ class NetConfig:
     convergence_tol: float = 0.0
 
     def __post_init__(self):
+        for key in ("n_bidders", "groups", "linear_units", "batch_size", "iterations", "seed"):
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.n_bidders < 2:
             raise InputError(f"need at least two bidders, got n_bidders = {self.n_bidders}")
         for key in ("groups", "linear_units"):
@@ -216,10 +230,7 @@ def _inverted(w_inv: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
 
 def _check_bidder(params: MonotoneNetParams, bidder) -> int:
     """``bidder`` as an index into the bidders; a non-integer or one out of range raises."""
-    try:
-        bidder = operator.index(bidder)
-    except TypeError:
-        raise InputError(f"bidder index must be an integer, got {bidder!r}") from None
+    bidder = _integer(bidder, "bidder index")
     if not 0 <= bidder < params.n_bidders:
         raise InputError(f"bidder index {bidder} out of range for {params.n_bidders} bidders")
     return bidder
@@ -331,46 +342,43 @@ def _batch_values(params: MonotoneNetParams, batch) -> np.ndarray:
     return values
 
 
-# Where a candidate replaces the best so far under np.argmin's (np.argmax's)
-# rule: strictly below (above) it, or NaN where the best is not, since both
-# pick the first NaN.
+def _first_hit(a: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Index of the first entry along ``a``'s leading axis that equals ``best``.
 
-def _beats_min(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
-    return ~(candidate >= best) & (best == best)
-
-
-def _beats_max(candidate: np.ndarray, best: np.ndarray) -> np.ndarray:
-    return ~(candidate <= best) & (best == best)
-
-
-def _scan(a: np.ndarray, beats, labels):
-    """Value and label of the first best entry along the leading axis.
-
-    ``labels[i]`` labels the entries of ``a[i]``.  ``beats`` is strict, so
-    a tie keeps the lower index; the value is a copy of the chosen entry,
-    so its sign of zero and NaNs survive.
+    A NaN counts as a hit, so for ``best`` reduced from ``a`` by ``np.minimum``
+    (``np.maximum``) this is ``np.argmin``'s (``np.argmax``'s) choice: the first
+    extreme, or the first NaN.  The index is the count of leading misses, in
+    the smallest unsigned type that holds it.
     """
-    best = a[0].copy()
-    label = np.full(best.shape, labels[0])
-    for i in range(1, a.shape[0]):
-        take = beats(a[i], best)
-        np.copyto(best, a[i], where=take)
-        np.copyto(label, labels[i], where=take)
-    return best, label
+    miss = a != best
+    miss &= a == a
+    for i in range(1, len(miss)):
+        miss[i] &= miss[i - 1]
+    return np.add.reduce(miss.view(np.uint8), axis=0, dtype=np.min_scalar_type(len(miss)))
 
 
 def _active_piece(pieces: np.ndarray, inner, outer):
     """Active piece of ``(J, K, N, S)`` pieces: its ``(N, S)`` value and cell.
 
-    ``outer`` selects over groups of ``inner`` over units; both are
-    :func:`_beats_min` or :func:`_beats_max`.  A cell is the flat index of
-    the piece's ``(bidder, group, unit)`` entry in ``theta``.
+    ``outer`` selects over groups of ``inner`` over units; each is
+    ``np.minimum`` or ``np.maximum``.  The group is the first whose reduction
+    is the best, and the unit the first of that group's that is, as
+    :func:`_first_hit` finds them.  The value is gathered from the chosen
+    piece, so its sign of zero and its NaN bits survive.  A cell is the flat
+    index of the piece's ``(bidder, group, unit)`` entry in ``theta``.
     """
-    n_units, n_groups, n_bidders = pieces.shape[:3]
-    over_units, cell = _scan(pieces, inner, range(n_units))
+    n_units, n_groups, n_bidders, n_samples = pieces.shape
+    over_units = inner.reduce(pieces)
+    best = outer.reduce(over_units)
+    group = _first_hit(over_units, best)
+    # Flat index of each chosen piece within a unit's (K, N, S) slice, then within pieces.
+    at = np.arange(n_bidders * n_samples).reshape(n_bidders, n_samples)
+    at += group * np.intp(n_bidders * n_samples)
+    unit = _first_hit(pieces.reshape(n_units, -1).take(at, axis=1), best)
+    at += unit * np.intp(over_units.size)
     # Unit j of group k of bidder n is theta's flat entry (n * K + k) * J + j.
-    cell += n_units * (n_groups * np.arange(n_bidders) + np.arange(n_groups)[:, None])[..., None]
-    return _scan(over_units, outer, cell)
+    cell = n_units * (n_groups * np.arange(n_bidders)[:, None] + group) + unit
+    return pieces.take(at), cell
 
 
 def _top_rival(tbar: np.ndarray):
@@ -395,19 +403,20 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     pieces' cells (see :func:`_active_piece`), all ``(N, S)`` like ``g``.
     """
     # Pieces are laid out (J, K, N, S), samples innermost: numpy reduces a
-    # short trailing axis row by row, but scans a short leading one in a few
-    # whole-slice comparisons.  The forward and inverse pieces share one
-    # buffer, because each fresh pieces-sized temporary costs page faults.
+    # short trailing axis row by row, but reduces and compares a short leading
+    # one in a few whole-slice operations.  The forward and inverse pieces
+    # share one buffer, because each fresh pieces-sized temporary costs page
+    # faults.
     with np.errstate(over="ignore", invalid="ignore"):
         beta = params._beta[..., None]
         pieces = np.empty(beta.shape[:3] + values.shape[:1])
         np.multiply(params._w[..., None], values.T, out=pieces)
         pieces += beta
-        tbar, fwd_cell = _active_piece(pieces, _beats_min, _beats_max)
+        tbar, fwd_cell = _active_piece(pieces, np.minimum, np.maximum)
         rarg, rmax = _top_rival(tbar)
         np.subtract(np.maximum(rmax, 0.0), beta, out=pieces)
         pieces *= params._w_inv[..., None]
-        p, inv_cell = _active_piece(pieces, _beats_max, _beats_min)
+        p, inv_cell = _active_piece(pieces, np.maximum, np.minimum)
         g = _softmax_no_sale(tbar, kappa)[:-1]
         return float(-(g * p).sum(axis=0).mean()), g, (tbar, rarg, rmax, p, fwd_cell, inv_cell)
 

@@ -110,8 +110,9 @@ class WorldConfig:
                                  f"{getattr(self, key)}")
         if self.pile_size < 1:
             raise InputError("pile_size must be at least 1")
-        if np.isnan(self.battery) or self.battery < 0.0:
-            raise InputError("battery must be non-negative")
+        if not 0.0 <= self.battery < np.inf:  # also true for nan
+            raise InputError(f"battery must be finite and non-negative, got battery = "
+                             f"{self.battery}")
         if self.seed < 0:
             raise InputError("seed must be a non-negative integer")
         if self.distribution.lower < 0.0:

@@ -119,6 +119,8 @@ def test_train_overflowing_step_exits_3_without_checkpoint(tmp_path, capsys):
     # a negative value follows its flag in any form float() reads
     ("--uav-x", "-inf", "uav_x"), ("--area-width", "-NaN", "area_width"),
     ("--uav-y", "-1e300", "uav_y"),
+    # an infinite battery budget would be written to --events as Infinity, which is not JSON
+    ("--battery", "inf", "battery"), ("--battery", "nan", "battery"),
 ])
 def test_simulate_non_finite_geometry_names_the_key(tmp_path, capsys, flag, value, key):
     rc = main(["simulate", "--mechanism", "spa", "--out", str(tmp_path / "e.csv"), flag, value])

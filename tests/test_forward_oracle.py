@@ -1,16 +1,17 @@
 """The batch forward pass against its argmin/argmax form, bit for bit.
 
 ``network._forward`` lays its pieces out ``(J, K, N, S)``, selects the
-active piece by scanning the short leading axes and returns ``(N, S)``
-arrays.  The reference (``oracles.reference_forward``) is the earlier
-form: pieces laid out ``(S, N, K, J)``, selected with
-``np.argmin``/``np.argmax`` and ``take_along_axis`` over the trailing
-axes, with the training softmax in the same pass, all ``(S, N)``.  Every
-output of the forward, and training's win probabilities ``g``, must
-agree with it to the bit, signs of zero and NaN bits included, on nets
-full of ties, on ``±0`` bids, and on a slope that overflows to ``inf``
-against a zero bid (a NaN piece, where argmin and argmax pick the first
-NaN).
+active piece by reducing the short leading axes and taking the first
+piece equal to the reduction, and returns ``(N, S)`` arrays.  The
+reference (``oracles.reference_forward``) is the earlier form: pieces
+laid out ``(S, N, K, J)``, selected with ``np.argmin``/``np.argmax`` and
+``take_along_axis`` over the trailing axes, with the training softmax in
+the same pass, all ``(S, N)``.  Every output of the forward, and
+training's win probabilities ``g``, must agree with it to the bit, signs
+of zero and NaN bits included, on nets full of ties, on ``±0`` bids, and
+on a slope that overflows to ``inf`` against a zero bid (a NaN piece,
+where argmin and argmax pick the first NaN), from small random shapes up
+to the benchmark's default step.
 """
 
 import numpy as np
@@ -95,6 +96,35 @@ def test_overflowing_slope_against_zero_bid_matches_reference():
     with np.errstate(over="ignore", invalid="ignore"):
         tbar = reference_forward(params, values, params.kappa)[1]
     assert np.isnan(tbar).any()
+    assert_forward_matches_reference(params, values, params.kappa)
+
+
+def test_default_shape_with_planted_ties_zeros_and_nans_matches_reference():
+    """The benchmark's step shape: a default ``(5, 5, 3)`` net and ``(768, 5)`` bids."""
+    config = NetConfig()
+    rng = np.random.default_rng(30)
+    theta = rng.normal(0.0, 0.1, (config.n_bidders, config.groups, config.linear_units))
+    beta = rng.uniform(-0.5, 0.0, theta.shape)
+    values = rng.uniform(0.0, 1.0, (config.batch_size, config.n_bidders))
+    # Bidder 0: groups 1 and 3 are equal and lifted, so they tie for the maximum.
+    theta[0, 3], beta[0, 3] = theta[0, 1], beta[0, 1]
+    beta[0, [1, 3]] += 0.5
+    # Bidder 1: units 0 and 2 of every group are equal and lowered, so they tie for the minimum.
+    theta[1, :, 2], beta[1, :, 2] = theta[1, :, 0], beta[1, :, 0]
+    beta[1, :, [0, 2]] -= 0.5
+    # Bidder 2: offsets and every third bid are +0 or -0, so its pieces there are ±0.
+    beta[2] = rng.choice([0.0, -0.0], theta.shape[1:])
+    # A tie of all of them selects the first piece, and np.minimum and np.maximum
+    # return the last, so the two differ in sign wherever the bid is -0.
+    beta[2, 0, 0], beta[2, -1, -1] = -0.0, 0.0
+    values[::3, 2] = rng.choice([0.0, -0.0], values[::3].shape[0])
+    # Bidder 3: exp(800) overflows, and inf * 0 is a NaN piece in group 2, unit 1.
+    theta[3, 2, 1] = 800.0
+    values[1::4, 3] = 0.0
+    params = MonotoneNetParams(theta, beta, config.kappa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tbar = reference_forward(params, values, params.kappa)[1]
+    assert np.isnan(tbar[:, 3]).any() and np.signbit(tbar[:, 2][tbar[:, 2] == 0.0]).any()
     assert_forward_matches_reference(params, values, params.kappa)
 
 

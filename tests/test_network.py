@@ -11,7 +11,8 @@ import pytest
 from oracles import masked_rivals, payment_soft, transform_profile
 from test_batch_properties import bits
 
-from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
+from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_batch,
+                                    myerson_clear, spa_batch, spa_clear)
 from myerson_airnet.checkpoint import load_params
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
@@ -150,6 +151,51 @@ def test_non_numeric_input_is_refused(call):
     # Each raised Python's ValueError or TypeError.
     with pytest.raises(InputError, match="must be (a number|numbers)"):
         NON_NUMERIC_CALLS[call](identity_params(2))
+
+
+INTEGER_KEYS = ("n_bidders", "groups", "linear_units", "batch_size", "iterations", "seed")
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("key, build", [
+    *(pytest.param(key, lambda value, key=key: NetConfig(**{key: value}), id=key)
+      for key in INTEGER_KEYS),
+    pytest.param("n_bidders", lambda value: MonotoneNetParams.affine(value, 1.0, 0.0),
+                 id="affine"),
+])
+def test_integer_fields_refuse_non_integers(key, build, value):
+    with pytest.raises(InputError, match=f"{key} must be an integer"):
+        build(value)
+
+
+def test_integer_fields_take_any_integer_type():
+    config = NetConfig(**{key: np.int64(getattr(NetConfig(), key) + 1) for key in INTEGER_KEYS})
+    for key in INTEGER_KEYS:
+        assert type(getattr(config, key)) is int
+    assert MonotoneNetParams.affine(np.uint8(3), 1.0, 0.0).theta.shape == (3, 1, 1)
+
+
+COMPLEX_CALLS = {
+    "transform": lambda params: transform(params, 0, np.complex128(0.5)),
+    "transform_inverse": lambda params: transform_inverse(params, 0, np.complex64(0.5)),
+    "clear_hard": lambda params: clear_hard(params, np.array([0.5, 0.5 + 0j])),
+    "clear_batch": lambda params: clear_batch(params, np.array([[0.5, 0.5 + 0j]])),
+    "loss": lambda params: loss(params, [[0.5, np.complex128(0.5)]], 1.0),
+    "allocate_soft": lambda params: allocate_soft(np.array([0.5 + 0j]), 1.0),
+    "spa_clear": lambda params: spa_clear([0.5, np.complex128(0.4 + 1j)]),
+    "spa_batch": lambda params: spa_batch(np.array([[0.5, 0.4 + 1j]])),
+    "myerson_batch": lambda params: myerson_batch(np.array([[0.5, 0.4 + 1j]]),
+                                                  ValuationDistribution()),
+    "profile": lambda params: ValuationProfile(np.array([0.5, 0.4 + 1j]),
+                                               ValuationDistribution()),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", sorted(COMPLEX_CALLS))
+def test_complex_input_is_refused_not_cast_to_its_real_part(call):
+    with pytest.raises(InputError, match="must be (a )?real number"):
+        COMPLEX_CALLS[call](identity_params(2))
 
 
 def test_transform_strictly_increasing():

@@ -59,8 +59,10 @@ def test_world_config_validation():
         small_config(max_rounds=0)
     with pytest.raises(InputError):
         small_config(distribution=ValuationDistribution(-0.5, 1.0))
-    # an unlimited battery is allowed
-    assert small_config(battery=float("inf")).battery == float("inf")
+    # an unlimited battery is refused, since --events would write it as Infinity, not JSON
+    for value in (float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="battery"):
+            small_config(battery=value)
 
 
 @pytest.mark.parametrize("key, sign", [
@@ -382,7 +384,7 @@ def test_cached_terms_track_the_piles_every_round(aggregate, seed, shape, monkey
     valuations equal those scored from the piles with no terms given."""
     devices, size, rows, cols = shape
     state = generate_world(small_config(n_devices=devices, pile_size=size, image_rows=rows,
-                                        image_cols=cols, seed=seed, battery=float("inf"),
+                                        image_cols=cols, seed=seed, battery=1e12,
                                         similarity_aggregate=aggregate))
 
     calls = []
@@ -418,7 +420,7 @@ def test_round_path_equals_the_checked_public_chain_bitwise(devices, size, rows,
     one spot everywhere, so its first round has zero spread and both take
     the midpoint."""
     config = small_config(n_devices=devices, pile_size=size, image_rows=rows, image_cols=cols,
-                          seed=seed, battery=float("inf"), similarity_aggregate=aggregate,
+                          seed=seed, battery=1e12, similarity_aggregate=aggregate,
                           valuation_rule=rule)
     state = generate_world(config)
     if flat:
@@ -454,7 +456,7 @@ def test_run_episode_lengths():
     assert len(records) == 1
     assert records[0].round == 0
 
-    state = generate_world(small_config(battery=float("inf"), max_rounds=10))
+    state = generate_world(small_config(battery=1e12, max_rounds=10))
     records = run_episode(state, SecondPriceMechanism())
     assert len(records) == 10
     assert [r.round for r in records] == list(range(10))
