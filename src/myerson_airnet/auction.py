@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DomainError, InputError
 
-_FLOAT = np.dtype(float)
-
 
 def _real_array(values, what: str) -> np.ndarray:
     """``values`` as a float array; a non-numeric or complex one raises :class:`InputError`.
@@ -36,13 +34,11 @@ def _real_array(values, what: str) -> np.ndarray:
     """
     try:
         array = np.asarray(values)
-        if array.dtype is not _FLOAT and array.dtype.kind != "c":
-            array = array.astype(float)
+        if array.dtype.kind != "c":
+            return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be numbers") from None
-    if array.dtype is not _FLOAT:
-        raise InputError(f"{what} must be real numbers, not complex")
-    return array
+    raise InputError(f"{what} must be real numbers, not complex")
 
 
 @dataclass(frozen=True)

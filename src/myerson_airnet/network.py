@@ -58,12 +58,13 @@ _TAG_TRAIN = 900000
 
 def _finite(value, what: str) -> float:
     """``value`` as a finite float; anything else raises :class:`InputError`."""
-    if isinstance(value, (complex, np.complexfloating)):  # float() would keep the real part
-        raise InputError(f"{what} must be a real number, got {value!r}")
     try:
-        number = float(value)
+        real = not np.iscomplexobj(value)  # float() would keep a complex's real part
+        number = float(value) if real else math.nan
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be a number, got {value!r}") from None
+    if not real:
+        raise InputError(f"{what} must be a real number, got {value!r}")
     if not math.isfinite(number):
         raise InputError(f"{what} must be finite")
     return number
@@ -347,14 +348,17 @@ def _first_hit(a: np.ndarray, best: np.ndarray) -> np.ndarray:
 
     A NaN counts as a hit, so for ``best`` reduced from ``a`` by ``np.minimum``
     (``np.maximum``) this is ``np.argmin``'s (``np.argmax``'s) choice: the first
-    extreme, or the first NaN.  The index is the count of leading misses, in
-    the smallest unsigned type that holds it.
+    extreme, or the first NaN.  The index is the count of leading misses: it
+    is summed in the smallest unsigned type that holds it, several times
+    faster than an ``intp`` sum, and returned as ``intp``, so index arithmetic
+    on it cannot wrap.
     """
     miss = a != best
     miss &= a == a
     for i in range(1, len(miss)):
         miss[i] &= miss[i - 1]
-    return np.add.reduce(miss.view(np.uint8), axis=0, dtype=np.min_scalar_type(len(miss)))
+    count = np.add.reduce(miss.view(np.uint8), axis=0, dtype=np.min_scalar_type(len(miss)))
+    return count.astype(np.intp)
 
 
 def _active_piece(pieces: np.ndarray, inner, outer):
@@ -373,9 +377,9 @@ def _active_piece(pieces: np.ndarray, inner, outer):
     group = _first_hit(over_units, best)
     # Flat index of each chosen piece within a unit's (K, N, S) slice, then within pieces.
     at = np.arange(n_bidders * n_samples).reshape(n_bidders, n_samples)
-    at += group * np.intp(n_bidders * n_samples)
+    at += group * (n_bidders * n_samples)
     unit = _first_hit(pieces.reshape(n_units, -1).take(at, axis=1), best)
-    at += unit * np.intp(over_units.size)
+    at += unit * over_units.size
     # Unit j of group k of bidder n is theta's flat entry (n * K + k) * J + j.
     cell = n_units * (n_groups * np.arange(n_bidders)[:, None] + group) + unit
     return pieces.take(at), cell

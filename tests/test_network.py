@@ -177,6 +177,7 @@ def test_integer_fields_take_any_integer_type():
 
 COMPLEX_CALLS = {
     "transform": lambda params: transform(params, 0, np.complex128(0.5)),
+    "transform_0d": lambda params: transform(params, 0, np.array(0.5 + 0j)),
     "transform_inverse": lambda params: transform_inverse(params, 0, np.complex64(0.5)),
     "clear_hard": lambda params: clear_hard(params, np.array([0.5, 0.5 + 0j])),
     "clear_batch": lambda params: clear_batch(params, np.array([[0.5, 0.5 + 0j]])),
