@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import OUTPUTS, reference_forward
 
-from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
-                                    init_params)
+from myerson_airnet.network import (MonotoneNetParams, NetConfig, _first_hit, _forward,
+                                    allocate_soft, init_params)
 
 # What the forward and training's pass return, each read transposed to (S, N).
 COMPARED = ("tbar", "rarg", "rmax", "p", "fwd_cell", "inv_cell", "g")
@@ -126,6 +126,13 @@ def test_default_shape_with_planted_ties_zeros_and_nans_matches_reference():
         tbar = reference_forward(params, values, params.kappa)[1]
     assert np.isnan(tbar[:, 3]).any() and np.signbit(tbar[:, 2][tbar[:, 2] == 0.0]).any()
     assert_forward_matches_reference(params, values, params.kappa)
+
+
+def test_first_hit_is_an_intp_index():
+    # The hit scales flat gather indices, which a narrower count could wrap.
+    a = np.array([[1.0, np.nan], [0.0, 0.0], [0.0, 2.0]])
+    hit = _first_hit(a, np.zeros(2))
+    assert hit.dtype == np.intp and hit.tolist() == [1, 0]
 
 
 def test_allocate_soft_is_one_row_of_the_batch_softmax():
