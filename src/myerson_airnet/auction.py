@@ -19,11 +19,41 @@ so outcomes are deterministic and directly testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, InputError
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float; a non-numeric or complex one raises :class:`InputError`."""
+    try:
+        real = not np.iscomplexobj(value)  # float() would keep a complex's real part
+        number = float(value) if real else math.nan
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a number, got {value!r}") from None
+    if not real:
+        raise InputError(f"{what} must be a real number, got {value!r}")
+    return number
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a finite float; anything else raises :class:`InputError`."""
+    number = _real(value, what)
+    if not math.isfinite(number):
+        raise InputError(f"{what} must be finite")
+    return number
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, as ``operator.index`` reads it; anything else raises :class:`InputError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _real_array(values, what: str) -> np.ndarray:
@@ -41,6 +71,26 @@ def _real_array(values, what: str) -> np.ndarray:
     raise InputError(f"{what} must be real numbers, not complex")
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array of finite real entries; anything else raises :class:`InputError`."""
+    array = _real_array(values, what)
+    if not np.isfinite(array).all():
+        raise InputError(f"{what} must be finite")
+    return array
+
+
+_FIELD_READERS = {"int": _integer, "float": _real}  # a postponed annotation is a name
+
+
+def _read_fields(config, prefix: str = "") -> None:
+    """Read a frozen ``config``'s ``int`` and ``float`` fields in place, as key ``prefix`` + name."""
+    for field_ in fields(config):
+        read = _FIELD_READERS.get(field_.type)
+        if read is not None:
+            object.__setattr__(config, field_.name, read(getattr(config, field_.name),
+                                                         prefix + field_.name))
+
+
 @dataclass(frozen=True)
 class ValuationDistribution:
     """Uniform valuation distribution on ``[lower, upper]``; the defaults are the package's."""
@@ -49,16 +99,14 @@ class ValuationDistribution:
     upper: float = 1.0
 
     def __post_init__(self):
-        lower = float(self.lower)
-        upper = float(self.upper)
-        if not (np.isfinite(lower) and np.isfinite(upper)):
+        _read_fields(self, prefix="dist_")
+        lower, upper = self.lower, self.upper
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise InputError(f"distribution bounds must be finite, got dist_lower = {lower}, "
                              f"dist_upper = {upper}")
         if not lower < upper:
             raise InputError(f"need lower < upper, got dist_lower = {lower}, "
                              f"dist_upper = {upper}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def width(self) -> float:
@@ -91,11 +139,9 @@ class ValuationProfile:
     distribution: ValuationDistribution
 
     def __post_init__(self):
-        values = np.array(_real_array(self.values, "valuations"))
+        values = np.array(_finite_array(self.values, "valuations"))
         if values.ndim != 1 or values.size < 2:
             raise InputError("a valuation profile needs at least two bidders")
-        if not np.all(np.isfinite(values)):
-            raise InputError("valuations must be finite")
         if not self.distribution.contains(values):
             raise InputError("valuations must lie within the distribution support")
         values.setflags(write=False)
@@ -165,7 +211,7 @@ def _virtual_valuation(v: np.ndarray, dist: ValuationDistribution) -> np.ndarray
 
 def virtual_valuation_inverse(y: float, dist: ValuationDistribution) -> float:
     """Inverse of :func:`virtual_valuation` on its image."""
-    y = float(y)
+    y = _real(y, "virtual valuation")
     low = 2.0 * dist.lower - dist.upper
     if not np.isfinite(y) or not low <= y <= dist.upper:
         raise DomainError(f"{y} outside the virtual-valuation image [{low}, {dist.upper}]")
@@ -185,9 +231,7 @@ def myerson_clear(profile: ValuationProfile) -> AuctionOutcome:
     virtual bid and the zero reserve.  When every virtual valuation is
     negative the item is withheld.
     """
-    dist = profile.distribution
-    phi = _virtual_valuation(profile.values[None, :], dist)  # the profile checked the support
-    winner, payment = _myerson_rows(phi, dist)
+    winner, payment = myerson_batch(profile.values[None, :], profile.distribution)
     return AuctionOutcome(None if winner[0] < 0 else int(winner[0]), float(payment[0]))
 
 
@@ -197,17 +241,10 @@ def myerson_batch(values, dist: ValuationDistribution) -> tuple[np.ndarray, np.n
     Returns winners and payments; a row with no sale has winner ``-1``
     and payment ``0.0``.
     """
-    v = _real_array(values, "valuations")
+    v = _finite_array(values, "valuations")
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 2:
         raise InputError("optimal clearing needs a non-empty matrix of at least two values")
-    if not np.all(np.isfinite(v)):
-        raise InputError("valuations must be finite")
-    return _myerson_rows(virtual_valuation(v, dist), dist)
-
-
-def _myerson_rows(phi: np.ndarray, dist: ValuationDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Second price with a zero reserve on rows of virtual values."""
-    winner, top, runner_up = _second_price(phi)
+    winner, top, runner_up = _second_price(virtual_valuation(v, dist))
     sold = top >= 0.0
     reserve = np.where(runner_up < 0.0, 0.0, runner_up)  # max(runner_up, 0.0), -0.0 kept
     payment = _virtual_valuation_inverse(reserve, dist)

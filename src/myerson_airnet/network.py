@@ -43,47 +43,17 @@ a few whole-row operations.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution, _real_array, _second_price
+from .auction import (AuctionOutcome, ValuationDistribution, _finite, _finite_array, _integer,
+                      _read_fields, _second_price)
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
 # Training's seed tag: SeedSequence zero-pads, so the bare seed is sim's tag 0.
 _TAG_TRAIN = 900000
-
-
-def _finite(value, what: str) -> float:
-    """``value`` as a finite float; anything else raises :class:`InputError`."""
-    try:
-        real = not np.iscomplexobj(value)  # float() would keep a complex's real part
-        number = float(value) if real else math.nan
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what} must be a number, got {value!r}") from None
-    if not real:
-        raise InputError(f"{what} must be a real number, got {value!r}")
-    if not math.isfinite(number):
-        raise InputError(f"{what} must be finite")
-    return number
-
-
-def _finite_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array of finite real entries; anything else raises :class:`InputError`."""
-    array = _real_array(value, what)
-    if not np.isfinite(array).all():
-        raise InputError(f"{what} must be finite")
-    return array
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int, as ``operator.index`` reads it; anything else raises :class:`InputError`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _checked_kappa(kappa) -> float:
@@ -172,8 +142,7 @@ class NetConfig:
     convergence_tol: float = 0.0
 
     def __post_init__(self):
-        for key in ("n_bidders", "groups", "linear_units", "batch_size", "iterations", "seed"):
-            object.__setattr__(self, key, _integer(getattr(self, key), key))
+        _read_fields(self)
         if self.n_bidders < 2:
             raise InputError(f"need at least two bidders, got n_bidders = {self.n_bidders}")
         for key in ("groups", "linear_units"):

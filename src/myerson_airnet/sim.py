@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution, spa_clear
+from .auction import AuctionOutcome, ValuationDistribution, _read_fields, _real_array, spa_clear
 from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
 from .valuation import _normalized, _score, _similarity, distance, pile_terms
@@ -92,6 +92,7 @@ class WorldConfig:
     max_rounds: int = 40
 
     def __post_init__(self):
+        _read_fields(self)
         if self.n_devices < 2:
             raise InputError(f"a market needs at least two devices, got n_devices = "
                              f"{self.n_devices}")
@@ -154,9 +155,9 @@ class WorldState:
         self.config = config
         self.uav_position = (config.uav_x, config.uav_y)
         self.battery = float(config.battery)
-        self._positions = _owned("positions", positions)
-        self._piles = _owned("piles", piles)
-        self._last_collected = _owned("last_collected", last_collected)
+        self._positions = np.array(_real_array(positions, "positions"))
+        self._piles = np.array(_real_array(piles, "piles"))
+        self._last_collected = np.array(_real_array(last_collected, "last_collected"))
         self.round = 0
         shape = (config.pile_size, config.image_rows, config.image_cols)
         if self._positions.shape != (config.n_devices, 2):
@@ -211,7 +212,7 @@ class WorldState:
 
     def replace_pile(self, device: int, pile) -> None:
         """Write ``pile`` into ``device``'s row and recompute that row's terms."""
-        pile = np.asarray(pile, dtype=float)
+        pile = _real_array(pile, "pile")
         if pile.shape != self._piles.shape[1:]:
             raise InputError(f"pile {pile.shape} does not match the piles' "
                              f"{self._piles.shape[1:]}")
@@ -231,14 +232,6 @@ class WorldState:
         terms = self._norms[device].copy(), self._sums[device].copy()
         self.replace_pile(device, pile)
         self._last_collected, self._reference_terms = reference, terms
-
-
-def _owned(key: str, value) -> np.ndarray:
-    """A float copy of ``value``; a ragged or non-numeric one is an error naming ``key``."""
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as error:
-        raise InputError(f"{key} must be a regular array of numbers ({error})") from None
 
 
 def _require_pixels(key: str, pile: np.ndarray) -> None:

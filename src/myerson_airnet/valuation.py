@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .auction import ValuationDistribution, ValuationProfile
+from .auction import ValuationDistribution, ValuationProfile, _finite_array, _real_array
 from .errors import DegenerateProfileError, InputError
 
 
@@ -51,7 +51,7 @@ def pile_terms(piles) -> tuple[np.ndarray, np.ndarray]:
     both on a row-major copy, so a pile's terms have the same bits
     whether it is taken alone or in a stack, on any layout.
     """
-    stack = np.asarray(piles, dtype=float)
+    stack = _real_array(piles, "piles")
     if stack.ndim != 4:
         raise InputError("piles must come as a (D, P, R, C) stack")
     devices, images, rows, cols = stack.shape
@@ -84,8 +84,8 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     """
     if aggregate not in ("mean", "min"):
         raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
-    stack = np.asarray(piles, dtype=float)
-    reference = np.asarray(reference, dtype=float)
+    stack = _real_array(piles, "piles")
+    reference = _real_array(reference, "reference")
     if stack.ndim != 4 or reference.ndim != 3 or stack.shape[2:] != reference.shape[1:]:
         raise InputError("piles must share image dimensions")
     _, images, rows, cols = stack.shape
@@ -132,8 +132,8 @@ def valuation_score(similarity, dist_meters, rule: str = "product"):
     collector instead of far from it.  Arrays score elementwise; two
     scalars return a float.
     """
-    s = np.asarray(similarity, dtype=float)
-    d = np.asarray(dist_meters, dtype=float)
+    s = _real_array(similarity, "similarity")
+    d = _real_array(dist_meters, "distance")
     if not np.all((s >= 0.0) & np.isfinite(s)):
         raise InputError("similarity must be a finite non-negative number")
     if not np.all((d >= 0.0) & np.isfinite(d)):
@@ -160,11 +160,9 @@ def normalize_profile(raw_values, dist: ValuationDistribution) -> ValuationProfi
     and raises ``DegenerateProfileError`` so the caller can assign
     midpoint values instead.
     """
-    raw = np.asarray(raw_values, dtype=float)
+    raw = _finite_array(raw_values, "raw valuations")
     if raw.ndim != 1 or raw.size < 2:
         raise InputError("need at least two raw valuations")
-    if not np.all(np.isfinite(raw)):
-        raise InputError("raw valuations must be finite")
     scaled = _normalized(raw, dist)
     if scaled is None:
         raise DegenerateProfileError("raw valuations have too little spread to normalize")

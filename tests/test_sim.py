@@ -172,7 +172,7 @@ def test_world_state_names_the_key_of_a_ragged_array(key):
     arrays = {"positions": np.zeros((3, 2)), "piles": np.zeros((3, 1, 1, 2)),
               "last_collected": np.zeros((1, 1, 2)), key: RAGGED[key]}
     config = small_config(image_rows=1, image_cols=2, pile_size=1)
-    with pytest.raises(InputError, match=f"^{key} must be a regular array of numbers"):
+    with pytest.raises(InputError, match=f"^{key} must be numbers"):
         WorldState(config=config, **arrays)
 
 
