@@ -1,4 +1,4 @@
-"""Analytic single-item auction mechanics.
+"""Analytic single-item auction mechanics, and the readers of outside values.
 
 Second-price (Vickrey) clearing and the revenue-optimal mechanism for a
 known uniform valuation distribution, plus the profile and outcome types
@@ -15,6 +15,12 @@ of the runner-up and the zero reserve.  :func:`spa_clear` and
 
 Every argmax in this package breaks ties toward the lowest bidder index,
 so outcomes are deterministic and directly testable.
+
+Every value from outside the package is read here: a number by
+:func:`_real`, :func:`_finite` or :func:`_integer`, an array by
+:func:`_real_array` or :func:`_finite_array`, and a config dataclass's
+fields by :func:`_read_fields`.  Each names its key in the ``InputError``
+it raises for a non-numeric or complex value, which a cast would let by.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InputError
+
+# Largest |bound| a valuation support may have: its square, 1e200, times any sample count
+# that fits in memory stays finite, so a sum of squared revenues cannot overflow to inf.
+_SUPPORT_LIMIT = 1e100
 
 
 def _real(value, what: str) -> float:
@@ -104,6 +114,9 @@ class ValuationDistribution:
         if not (math.isfinite(lower) and math.isfinite(upper)):
             raise InputError(f"distribution bounds must be finite, got dist_lower = {lower}, "
                              f"dist_upper = {upper}")
+        if not (abs(lower) <= _SUPPORT_LIMIT and abs(upper) <= _SUPPORT_LIMIT):
+            raise InputError(f"distribution bounds must be at most {_SUPPORT_LIMIT:g} in "
+                             f"magnitude, got dist_lower = {lower}, dist_upper = {upper}")
         if not lower < upper:
             raise InputError(f"need lower < upper, got dist_lower = {lower}, "
                              f"dist_upper = {upper}")

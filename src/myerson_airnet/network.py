@@ -121,7 +121,10 @@ class MonotoneNetParams:
         weight = _finite(weight, "affine weight")
         if weight <= 0.0:
             raise InputError("affine weight must be positive")
-        shape = (_integer(n_bidders, "n_bidders"), 1, 1)
+        n_bidders = _integer(n_bidders, "n_bidders")
+        if n_bidders < 1:
+            raise InputError(f"n_bidders must be at least 1, got {n_bidders}")
+        shape = (n_bidders, 1, 1)
         theta = np.full(shape, np.log(weight))
         beta = np.full(shape, _finite(offset, "affine offset"))
         return cls(theta, beta, kappa)

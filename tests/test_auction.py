@@ -27,6 +27,8 @@ def test_distribution_validation():
         ValuationDistribution(2.0, 1.0)
     with pytest.raises(InputError):
         ValuationDistribution(0.0, float("inf"))
+    with pytest.raises(InputError, match="at most 1e\\+100 in magnitude, .*dist_upper = 1e\\+300"):
+        ValuationDistribution(0.0, 1e300)  # eval printed a revenue stddev of inf
 
 
 def test_distribution_sampling_in_support():

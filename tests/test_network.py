@@ -12,16 +12,24 @@ from oracles import masked_rivals, payment_soft, transform_profile
 from test_batch_properties import bits
 
 from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_batch,
-                                    myerson_clear, spa_batch, spa_clear)
+                                    myerson_clear, spa_batch, spa_clear, virtual_valuation_inverse)
 from myerson_airnet.checkpoint import load_params
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
                                     clear_batch, clear_hard, grad, init_params, loss, train,
                                     transform, transform_inverse)
+from myerson_airnet.sim import WorldConfig, WorldState
+from myerson_airnet.valuation import normalize_profile, pile_similarity, pile_terms, valuation_score
 
 
 def identity_params(n):
     return MonotoneNetParams.affine(n, 1.0, 0.0)
+
+
+def tiny_world(positions=np.zeros((2, 2)), piles=np.zeros((2, 1, 1, 1)),
+               last_collected=np.zeros((1, 1, 1))):
+    config = WorldConfig(n_devices=2, image_rows=1, image_cols=1, pile_size=1)
+    return WorldState(config, positions, piles, last_collected)
 
 
 def random_params(rng, n, k, j, kappa=100.0):
@@ -51,6 +59,8 @@ def test_affine_constructor():
     assert np.all(params.beta == -1.0)
     with pytest.raises(InputError):
         MonotoneNetParams.affine(3, 0.0, 0.0)
+    with pytest.raises(InputError, match="n_bidders"):
+        MonotoneNetParams.affine(-1, 1.0, 0.0)  # raised numpy's ValueError from np.full
 
 
 def test_params_are_immutable():
@@ -143,6 +153,17 @@ NON_NUMERIC_CALLS = {
     "loss": lambda params: loss(params, [["x", 1]], 1.0),
     "allocate_soft": lambda params: allocate_soft(["x"], 1.0),
     "affine": lambda params: MonotoneNetParams.affine(2, "x", 0.0),
+    "dist_lower": lambda params: ValuationDistribution(lower="x"),
+    "dist_upper": lambda params: ValuationDistribution(upper=None),
+    "net_config": lambda params: NetConfig(learning_rate="x"),
+    "world_config": lambda params: WorldConfig(uav_x=None),
+    "valuation_score": lambda params: valuation_score("x", 1.0),
+    "normalize_profile": lambda params: normalize_profile(["x", 1.0], ValuationDistribution()),
+    "pile_similarity": lambda params: pile_similarity([[[["x"]]]], np.zeros((1, 1, 1))),
+    "pile_terms": lambda params: pile_terms([[[["x"]]]]),
+    "replace_pile": lambda params: tiny_world().replace_pile(0, [[["x"]]]),
+    "virtual_valuation_inverse": lambda params: virtual_valuation_inverse(
+        "x", ValuationDistribution()),
 }
 
 
@@ -154,12 +175,15 @@ def test_non_numeric_input_is_refused(call):
 
 
 INTEGER_KEYS = ("n_bidders", "groups", "linear_units", "batch_size", "iterations", "seed")
+WORLD_INTEGER_KEYS = ("n_devices", "image_rows", "image_cols", "pile_size", "seed", "max_rounds")
 
 
 @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None])
 @pytest.mark.parametrize("key, build", [
     *(pytest.param(key, lambda value, key=key: NetConfig(**{key: value}), id=key)
       for key in INTEGER_KEYS),
+    *(pytest.param(key, lambda value, key=key: WorldConfig(**{key: value}), id=f"world_{key}")
+      for key in WORLD_INTEGER_KEYS),
     pytest.param("n_bidders", lambda value: MonotoneNetParams.affine(value, 1.0, 0.0),
                  id="affine"),
 ])
@@ -189,6 +213,20 @@ COMPLEX_CALLS = {
                                                   ValuationDistribution()),
     "profile": lambda params: ValuationProfile(np.array([0.5, 0.4 + 1j]),
                                                ValuationDistribution()),
+    "dist_lower": lambda params: ValuationDistribution(lower=0.5 + 0j),
+    "dist_upper": lambda params: ValuationDistribution(upper=np.complex128(1.0)),
+    "net_config": lambda params: NetConfig(learning_rate=0.35 + 0j),
+    "world_config": lambda params: WorldConfig(uav_x=500.0 + 1j),
+    "valuation_score": lambda params: valuation_score(np.array([0.5 + 1j]), 1.0),
+    "normalize_profile": lambda params: normalize_profile(np.array([0.5, 1.0 + 1j]),
+                                                          ValuationDistribution()),
+    "pile_similarity": lambda params: pile_similarity(np.zeros((1, 1, 1, 1), complex),
+                                                      np.zeros((1, 1, 1))),
+    "pile_terms": lambda params: pile_terms(np.zeros((1, 1, 1, 1), complex)),
+    "world_state": lambda params: tiny_world(positions=np.zeros((2, 2), complex)),
+    "replace_pile": lambda params: tiny_world().replace_pile(0, np.zeros((1, 1, 1), complex)),
+    "virtual_valuation_inverse": lambda params: virtual_valuation_inverse(
+        np.complex128(0.75), ValuationDistribution()),
 }
 
 
