@@ -26,10 +26,10 @@ def identity_params(n):
     return MonotoneNetParams.affine(n, 1.0, 0.0)
 
 
-def tiny_world(positions=np.zeros((2, 2)), piles=np.zeros((2, 1, 1, 1)),
-               last_collected=np.zeros((1, 1, 1))):
-    config = WorldConfig(n_devices=2, image_rows=1, image_cols=1, pile_size=1)
-    return WorldState(config, positions, piles, last_collected)
+def tiny_world(**arrays):
+    arrays = {"positions": np.zeros((2, 2)), "piles": np.zeros((2, 1, 1, 1)),
+              "last_collected": np.zeros((1, 1, 1)), **arrays}
+    return WorldState(WorldConfig(n_devices=2, image_rows=1, image_cols=1, pile_size=1), **arrays)
 
 
 def random_params(rng, n, k, j, kappa=100.0):
