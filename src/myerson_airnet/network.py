@@ -25,19 +25,20 @@ piece only (ties to the lowest index, matching the forward tie-break),
 the softmax and ReLU use their standard derivatives, and ``exp``
 reparameterization turns weight gradients into ``w * dL/dw``.
 
-A parameter set is immutable: it holds read-only ``theta`` and ``beta``
-of shape ``(n_bidders, groups, linear_units)`` and carries the slopes
-``exp(theta)``, ``exp(-theta)`` and offsets ``beta``, computed once, in
-the kernels' ``(J, K, N)`` layout.  Pieces are laid out ``(J, K, N)`` for
-a profile, ``(J, K, S, N)`` in a batch clear and ``(J, K, N, S)`` in
-training, and reduced over leading axes.  Training also needs each active
-piece's index: it takes the first group whose reduction is the best and
-the first unit of that group that is, and gathers the piece itself, so
-the choice, the sign of a zero and a NaN's bits are ``np.argmin``'s and
-``np.argmax``'s.  Training keeps samples innermost all the way to the
-gradient: the transformed bids, rivals, payments, softmax columns and
-backward terms are ``(N, S)`` arrays, so every reduction over bidders is
-a few whole-row operations.
+One layout holds every parameter and piece: units, groups, bidders
+``(J, K, N)``, a batch's samples innermost.  A parameter set is immutable:
+it stores read-only ``theta``, ``beta`` and the slopes ``exp(theta)`` and
+``exp(-theta)``, computed once, in that layout; its public ``theta`` and
+``beta``, of shape ``(n_bidders, groups, linear_units)``, are transposed
+views.  Pieces are ``(J, K, N)`` for a profile and ``(J, K, N, S)`` for a
+batch, reduced over leading axes.  Training also needs each active
+piece's cell, its flat index in that layout: it takes the first group
+whose reduction is the best and the first unit of that group that is,
+and gathers the piece itself, so the choice, the sign of a zero and a
+NaN's bits are ``np.argmin``'s and ``np.argmax``'s.  Training keeps
+samples innermost all the way to the gradient: the transformed bids,
+rivals, payments, softmax columns and backward terms are ``(N, S)``
+arrays, so every reduction over bidders is a few whole-row operations.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def _checked_kappa(kappa) -> float:
 class MonotoneNetParams:
     """Per-bidder log-slopes and offsets, plus the softmax temperature.
 
-    Immutable: ``theta`` and ``beta`` are read-only copies, and the piece
-    kernels' ``(J, K, N)`` slopes ``exp(theta)``, ``exp(-theta)`` and offsets
-    ``beta`` are computed once, here.  A changed net is a new parameter set.
+    Immutable: ``theta`` and ``beta`` are read-only views of ``(J, K, N)``
+    copies, in which the slopes ``exp(theta)`` and ``exp(-theta)`` are
+    computed once, here.  A changed net is a new parameter set.
     """
 
     theta: np.ndarray
@@ -78,18 +79,19 @@ class MonotoneNetParams:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
-        theta = np.array(_finite_array(self.theta, "theta"))
-        beta = np.array(_finite_array(self.beta, "beta"))
+        # C-ordered (J, K, N) copies: units, groups, bidders.
+        theta = _finite_array(self.theta, "theta").T.copy()
+        beta = _finite_array(self.beta, "beta").T.copy()
         if theta.ndim != 3 or theta.shape != beta.shape:
             raise InputError("theta and beta must share shape (n_bidders, groups, linear_units)")
         if min(theta.shape) < 1:
             raise InputError("every parameter dimension must be at least 1")
         with np.errstate(over="ignore"):  # an inf slope clears; train refuses one
             w, w_inv = np.exp(theta), np.exp(-theta)
-        # The kernels' copies are C-ordered (J, K, N): units, groups, bidders.
-        for name, array in (("theta", theta), ("beta", beta), ("_w", w.T.copy()),
-                            ("_w_inv", w_inv.T.copy()), ("_beta", beta.T.copy())):
+        for array in (theta, beta, w, w_inv):
             array.flags.writeable = False
+        for name, array in (("theta", theta.T), ("beta", beta.T), ("_w", w),
+                            ("_w_inv", w_inv), ("_beta", beta)):
             object.__setattr__(self, name, array)
         object.__setattr__(self, "kappa", _checked_kappa(self.kappa))
 
@@ -182,8 +184,8 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
 
 
 # Piece kernels of the clears, on a parameter set's cached slopes and offsets:
-# ``(J, K)`` or ``(J, K, N)`` against a scalar or an ``(N,)`` row, ``(J, K, 1, N)``
-# against an ``(S, N)`` block, ``(J, K, S)`` (the winners') against ``(S,)`` rivals.
+# ``(J, K)`` or ``(J, K, N)`` against a scalar or an ``(N,)`` row, ``(J, K, N, 1)``
+# against an ``(N, S)`` block, ``(J, K, S)`` (the winners') against ``(S,)`` rivals.
 # A slice or a gather of the C-ordered cache keeps its axis order, so the pieces
 # are C-ordered too, and each reduction scans a leading axis.
 
@@ -293,8 +295,8 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, values.shape[0], _CLEAR_BLOCK):
             block = slice(start, start + _CLEAR_BLOCK)
-            win, top, rival = _second_price(
-                _transformed(params._w[:, :, None], params._beta[:, :, None], values[block]))
+            win, top, rival = _second_price(_transformed(
+                params._w[..., None], params._beta[..., None], values[block].T).T)
             sold = top > 0.0
             rival = np.where(rival < 0.0, 0.0, rival)  # max(rival, 0.0): -0.0 and NaN stay
             if not np.isfinite(rival[sold]).all():
@@ -341,20 +343,18 @@ def _active_piece(pieces: np.ndarray, inner, outer):
     is the best, and the unit the first of that group's that is, as
     :func:`_first_hit` finds them.  The value is gathered from the chosen
     piece, so its sign of zero and its NaN bits survive.  A cell is the flat
-    index of the piece's ``(bidder, group, unit)`` entry in ``theta``.
+    index of the piece's ``(unit, group, bidder)`` entry in the parameter cache.
     """
-    n_units, n_groups, n_bidders, n_samples = pieces.shape
+    n_bidders, n_samples = pieces.shape[2:]
     over_units = inner.reduce(pieces)
     best = outer.reduce(over_units)
     group = _first_hit(over_units, best)
     # Flat index of each chosen piece within a unit's (K, N, S) slice, then within pieces.
     at = np.arange(n_bidders * n_samples).reshape(n_bidders, n_samples)
     at += group * (n_bidders * n_samples)
-    unit = _first_hit(pieces.reshape(n_units, -1).take(at, axis=1), best)
+    unit = _first_hit(pieces.reshape(len(pieces), -1).take(at, axis=1), best)
     at += unit * over_units.size
-    # Unit j of group k of bidder n is theta's flat entry (n * K + k) * J + j.
-    cell = n_units * (n_groups * np.arange(n_bidders)[:, None] + group) + unit
-    return pieces.take(at), cell
+    return pieces.take(at), at // n_samples
 
 
 def _top_rival(tbar: np.ndarray):
@@ -378,11 +378,11 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     ``forward`` is ``tbar, rarg, rmax, p`` and the forward and inverse active
     pieces' cells (see :func:`_active_piece`), all ``(N, S)`` like ``g``.
     """
-    # Pieces are laid out (J, K, N, S), samples innermost: numpy reduces a
-    # short trailing axis row by row, but reduces and compares a short leading
-    # one in a few whole-slice operations.  The forward and inverse pieces
-    # share one buffer, because each fresh pieces-sized temporary costs page
-    # faults.
+    # Pieces are laid out (J, K, N, S), the parameters' layout with samples
+    # innermost: numpy reduces a short trailing axis row by row, but reduces
+    # and compares a short leading one in a few whole-slice operations.  The
+    # forward and inverse pieces share one buffer, because each fresh
+    # pieces-sized temporary costs page faults.
     with np.errstate(over="ignore", invalid="ignore"):
         beta = params._beta[..., None]
         pieces = np.empty(beta.shape[:3] + values.shape[:1])
@@ -410,9 +410,8 @@ def grad(params: MonotoneNetParams, batch, kappa: float) -> tuple[np.ndarray, np
 def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):
         loss_value, g, (_, rarg, rmax, p, fwd_cell, inv_cell) = _forward(params, values, kappa)
-        # The cached slopes in theta's flat layout, which the cells index.
-        w = params._w.T.ravel()
-        w_inv = params._w_inv.T.ravel()
+        w = params._w.ravel()  # flat views, which the cells index
+        w_inv = params._w_inv.ravel()
         n_samples = values.shape[0]
 
         scale = 1.0 / n_samples
@@ -448,7 +447,7 @@ def _loss_and_grad(params: MonotoneNetParams, values: np.ndarray, kappa: float):
         # goldens pin.
         cells = np.concatenate([fwd_cell.ravel(), inv_cell.ravel()])
         dtheta, dbeta = (np.bincount(cells, np.concatenate([fwd.ravel(), inv.ravel()]),
-                                     minlength=w.size).reshape(params.theta.shape)
+                                     minlength=w.size).reshape(params._w.shape).T
                          for fwd, inv in ((dtheta_fwd, dtheta_inv), (dbeta_fwd, dbeta_inv)))
 
         return loss_value, dtheta, dbeta

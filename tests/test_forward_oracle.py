@@ -32,11 +32,12 @@ def assert_forward_matches_reference(params, values, kappa):
         _, g, forward = _forward(params, values, kappa)
         got = (*forward, g)
         want = dict(zip(OUTPUTS, reference_forward(params, values, kappa)))
-    # A cell is the flat index of the active piece's (bidder, group, unit) in theta.
+    # A cell is the flat index of the active piece's (unit, group, bidder) in the cache.
     bidders = np.broadcast_to(np.arange(params.n_bidders), values.shape)
     for cell, group, unit in (("fwd_cell", "kmax", "jsel_fwd"),
                               ("inv_cell", "kmin_inv", "jsel_inv")):
-        want[cell] = np.ravel_multi_index((bidders, want[group], want[unit]), params.theta.shape)
+        want[cell] = np.ravel_multi_index((want[unit], want[group], bidders),
+                                          params.theta.shape[::-1])
     for name, a in zip(COMPARED, got, strict=True):
         a, b = a.T, want[name]
         assert a.dtype == b.dtype and a.shape == b.shape, name
