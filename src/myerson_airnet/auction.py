@@ -39,15 +39,19 @@ _SUPPORT_LIMIT = 1e100
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float; a non-numeric or complex one raises :class:`InputError`."""
+    """``value`` as a float; a text, non-numeric or complex one raises :class:`InputError`.
+
+    ``float()`` would parse text and keep a complex's real part, so neither reaches it.
+    """
     try:
-        real = not np.iscomplexobj(value)  # float() would keep a complex's real part
-        number = float(value) if real else math.nan
+        kind = np.asarray(value).dtype.kind
+        if kind not in "cSU":
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what} must be a number, got {value!r}") from None
-    if not real:
+        kind = None
+    if kind == "c":
         raise InputError(f"{what} must be a real number, got {value!r}")
-    return number
+    raise InputError(f"{what} must be a number, got {value!r}")
 
 
 def _finite(value, what: str) -> float:
@@ -67,18 +71,22 @@ def _integer(value, what: str) -> int:
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; a non-numeric or complex one raises :class:`InputError`.
+    """``values`` as a float array; a text, non-numeric or complex one raises :class:`InputError`.
 
-    A complex array is refused rather than cast, which would keep only its
-    real part.  A float array is returned as it is.
+    Text and complex arrays are refused rather than cast, which would parse
+    the text and keep only a complex's real part.  A float array is
+    returned as it is.
     """
     try:
         array = np.asarray(values)
-        if array.dtype.kind != "c":
+        kind = array.dtype.kind
+        if kind not in "cSU":
             return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what} must be numbers") from None
-    raise InputError(f"{what} must be real numbers, not complex")
+        kind = None
+    if kind == "c":
+        raise InputError(f"{what} must be real numbers, not complex")
+    raise InputError(f"{what} must be numbers")
 
 
 def _finite_array(values, what: str) -> np.ndarray:

@@ -9,9 +9,9 @@ byte-identical files.  ``train``'s held-out check, ``revenue-gap`` and
 from the master seed through a fixed tag.  ``revenue-gap`` and ``eval``
 clear the analytic baselines as one batch and the learned auction one
 profile per :func:`clear_hard` call; ``train``'s held-out check clears its
-profiles in one :func:`clear_batch` call.  An output that
-resolves to ``--config``, to ``--checkpoint`` or to another output of the
-same command exits 2 before any work.  A command writes its outputs to
+profiles in one :func:`clear_batch` call.  An output that is a directory
+or resolves to ``--config``, to ``--checkpoint`` or to another output of
+the same command exits 2 before any work.  A command writes its outputs to
 temp files beside them and renames them only once every write succeeded,
 so a failed write leaves no output behind.  Each subcommand takes ``--config``,
 its own arguments, then one ``--<key>`` flag per config key it reads; a
@@ -65,9 +65,12 @@ def _require_out(cfg) -> str:
 
 
 def _require_apart(args, outputs: dict) -> None:
-    """Refuse an output that resolves to ``--config``, ``--checkpoint`` or an earlier output."""
+    """Refuse an output that is a directory or resolves to ``--config``, ``--checkpoint``
+    or an earlier output."""
     taken = {"config": args.config, "checkpoint": getattr(args, "checkpoint", None)}
     for key, path in outputs.items():
+        if path and os.path.isdir(path):
+            raise InputError(f"{key} must not be a directory: {path}")
         for other_key, other in taken.items():
             if path and other and Path(path).resolve() == Path(other).resolve():
                 raise InputError(f"{key} must not be the {other_key} path {other}: "
@@ -118,17 +121,15 @@ def _profiles(cfg, tag: int, count: int) -> np.ndarray:
     return cfg.world.distribution.sample(rng, (count, cfg.net.n_bidders))
 
 
-def _revenues(params, rows, dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row revenue of the learned auction, second price and, given ``dist``, the optimum.
+def _revenues(params, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row revenue of the learned auction and of second price.
 
     ``revenue-gap`` and ``eval`` clear their ``(S, N)`` profile matrix
-    through here: the analytic baselines as one batch each, the learned
-    auction one profile per :func:`clear_hard` call.  The optimum's array
-    is empty without ``dist``.
+    through here: second price as one batch, the learned auction one
+    profile per :func:`clear_hard` call.
     """
     dla = np.array([clear_hard(params, row).revenue for row in rows])
-    optimum = np.empty(0) if dist is None else myerson_batch(rows, dist)[1]
-    return dla, spa_batch(rows)[1], optimum
+    return dla, spa_batch(rows)[1]
 
 
 def _cmd_train(args, cfg) -> int:
@@ -162,7 +163,7 @@ def _cmd_revenue_gap(args, cfg) -> int:
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
 
-    dla, spa, _ = _revenues(params, _profiles(cfg, _TAG_GAP, cfg.cases))
+    dla, spa = _revenues(params, _profiles(cfg, _TAG_GAP, cfg.cases))
     gaps = dla - spa
     order = np.argsort(gaps, kind="stable")
 
@@ -224,8 +225,9 @@ def _cmd_eval(args, cfg) -> int:
         raise InputError("--samples must be at least 1")
 
     values = _profiles(cfg, _TAG_EVAL, samples)
-    revenue = dict(zip(("dla", "spa", "myerson"),
-                       _revenues(params, values, cfg.world.distribution)))
+    dla, spa = _revenues(params, values)
+    revenue = {"dla": dla, "spa": spa,
+               "myerson": myerson_batch(values, cfg.world.distribution)[1]}
 
     print(f"samples: {samples} (common random numbers)")
     print(f"{'mechanism':<10} {'mean_revenue':>14} {'stddev':>12}")

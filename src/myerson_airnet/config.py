@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .auction import ValuationDistribution
+from .auction import ValuationDistribution, _read_fields
 from .errors import InputError
 from .network import NetConfig
 from .sim import WorldConfig
@@ -69,6 +69,16 @@ class ExperimentConfig:
     world: WorldConfig
     cases: int = 300
     out: str | None = None
+
+    def __post_init__(self):
+        _read_fields(self)
+        _check_cases(self.cases)
+
+
+def _check_cases(cases: int) -> None:
+    """Refuse fewer than one revenue-gap case; ``build_config`` checks this first."""
+    if cases < 1:
+        raise InputError("cases must be at least 1")
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -134,8 +144,7 @@ def build_config(config_path=None, overrides: dict[str, str] | None = None) -> E
         if text is not None:
             values[name] = _parse(name, text)
 
-    if values.get("cases", ExperimentConfig.cases) < 1:
-        raise InputError("cases must be at least 1")
+    _check_cases(values.get("cases", ExperimentConfig.cases))
     distribution = _fill(ValuationDistribution, values, prefix="dist_")
     net = _fill(NetConfig, values)
     world = _fill(WorldConfig, values, distribution=distribution)

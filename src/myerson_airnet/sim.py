@@ -67,6 +67,10 @@ _CELL_METERS = 120.0
 # Largest |coordinate| a world may name: floor(x / _CELL_METERS) then fits an int64 with
 # half its range to spare for a pile's pixel offsets and jitter.
 _COORD_LIMIT = _CELL_METERS * 2.0**62
+# Most pixels a world's piles may hold, n_devices * pile_size * image_rows * image_cols:
+# a float64 copy of them is 256 MiB, and generating a world peaks near three copies.  The
+# largest world a golden, demo or perfbench workload runs, 200 * 3 * 16 * 16, is 218x smaller.
+_PIXEL_LIMIT = 2**25
 _PIXEL_METERS = 3.0
 _IMAGE_JITTER_METERS = 6.0
 _PIXEL_NOISE = 0.02
@@ -111,6 +115,10 @@ class WorldConfig:
                                  f"{getattr(self, key)}")
         if self.pile_size < 1:
             raise InputError("pile_size must be at least 1")
+        pixels = self.n_devices * self.pile_size * self.image_rows * self.image_cols
+        if pixels > _PIXEL_LIMIT:
+            raise InputError(f"the world's piles must hold at most {_PIXEL_LIMIT} pixels, got "
+                             f"n_devices * pile_size * image_rows * image_cols = {pixels}")
         if not 0.0 <= self.battery < np.inf:  # also true for nan
             raise InputError(f"battery must be finite and non-negative, got battery = "
                              f"{self.battery}")

@@ -275,9 +275,7 @@ EDGE_ROWS = np.array([[0.7, 0.7, 0.3, 0.2, 0.1],
 def test_revenues_equal_the_per_row_public_clears_bitwise(net, lower, upper, datadir, tmp_path):
     """The batch baselines and the per-row learned clear give the public per-row calls' bits.
 
-    Bits are compared as integers, so a zero's sign counts.  Without a
-    distribution the learned and second-price series are the same and the
-    optimum's is empty.
+    Bits are compared as integers, so a zero's sign counts.
     """
     params = load_params(datadir / "reader_net.ckpt" if net == "reader"
                          else identity_checkpoint(tmp_path))
@@ -288,15 +286,11 @@ def test_revenues_equal_the_per_row_public_clears_bitwise(net, lower, upper, dat
     expected = ([clear_hard(params, row).revenue for row in rows],
                 [spa_clear(row).revenue for row in rows],
                 [myerson_clear(ValuationProfile(row, dist)).revenue for row in rows])
-    revenues = cli._revenues(params, rows, dist)
-    for got, want in zip(revenues, expected):
+    revenues = (*cli._revenues(params, rows), myerson_batch(rows, dist)[1])
+    for got, want in zip(revenues, expected, strict=True):
         np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
     if lower == 0.0:
         assert revenues[2][[1, 4]].tolist() == [0.0, 0.0]  # all-negative rows do not sell
-    dla, spa, optimum = cli._revenues(params, rows)
-    np.testing.assert_array_equal(dla.view(np.uint64), revenues[0].view(np.uint64))
-    np.testing.assert_array_equal(spa.view(np.uint64), revenues[1].view(np.uint64))
-    assert optimum.shape == (0,) and optimum.dtype == np.float64
 
 
 def test_simulate_spa_episode(tmp_path, capsys):
@@ -435,6 +429,9 @@ def test_outputs_land_as_a_plain_write_would(tmp_path):
     ("simulate", "--area-height", "-5", "area_height = -5.0"),
     ("simulate", "--image-rows", "0", "image_rows = 0"),
     ("simulate", "--image-cols", "0", "image_cols = 0"),
+    # Its imagery needs terabytes; numpy raised _ArrayMemoryError on allocating it.
+    ("simulate", "--image-rows", "1000000000000",
+     "n_devices * pile_size * image_rows * image_cols = 240000000000000"),
     ("train", "--n-bidders", "1", "n_bidders = 1"),
     ("train", "--groups", "0", "groups = 0"),
     ("train", "--linear-units", "0", "linear_units = 0"),
@@ -482,6 +479,28 @@ def test_outputs_at_the_checkpoint_path_exit_2_before_any_work(tmp_path, monkeyp
     assert capsys.readouterr().err.startswith(f"error: {key} must not be the checkpoint path")
     assert ckpt.read_bytes() == before
     assert sorted(path.name for path in tmp_path.iterdir()) == [ckpt.name]
+
+
+@pytest.mark.parametrize("directory, command, key", [
+    ("w", ["train", "--iterations", "1", "--out", "w"], "out"),
+    ("w.loss.csv", ["train", "--iterations", "1", "--out", "w"], "loss trace"),
+    ("w.csv", ["revenue-gap", "--checkpoint", "net.ckpt", "--out", "w.csv"], "out"),
+    ("w.svg", ["revenue-gap", "--checkpoint", "net.ckpt", "--out", "w.csv", "--svg"], "svg"),
+    ("e.csv", ["simulate", "--mechanism", "spa", "--out", "e.csv"], "out"),
+    ("e.jsonl", ["simulate", "--mechanism", "spa", "--out", "e.csv", "--events", "e.jsonl"],
+     "events"),
+])
+def test_outputs_at_a_directory_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                       directory, command, key):
+    # Each ran to the write, then exited 3 with "Is a directory".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / directory).mkdir()
+    for name in ("train", "load_params", "generate_world"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    assert main(command) == 2
+    assert capsys.readouterr().err == f"error: {key} must not be a directory: {directory}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [directory]
+    assert not any((tmp_path / directory).iterdir())
 
 
 @pytest.mark.parametrize("config, command, key", [

@@ -59,6 +59,8 @@ def test_checks_run_cases_first_then_distribution_net_world():
         build_config(overrides=bad)
     with pytest.raises(InputError, match="a market needs at least two devices"):
         build_config(overrides={"n_devices": "1"})
+    with pytest.raises(InputError, match="cases must be at least 1"):
+        ExperimentConfig(NetConfig(), WorldConfig(), cases=0)  # built without build_config
 
 
 FIELD_TYPES = {"dist_" + name: kind for name, kind in get_type_hints(ValuationDistribution).items()}

@@ -12,8 +12,10 @@ from oracles import masked_rivals, payment_soft, transform_profile
 from test_batch_properties import bits
 
 from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_batch,
-                                    myerson_clear, spa_batch, spa_clear, virtual_valuation_inverse)
+                                    myerson_clear, spa_batch, spa_clear, virtual_valuation,
+                                    virtual_valuation_inverse)
 from myerson_airnet.checkpoint import load_params
+from myerson_airnet.config import ExperimentConfig
 from myerson_airnet.errors import InputError
 from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allocate_soft,
                                     clear_batch, clear_hard, grad, init_params, loss, train,
@@ -164,6 +166,16 @@ NON_NUMERIC_CALLS = {
     "replace_pile": lambda params: tiny_world().replace_pile(0, [[["x"]]]),
     "virtual_valuation_inverse": lambda params: virtual_valuation_inverse(
         "x", ValuationDistribution()),
+    # Text that reads as a number, which float() and astype(float) would parse.
+    "spa_clear_text": lambda params: spa_clear(["0.9", "0.7"]),
+    "clear_hard_text": lambda params: clear_hard(params, ["0.9", "0.7"]),
+    "transform_text": lambda params: transform(params, 0, "0.5"),
+    "virtual_valuation_text": lambda params: virtual_valuation(
+        "0.7", ValuationDistribution(0.0, 1.0)),
+    "theta_text": lambda params: MonotoneNetParams(params.theta.astype(str), params.beta),
+    "net_config_text": lambda params: NetConfig(learning_rate="0.5"),
+    "world_config_text": lambda params: WorldConfig(uav_x="5"),
+    "dist_text": lambda params: ValuationDistribution("0", "1"),
 }
 
 
@@ -186,6 +198,8 @@ WORLD_INTEGER_KEYS = ("n_devices", "image_rows", "image_cols", "pile_size", "see
       for key in WORLD_INTEGER_KEYS),
     pytest.param("n_bidders", lambda value: MonotoneNetParams.affine(value, 1.0, 0.0),
                  id="affine"),
+    pytest.param("cases", lambda value: ExperimentConfig(NetConfig(), WorldConfig(), cases=value),
+                 id="cases"),
 ])
 def test_integer_fields_refuse_non_integers(key, build, value):
     with pytest.raises(InputError, match=f"{key} must be an integer"):

@@ -51,6 +51,10 @@ def test_world_config_validation():
                 small_config(**{key: value})
     with pytest.raises(InputError):
         small_config(pile_size=0)
+    # 2**25 pixels is the most a world may hold; a config alone allocates none of them.
+    small_config(n_devices=2, pile_size=1, image_rows=2**12, image_cols=2**12)
+    with pytest.raises(InputError, match=r"n_devices \* pile_size \* image_rows \* image_cols"):
+        small_config(n_devices=2, pile_size=1, image_rows=2**12, image_cols=2**12 + 1)
     with pytest.raises(InputError):
         small_config(similarity_aggregate="max")
     with pytest.raises(InputError):
