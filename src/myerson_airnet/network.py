@@ -186,8 +186,9 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> MonotoneNetParam
 # Piece kernels of the clears, on a parameter set's cached slopes and offsets:
 # ``(J, K)`` or ``(J, K, N)`` against a scalar or an ``(N,)`` row, ``(J, K, N, 1)``
 # against an ``(N, S)`` block, ``(J, K, S)`` (the winners') against ``(S,)`` rivals.
-# A slice or a gather of the C-ordered cache keeps its axis order, so the pieces
-# are C-ordered too, and each reduction scans a leading axis.
+# A slice or a gather of the C-ordered cache keeps its axis order, and a block is
+# transposed to C order, so the pieces are C-ordered too, and each reduction scans a
+# leading axis.
 
 def _transformed(w: np.ndarray, beta: np.ndarray, v) -> np.ndarray:
     """Transform of ``v``: pieces ``w * v + beta``, min over units, max over groups."""
@@ -296,7 +297,8 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
         for start in range(0, values.shape[0], _CLEAR_BLOCK):
             block = slice(start, start + _CLEAR_BLOCK)
             win, top, rival = _second_price(_transformed(
-                params._w[..., None], params._beta[..., None], values[block].T).T)
+                params._w[..., None], params._beta[..., None],
+                np.ascontiguousarray(values[block].T)).T)
             sold = top > 0.0
             rival = np.where(rival < 0.0, 0.0, rival)  # max(rival, 0.0): -0.0 and NaN stay
             if not np.isfinite(rival[sold]).all():

@@ -71,8 +71,9 @@ def test_params_are_immutable():
     theta[0, 0, 0] = 5.0  # the parameter set holds a copy
     assert params.theta[0, 0, 0] == np.log(2.0)
     for array in (params.theta, params.beta, params.weights()):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0, 0] = 0.0
+        for stored in (array, array.base):  # a view's base refuses writes too
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0, 0] = 0.0
     for name in ("theta", "beta"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(params, name, np.zeros((2, 1, 1)))
