@@ -41,11 +41,13 @@ _SUPPORT_LIMIT = 1e100
 def _real(value, what: str) -> float:
     """``value`` as a float; a text, non-numeric or complex one raises :class:`InputError`.
 
-    ``float()`` would parse text and keep a complex's real part, so neither reaches it.
+    ``float()`` would parse text and keep a complex's real part, so neither reaches it,
+    not even as an element of an object array.
     """
     try:
-        kind = np.asarray(value).dtype.kind
-        if kind not in "cSU":
+        array = np.asarray(value)
+        kind = array.dtype.kind
+        if kind not in "cSUO" or kind == "O" and not _holds_text(array):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         kind = None
@@ -74,19 +76,24 @@ def _real_array(values, what: str) -> np.ndarray:
     """``values`` as a float array; a text, non-numeric or complex one raises :class:`InputError`.
 
     Text and complex arrays are refused rather than cast, which would parse
-    the text and keep only a complex's real part.  A float array is
-    returned as it is.
+    the text and keep only a complex's real part; so is an object array
+    holding text.  A float array is returned as it is.
     """
     try:
         array = np.asarray(values)
         kind = array.dtype.kind
-        if kind not in "cSU":
+        if kind not in "cSUO" or kind == "O" and not _holds_text(array):
             return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         kind = None
     if kind == "c":
         raise InputError(f"{what} must be real numbers, not complex")
     raise InputError(f"{what} must be numbers")
+
+
+def _holds_text(array: np.ndarray) -> bool:
+    """Whether an object array holds a ``str`` or ``bytes``, which a cast would parse."""
+    return any(isinstance(item, (str, bytes)) for item in array.flat)
 
 
 def _finite_array(values, what: str) -> np.ndarray:

@@ -13,14 +13,19 @@ The world is held as arrays: every device's pile is one row of a
 so a round prices all devices' similarity and distance in one batched
 call each.  The collector's position is an ``(x, y)`` pair of floats.
 The state keeps the piles' similarity terms (each image's squared norm
-and each pile's pixel sums, ``valuation.pile_terms``) and the reference
-pile's, so a round reads ``(D, K)`` sums, not every pixel.  Only the
-winner's pile changes in a round, so only its row of terms is
-recomputed, and the new reference's terms are that row's old ones,
-copied; the arrays are exposed read-only and change only through
-``WorldState.replace_pile`` and ``WorldState.collect``, which keep the
-terms in step.  Two noise fields are built from ``config.seed``, equal:
-``generate_world``'s for the initial piles and ``WorldState``'s own.
+and each pile's pixel sums, ``valuation.pile_terms``) and each pile's
+norm total (its norms summed, ``(D,)``), and the reference pile's terms
+and total, so a round reads ``(D, K)`` sums, not every pixel, and sums
+no norms.  Only the winner's pile changes in a round, so only its row
+of terms and its total are recomputed, and the new reference's are that
+row's old ones, copied; the arrays are exposed read-only and change
+only through ``WorldState.replace_pile`` and ``WorldState.collect``,
+which keep the terms in step.  Two noise fields are built from
+``config.seed``, equal: ``generate_world``'s for the initial piles and
+``WorldState``'s own.  A field keeps, beside its lattice, a table of
+each lattice cell's four wrapped corners, so a capture reads a pixel's
+corners with one gather; a capture draws its jitter and pixel noise
+straight into its buffers.
 
 A round is checked once, at the ``WorldState`` boundary: the state takes
 only positions within the coordinate bound, pixels within ``[0, 1]``
@@ -44,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import AuctionOutcome, ValuationDistribution, _read_fields, _real_array, spa_clear
+from .auction import (AuctionOutcome, ValuationDistribution, _read_fields, _real, _real_array,
+                      spa_clear)
 from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
 from .valuation import _normalized, _score, _similarity, distance, pile_terms
@@ -149,9 +155,9 @@ class WorldState:
     The state is the round's one boundary: everything a round reads is
     checked where it enters the state, so :func:`form_valuations` prices
     it unchecked.  Every coordinate, ``uav_position`` included whenever
-    it is set, is finite and within the bound the config puts on its
-    own, and every pixel lies in ``[0, 1]``.  ``positions``, ``piles``,
-    ``last_collected``, ``terms`` (the piles' cached
+    it is set, is a real number, finite and within the bound the config
+    puts on its own, and every pixel lies in ``[0, 1]``.  ``positions``,
+    ``piles``, ``last_collected``, ``terms`` (the piles' cached
     :func:`~myerson_airnet.valuation.pile_terms`) and ``reference_terms``
     (the reference's, one row of them) are read-only views (a write
     through them raises ``ValueError``, also on a copy of the state);
@@ -181,8 +187,9 @@ class WorldState:
         _require_pixels("piles", self._piles)
         _require_pixels("last_collected", self._last_collected)
         self._norms, self._sums = pile_terms(self._piles)
+        self._totals = self._norms.sum(axis=1)
         norms, sums = pile_terms(self._last_collected[None])
-        self._reference_terms = norms[0], sums[0]
+        self._reference_terms = norms[0], sums[0], norms.sum(axis=1)[0]
         self.noise = _NoiseField(config.seed)
 
     @property
@@ -191,7 +198,11 @@ class WorldState:
 
     @uav_position.setter
     def uav_position(self, position) -> None:
-        x, y = float(position[0]), float(position[1])
+        x, y = position[0], position[1]
+        if type(x) is not float:  # a round sets Python floats, which need no reader
+            x = _real(x, "uav_position")
+        if type(y) is not float:
+            y = _real(y, "uav_position")
         if not (abs(x) <= _COORD_LIMIT and abs(y) <= _COORD_LIMIT):  # also false for nan
             raise InputError(f"uav_position must be finite and at most {_COORD_LIMIT:g} "
                              f"in magnitude, got {(x, y)}")
@@ -215,11 +226,11 @@ class WorldState:
 
     @property
     def reference_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        norms, sums = self._reference_terms
+        norms, sums, _ = self._reference_terms
         return _read_only(norms), _read_only(sums)
 
     def replace_pile(self, device: int, pile) -> None:
-        """Write ``pile`` into ``device``'s row and recompute that row's terms."""
+        """Write ``pile`` into ``device``'s row and recompute that row's terms and norm total."""
         pile = _real_array(pile, "pile")
         if pile.shape != self._piles.shape[1:]:
             raise InputError(f"pile {pile.shape} does not match the piles' "
@@ -228,6 +239,7 @@ class WorldState:
         self._piles[device] = pile
         norms, sums = pile_terms(self._piles[device][None])
         self._norms[device], self._sums[device] = norms[0], sums[0]
+        self._totals[device] = norms.sum(axis=1)[0]
 
     def collect(self, device: int, pile) -> None:
         """Make ``device``'s pile the reference, with its cached terms, and ``pile`` its new one.
@@ -237,7 +249,7 @@ class WorldState:
         ``pile`` is refused.
         """
         reference = self._piles[device].copy()
-        terms = self._norms[device].copy(), self._sums[device].copy()
+        terms = self._norms[device].copy(), self._sums[device].copy(), self._totals[device]
         self.replace_pile(device, pile)
         self._last_collected, self._reference_terms = reference, terms
 
@@ -291,11 +303,23 @@ class LearnedMechanism:
 
 
 class _NoiseField:
-    """Seeded value noise: bilinear smoothstep interpolation of a lattice."""
+    """Seeded value noise: bilinear smoothstep interpolation of a lattice.
+
+    The lattice wraps every ``N = _LATTICE_N`` cells.  Row ``i * N + j``
+    of the ``(N*N, 4)`` corner table holds the lattice values at the four
+    corners of cell ``(i, j)``: ``(i, j)``, ``(i+1, j)``, ``(i, j+1)`` and
+    ``(i+1, j+1)``, each index taken mod ``N``.  A sample gathers every
+    pixel's row with one ``take`` and blends the corners with the
+    smoothstep weights, products and sums in a fixed order, so its bits
+    equal a 2-D index of the lattice at each corner.
+    """
 
     def __init__(self, seed: int):
         rng = np.random.default_rng([seed, _TAG_FIELD])
         self.lattice = rng.random((_LATTICE_N, _LATTICE_N))
+        lat, wrap = self.lattice, np.roll(np.arange(_LATTICE_N), -1)
+        self._corners = np.stack([lat, lat[wrap], lat[:, wrap], lat[wrap][:, wrap]],
+                                 axis=-1).reshape(_LATTICE_N * _LATTICE_N, 4)
 
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         u = np.asarray(xs, dtype=float) / _CELL_METERS
@@ -308,14 +332,10 @@ class _NoiseField:
         fv = fv * fv * (3.0 - 2.0 * fv)
         i0 %= _LATTICE_N
         j0 %= _LATTICE_N
-        i1 = (i0 + 1) % _LATTICE_N
-        j1 = (j0 + 1) % _LATTICE_N
-        # one flat gather per corner: lattice[i, j] is lattice.ravel()[i * N + j]
-        lat = self.lattice.ravel()
         i0 *= _LATTICE_N
-        i1 *= _LATTICE_N
-        top = lat.take(i0 + j0) * (1.0 - fu) + lat.take(i1 + j0) * fu
-        bottom = lat.take(i0 + j1) * (1.0 - fu) + lat.take(i1 + j1) * fu
+        corners = self._corners.take(i0 + j0, axis=0)
+        top = corners[..., 0] * (1.0 - fu) + corners[..., 1] * fu
+        bottom = corners[..., 2] * (1.0 - fu) + corners[..., 3] * fu
         return top * (1.0 - fv) + bottom * fv
 
 
@@ -323,8 +343,11 @@ def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
                   config: WorldConfig) -> np.ndarray:
     """Sample a pile at the ``(x, y)`` point ``pos``: jittered field windows plus sensor noise.
 
-    Each image draws its jitter, then its pixel noise; the field is then
-    sampled once for the whole pile on broadcast coordinates.
+    Each image draws its jitter, then its pixel noise, straight into the
+    pile's buffers; the draws are then scaled onto their ranges as
+    ``uniform`` and ``normal`` scale them, ``loc + scale * x`` (the
+    ``+ 0.0`` keeps ``normal``'s sign of zero), and the field is sampled
+    once for the whole pile on broadcast coordinates.
     """
     rows, cols, size = config.image_rows, config.image_cols, config.pile_size
     gx = pos[0] + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
@@ -332,8 +355,12 @@ def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
     jitter = np.empty((size, 2))
     noise = np.empty((size, rows, cols))
     for k in range(size):
-        jitter[k] = rng.uniform(-_IMAGE_JITTER_METERS, _IMAGE_JITTER_METERS, 2)
-        noise[k] = rng.normal(0.0, _PIXEL_NOISE, (rows, cols))
+        rng.random(out=jitter[k])
+        rng.standard_normal(out=noise[k])
+    jitter *= 2.0 * _IMAGE_JITTER_METERS
+    jitter += -_IMAGE_JITTER_METERS
+    noise *= _PIXEL_NOISE
+    noise += 0.0
     xs = (gx + jitter[:, 0, None])[:, None, :]
     ys = (gy + jitter[:, 1, None])[:, :, None]
     pile = field_.sample(xs, ys)
@@ -375,8 +402,9 @@ def form_valuations(state: WorldState) -> np.ndarray:
     x, y = state.uav_position
     positions = state._positions
     dists = np.hypot(x - positions[:, 0], y - positions[:, 1])
-    sims = _similarity(state._piles, state._last_collected, (state._norms, state._sums),
-                       state._reference_terms, config.similarity_aggregate)
+    sims = _similarity(state._piles, state._last_collected,
+                       (state._norms, state._sums, state._totals), state._reference_terms,
+                       config.similarity_aggregate)
     values = _normalized(_score(sims, dists, config.valuation_rule), config.distribution)
     if values is None:
         values = np.full(dists.shape, config.distribution.midpoint)

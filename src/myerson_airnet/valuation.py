@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .auction import ValuationDistribution, ValuationProfile, _finite_array, _real_array
+from .auction import ValuationDistribution, ValuationProfile, _finite_array, _real, _real_array
 from .errors import DegenerateProfileError, InputError
 
 
@@ -38,9 +38,15 @@ def distance(a, b) -> float:
     """Euclidean distance in meters between the ``(x, y)`` points ``a`` and ``b``.
 
     ``np.hypot`` on scalars gives the bits it gives elementwise on arrays,
-    so this matches the distances the simulator prices in one call.
+    so this matches the distances the simulator prices in one call.  A
+    coordinate that is not a Python float is read by the shared reader,
+    so text and complex raise ``InputError`` naming its point.
     """
-    return float(np.hypot(a[0] - b[0], a[1] - b[1]))
+    ax, ay, bx, by = a[0], a[1], b[0], b[1]
+    if not (type(ax) is type(ay) is type(bx) is type(by) is float):  # as the round passes
+        ax, ay = _real(ax, "point a"), _real(ay, "point a")
+        bx, by = _real(bx, "point b"), _real(by, "point b")
+    return float(np.hypot(ax - bx, ay - by))
 
 
 def pile_terms(piles) -> tuple[np.ndarray, np.ndarray]:
@@ -92,26 +98,30 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     refs, pixels = reference.shape[0], rows * cols
     if images == 0 or refs == 0 or pixels == 0:
         raise InputError("piles and the reference must hold non-empty images")
+    norms, sums = pile_terms(stack)
     ref_norms, ref_sums = pile_terms(reference[None])
-    return _similarity(stack, reference, pile_terms(stack), (ref_norms[0], ref_sums[0]),
-                       aggregate)
+    return _similarity(stack, reference, (norms, sums, norms.sum(axis=1)),
+                       (ref_norms[0], ref_sums[0], ref_norms.sum(axis=1)[0]), aggregate)
 
 
 def _similarity(piles, reference, terms, reference_terms, aggregate: str) -> np.ndarray:
     """:func:`pile_similarity` on inputs already checked, given both sets of terms.
 
-    ``piles`` is a ``(D, P, R, C)`` float array with its ``terms``;
-    ``reference`` is one ``(Q, R, C)`` pile and ``reference_terms`` its own
-    norms ``(Q,)`` and sums ``(K,)``, a row of :func:`pile_terms`.
+    ``piles`` is a ``(D, P, R, C)`` float array and ``terms`` its
+    :func:`pile_terms` followed by each pile's norm total
+    ``norms.sum(axis=1)``, ``(D,)``; ``reference`` is one ``(Q, R, C)``
+    pile and ``reference_terms`` its own norms ``(Q,)``, sums ``(K,)``
+    and norm total, a row of those.  ``mean`` reads the totals in place
+    of summing the norms; ``min`` reads the norms.
     """
-    norms, sums = terms
-    ref_norms, ref_sums = reference_terms
+    norms, sums, totals = terms
+    ref_norms, ref_sums, ref_total = reference_terms
     devices, images = norms.shape
     refs, pixels = ref_norms.size, ref_sums.size
     if aggregate == "mean":
-        total = refs * norms.sum(axis=1)
+        total = refs * totals
         total -= 2.0 * np.einsum("dk,k->d", sums, ref_sums, optimize=False)
-        total += images * ref_norms.sum()
+        total += images * ref_total
         return np.maximum(total, 0.0) / (images * refs * pixels)
     a = np.ascontiguousarray(piles.reshape(devices, images, pixels))
     b = np.ascontiguousarray(reference.reshape(refs, pixels))

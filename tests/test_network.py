@@ -21,7 +21,8 @@ from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allo
                                     clear_batch, clear_hard, grad, init_params, loss, train,
                                     transform, transform_inverse)
 from myerson_airnet.sim import WorldConfig, WorldState
-from myerson_airnet.valuation import normalize_profile, pile_similarity, pile_terms, valuation_score
+from myerson_airnet.valuation import (distance, normalize_profile, pile_similarity, pile_terms,
+                                      valuation_score)
 
 
 def identity_params(n):
@@ -177,6 +178,16 @@ NON_NUMERIC_CALLS = {
     "net_config_text": lambda params: NetConfig(learning_rate="0.5"),
     "world_config_text": lambda params: WorldConfig(uav_x="5"),
     "dist_text": lambda params: ValuationDistribution("0", "1"),
+    "uav_position_text": lambda params: setattr(tiny_world(), "uav_position", ("5", 0.0)),
+    "distance_text": lambda params: distance((0.0, 0.0), (0.0, "5")),
+    # Text inside an object array, which float() and astype(float) parse element by element.
+    "spa_clear_object_text": lambda params: spa_clear(np.array(["0.9", "0.7"], dtype=object)),
+    "clear_hard_object_text": lambda params: clear_hard(
+        params, np.array(["0.9", "0.7"], dtype=object)),
+    "clear_batch_object_bytes": lambda params: clear_batch(
+        params, np.array([[0.9, b"0.7"]], dtype=object)),
+    "transform_object_text": lambda params: transform(params, 0, np.array("0.5", dtype=object)),
+    "world_config_object_text": lambda params: WorldConfig(uav_x=np.array("5", dtype=object)),
 }
 
 
@@ -185,6 +196,15 @@ def test_non_numeric_input_is_refused(call):
     # Each raised Python's ValueError or TypeError.
     with pytest.raises(InputError, match="must be (a number|numbers)"):
         NON_NUMERIC_CALLS[call](identity_params(2))
+
+
+def test_object_arrays_of_numbers_are_read():
+    params = identity_params(2)
+    for bids in ([0.9, 0.7], [np.float32(0.5), 1]):
+        held = np.array(bids, dtype=object)
+        assert spa_clear(held) == spa_clear(np.array(bids, dtype=float))
+        assert clear_hard(params, held) == clear_hard(params, np.array(bids, dtype=float))
+    assert transform(params, 0, np.array(0.5, dtype=object)) == transform(params, 0, 0.5)
 
 
 INTEGER_KEYS = ("n_bidders", "groups", "linear_units", "batch_size", "iterations", "seed")
@@ -240,6 +260,8 @@ COMPLEX_CALLS = {
     "pile_terms": lambda params: pile_terms(np.zeros((1, 1, 1, 1), complex)),
     "world_state": lambda params: tiny_world(positions=np.zeros((2, 2), complex)),
     "replace_pile": lambda params: tiny_world().replace_pile(0, np.zeros((1, 1, 1), complex)),
+    "uav_position": lambda params: setattr(tiny_world(), "uav_position", (1j, 0.0)),
+    "distance": lambda params: distance((1j, 0.0), (0.0, 0.0)),
     "virtual_valuation_inverse": lambda params: virtual_valuation_inverse(
         np.complex128(0.75), ValuationDistribution()),
 }

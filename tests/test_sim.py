@@ -7,12 +7,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import capture_pile_meshgrid, noise_sample_2d_index, pile_similarity_per_image
 from test_batch_properties import U, gamma, similarity_rounding_bound
 
-from myerson_airnet import sim
+from myerson_airnet import sim, valuation
 from myerson_airnet.auction import AuctionOutcome, ValuationDistribution, spa_clear
 from myerson_airnet.errors import DegenerateProfileError, EpisodeExhaustedError, InputError
 from myerson_airnet.checkpoint import save_params
@@ -214,6 +214,53 @@ def test_uav_position_is_checked_whenever_it_is_set(x):
     assert state.uav_position == (7.0, 0.0)
 
 
+@pytest.mark.parametrize("coordinate, message", [
+    ("5", "uav_position must be a number, got '5'"),
+    (np.str_("5"), "uav_position must be a number"),
+    (1j, "uav_position must be a real number, got 1j"),
+    (None, "uav_position must be a number, got None"),
+])
+def test_uav_position_reads_its_coordinates_naming_the_key(coordinate, message):
+    # "5" was parsed, and 1j and None raised float()'s TypeError.
+    state = three_device_world()
+    start = state.uav_position
+    for position in ((coordinate, 1.0), (1.0, coordinate)):
+        with pytest.raises(InputError, match=f"^{message}"):
+            state.uav_position = position
+    assert state.uav_position == start
+
+
+@pytest.mark.parametrize("coordinate, message", [("5", "must be a number, got '5'"),
+                                                 (1j, "must be a real number, got 1j")])
+def test_distance_reads_its_coordinates_naming_the_point(coordinate, message):
+    # "5" raised numpy's TypeError for text and 1j hypot's for complex.
+    for a, b, point in (((coordinate, 0.0), (0.0, 0.0), "a"),
+                        ((0.0, 0.0), (0.0, coordinate), "b")):
+        with pytest.raises(InputError, match=f"^point {point} {message}"):
+            distance(a, b)
+    assert distance((np.float64(3.0), 4), [0, np.int64(0)]) == 5.0
+
+
+def test_a_sold_round_reads_no_outside_value(monkeypatch):
+    """The round hands the setter and ``distance`` Python floats, so
+    neither calls the shared reader."""
+    calls = []
+
+    def counted(value, what):
+        calls.append(what)
+        return real(value, what)
+
+    real = sim._real
+    monkeypatch.setattr(sim, "_real", counted)
+    monkeypatch.setattr(valuation, "_real", counted)
+    state = generate_world(small_config(battery=1e12))
+    records = [step(state, SecondPriceMechanism())[1] for _ in range(5)]
+    assert all(record.outcome.sold for record in records)
+    assert calls == []
+    state.uav_position = (np.float64(1.0), 2)
+    assert calls == ["uav_position", "uav_position"]
+
+
 def test_hand_built_state_starts_where_its_config_says():
     config = small_config(n_devices=2, image_rows=1, image_cols=2, pile_size=1,
                           uav_x=-7.5, uav_y=12, battery=321)
@@ -381,11 +428,14 @@ class EveryThirdUnsold:
 
 
 @pytest.mark.parametrize("aggregate", ["mean", "min"])
-@pytest.mark.parametrize("seed, shape", [(4, (5, 2, 4, 4)), (29, (40, 3, 16, 16))])
+@pytest.mark.parametrize("seed, shape", [(4, (5, 2, 4, 4)), (29, (40, 3, 16, 16)),
+                                         (8, (6, 11, 3, 5))])
 def test_cached_terms_track_the_piles_every_round(aggregate, seed, shape, monkeypatch):
     """After generation and after every sold or unsold step, the state's
-    terms equal, bit for bit, those recomputed from its piles, and its
-    valuations equal those scored from the piles with no terms given."""
+    terms and norm totals equal, bit for bit, those recomputed from its
+    piles, and its valuations equal those scored from the piles with no
+    terms given.  A pile of 11 images sums its norms pairwise in numpy,
+    not in order."""
     devices, size, rows, cols = shape
     state = generate_world(small_config(n_devices=devices, pile_size=size, image_rows=rows,
                                         image_cols=cols, seed=seed, battery=1e12,
@@ -403,6 +453,9 @@ def test_cached_terms_track_the_piles_every_round(aggregate, seed, shape, monkey
             assert np.array_equal(bits(cached), bits(fresh))
         for cached, fresh in zip(state.reference_terms, pile_terms(state.last_collected[None])):
             assert np.array_equal(bits(cached), bits(fresh[0]))
+        norms, reference_norms = pile_terms(state.piles)[0], state.reference_terms[0]
+        assert np.array_equal(bits(state._totals), bits(norms.sum(axis=1)))
+        assert bits(state._reference_terms[2]) == bits(reference_norms.sum())
         values = form_valuations(state)
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_similarity", uncached)
@@ -544,15 +597,30 @@ def test_capture_pile_equals_per_image_meshgrid_oracle_bitwise(x, y, size, rows,
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+WRAP_METERS = sim._LATTICE_N * sim._CELL_METERS  # the field repeats every 17 cells of 120 m
+
+
 @settings(deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.floats(1.0, 1e6))
-def test_noise_sample_equals_the_2d_index_oracle_bitwise(seed, field_seed, spread):
-    """The field gathers each lattice corner from the flat lattice; on a
-    capture's broadcast ``(P, 1, C)`` and ``(P, R, 1)`` grids it gives the
-    2-D fancy index's bits."""
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.floats(1.0, sim._COORD_LIMIT),
+       st.booleans())
+@example(0, 0, sim._COORD_LIMIT, False)
+@example(1, 0, sim._COORD_LIMIT, True)
+@example(2, 0, 1e5, True)
+def test_noise_sample_equals_the_2d_index_oracle_bitwise(seed, field_seed, spread, on_wrap):
+    """The field gathers each pixel's four cell corners from its corner
+    table in one take; on a capture's broadcast ``(P, 1, C)`` and
+    ``(P, R, 1)`` grids it gives the 2-D fancy index's bits, out to the
+    coordinate bound.  ``on_wrap`` puts the coordinates at exact multiples
+    of the wrap, or half a cell below one, so the table's first and its
+    wrapped last row and column are read."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-spread, spread, (3, 1, 5))
     ys = rng.uniform(-spread, spread, (3, 4, 1))
+    if on_wrap:
+        xs, ys = (np.clip(np.trunc(c / WRAP_METERS) * WRAP_METERS, -sim._COORD_LIMIT,
+                          sim._COORD_LIMIT) for c in (xs, ys))
+        xs[:, :, ::2] -= sim._CELL_METERS / 2
+        ys[:, ::2] -= sim._CELL_METERS / 2
     field_ = sim._NoiseField(field_seed)
     assert np.array_equal(bits(field_.sample(xs, ys)), bits(noise_sample_2d_index(field_, xs, ys)))
 
