@@ -77,7 +77,7 @@ def _real_array(values, what: str) -> np.ndarray:
 
     Text and complex arrays are refused rather than cast, which would parse
     the text and keep only a complex's real part; so is an object array
-    holding text.  A float array is returned as it is.
+    holding text or arrays.  A float array is returned as it is.
     """
     try:
         array = np.asarray(values)
@@ -92,8 +92,8 @@ def _real_array(values, what: str) -> np.ndarray:
 
 
 def _holds_text(array: np.ndarray) -> bool:
-    """Whether an object array holds a ``str`` or ``bytes``, which a cast would parse."""
-    return any(isinstance(item, (str, bytes)) for item in array.flat)
+    """Whether an object array holds a ``str``, ``bytes`` or an array, which a cast would parse."""
+    return any(isinstance(item, (str, bytes, np.ndarray)) for item in array.flat)
 
 
 def _finite_array(values, what: str) -> np.ndarray:

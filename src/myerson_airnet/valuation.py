@@ -43,7 +43,7 @@ def distance(a, b) -> float:
     so text and complex raise ``InputError`` naming its point.
     """
     ax, ay, bx, by = a[0], a[1], b[0], b[1]
-    if not (type(ax) is type(ay) is type(bx) is type(by) is float):  # as the round passes
+    if not (type(ax) is type(ay) is type(bx) is type(by) is float):  # the round passes floats
         ax, ay = _real(ax, "point a"), _real(ay, "point a")
         bx, by = _real(bx, "point b"), _real(by, "point b")
     return float(np.hypot(ax - bx, ay - by))

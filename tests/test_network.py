@@ -21,8 +21,7 @@ from myerson_airnet.network import (MonotoneNetParams, NetConfig, _forward, allo
                                     clear_batch, clear_hard, grad, init_params, loss, train,
                                     transform, transform_inverse)
 from myerson_airnet.sim import WorldConfig, WorldState
-from myerson_airnet.valuation import (distance, normalize_profile, pile_similarity, pile_terms,
-                                      valuation_score)
+from myerson_airnet.valuation import normalize_profile, pile_similarity, pile_terms, valuation_score
 
 
 def identity_params(n):
@@ -149,6 +148,14 @@ def test_a_non_integer_bidder_is_refused(call, bidder):
         call(identity_params(2), bidder, 0.3)
 
 
+def object_array(*items):
+    """A 1-D object array holding each item as it is, an array included."""
+    held = np.empty(len(items), dtype=object)
+    for i, item in enumerate(items):
+        held[i] = item
+    return held
+
+
 NON_NUMERIC_CALLS = {
     "transform": lambda params: transform(params, 0, "x"),
     "transform_inverse": lambda params: transform_inverse(params, 0, None),
@@ -178,8 +185,6 @@ NON_NUMERIC_CALLS = {
     "net_config_text": lambda params: NetConfig(learning_rate="0.5"),
     "world_config_text": lambda params: WorldConfig(uav_x="5"),
     "dist_text": lambda params: ValuationDistribution("0", "1"),
-    "uav_position_text": lambda params: setattr(tiny_world(), "uav_position", ("5", 0.0)),
-    "distance_text": lambda params: distance((0.0, 0.0), (0.0, "5")),
     # Text inside an object array, which float() and astype(float) parse element by element.
     "spa_clear_object_text": lambda params: spa_clear(np.array(["0.9", "0.7"], dtype=object)),
     "clear_hard_object_text": lambda params: clear_hard(
@@ -187,6 +192,7 @@ NON_NUMERIC_CALLS = {
     "clear_batch_object_bytes": lambda params: clear_batch(
         params, np.array([[0.9, b"0.7"]], dtype=object)),
     "transform_object_text": lambda params: transform(params, 0, np.array("0.5", dtype=object)),
+    "spa_clear_object_array_text": lambda params: spa_clear(object_array(np.array("0.9"), 0.7)),
     "world_config_object_text": lambda params: WorldConfig(uav_x=np.array("5", dtype=object)),
 }
 
@@ -260,8 +266,6 @@ COMPLEX_CALLS = {
     "pile_terms": lambda params: pile_terms(np.zeros((1, 1, 1, 1), complex)),
     "world_state": lambda params: tiny_world(positions=np.zeros((2, 2), complex)),
     "replace_pile": lambda params: tiny_world().replace_pile(0, np.zeros((1, 1, 1), complex)),
-    "uav_position": lambda params: setattr(tiny_world(), "uav_position", (1j, 0.0)),
-    "distance": lambda params: distance((1j, 0.0), (0.0, 0.0)),
     "virtual_valuation_inverse": lambda params: virtual_valuation_inverse(
         np.complex128(0.75), ValuationDistribution()),
 }
