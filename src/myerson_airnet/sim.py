@@ -12,20 +12,19 @@ The world is held as arrays: every device's pile is one row of a
 ``(D, P, R, C)`` array and its position one row of a ``(D, 2)`` array,
 so a round prices all devices' similarity and distance in one batched
 call each.  The collector's position is an ``(x, y)`` pair of floats.
-The state keeps the piles' similarity terms (each image's squared norm
-and each pile's pixel sums, ``valuation.pile_terms``) and each pile's
-norm total (its norms summed, ``(D,)``), and the reference pile's terms
-and total, so a round reads ``(D, K)`` sums, not every pixel, and sums
-no norms.  Only the winner's pile changes in a round, so only its row
-of terms and its total are recomputed, and the new reference's are that
-row's old ones, copied; the arrays are exposed read-only and change
-only through ``WorldState.replace_pile`` and ``WorldState.collect``,
-which keep the terms in step.  Two noise fields are built from
-``config.seed``, equal: ``generate_world``'s for the initial piles and
-``WorldState``'s own.  A field keeps, beside its lattice, a table of
-each lattice cell's four wrapped corners, so a capture reads a pixel's
-corners with one gather; a capture draws its jitter and pixel noise
-straight into its buffers.
+The state keeps the piles' similarity terms (each image's squared norm,
+each pile's pixel sums and each pile's norm total,
+``valuation.pile_terms``) and the reference pile's, so a round reads
+``(D, K)`` sums, not every pixel, and sums no norms.  Only the winner's
+pile changes in a round, so only its row of terms is recomputed, and the
+new reference's are that row's old ones, copied; the arrays are exposed
+read-only and change only through ``WorldState.replace_pile`` and
+``WorldState.collect``, which keep the terms in step.  Two noise fields
+are built from ``config.seed``, equal: ``generate_world``'s for the
+initial piles and ``WorldState``'s own.  A field keeps, beside its
+lattice, a table of each lattice cell's four wrapped corners, so a
+capture reads a pixel's corners with one gather; a capture draws its
+jitter and pixel noise straight into its buffers.
 
 A round is checked once, at the ``WorldState`` boundary: the state takes
 only positions within the coordinate bound, pixels within ``[0, 1]``
@@ -158,10 +157,11 @@ class WorldState:
     it is set, is a real number, finite and within the bound the config
     puts on its own, and every pixel lies in ``[0, 1]``.  ``positions``,
     ``piles``, ``last_collected``, ``terms`` (the piles' cached
-    :func:`~myerson_airnet.valuation.pile_terms`) and ``reference_terms``
-    (the reference's, one row of them) are read-only views (a write
-    through them raises ``ValueError``, also on a copy of the state);
-    :meth:`replace_pile` and :meth:`collect` are their writers.
+    :func:`~myerson_airnet.valuation.pile_terms`, the triple of norms,
+    sums and norm totals) and ``reference_terms`` (the reference's triple,
+    one row of a stack's, its total a 0-d array) are read-only views (a
+    write through them raises ``ValueError``, also on a copy of the
+    state); :meth:`replace_pile` and :meth:`collect` are their writers.
     ``noise`` is the world's imagery field, built from ``config.seed``.
     """
 
@@ -186,10 +186,9 @@ class WorldState:
                              f"{config.n_devices} piles of shape {shape}")
         _require_pixels("piles", self._piles)
         _require_pixels("last_collected", self._last_collected)
-        self._norms, self._sums = pile_terms(self._piles)
-        self._totals = self._norms.sum(axis=1)
-        norms, sums = pile_terms(self._last_collected[None])
-        self._reference_terms = norms[0], sums[0], norms.sum(axis=1)[0]
+        self._terms = pile_terms(self._piles)
+        self._reference_terms = tuple(term[0, ...] for term in
+                                      pile_terms(self._last_collected[None]))
         self.noise = _NoiseField(config.seed)
 
     @property
@@ -221,25 +220,23 @@ class WorldState:
         return _read_only(self._last_collected)
 
     @property
-    def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(self._norms), _read_only(self._sums)
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, self._terms))
 
     @property
-    def reference_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        norms, sums, _ = self._reference_terms
-        return _read_only(norms), _read_only(sums)
+    def reference_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, self._reference_terms))
 
     def replace_pile(self, device: int, pile) -> None:
-        """Write ``pile`` into ``device``'s row and recompute that row's terms and norm total."""
+        """Write ``pile`` into ``device``'s row and recompute that row's terms."""
         pile = _real_array(pile, "pile")
         if pile.shape != self._piles.shape[1:]:
             raise InputError(f"pile {pile.shape} does not match the piles' "
                              f"{self._piles.shape[1:]}")
         _require_pixels("pile", pile)
         self._piles[device] = pile
-        norms, sums = pile_terms(self._piles[device][None])
-        self._norms[device], self._sums[device] = norms[0], sums[0]
-        self._totals[device] = norms.sum(axis=1)[0]
+        for cached, fresh in zip(self._terms, pile_terms(self._piles[device][None])):
+            cached[device] = fresh[0]
 
     def collect(self, device: int, pile) -> None:
         """Make ``device``'s pile the reference, with its cached terms, and ``pile`` its new one.
@@ -249,7 +246,7 @@ class WorldState:
         ``pile`` is refused.
         """
         reference = self._piles[device].copy()
-        terms = self._norms[device].copy(), self._sums[device].copy(), self._totals[device]
+        terms = tuple(term[device, ...].copy() for term in self._terms)
         self.replace_pile(device, pile)
         self._last_collected, self._reference_terms = reference, terms
 
@@ -402,9 +399,8 @@ def form_valuations(state: WorldState) -> np.ndarray:
     x, y = state.uav_position
     positions = state._positions
     dists = np.hypot(x - positions[:, 0], y - positions[:, 1])
-    sims = _similarity(state._piles, state._last_collected,
-                       (state._norms, state._sums, state._totals), state._reference_terms,
-                       config.similarity_aggregate)
+    sims = _similarity(state._piles, state._last_collected, state._terms,
+                       state._reference_terms, config.similarity_aggregate)
     values = _normalized(_score(sims, dists, config.valuation_rule), config.distribution)
     if values is None:
         values = np.full(dists.shape, config.distribution.midpoint)

@@ -10,18 +10,18 @@ Similarity and scoring work on whole markets at once: piles are plain
 arrays, a ``(D, P, R, C)`` stack of D piles is scored against one
 ``(Q, R, C)`` reference pile in a single call with every dot product
 taken by ``np.einsum`` rather than BLAS, and scoring takes arrays or
-scalars.  Similarity reads a stack through its terms, each image's
-squared norm and each pile's pixel sums (:func:`pile_terms`), so the
-mean over all cross pairs reads ``(D, K)`` sums instead of ``(D, P, K)``
-pixels and builds no table of pairs; the most redundant pair is found in
-Gram form.
+scalars.  Similarity reads a stack through its terms (:func:`pile_terms`):
+each image's squared norm, each pile's pixel sums and each pile's norm
+total, so the mean over all cross pairs reads ``(D, K)`` sums instead of
+``(D, P, K)`` pixels and builds no table of pairs; the most redundant
+pair is found in Gram form.
 
 Each public function checks its input and then runs a private kernel
 that holds the only copy of its math: ``_similarity`` (given the
 stack's and the reference's terms), ``_score`` and ``_normalized``.
 The simulator's round calls the kernels directly, on a state that
-checked what it holds and caches the reference's terms, so a round is
-checked once and gives the public calls' bits.
+checked what it holds and caches the piles' and the reference's terms,
+so a round is checked once and gives the public calls' bits.
 """
 
 from __future__ import annotations
@@ -49,20 +49,22 @@ def distance(a, b) -> float:
     return float(np.hypot(ax - bx, ay - by))
 
 
-def pile_terms(piles) -> tuple[np.ndarray, np.ndarray]:
-    """Each image's squared norm ``(D, P)`` and each pile's pixel sums ``(D, K)``.
+def pile_terms(piles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack's terms: norms ``(D, P)``, pixel sums ``(D, K)`` and norm totals ``(D,)``.
 
     ``piles`` is a ``(D, P, R, C)`` stack and ``K = R*C``.  The norms are
-    ``np.einsum`` dot products and the sums add a pile's images in order,
-    both on a row-major copy, so a pile's terms have the same bits
-    whether it is taken alone or in a stack, on any layout.
+    each image's squared norm, ``np.einsum`` dot products; the sums add a
+    pile's images in order, both on a row-major copy; a pile's total sums
+    its norms.  So a pile's terms have the same bits whether it is taken
+    alone or in a stack, on any layout.
     """
     stack = _real_array(piles, "piles")
     if stack.ndim != 4:
         raise InputError("piles must come as a (D, P, R, C) stack")
     devices, images, rows, cols = stack.shape
     a = np.ascontiguousarray(stack.reshape(devices, images, rows * cols))
-    return np.einsum("dpk,dpk->dp", a, a, optimize=False), a.sum(axis=1)
+    norms = np.einsum("dpk,dpk->dp", a, a, optimize=False)
+    return norms, a.sum(axis=1), norms.sum(axis=1)
 
 
 def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
@@ -72,11 +74,12 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     redundant image pair instead.  ``piles`` is a ``(D, P, R, C)`` stack of
     D piles and ``reference`` one ``(Q, R, C)`` pile; the result holds one
     score per pile.  The stack's :func:`pile_terms` are the norms
-    ``n_p = |a_p|^2`` and sums ``A = sum a_p``.  Over ``K = R*C`` pixels,
-    with the reference's own norms ``m_q`` and sums ``B``, ``mean`` sums
-    every pair at once as ``Q sum n_p - 2 A.B + P sum m_q``, added in that
-    order, and divides ``max(sum, 0)`` by ``P*Q*K``, so it reads the stack
-    only through its terms.  ``min`` takes each pair's MSE as
+    ``n_p = |a_p|^2``, sums ``A = sum a_p`` and totals ``sum n_p``.
+    Over ``K = R*C`` pixels, with the reference's own terms ``m_q``,
+    ``B`` and ``sum m_q``, ``mean`` sums every pair at once as
+    ``Q sum n_p - 2 A.B + P sum m_q``, added in that order, and divides
+    ``max(sum, 0)`` by ``P*Q*K``, so it reads the stack only through its
+    terms.  ``min`` takes each pair's MSE as
     ``max(-2 a.b + n_p + m_q, 0) / K``, added in that order.  Dot
     products are taken by ``np.einsum`` (not BLAS, whose bits can depend
     on its kernel and thread count) on row-major copies, so the bits
@@ -98,21 +101,18 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     refs, pixels = reference.shape[0], rows * cols
     if images == 0 or refs == 0 or pixels == 0:
         raise InputError("piles and the reference must hold non-empty images")
-    norms, sums = pile_terms(stack)
-    ref_norms, ref_sums = pile_terms(reference[None])
-    return _similarity(stack, reference, (norms, sums, norms.sum(axis=1)),
-                       (ref_norms[0], ref_sums[0], ref_norms.sum(axis=1)[0]), aggregate)
+    return _similarity(stack, reference, pile_terms(stack),
+                       tuple(term[0] for term in pile_terms(reference[None])), aggregate)
 
 
 def _similarity(piles, reference, terms, reference_terms, aggregate: str) -> np.ndarray:
     """:func:`pile_similarity` on inputs already checked, given both sets of terms.
 
     ``piles`` is a ``(D, P, R, C)`` float array and ``terms`` its
-    :func:`pile_terms` followed by each pile's norm total
-    ``norms.sum(axis=1)``, ``(D,)``; ``reference`` is one ``(Q, R, C)``
-    pile and ``reference_terms`` its own norms ``(Q,)``, sums ``(K,)``
-    and norm total, a row of those.  ``mean`` reads the totals in place
-    of summing the norms; ``min`` reads the norms.
+    :func:`pile_terms`; ``reference`` is one ``(Q, R, C)`` pile and
+    ``reference_terms`` its own terms, one row of a stack's: norms
+    ``(Q,)``, sums ``(K,)`` and norm total.  ``mean`` reads the totals
+    and sums; ``min`` reads the norms.
     """
     norms, sums, totals = terms
     ref_norms, ref_sums, ref_total = reference_terms
@@ -121,7 +121,7 @@ def _similarity(piles, reference, terms, reference_terms, aggregate: str) -> np.
     if aggregate == "mean":
         total = refs * totals
         total -= 2.0 * np.einsum("dk,k->d", sums, ref_sums, optimize=False)
-        total += images * ref_total
+        total += images * float(ref_total)  # a 0-d total multiplies at scalar speed
         return np.maximum(total, 0.0) / (images * refs * pixels)
     a = np.ascontiguousarray(piles.reshape(devices, images, pixels))
     b = np.ascontiguousarray(reference.reshape(refs, pixels))

@@ -194,6 +194,7 @@ def test_pile_terms_of_one_pile_equal_its_row_of_the_stack_bitwise(data):
     be the bits of its row of the stack's, on any layout."""
     stack, _ = data
     terms = pile_terms(stack)
+    assert np.array_equal(bits(terms[2]), bits(terms[0].sum(axis=1)))
     for device, pile in enumerate(stack):
         for whole, alone in zip(terms, pile_terms(pile[None])):
             assert np.array_equal(bits(whole[device]), bits(alone[0]))
