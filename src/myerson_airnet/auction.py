@@ -36,6 +36,11 @@ from .errors import DomainError, InputError
 # Largest |bound| a valuation support may have: its square, 1e200, times any sample count
 # that fits in memory stays finite, so a sum of squared revenues cannot overflow to inf.
 _SUPPORT_LIMIT = 1e100
+# Most values one of the package's working arrays may hold: a world's pixels, a command's
+# (cases or samples, n_bidders) profiles, a training batch's pieces.  A float64 copy of
+# that many is 256 MiB, so a larger size is refused by its keys rather than failing to
+# allocate.
+_SIZE_LIMIT = 2**25
 
 
 def _real(value, what: str) -> float:
@@ -54,6 +59,12 @@ def _real(value, what: str) -> float:
     if kind == "c":
         raise InputError(f"{what} must be a real number, got {value!r}")
     raise InputError(f"{what} must be a number, got {value!r}")
+
+
+def _bound_size(size: int, names: str, holder: str, unit: str = "values") -> None:
+    """Refuse ``size``, the product of the keys ``names``, if it passes :data:`_SIZE_LIMIT`."""
+    if size > _SIZE_LIMIT:
+        raise InputError(f"{holder} must hold at most {_SIZE_LIMIT} {unit}, got {names} = {size}")
 
 
 def _finite(value, what: str) -> float:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import myerson_batch, spa_batch
+from .auction import _bound_size, myerson_batch, spa_batch
 from .checkpoint import load_params, save_params
 from .config import RUN_SCHEMA, SCHEMA, build_config
 from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
@@ -218,11 +218,12 @@ def _cmd_simulate(args, cfg) -> int:
 
 
 def _cmd_eval(args, cfg) -> int:
-    params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
-                              f"the config expects {cfg.net.n_bidders}")
     samples = args.samples
     if samples < 1:
         raise InputError("--samples must be at least 1")
+    _bound_size(samples * cfg.net.n_bidders, "samples * n_bidders", "the eval profiles")
+    params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
+                              f"the config expects {cfg.net.n_bidders}")
 
     values = _profiles(cfg, _TAG_EVAL, samples)
     dla, spa = _revenues(params, values)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .auction import ValuationDistribution, _read_fields
+from .auction import ValuationDistribution, _bound_size, _read_fields
 from .errors import InputError
 from .network import NetConfig
 from .sim import WorldConfig
@@ -73,6 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _read_fields(self)
         _check_cases(self.cases)
+        _bound_size(self.cases * self.net.n_bidders, "cases * n_bidders",
+                    "the revenue-gap profiles")
 
 
 def _check_cases(cases: int) -> None:

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import (AuctionOutcome, ValuationDistribution, _finite, _finite_array, _integer,
-                      _read_fields, _second_price)
+from .auction import (AuctionOutcome, ValuationDistribution, _bound_size, _finite, _finite_array,
+                      _integer, _read_fields, _second_price)
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
@@ -159,6 +159,8 @@ class NetConfig:
             raise InputError("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise InputError("batch_size must be at least 1")
+        _bound_size(self.linear_units * self.groups * self.n_bidders * self.batch_size,
+                    "linear_units * groups * n_bidders * batch_size", "a training batch's pieces")
         if self.iterations < 1:
             raise InputError("iterations must be at least 1")
         if self.seed < 0:

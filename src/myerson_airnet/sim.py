@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import (AuctionOutcome, ValuationDistribution, _read_fields, _real, _real_array,
-                      spa_clear)
+from .auction import (AuctionOutcome, ValuationDistribution, _bound_size, _integer,
+                      _read_fields, _real, _real_array, spa_clear)
 from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
 from .valuation import _normalized, _score, _similarity, distance, pile_terms
@@ -72,10 +72,6 @@ _CELL_METERS = 120.0
 # Largest |coordinate| a world may name: floor(x / _CELL_METERS) then fits an int64 with
 # half its range to spare for a pile's pixel offsets and jitter.
 _COORD_LIMIT = _CELL_METERS * 2.0**62
-# Most pixels a world's piles may hold, n_devices * pile_size * image_rows * image_cols:
-# a float64 copy of them is 256 MiB, and generating a world peaks near three copies.  The
-# largest world a golden, demo or perfbench workload runs, 200 * 3 * 16 * 16, is 218x smaller.
-_PIXEL_LIMIT = 2**25
 _PIXEL_METERS = 3.0
 _IMAGE_JITTER_METERS = 6.0
 _PIXEL_NOISE = 0.02
@@ -120,10 +116,11 @@ class WorldConfig:
                                  f"{getattr(self, key)}")
         if self.pile_size < 1:
             raise InputError("pile_size must be at least 1")
-        pixels = self.n_devices * self.pile_size * self.image_rows * self.image_cols
-        if pixels > _PIXEL_LIMIT:
-            raise InputError(f"the world's piles must hold at most {_PIXEL_LIMIT} pixels, got "
-                             f"n_devices * pile_size * image_rows * image_cols = {pixels}")
+        # Generating a world peaks near three copies of its pixels.  The largest world a
+        # golden, demo or perfbench workload runs, 200 * 3 * 16 * 16, is 218x below the bound.
+        _bound_size(self.n_devices * self.pile_size * self.image_rows * self.image_cols,
+                    "n_devices * pile_size * image_rows * image_cols", "the world's piles",
+                    "pixels")
         if not 0.0 <= self.battery < np.inf:  # also true for nan
             raise InputError(f"battery must be finite and non-negative, got battery = "
                              f"{self.battery}")
@@ -161,7 +158,8 @@ class WorldState:
     sums and norm totals) and ``reference_terms`` (the reference's triple,
     one row of a stack's, its total a 0-d array) are read-only views (a
     write through them raises ``ValueError``, also on a copy of the
-    state); :meth:`replace_pile` and :meth:`collect` are their writers.
+    state); :meth:`replace_pile` and :meth:`collect` are their writers,
+    and refuse a ``device`` that is not an index of a row before any write.
     ``noise`` is the world's imagery field, built from ``config.seed``.
     """
 
@@ -229,6 +227,7 @@ class WorldState:
 
     def replace_pile(self, device: int, pile) -> None:
         """Write ``pile`` into ``device``'s row and recompute that row's terms."""
+        device = self._device(device)
         pile = _real_array(pile, "pile")
         if pile.shape != self._piles.shape[1:]:
             raise InputError(f"pile {pile.shape} does not match the piles' "
@@ -243,12 +242,21 @@ class WorldState:
 
         A pile's terms alone equal its row of the stack's, so the
         reference's terms are copied, not recomputed.  Nothing changes if
-        ``pile`` is refused.
+        ``device`` or ``pile`` is refused.
         """
+        device = self._device(device)
         reference = self._piles[device].copy()
         terms = tuple(term[device, ...].copy() for term in self._terms)
         self.replace_pile(device, pile)
         self._last_collected, self._reference_terms = reference, terms
+
+    def _device(self, device) -> int:
+        """``device`` as an index into the rows, refused before any write if it names none."""
+        device = _integer(device, "device")
+        if not 0 <= device < self.config.n_devices:
+            raise InputError(f"device must be within [0, {self.config.n_devices}), "
+                             f"got {device}")
+        return device
 
 
 def _require_pixels(key: str, pile: np.ndarray) -> None:

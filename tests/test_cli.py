@@ -435,9 +435,16 @@ def test_outputs_land_as_a_plain_write_would(tmp_path):
     ("train", "--n-bidders", "1", "n_bidders = 1"),
     ("train", "--groups", "0", "groups = 0"),
     ("train", "--linear-units", "0", "linear_units = 0"),
+    # Each matrix needs terabytes; numpy raised _ArrayMemoryError on allocating it.  The
+    # profile bounds are checked before the checkpoint, which does not exist, is read.
+    ("revenue-gap", "--cases", "1000000000000", "cases * n_bidders = 5000000000000"),
+    ("eval", "--samples", "1000000000000", "samples * n_bidders = 5000000000000"),
+    ("train", "--batch-size", "1000000000000",
+     "linear_units * groups * n_bidders * batch_size = 75000000000000"),
 ])
 def test_range_errors_name_their_key(tmp_path, capsys, command, flag, value, named):
-    extra = ["--mechanism", "spa"] if command == "simulate" else []
+    extra = {"simulate": ["--mechanism", "spa"], "train": []}.get(
+        command, ["--checkpoint", str(tmp_path / "absent.ckpt")])
     rc = main([command, *extra, flag, value, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.endswith(f", got {named}\n")

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,7 +280,10 @@ def test_hand_built_state_starts_where_its_config_says():
 def test_piles_and_terms_are_read_only_with_one_writer():
     """A write through ``piles`` or ``terms`` raises rather than leaving the
     terms stale, also on a deep copy, whose arrays numpy hands back
-    writeable; ``replace_pile`` is the one writer, per copy."""
+    writeable; ``replace_pile`` is the one writer, per copy.  The writers
+    refuse a device that names no row before any write: 3 raised
+    ``IndexError``, -1 wrote device 2's row, and ``np.True_`` wrote every
+    row through a boolean index, then raised with the sums left stale."""
     state = three_device_world()
     before = state.piles.copy()
     frozen = copy.deepcopy(state)
@@ -295,8 +299,14 @@ def test_piles_and_terms_are_read_only_with_one_writer():
                 setattr(world, name, getattr(world, name))
         with pytest.raises(InputError, match="pile"):
             world.replace_pile(0, np.zeros((1, 2, 2)))
-        with pytest.raises(IndexError):
-            world.replace_pile(3, np.zeros((1, 1, 2)))
+        held = held_bits(world)
+        for device, message in ((3, "within [0, 3), got 3"), (-1, "within [0, 3), got -1"),
+                                (np.True_, "an integer, got np.True_")):
+            for write in (world.replace_pile, world.collect):
+                with pytest.raises(InputError, match=rf"^device must be {re.escape(message)}$"):
+                    write(device, np.full((1, 1, 2), 0.25))
+                for now, then in zip(held_bits(world), held, strict=True):
+                    assert np.array_equal(now, then)
     frozen.replace_pile(1, np.full((1, 1, 2), 0.25))
     assert np.array_equal(state.piles, before)
     assert frozen.piles[1].tolist() == [[[0.25, 0.25]]]
