@@ -21,6 +21,9 @@ Every value from outside the package is read here: a number by
 :func:`_real_array` or :func:`_finite_array`, and a config dataclass's
 fields by :func:`_read_fields`.  Each names its key in the ``InputError``
 it raises for a non-numeric or complex value, which a cast would let by.
+An integer key's lower bound is checked by :func:`_at_least`, and a
+product of keys' upper bound by :func:`_bound_size`; both messages name
+the keys and the values they got.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from .errors import DomainError, InputError
 # that fits in memory stays finite, so a sum of squared revenues cannot overflow to inf.
 _SUPPORT_LIMIT = 1e100
 # Most values one of the package's working arrays may hold: a world's pixels, a command's
-# (cases or samples, n_bidders) profiles, a training batch's pieces.  A float64 copy of
-# that many is 256 MiB, so a larger size is refused by its keys rather than failing to
-# allocate.
+# (cases, samples or held-out profiles, n_bidders) profiles, a training batch's or a
+# clear_batch block's pieces.  A float64 copy of that many is 256 MiB, so a larger size is
+# refused by its keys rather than failing to allocate.
 _SIZE_LIMIT = 2**25
 
 
@@ -67,6 +70,13 @@ def _bound_size(size: int, names: str, holder: str, unit: str = "values") -> Non
         raise InputError(f"{holder} must hold at most {_SIZE_LIMIT} {unit}, got {names} = {size}")
 
 
+def _at_least(low: int, **named) -> None:
+    """Refuse the first of the keys ``named`` whose value is below ``low``."""
+    for key, value in named.items():
+        if value < low:
+            raise InputError(f"{key} must be at least {low}, got {key} = {value}")
+
+
 def _finite(value, what: str) -> float:
     """``value`` as a finite float; anything else raises :class:`InputError`."""
     number = _real(value, what)
@@ -76,11 +86,14 @@ def _finite(value, what: str) -> float:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int, as ``operator.index`` reads it; anything else raises :class:`InputError`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an int, as ``operator.index`` reads it; a ``bool`` or anything else
+    raises :class:`InputError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _real_array(values, what: str) -> np.ndarray:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import _bound_size, myerson_batch, spa_batch
+from .auction import _at_least, _bound_size, myerson_batch, spa_batch
 from .checkpoint import load_params, save_params
 from .config import RUN_SCHEMA, SCHEMA, build_config
 from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
@@ -136,6 +136,8 @@ def _cmd_train(args, cfg) -> int:
     out = _require_out(cfg)
     trace_path = out + ".loss.csv"
     _require_apart(args, {"out": out, "loss trace": trace_path})
+    _bound_size(_HELDOUT_PROFILES * cfg.net.n_bidders, f"{_HELDOUT_PROFILES} * n_bidders",
+                "train's held-out profiles")
     params, trace = train(cfg.net, cfg.world.distribution)
     with _outputs(out, trace_path) as (out_temp, trace_temp):
         save_params(params, out_temp)
@@ -219,8 +221,7 @@ def _cmd_simulate(args, cfg) -> int:
 
 def _cmd_eval(args, cfg) -> int:
     samples = args.samples
-    if samples < 1:
-        raise InputError("--samples must be at least 1")
+    _at_least(1, **{"--samples": samples})
     _bound_size(samples * cfg.net.n_bidders, "samples * n_bidders", "the eval profiles")
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")

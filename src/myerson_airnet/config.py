@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .auction import ValuationDistribution, _bound_size, _read_fields
+from .auction import ValuationDistribution, _at_least, _bound_size, _read_fields
 from .errors import InputError
 from .network import NetConfig
 from .sim import WorldConfig
@@ -72,15 +72,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _read_fields(self)
-        _check_cases(self.cases)
+        _at_least(1, cases=self.cases)
         _bound_size(self.cases * self.net.n_bidders, "cases * n_bidders",
                     "the revenue-gap profiles")
-
-
-def _check_cases(cases: int) -> None:
-    """Refuse fewer than one revenue-gap case; ``build_config`` checks this first."""
-    if cases < 1:
-        raise InputError("cases must be at least 1")
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -146,7 +140,7 @@ def build_config(config_path=None, overrides: dict[str, str] | None = None) -> E
         if text is not None:
             values[name] = _parse(name, text)
 
-    _check_cases(values.get("cases", ExperimentConfig.cases))
+    _at_least(1, cases=values.get("cases", ExperimentConfig.cases))  # checked first
     distribution = _fill(ValuationDistribution, values, prefix="dist_")
     net = _fill(NetConfig, values)
     world = _fill(WorldConfig, values, distribution=distribution)

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import (AuctionOutcome, ValuationDistribution, _bound_size, _finite, _finite_array,
-                      _integer, _read_fields, _second_price)
+from .auction import (_SIZE_LIMIT, AuctionOutcome, ValuationDistribution, _at_least, _bound_size,
+                      _finite, _finite_array, _integer, _read_fields, _real, _second_price)
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
@@ -59,9 +59,9 @@ _TAG_TRAIN = 900000
 
 def _checked_kappa(kappa) -> float:
     """The softmax temperature as a float; anything but finite and positive raises."""
-    kappa = _finite(kappa, "kappa")
-    if kappa <= 0.0:
-        raise InputError("kappa must be finite and positive")
+    kappa = _real(kappa, "kappa")
+    if not 0.0 < kappa < np.inf:  # also true for nan
+        raise InputError(f"kappa must be finite and positive, got kappa = {kappa}")
     return kappa
 
 
@@ -124,8 +124,7 @@ class MonotoneNetParams:
         if weight <= 0.0:
             raise InputError("affine weight must be positive")
         n_bidders = _integer(n_bidders, "n_bidders")
-        if n_bidders < 1:
-            raise InputError(f"n_bidders must be at least 1, got {n_bidders}")
+        _at_least(1, n_bidders=n_bidders)
         shape = (n_bidders, 1, 1)
         theta = np.full(shape, np.log(weight))
         beta = np.full(shape, _finite(offset, "affine offset"))
@@ -148,25 +147,19 @@ class NetConfig:
 
     def __post_init__(self):
         _read_fields(self)
-        if self.n_bidders < 2:
-            raise InputError(f"need at least two bidders, got n_bidders = {self.n_bidders}")
-        for key in ("groups", "linear_units"):
-            if getattr(self, key) < 1:
-                raise InputError(f"groups and linear_units must be at least 1, got {key} = "
-                                 f"{getattr(self, key)}")
+        _at_least(2, n_bidders=self.n_bidders)
+        _at_least(1, groups=self.groups, linear_units=self.linear_units,
+                  batch_size=self.batch_size, iterations=self.iterations)
+        _at_least(0, seed=self.seed)
         _checked_kappa(self.kappa)
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
-            raise InputError("learning_rate must be finite and positive")
-        if self.batch_size < 1:
-            raise InputError("batch_size must be at least 1")
+        if not 0.0 < self.learning_rate < np.inf:  # also true for nan
+            raise InputError(f"learning_rate must be finite and positive, got learning_rate = "
+                             f"{self.learning_rate}")
         _bound_size(self.linear_units * self.groups * self.n_bidders * self.batch_size,
                     "linear_units * groups * n_bidders * batch_size", "a training batch's pieces")
-        if self.iterations < 1:
-            raise InputError("iterations must be at least 1")
-        if self.seed < 0:
-            raise InputError("seed must be a non-negative integer")
-        if not np.isfinite(self.convergence_tol) or self.convergence_tol < 0.0:
-            raise InputError("convergence_tol must be non-negative")
+        if not 0.0 <= self.convergence_tol < np.inf:  # also true for nan
+            raise InputError(f"convergence_tol must be finite and non-negative, got "
+                             f"convergence_tol = {self.convergence_tol}")
 
 
 @dataclass(frozen=True)
@@ -278,8 +271,9 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
     return AuctionOutcome(int(winner), float(payment) + 0.0)
 
 
-# Rows per clear_batch block.  It bounds the temporaries (about 0.6 MB of
-# pieces a block at the default net), so memory does not grow with the batch.
+# Most rows per clear_batch block.  It bounds the temporaries (about 0.6 MB of
+# pieces a block at the default net), so memory does not grow with the batch; a
+# wider net gets fewer rows, so a block never holds more than _SIZE_LIMIT pieces.
 _CLEAR_BLOCK = 1024
 
 
@@ -295,9 +289,10 @@ def clear_batch(params: MonotoneNetParams, values) -> tuple[np.ndarray, np.ndarr
     values = _batch_values(params, values)
     winner = np.empty(values.shape[0], dtype=np.intp)
     payment = np.empty(values.shape[0])
+    rows = min(_CLEAR_BLOCK, max(1, _SIZE_LIMIT // params._w.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, values.shape[0], _CLEAR_BLOCK):
-            block = slice(start, start + _CLEAR_BLOCK)
+        for start in range(0, values.shape[0], rows):
+            block = slice(start, start + rows)
             win, top, rival = _second_price(_transformed(
                 params._w[..., None], params._beta[..., None],
                 np.ascontiguousarray(values[block].T)).T)

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import (AuctionOutcome, ValuationDistribution, _bound_size, _integer,
+from .auction import (AuctionOutcome, ValuationDistribution, _at_least, _bound_size, _integer,
                       _read_fields, _real, _real_array, spa_clear)
 from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
@@ -98,9 +98,10 @@ class WorldConfig:
 
     def __post_init__(self):
         _read_fields(self)
-        if self.n_devices < 2:
-            raise InputError(f"a market needs at least two devices, got n_devices = "
-                             f"{self.n_devices}")
+        _at_least(2, n_devices=self.n_devices)
+        _at_least(1, image_rows=self.image_rows, image_cols=self.image_cols,
+                  pile_size=self.pile_size, max_rounds=self.max_rounds)
+        _at_least(0, seed=self.seed)
         for key in ("area_width", "area_height", "uav_x", "uav_y"):
             value = getattr(self, key)
             if not abs(value) <= _COORD_LIMIT:  # also true for nan
@@ -110,12 +111,6 @@ class WorldConfig:
             if getattr(self, key) <= 0.0:
                 raise InputError(f"area dimensions must be positive, got {key} = "
                                  f"{getattr(self, key)}")
-        for key in ("image_rows", "image_cols"):
-            if getattr(self, key) < 1:
-                raise InputError(f"image dimensions must be at least 1x1, got {key} = "
-                                 f"{getattr(self, key)}")
-        if self.pile_size < 1:
-            raise InputError("pile_size must be at least 1")
         # Generating a world peaks near three copies of its pixels.  The largest world a
         # golden, demo or perfbench workload runs, 200 * 3 * 16 * 16, is 218x below the bound.
         _bound_size(self.n_devices * self.pile_size * self.image_rows * self.image_cols,
@@ -124,8 +119,6 @@ class WorldConfig:
         if not 0.0 <= self.battery < np.inf:  # also true for nan
             raise InputError(f"battery must be finite and non-negative, got battery = "
                              f"{self.battery}")
-        if self.seed < 0:
-            raise InputError("seed must be a non-negative integer")
         if self.distribution.lower < 0.0:
             raise InputError(f"the valuation support must be non-negative, got "
                              f"dist_lower = {self.distribution.lower}")
@@ -133,8 +126,6 @@ class WorldConfig:
             raise InputError("similarity_aggregate must be 'mean' or 'min'")
         if self.valuation_rule not in ("product", "proximity"):
             raise InputError("valuation_rule must be 'product' or 'proximity'")
-        if self.max_rounds < 1:
-            raise InputError("max_rounds must be at least 1")
 
 
 class WorldState:

@@ -228,6 +228,31 @@ def test_batch_clears_match_rows_across_block_edges(rows, width):
     assert_spa_batch_matches_rows(values)
 
 
+def test_clear_batch_blocks_shrink_under_the_size_limit(monkeypatch):
+    # A block holds at most _SIZE_LIMIT pieces, and at least one row: the default
+    # net's 75 pieces a row leave 2 rows a block under a limit of 200, 1 under 10.
+    rng = np.random.default_rng(8)
+    params = init_params(NetConfig(), rng)
+    values = rng.uniform(0.0, 1.0, (7, params.n_bidders))
+    values[::3, 1] = 0.0
+    whole = clear_batch(params, values)
+    for limit, rows in ((200, [2, 2, 2, 1]), (10, [1] * 7)):
+        blocks = []
+
+        def second_price(x, inner=network._second_price):
+            blocks.append(x.shape[0])
+            return inner(x)
+
+        monkeypatch.setattr(network, "_SIZE_LIMIT", limit)
+        monkeypatch.setattr(network, "_second_price", second_price)
+        winner, payment = clear_batch(params, values)
+        monkeypatch.undo()
+        assert blocks == rows
+        assert winner.tolist() == whole[0].tolist()
+        assert np.array_equal(bits(payment), bits(whole[1]))
+    assert_clear_batch_matches_rows(params, values)
+
+
 def test_clear_batch_never_enters_training_forward(monkeypatch):
     # The forward, its piece scans and its rivals are training's; a clear runs
     # clear_hard's kernels only.

@@ -435,6 +435,17 @@ def test_outputs_land_as_a_plain_write_would(tmp_path):
     ("train", "--n-bidders", "1", "n_bidders = 1"),
     ("train", "--groups", "0", "groups = 0"),
     ("train", "--linear-units", "0", "linear_units = 0"),
+    ("train", "--batch-size", "0", "batch_size = 0"),
+    ("train", "--iterations", "0", "iterations = 0"),
+    ("train", "--seed", "-1", "seed = -1"),
+    ("simulate", "--seed", "-1", "seed = -1"),
+    ("simulate", "--pile-size", "0", "pile_size = 0"),
+    ("simulate", "--max-rounds", "0", "max_rounds = 0"),
+    ("revenue-gap", "--cases", "0", "cases = 0"),
+    ("eval", "--samples", "0", "--samples = 0"),
+    ("train", "--kappa", "0", "kappa = 0.0"),
+    ("train", "--learning-rate", "0", "learning_rate = 0.0"),
+    ("train", "--convergence-tol", "inf", "convergence_tol = inf"),
     # Each matrix needs terabytes; numpy raised _ArrayMemoryError on allocating it.  The
     # profile bounds are checked before the checkpoint, which does not exist, is read.
     ("revenue-gap", "--cases", "1000000000000", "cases * n_bidders = 5000000000000"),
@@ -448,6 +459,16 @@ def test_range_errors_name_their_key(tmp_path, capsys, command, flag, value, nam
     rc = main([command, *extra, flag, value, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.endswith(f", got {named}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_train_bounds_its_heldout_profiles_before_training(tmp_path, capsys, monkeypatch):
+    # A one-profile batch passes the pieces bound, but the held-out check's 10,000
+    # profiles of 4,000 bidders are 4e7 values.
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train ran"))
+    rc = main(["train", "--n-bidders", "4000", "--batch-size", "1", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(", got 10000 * n_bidders = 40000000\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -55,9 +55,9 @@ def test_checks_run_cases_first_then_distribution_net_world():
         build_config(overrides={**bad, "cases": "0", "dist_lower": "3"})
     with pytest.raises(InputError, match="need lower < upper"):
         build_config(overrides={**bad, "dist_lower": "3"})
-    with pytest.raises(InputError, match="need at least two bidders"):
+    with pytest.raises(InputError, match="n_bidders must be at least 2, got n_bidders = 1"):
         build_config(overrides=bad)
-    with pytest.raises(InputError, match="a market needs at least two devices"):
+    with pytest.raises(InputError, match="n_devices must be at least 2, got n_devices = 1"):
         build_config(overrides={"n_devices": "1"})
     with pytest.raises(InputError, match="cases must be at least 1"):
         ExperimentConfig(NetConfig(), WorldConfig(), cases=0)  # built without build_config

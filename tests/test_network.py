@@ -217,7 +217,7 @@ INTEGER_KEYS = ("n_bidders", "groups", "linear_units", "batch_size", "iterations
 WORLD_INTEGER_KEYS = ("n_devices", "image_rows", "image_cols", "pile_size", "seed", "max_rounds")
 
 
-@pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None, True])
 @pytest.mark.parametrize("key, build", [
     *(pytest.param(key, lambda value, key=key: NetConfig(**{key: value}), id=key)
       for key in INTEGER_KEYS),

@@ -282,8 +282,9 @@ def test_piles_and_terms_are_read_only_with_one_writer():
     terms stale, also on a deep copy, whose arrays numpy hands back
     writeable; ``replace_pile`` is the one writer, per copy.  The writers
     refuse a device that names no row before any write: 3 raised
-    ``IndexError``, -1 wrote device 2's row, and ``np.True_`` wrote every
-    row through a boolean index, then raised with the sums left stale."""
+    ``IndexError``, -1 wrote device 2's row, ``True`` wrote device 1's row,
+    and ``np.True_`` wrote every row through a boolean index, then raised
+    with the sums left stale."""
     state = three_device_world()
     before = state.piles.copy()
     frozen = copy.deepcopy(state)
@@ -301,6 +302,7 @@ def test_piles_and_terms_are_read_only_with_one_writer():
             world.replace_pile(0, np.zeros((1, 2, 2)))
         held = held_bits(world)
         for device, message in ((3, "within [0, 3), got 3"), (-1, "within [0, 3), got -1"),
+                                (True, "an integer, got True"),
                                 (np.True_, "an integer, got np.True_")):
             for write in (world.replace_pile, world.collect):
                 with pytest.raises(InputError, match=rf"^device must be {re.escape(message)}$"):
