@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import math
 import re
@@ -650,6 +651,15 @@ def benchmark_scale_episode(tmp_path, tag):
                  "--seed", "17", "--out", str(out / "episode.csv"),
                  "--events", str(out / "episode.jsonl")]) == 0
     return (out / "episode.csv").read_bytes(), (out / "episode.jsonl").read_bytes()
+
+
+def test_benchmark_scale_episode_keeps_its_bytes(tmp_path):
+    """No golden runs more than 40 devices; these digests pin the
+    benchmark's 200-device shape, its CSV and its events."""
+    digests = [hashlib.sha256(data).hexdigest()
+               for data in benchmark_scale_episode(tmp_path, "pinned")]
+    assert digests == ["a92cef11a4ccf66d87452a0fa7d8012dfc62f60e2760589052b9e9a548077672",
+                       "6fcfc88cfb2c92f8b21e2e92866bd5e9e438234642a8b2c03db57ab8bbdeeec4"]
 
 
 def normalized_gap_bound(similarity_bound, dists, raws, dist):
