@@ -18,11 +18,12 @@ each pile's pixel sums and each pile's norm total,
 ``(D, K)`` sums, not every pixel, and sums no norms.  Only the winner's
 pile changes in a round, so only its row of terms is recomputed, and the
 new reference's are that row's old ones, copied; the arrays are exposed
-read-only and change only through ``WorldState.replace_pile`` and
-``WorldState.collect``, which keep the terms in step.  Two noise fields
-are built from ``config.seed``, equal: ``generate_world``'s for the
-initial piles and ``WorldState``'s own.  A field keeps, beside its
-lattice, a table of each lattice cell's four wrapped corners, so a
+read-only and change only through one row writer, which keeps the terms
+in step: ``WorldState.replace_pile`` and ``WorldState.collect`` check a
+pile and call it, and a sold round hands it the state's own capture.
+Two noise fields are built from ``config.seed``, equal:
+``generate_world``'s for the initial piles and ``WorldState``'s own.  A
+field keeps a table of each lattice cell's four wrapped corners, so a
 capture reads a pixel's corners with one gather; a capture draws its
 jitter and pixel noise straight into its buffers.
 
@@ -36,13 +37,16 @@ valuations stay one read-only ``(D,)`` array from ``form_valuations``
 through the mechanism's clear to ``RoundRecord.valuations``.
 
 All randomness derives from ``WorldConfig.seed`` through fixed
-sub-stream tags, so an episode replays bitwise from its seed.
+sub-stream tags, ``default_rng([seed, tag, ...])``'s streams seeded
+from those ints' 32-bit words, so an episode replays bitwise from its seed.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,6 +79,14 @@ _COORD_LIMIT = _CELL_METERS * 2.0**62
 _PIXEL_METERS = 3.0
 _IMAGE_JITTER_METERS = 6.0
 _PIXEL_NOISE = 0.02
+
+
+def _stream(*key: int) -> np.random.Generator:
+    """``np.random.default_rng(list(key))``: ``SeedSequence`` takes the list's ints as their
+    little-endian 32-bit words, which it coerces faster as one ``uint32`` array."""
+    words = b"".join(k.to_bytes((k.bit_length() + 31) // 32 * 4 or 4, "little")
+                     for k in map(operator.index, key))
+    return np.random.default_rng(np.frombuffer(words, dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -150,7 +162,7 @@ class WorldState:
     one row of a stack's, its total a 0-d array) are read-only views (a
     write through them raises ``ValueError``, also on a copy of the
     state); :meth:`replace_pile` and :meth:`collect` are their writers,
-    and refuse a ``device`` that is not an index of a row before any write.
+    and refuse a ``device`` that indexes no row, or a bad pile, before any write.
     ``noise`` is the world's imagery field, built from ``config.seed``.
     """
 
@@ -218,15 +230,7 @@ class WorldState:
 
     def replace_pile(self, device: int, pile) -> None:
         """Write ``pile`` into ``device``'s row and recompute that row's terms."""
-        device = self._device(device)
-        pile = _real_array(pile, "pile")
-        if pile.shape != self._piles.shape[1:]:
-            raise InputError(f"pile {pile.shape} does not match the piles' "
-                             f"{self._piles.shape[1:]}")
-        _require_pixels("pile", pile)
-        self._piles[device] = pile
-        for cached, fresh in zip(self._terms, pile_terms(self._piles[device][None])):
-            cached[device] = fresh[0]
+        self._write_row(*self._checked(device, pile), collect=False)
 
     def collect(self, device: int, pile) -> None:
         """Make ``device``'s pile the reference, with its cached terms, and ``pile`` its new one.
@@ -235,19 +239,30 @@ class WorldState:
         reference's terms are copied, not recomputed.  Nothing changes if
         ``device`` or ``pile`` is refused.
         """
-        device = self._device(device)
-        reference = self._piles[device].copy()
-        terms = tuple(term[device, ...].copy() for term in self._terms)
-        self.replace_pile(device, pile)
-        self._last_collected, self._reference_terms = reference, terms
+        self._write_row(*self._checked(device, pile), collect=True)
 
-    def _device(self, device) -> int:
-        """``device`` as an index into the rows, refused before any write if it names none."""
+    def _checked(self, device, pile) -> tuple[int, np.ndarray]:
+        """``device`` as a row's index and ``pile`` as a row's floats in ``[0, 1]``, or refused."""
         device = _integer(device, "device")
         if not 0 <= device < self.config.n_devices:
             raise InputError(f"device must be within [0, {self.config.n_devices}), "
                              f"got {device}")
-        return device
+        pile = _real_array(pile, "pile")
+        if pile.shape != self._piles.shape[1:]:
+            raise InputError(f"pile {pile.shape} does not match the piles' "
+                             f"{self._piles.shape[1:]}")
+        _require_pixels("pile", pile)
+        return device, pile
+
+    def _write_row(self, device: int, pile: np.ndarray, collect: bool) -> None:
+        """Write a checked or own ``pile`` and its terms to a row, after copying the row's in
+        as the reference if ``collect``."""
+        if collect:
+            self._last_collected = self._piles[device].copy()
+            self._reference_terms = tuple(term[device, ...].copy() for term in self._terms)
+        self._piles[device] = pile
+        for cached, fresh in zip(self._terms, pile_terms(self._piles[device][None])):
+            cached[device] = fresh[0]
 
 
 def _require_pixels(key: str, pile: np.ndarray) -> None:
@@ -311,7 +326,7 @@ class _NoiseField:
     """
 
     def __init__(self, seed: int):
-        rng = np.random.default_rng([seed, _TAG_FIELD])
+        rng = _stream(seed, _TAG_FIELD)
         self.lattice = rng.random((_LATTICE_N, _LATTICE_N))
         lat, wrap = self.lattice, np.roll(np.arange(_LATTICE_N), -1)
         self._corners = np.stack([lat, lat[wrap], lat[:, wrap], lat[wrap][:, wrap]],
@@ -330,9 +345,16 @@ class _NoiseField:
         j0 %= _LATTICE_N
         i0 *= _LATTICE_N
         corners = self._corners.take(i0 + j0, axis=0)
-        top = corners[..., 0] * (1.0 - fu) + corners[..., 1] * fu
-        bottom = corners[..., 2] * (1.0 - fu) + corners[..., 3] * fu
+        gu = 1.0 - fu
+        top = corners[..., 0] * gu + corners[..., 1] * fu
+        bottom = corners[..., 2] * gu + corners[..., 3] * fu
         return top * (1.0 - fv) + bottom * fv
+
+
+@functools.lru_cache(maxsize=16)
+def _pixel_offsets(n: int) -> np.ndarray:
+    """Each of ``n`` pixels' offset in meters from an image's centre, read-only."""
+    return _read_only((np.arange(n) - n / 2.0) * _PIXEL_METERS)
 
 
 def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
@@ -343,11 +365,12 @@ def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
     pile's buffers; the draws are then scaled onto their ranges as
     ``uniform`` and ``normal`` scale them, ``loc + scale * x`` (the
     ``+ 0.0`` keeps ``normal``'s sign of zero), and the field is sampled
-    once for the whole pile on broadcast coordinates.
+    once for the whole pile on broadcast coordinates, from pixel offsets
+    computed once per size.  The clipped pile is one the state takes unchecked.
     """
     rows, cols, size = config.image_rows, config.image_cols, config.pile_size
-    gx = pos[0] + (np.arange(cols) - cols / 2.0) * _PIXEL_METERS
-    gy = pos[1] + (np.arange(rows) - rows / 2.0) * _PIXEL_METERS
+    gx = pos[0] + _pixel_offsets(cols)
+    gy = pos[1] + _pixel_offsets(rows)
     jitter = np.empty((size, 2))
     noise = np.empty((size, rows, cols))
     for k in range(size):
@@ -371,16 +394,16 @@ def generate_world(config: WorldConfig) -> WorldState:
     own start position, so round one already has a meaningful redundancy
     signal.  Deterministic for a given ``config.seed``.
     """
-    placement = np.random.default_rng([config.seed, _TAG_PLACEMENT])
+    placement = _stream(config.seed, _TAG_PLACEMENT)
     xy = placement.random((config.n_devices, 2))
     xy[:, 0] *= config.area_width
     xy[:, 1] *= config.area_height
 
     noise = _NoiseField(config.seed)
-    piles = [_capture_pile(noise, np.random.default_rng([config.seed, _TAG_PILE, idx]),
-                           pos, config) for idx, pos in enumerate(xy)]
-    sentinel_rng = np.random.default_rng([config.seed, _TAG_SENTINEL])
-    sentinel = _capture_pile(noise, sentinel_rng, (config.uav_x, config.uav_y), config)
+    piles = [_capture_pile(noise, _stream(config.seed, _TAG_PILE, idx), pos, config)
+             for idx, pos in enumerate(xy)]
+    sentinel = _capture_pile(noise, _stream(config.seed, _TAG_SENTINEL),
+                             (config.uav_x, config.uav_y), config)
     return WorldState(config=config, positions=xy, piles=piles, last_collected=sentinel)
 
 
@@ -428,8 +451,9 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
         flown = distance(state.uav_position, position)
         state.uav_position = position
         state.battery = max(0.0, state.battery - flown)
-        regen = np.random.default_rng([state.config.seed, _TAG_REGEN, state.round, winner])
-        state.collect(winner, _capture_pile(state.noise, regen, position, state.config))
+        regen = _stream(state.config.seed, _TAG_REGEN, state.round, winner)
+        state._write_row(winner, _capture_pile(state.noise, regen, position, state.config),
+                         collect=True)
 
     record = RoundRecord(round=state.round, valuations=values, mechanism=mechanism.name,
                          outcome=outcome, distance_flown=flown,

@@ -516,6 +516,70 @@ def test_round_path_equals_the_checked_public_chain_bitwise(devices, size, rows,
     assert not flat or degenerate[:1] == [0]
 
 
+def test_a_sold_round_writes_what_the_public_collect_writes(monkeypatch):
+    """``step`` hands its own capture to the state's writer unchecked;
+    replaying each capture through the checked ``collect`` on a shadow
+    state leaves the same piles, reference and terms, bit for bit, after
+    every sold and unsold round."""
+    state = generate_world(small_config(n_devices=6, pile_size=2, seed=5, battery=1e12))
+    shadow = copy.deepcopy(state)
+    captures = []
+
+    def kept(*args):
+        captures.append(capture(*args))
+        return captures[-1]
+
+    capture = sim._capture_pile
+    monkeypatch.setattr(sim, "_capture_pile", kept)
+    mechanism, sold = EveryThirdUnsold(), []
+    for _ in range(12):
+        outcome = step(state, mechanism)[1].outcome
+        if outcome.sold:
+            shadow.collect(outcome.winner, captures.pop())
+        sold.append(outcome.sold)
+        for now, then in zip(held_bits(state), held_bits(shadow), strict=True):
+            assert np.array_equal(now, then)
+    assert 0 < sum(sold) < len(sold) and captures == []
+
+
+KEY_WORDS = [0, 2**32 - 1, 2**32, 2**40 + 3, 2**70 + 12345]
+
+
+@pytest.mark.parametrize("seed", KEY_WORDS)
+def test_stream_draws_what_the_list_seeded_generator_draws(seed):
+    """``_stream`` seeds from the words ``SeedSequence`` derives from the
+    list: one per int below 2**32, two or three past it."""
+    keys = [(), (sim._TAG_FIELD,), *((sim._TAG_REGEN, round_, winner) for round_ in KEY_WORDS
+                                     for winner in (0, np.int64(7), 2**32))]
+    for key in keys:
+        ours, listed = sim._stream(seed, *key), np.random.default_rng([seed, *key])
+        for draw in ("random", "standard_normal"):
+            assert np.array_equal(bits(getattr(ours, draw)(4)), bits(getattr(listed, draw)(4)))
+
+
+def test_stream_refuses_a_negative_key():
+    with pytest.raises(ValueError):
+        np.random.default_rng([0, -1])
+    with pytest.raises(OverflowError):
+        sim._stream(0, -1)
+
+
+def test_a_world_past_32_bit_keys_keeps_the_list_seeded_streams(monkeypatch):
+    """A seed and a round past 2**32 take two words each; the piles after
+    generation and after a sold round are those of the list-seeded streams."""
+    def run():
+        state = generate_world(small_config(seed=2**40 + 3, battery=1e12))
+        generated = state.piles.copy()
+        state.round = 2**32 + 1
+        assert step(state, SecondPriceMechanism())[1].outcome.sold
+        return [bits(generated), *held_bits(state)]
+
+    ours = run()
+    monkeypatch.setattr(sim, "_stream", lambda *key: np.random.default_rng(list(key)))
+    for now, then in zip(ours, run(), strict=True):
+        assert np.array_equal(now, then)
+
+
 def test_step_requires_charge():
     state = three_device_world(battery=0.0)
     with pytest.raises(EpisodeExhaustedError, match="before round 0"):
