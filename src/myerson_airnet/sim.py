@@ -255,8 +255,8 @@ class WorldState:
         return device, pile
 
     def _write_row(self, device: int, pile: np.ndarray, collect: bool) -> None:
-        """Write a checked or own ``pile`` and its terms to a row, after copying the row's in
-        as the reference if ``collect``."""
+        """Write ``pile``, checked or the state's own capture, into the row with its terms;
+        if ``collect``, the row's old pile and terms first become the reference."""
         if collect:
             self._last_collected = self._piles[device].copy()
             self._reference_terms = tuple(term[device, ...].copy() for term in self._terms)
