@@ -18,19 +18,22 @@ so outcomes are deterministic and directly testable.
 
 Every value from outside the package is read here: a number by
 :func:`_real`, :func:`_finite` or :func:`_integer`, an array by
-:func:`_real_array` or :func:`_finite_array`, and a config dataclass's
-fields by :func:`_read_fields`.  Each names its key in the ``InputError``
-it raises for a non-numeric or complex value, which a cast would let by.
-An integer key's lower bound is checked by :func:`_at_least`, and a
-product of keys' upper bound by :func:`_bound_size`; both messages name
-the keys and the values they got.
+:func:`_real_array` or :func:`_finite_array`.  Each names its key in the
+``InputError`` it raises for a non-numeric or complex value, which a cast
+would let by, and the number readers refuse a ``bool``.  A config key is
+one field built by :func:`_key`, holding its default, help text and
+rules; :func:`_read_fields` reads and checks every field, in one form:
+``<key> must be <rule>[ and <rule>...], got <key> = <value>``.  A product
+of keys is bounded by :func:`_bound_size`, and a lower bound outside a
+config's fields (``eval --samples``, ``build_config``'s cases-first
+check, ``affine``'s bidder count) by :func:`_at_least`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,15 +50,15 @@ _SIZE_LIMIT = 2**25
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float; a text, non-numeric or complex one raises :class:`InputError`.
+    """``value`` as a float; a text, bool, non-numeric or complex one raises :class:`InputError`.
 
-    ``float()`` would parse text and keep a complex's real part, so neither reaches it,
-    not even as an element of an object array.
+    ``float()`` would parse text, read a ``bool`` as 0 or 1 and keep a complex's real part,
+    so none reaches it, not even as an element of an object array.
     """
     try:
         array = np.asarray(value)
         kind = array.dtype.kind
-        if kind not in "cSUO" or kind == "O" and not _holds_text(array):
+        if kind not in "bcSUO" or kind == "O" and not _holds_text(array):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         kind = None
@@ -128,37 +131,53 @@ def _finite_array(values, what: str) -> np.ndarray:
     return array
 
 
+def _key(default, help: str, *, low=None, above=None, within=None, choices=None):
+    """A config key's field: its ``default``, its ``--help`` text and the ``(text, test)``
+    rules :func:`_read_fields` checks, in the order their texts are joined."""
+    rules = []
+    if within is not None:
+        rules.append((f"at most {within:g} in magnitude", lambda value: abs(value) <= within))
+    if low is not None:
+        rules.append((f"at least {low}", lambda value: value >= low))
+    if above is not None:
+        rules.append((f"greater than {above}", lambda value: value > above))
+    if choices is not None:
+        rules.append(("one of " + ", ".join(map(repr, choices)), lambda value: value in choices))
+    return field(default=default, metadata={"help": help, "rules": tuple(rules)})
+
+
 _FIELD_READERS = {"int": _integer, "float": _real}  # a postponed annotation is a name
 
 
 def _read_fields(config, prefix: str = "") -> None:
-    """Read a frozen ``config``'s ``int`` and ``float`` fields in place, as key ``prefix`` + name."""
+    """Read a frozen ``config``'s ``int`` and ``float`` fields in place, as key ``prefix`` +
+    name, and refuse a non-finite ``float`` or a value outside its field's rules."""
     for field_ in fields(config):
+        key, value = prefix + field_.name, getattr(config, field_.name)
+        rules = field_.metadata.get("rules", ())
         read = _FIELD_READERS.get(field_.type)
         if read is not None:
-            object.__setattr__(config, field_.name, read(getattr(config, field_.name),
-                                                         prefix + field_.name))
+            value = read(value, key)
+            object.__setattr__(config, field_.name, value)
+        if field_.type == "float":
+            rules = (("finite", math.isfinite), *rules)
+        if not all(test(value) for _, test in rules):
+            raise InputError(f"{key} must be {' and '.join(text for text, _ in rules)}, "
+                             f"got {key} = {value!r}")
 
 
 @dataclass(frozen=True)
 class ValuationDistribution:
     """Uniform valuation distribution on ``[lower, upper]``; the defaults are the package's."""
 
-    lower: float = 0.5
-    upper: float = 1.0
+    lower: float = _key(0.5, "valuation support lower bound", within=_SUPPORT_LIMIT)
+    upper: float = _key(1.0, "valuation support upper bound", within=_SUPPORT_LIMIT)
 
     def __post_init__(self):
         _read_fields(self, prefix="dist_")
-        lower, upper = self.lower, self.upper
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise InputError(f"distribution bounds must be finite, got dist_lower = {lower}, "
-                             f"dist_upper = {upper}")
-        if not (abs(lower) <= _SUPPORT_LIMIT and abs(upper) <= _SUPPORT_LIMIT):
-            raise InputError(f"distribution bounds must be at most {_SUPPORT_LIMIT:g} in "
-                             f"magnitude, got dist_lower = {lower}, dist_upper = {upper}")
-        if not lower < upper:
-            raise InputError(f"need lower < upper, got dist_lower = {lower}, "
-                             f"dist_upper = {upper}")
+        if not self.lower < self.upper:
+            raise InputError(f"need lower < upper, got dist_lower = {self.lower}, "
+                             f"dist_upper = {self.upper}")
 
     @property
     def width(self) -> float:

@@ -280,8 +280,8 @@ def _add_command(sub, name: str, summary: str, func, schema=RUN_SCHEMA, **own) -
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     for flag, kwargs in own.items():
         parser.add_argument(f"--{flag}", **kwargs)
-    for key, text in schema.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", metavar="V", help=text)
+    for key, field in schema.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", metavar="V", help=field.metadata["help"])
     parser.set_defaults(func=func, schema=schema)
 
 

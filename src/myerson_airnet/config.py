@@ -2,63 +2,26 @@
 
 A config file holds one ``key = value`` pair per line ('#' comments and
 blank lines allowed).  CLI flags override file values, which override
-the defaults.  :data:`SCHEMA` is :data:`RUN_SCHEMA`, the keys every
-subcommand takes, followed by :data:`WORLD_SCHEMA`, the keys only
-``simulate`` adds; that order is the ``--help`` order.
+the defaults.  A negative value may follow its flag (``--uav-y -1e3``).
 
-:data:`SCHEMA` only explains the keys.  Each key fills the dataclass
-field of its name (``NetConfig``, ``WorldConfig``, ``ExperimentConfig``;
-``dist_lower``/``dist_upper`` fill the fields of ``ValuationDistribution``,
-the one place the default support is written), which holds its default,
-and its text parses as that field's declared type: an ``int`` field takes
-an integer, a ``float`` field a number, and any other field the text as
-written.  A negative value may follow its flag (``--uav-y -1e3``).
+Each key is declared once, by ``auction._key``, as the field of its name
+in ``NetConfig``, ``WorldConfig`` or ``ExperimentConfig`` (``dist_lower``
+and ``dist_upper`` are ``ValuationDistribution``'s), with its type,
+default, ``--help`` text and single-key rules.  :data:`SCHEMA` maps each
+key to its field: :data:`RUN_SCHEMA`, the keys every subcommand takes,
+then those only ``simulate`` adds, in ``--help`` order.  A key's text
+parses as its field's type: an integer, a number, or else the text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
 
-from .auction import ValuationDistribution, _at_least, _bound_size, _read_fields
+from .auction import ValuationDistribution, _at_least, _bound_size, _key, _read_fields
 from .errors import InputError
 from .network import NetConfig
 from .sim import WorldConfig
-
-RUN_SCHEMA: dict[str, str] = {
-    # market
-    "n_bidders": "number of bidders / devices",
-    "dist_lower": "valuation support lower bound",
-    "dist_upper": "valuation support upper bound",
-    # network and training
-    "groups": "max-min groups per bidder",
-    "linear_units": "affine pieces per group",
-    "kappa": "softmax temperature",
-    "learning_rate": "gradient-descent step size",
-    "batch_size": "training batch size",
-    "iterations": "training iterations",
-    "convergence_tol": "early-stop loss range over 20 iterations (0 disables)",
-    "seed": "master RNG seed",
-    # experiments
-    "cases": "number of revenue-gap cases",
-    "out": "primary output path",
-}
-WORLD_SCHEMA: dict[str, str] = {
-    "n_devices": "devices in the simulated world",
-    "area_width": "world width in meters",
-    "area_height": "world height in meters",
-    "image_rows": "image height in pixels",
-    "image_cols": "image width in pixels",
-    "pile_size": "images per pile",
-    "battery": "battery budget in meters of flight",
-    "uav_x": "collector start x",
-    "uav_y": "collector start y",
-    "max_rounds": "episode round cap",
-    "similarity_aggregate": "pile similarity aggregation: mean or min",
-    "valuation_rule": "raw valuation rule: product or proximity",
-}
-SCHEMA: dict[str, str] = {**RUN_SCHEMA, **WORLD_SCHEMA}
 
 
 @dataclass(frozen=True)
@@ -67,14 +30,27 @@ class ExperimentConfig:
 
     net: NetConfig
     world: WorldConfig
-    cases: int = 300
-    out: str | None = None
+    cases: int = _key(300, "number of revenue-gap cases", low=1)
+    out: str | None = _key(None, "primary output path")
 
     def __post_init__(self):
         _read_fields(self)
-        _at_least(1, cases=self.cases)
         _bound_size(self.cases * self.net.n_bidders, "cases * n_bidders",
                     "the revenue-gap profiles")
+
+
+def _keys(cls, prefix: str = "") -> dict[str, Field]:
+    """The keys ``cls`` declares, ``prefix`` + field name, each mapped to its field."""
+    return {prefix + f.name: f for f in fields(cls) if "help" in f.metadata}
+
+
+_NET = _keys(NetConfig)
+# The market first, then the rest of the net, then the experiment's own keys.
+RUN_SCHEMA: dict[str, Field] = {"n_bidders": _NET["n_bidders"],
+                                **_keys(ValuationDistribution, "dist_"), **_NET,
+                                **_keys(ExperimentConfig)}
+# The world's seed repeats the net's declaration and keeps its place.
+SCHEMA: dict[str, Field] = {**RUN_SCHEMA, **_keys(WorldConfig)}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -109,23 +85,16 @@ def _fill(cls, values: dict, prefix: str = "", **built):
     return cls(**given, **built)
 
 
-# The declared type of the field each key fills; dist_lower fills the support's lower.
-_TYPES = {prefix + name: kind
-          for cls, prefix in ((ValuationDistribution, "dist_"), (NetConfig, ""),
-                              (WorldConfig, ""), (ExperimentConfig, ""))
-          for name, kind in get_type_hints(cls).items()}
-_NOUNS = {int: "an integer", float: "a number"}
-
-
 def _parse(name: str, text: str):
     """Parse one key's text as its field's type, naming the key on failure."""
-    kind = _TYPES[name]
-    if kind not in _NOUNS:
+    kind = SCHEMA[name].type
+    if kind not in ("int", "float"):
         return text
     try:
-        return kind(text)
+        return int(text) if kind == "int" else float(text)
     except ValueError:
-        raise InputError(f"{name}: expected {_NOUNS[kind]}, got {text!r}") from None
+        noun = "an integer" if kind == "int" else "a number"
+        raise InputError(f"{name}: expected {noun}, got {text!r}") from None
 
 
 def build_config(config_path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auction import (_SIZE_LIMIT, AuctionOutcome, ValuationDistribution, _at_least, _bound_size,
-                      _finite, _finite_array, _integer, _read_fields, _real, _second_price)
+                      _finite, _finite_array, _integer, _key, _read_fields, _real,
+                      _second_price)
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
@@ -61,7 +62,7 @@ def _checked_kappa(kappa) -> float:
     """The softmax temperature as a float; anything but finite and positive raises."""
     kappa = _real(kappa, "kappa")
     if not 0.0 < kappa < np.inf:  # also true for nan
-        raise InputError(f"kappa must be finite and positive, got kappa = {kappa}")
+        raise InputError(f"kappa must be finite and greater than 0, got kappa = {kappa!r}")
     return kappa
 
 
@@ -135,31 +136,21 @@ class MonotoneNetParams:
 class NetConfig:
     """Architecture and training hyperparameters."""
 
-    n_bidders: int = 5
-    groups: int = 5
-    linear_units: int = 3
-    kappa: float = DEFAULT_KAPPA
-    learning_rate: float = 0.35
-    batch_size: int = 768
-    iterations: int = 500
-    seed: int = 0
-    convergence_tol: float = 0.0
+    n_bidders: int = _key(5, "number of bidders / devices", low=2)
+    groups: int = _key(5, "max-min groups per bidder", low=1)
+    linear_units: int = _key(3, "affine pieces per group", low=1)
+    kappa: float = _key(DEFAULT_KAPPA, "softmax temperature", above=0)
+    learning_rate: float = _key(0.35, "gradient-descent step size", above=0)
+    batch_size: int = _key(768, "training batch size", low=1)
+    iterations: int = _key(500, "training iterations", low=1)
+    convergence_tol: float = _key(
+        0.0, "early-stop loss range over 20 iterations (0 disables)", low=0)
+    seed: int = _key(0, "master RNG seed", low=0)
 
     def __post_init__(self):
         _read_fields(self)
-        _at_least(2, n_bidders=self.n_bidders)
-        _at_least(1, groups=self.groups, linear_units=self.linear_units,
-                  batch_size=self.batch_size, iterations=self.iterations)
-        _at_least(0, seed=self.seed)
-        _checked_kappa(self.kappa)
-        if not 0.0 < self.learning_rate < np.inf:  # also true for nan
-            raise InputError(f"learning_rate must be finite and positive, got learning_rate = "
-                             f"{self.learning_rate}")
         _bound_size(self.linear_units * self.groups * self.n_bidders * self.batch_size,
                     "linear_units * groups * n_bidders * batch_size", "a training batch's pieces")
-        if not 0.0 <= self.convergence_tol < np.inf:  # also true for nan
-            raise InputError(f"convergence_tol must be finite and non-negative, got "
-                             f"convergence_tol = {self.convergence_tol}")
 
 
 @dataclass(frozen=True)

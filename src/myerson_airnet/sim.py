@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import (AuctionOutcome, ValuationDistribution, _at_least, _bound_size, _integer,
+from .auction import (AuctionOutcome, ValuationDistribution, _bound_size, _integer, _key,
                       _read_fields, _real, _real_array, spa_clear)
 from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
@@ -93,51 +93,33 @@ def _stream(*key: int) -> np.random.Generator:
 class WorldConfig:
     """World geometry, imaging, energy, and market parameters."""
 
-    n_devices: int = 5
-    area_width: float = 1000.0
-    area_height: float = 1000.0
-    image_rows: int = 16
-    image_cols: int = 16
-    pile_size: int = 3
-    battery: float = 2500.0
-    uav_x: float = 500.0
-    uav_y: float = 500.0
-    seed: int = 0
+    n_devices: int = _key(5, "devices in the simulated world", low=2)
+    area_width: float = _key(1000.0, "world width in meters", within=_COORD_LIMIT, above=0)
+    area_height: float = _key(1000.0, "world height in meters", within=_COORD_LIMIT, above=0)
+    image_rows: int = _key(16, "image height in pixels", low=1)
+    image_cols: int = _key(16, "image width in pixels", low=1)
+    pile_size: int = _key(3, "images per pile", low=1)
+    battery: float = _key(2500.0, "battery budget in meters of flight", low=0)
+    uav_x: float = _key(500.0, "collector start x", within=_COORD_LIMIT)
+    uav_y: float = _key(500.0, "collector start y", within=_COORD_LIMIT)
+    seed: int = _key(0, "master RNG seed", low=0)
     distribution: ValuationDistribution = field(default_factory=ValuationDistribution)
-    similarity_aggregate: str = "mean"
-    valuation_rule: str = "product"
-    max_rounds: int = 40
+    max_rounds: int = _key(40, "episode round cap", low=1)
+    similarity_aggregate: str = _key("mean", "pile similarity aggregation: mean or min",
+                                     choices=("mean", "min"))
+    valuation_rule: str = _key("product", "raw valuation rule: product or proximity",
+                               choices=("product", "proximity"))
 
     def __post_init__(self):
         _read_fields(self)
-        _at_least(2, n_devices=self.n_devices)
-        _at_least(1, image_rows=self.image_rows, image_cols=self.image_cols,
-                  pile_size=self.pile_size, max_rounds=self.max_rounds)
-        _at_least(0, seed=self.seed)
-        for key in ("area_width", "area_height", "uav_x", "uav_y"):
-            value = getattr(self, key)
-            if not abs(value) <= _COORD_LIMIT:  # also true for nan
-                raise InputError(f"{key} must be finite and at most {_COORD_LIMIT:g} "
-                                 f"in magnitude, got {value}")
-        for key in ("area_width", "area_height"):
-            if getattr(self, key) <= 0.0:
-                raise InputError(f"area dimensions must be positive, got {key} = "
-                                 f"{getattr(self, key)}")
         # Generating a world peaks near three copies of its pixels.  The largest world a
         # golden, demo or perfbench workload runs, 200 * 3 * 16 * 16, is 218x below the bound.
         _bound_size(self.n_devices * self.pile_size * self.image_rows * self.image_cols,
                     "n_devices * pile_size * image_rows * image_cols", "the world's piles",
                     "pixels")
-        if not 0.0 <= self.battery < np.inf:  # also true for nan
-            raise InputError(f"battery must be finite and non-negative, got battery = "
-                             f"{self.battery}")
         if self.distribution.lower < 0.0:
             raise InputError(f"the valuation support must be non-negative, got "
                              f"dist_lower = {self.distribution.lower}")
-        if self.similarity_aggregate not in ("mean", "min"):
-            raise InputError("similarity_aggregate must be 'mean' or 'min'")
-        if self.valuation_rule not in ("product", "proximity"):
-            raise InputError("valuation_rule must be 'product' or 'proximity'")
 
 
 class WorldState:

@@ -130,14 +130,15 @@ def test_simulate_non_finite_geometry_names_the_key(tmp_path, capsys, flag, valu
 
 
 @pytest.mark.parametrize("command, value, message", [
-    ("train", "nan", "distribution bounds must be finite, got dist_lower = nan"),
+    ("train", "nan", "dist_lower must be finite and at most 1e+100 in magnitude, got "
+                     "dist_lower = nan"),
     ("train", "3", "need lower < upper, got dist_lower = 3.0, dist_upper = 1.0"),
     ("simulate", "-0.5", "valuation support must be non-negative, got dist_lower = -0.5"),
     # every command builds the world's config, so the message names no simulation
     ("train", "-0.5", "valuation support must be non-negative, got dist_lower = -0.5"),
     ("eval", "-0.5", "valuation support must be non-negative, got dist_lower = -0.5"),
     # a bound past 1e100 would let a revenue's spread overflow to inf
-    ("eval", "-1e300", "distribution bounds must be at most 1e+100 in magnitude, got "
+    ("eval", "-1e300", "dist_lower must be finite and at most 1e+100 in magnitude, got "
                        "dist_lower = -1e+300"),
 ])
 def test_bad_valuation_support_names_the_key(tmp_path, capsys, datadir, command, value,

@@ -1,5 +1,6 @@
-"""Configuration defaults: one home per default, on the config dataclasses."""
+"""Configuration keys: one declaration per key, on the config dataclasses."""
 
+import re
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -7,6 +8,7 @@ from typing import get_type_hints
 import pytest
 
 from myerson_airnet.auction import ValuationDistribution
+from myerson_airnet.cli import main
 from myerson_airnet.config import (SCHEMA, ExperimentConfig, _parse, build_config,
                                    read_config_file)
 from myerson_airnet.errors import InputError
@@ -81,3 +83,86 @@ def test_every_key_parses_as_its_fields_type(key):
             build_config(overrides={key: "x"})
     else:
         assert _parse(key, " 1e3") == " 1e3"
+
+
+# Each bounded key: a value just outside its bound, and nan for a float key, with the
+# refusal written out in full.  Every single-key refusal reads
+# "<key> must be <rule>[ and <rule>...], got <key> = <value!r>".
+MAGNITUDE = "finite and at most 1e+100 in magnitude"
+COORDINATE = "finite and at most 5.53402e+20 in magnitude"
+REFUSALS = {
+    "n_bidders": [(1, "n_bidders must be at least 2, got n_bidders = 1")],
+    "dist_lower": [(-2e100, f"dist_lower must be {MAGNITUDE}, got dist_lower = -2e+100"),
+                   (float("nan"), f"dist_lower must be {MAGNITUDE}, got dist_lower = nan")],
+    "dist_upper": [(2e100, f"dist_upper must be {MAGNITUDE}, got dist_upper = 2e+100"),
+                   (float("nan"), f"dist_upper must be {MAGNITUDE}, got dist_upper = nan")],
+    "groups": [(0, "groups must be at least 1, got groups = 0")],
+    "linear_units": [(0, "linear_units must be at least 1, got linear_units = 0")],
+    "kappa": [(0.0, "kappa must be finite and greater than 0, got kappa = 0.0"),
+              (float("nan"), "kappa must be finite and greater than 0, got kappa = nan")],
+    "learning_rate": [
+        (0.0, "learning_rate must be finite and greater than 0, got learning_rate = 0.0"),
+        (float("nan"), "learning_rate must be finite and greater than 0, got learning_rate = nan"),
+    ],
+    "batch_size": [(0, "batch_size must be at least 1, got batch_size = 0")],
+    "iterations": [(0, "iterations must be at least 1, got iterations = 0")],
+    "convergence_tol": [
+        (-5e-324, "convergence_tol must be finite and at least 0, got convergence_tol = -5e-324"),
+        (float("nan"), "convergence_tol must be finite and at least 0, got convergence_tol = nan"),
+        (float("inf"), "convergence_tol must be finite and at least 0, got convergence_tol = inf"),
+    ],
+    "seed": [(-1, "seed must be at least 0, got seed = -1")],
+    "cases": [(0, "cases must be at least 1, got cases = 0")],
+    "n_devices": [(1, "n_devices must be at least 2, got n_devices = 1")],
+    "area_width": [
+        (0.0, f"area_width must be {COORDINATE} and greater than 0, got area_width = 0.0"),
+        (float("nan"), f"area_width must be {COORDINATE} and greater than 0, got area_width = nan"),
+    ],
+    "area_height": [
+        (6e20, f"area_height must be {COORDINATE} and greater than 0, got area_height = 6e+20"),
+        (float("nan"),
+         f"area_height must be {COORDINATE} and greater than 0, got area_height = nan"),
+    ],
+    "image_rows": [(0, "image_rows must be at least 1, got image_rows = 0")],
+    "image_cols": [(0, "image_cols must be at least 1, got image_cols = 0")],
+    "pile_size": [(0, "pile_size must be at least 1, got pile_size = 0")],
+    "battery": [(-5e-324, "battery must be finite and at least 0, got battery = -5e-324"),
+                (float("nan"), "battery must be finite and at least 0, got battery = nan")],
+    "uav_x": [(-6e20, f"uav_x must be {COORDINATE}, got uav_x = -6e+20"),
+              (float("nan"), f"uav_x must be {COORDINATE}, got uav_x = nan")],
+    "uav_y": [(6e20, f"uav_y must be {COORDINATE}, got uav_y = 6e+20"),
+              (float("nan"), f"uav_y must be {COORDINATE}, got uav_y = nan")],
+    "max_rounds": [(0, "max_rounds must be at least 1, got max_rounds = 0")],
+    "similarity_aggregate": [("max", "similarity_aggregate must be one of 'mean', 'min', "
+                                     "got similarity_aggregate = 'max'")],
+    "valuation_rule": [("sum", "valuation_rule must be one of 'product', 'proximity', "
+                               "got valuation_rule = 'sum'")],
+}
+UNBOUNDED = {"out"}
+
+
+def build_with(key, value):
+    """Build each dataclass that declares ``key`` directly, with ``value`` for it."""
+    if key.startswith("dist_"):
+        ValuationDistribution(**{key[len("dist_"):]: value})
+    elif key == "cases":
+        ExperimentConfig(NetConfig(), WorldConfig(), cases=value)
+    for cls in (NetConfig, WorldConfig):
+        if key in {f.name for f in fields(cls)}:
+            cls(**{key: value})
+
+
+def test_every_key_but_out_has_a_bound():
+    assert set(REFUSALS) == set(SCHEMA) - UNBOUNDED
+
+
+@pytest.mark.parametrize("key", sorted(set(SCHEMA) - UNBOUNDED))
+def test_every_bounded_key_is_refused_in_one_form(tmp_path, capsys, key):
+    for value, message in REFUSALS[key]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build_with(key, value)
+        out = tmp_path / "episode.csv"
+        flag = "--" + key.replace("_", "-")
+        assert main(["simulate", "--mechanism", "spa", flag, str(value), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()

@@ -185,6 +185,11 @@ NON_NUMERIC_CALLS = {
     "net_config_text": lambda params: NetConfig(learning_rate="0.5"),
     "world_config_text": lambda params: WorldConfig(uav_x="5"),
     "dist_text": lambda params: ValuationDistribution("0", "1"),
+    # A bool, which float() reads as 0 or 1, as an integer key already refuses it.
+    "net_config_bool": lambda params: NetConfig(kappa=True),
+    "world_config_bool": lambda params: WorldConfig(battery=True),
+    "world_config_numpy_bool": lambda params: WorldConfig(uav_x=np.True_),
+    "dist_bool": lambda params: ValuationDistribution(False, True),
     # Text inside an object array, which float() and astype(float) parse element by element.
     "spa_clear_object_text": lambda params: spa_clear(np.array(["0.9", "0.7"], dtype=object)),
     "clear_hard_object_text": lambda params: clear_hard(
