@@ -17,16 +17,19 @@ Every argmax in this package breaks ties toward the lowest bidder index,
 so outcomes are deterministic and directly testable.
 
 Every value from outside the package is read here: a number by
-:func:`_real`, :func:`_finite` or :func:`_integer`, an array by
+:func:`_real` (which returns a Python ``float`` as it is), :func:`_finite`
+or :func:`_integer`, an index by :func:`_index`, an array by
 :func:`_real_array` or :func:`_finite_array`.  Each names its key in the
-``InputError`` it raises for a non-numeric or complex value, which a cast
-would let by, and the number readers refuse a ``bool``.  A config key is
-one field built by :func:`_key`, holding its default, help text and
-rules; :func:`_read_fields` reads and checks every field, in one form:
-``<key> must be <rule>[ and <rule>...], got <key> = <value>``.  A product
-of keys is bounded by :func:`_bound_size`, and a lower bound outside a
-config's fields (``eval --samples``, ``build_config``'s cases-first
-check, ``affine``'s bidder count) by :func:`_at_least`.
+``InputError`` it raises for a non-numeric, complex or ``bool`` value,
+which a cast would let by.  A config key is one field built by
+:func:`_key`, holding its default, help text and rules; :func:`_read_value`
+reads a value by its field, as :func:`_read_fields` reads a config and the
+learned auction a bare ``kappa``, in one form: ``<key> must be <rule>[ and
+<rule>...], got <key> = <value>``.  A product of keys is bounded by
+:func:`_bound_size`, and a lower bound outside a config's fields (``eval
+--samples``, ``build_config``'s cases-first check, ``affine``'s bidder
+count) by :func:`_at_least`.  Every random stream is :func:`_stream` of
+the master seed and a tag of :data:`_TAGS`, the package's one tag table.
 """
 
 from __future__ import annotations
@@ -55,10 +58,12 @@ def _real(value, what: str) -> float:
     ``float()`` would parse text, read a ``bool`` as 0 or 1 and keep a complex's real part,
     so none reaches it, not even as an element of an object array.
     """
+    if type(value) is float:  # returned as it is, so a hot path reads its floats for free
+        return value
     try:
         array = np.asarray(value)
         kind = array.dtype.kind
-        if kind not in "bcSUO" or kind == "O" and not _holds_text(array):
+        if kind not in "bcSUO" or kind == "O" and not _holds_non_number(array):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         kind = None
@@ -100,16 +105,17 @@ def _integer(value, what: str) -> int:
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; a text, non-numeric or complex one raises :class:`InputError`.
+    """``values`` as a float array; a text, bool, non-numeric or complex one raises InputError.
 
-    Text and complex arrays are refused rather than cast, which would parse
-    the text and keep only a complex's real part; so is an object array
-    holding text or arrays.  A float array is returned as it is.
+    Text, bool and complex arrays are refused rather than cast, which would
+    parse the text, read a ``bool`` as 0 or 1 and keep only a complex's real
+    part; so is an object array holding text, bools or arrays.  A float
+    array is returned as it is.
     """
     try:
         array = np.asarray(values)
         kind = array.dtype.kind
-        if kind not in "cSUO" or kind == "O" and not _holds_text(array):
+        if kind not in "bcSUO" or kind == "O" and not _holds_non_number(array):
             return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         kind = None
@@ -118,9 +124,9 @@ def _real_array(values, what: str) -> np.ndarray:
     raise InputError(f"{what} must be numbers")
 
 
-def _holds_text(array: np.ndarray) -> bool:
-    """Whether an object array holds a ``str``, ``bytes`` or an array, which a cast would parse."""
-    return any(isinstance(item, (str, bytes, np.ndarray)) for item in array.flat)
+def _holds_non_number(array: np.ndarray) -> bool:
+    """Whether an object array holds text, a bool or an array, which a cast would misread."""
+    return any(isinstance(item, (str, bytes, bool, np.bool_, np.ndarray)) for item in array.flat)
 
 
 def _finite_array(values, what: str) -> np.ndarray:
@@ -149,21 +155,48 @@ def _key(default, help: str, *, low=None, above=None, within=None, choices=None)
 _FIELD_READERS = {"int": _integer, "float": _real}  # a postponed annotation is a name
 
 
+def _read_value(field_, key: str, value):
+    """``value`` read by the type of the config field ``field_``, as key ``key``; a
+    non-finite ``float`` or a value outside the field's rules raises :class:`InputError`."""
+    read = _FIELD_READERS.get(field_.type)
+    if read is not None:
+        value = read(value, key)
+    rules = field_.metadata.get("rules", ())
+    if field_.type == "float":
+        rules = (("finite", math.isfinite), *rules)
+    if not all(test(value) for _, test in rules):
+        raise InputError(f"{key} must be {' and '.join(text for text, _ in rules)}, "
+                         f"got {key} = {value!r}")
+    return value
+
+
 def _read_fields(config, prefix: str = "") -> None:
-    """Read a frozen ``config``'s ``int`` and ``float`` fields in place, as key ``prefix`` +
-    name, and refuse a non-finite ``float`` or a value outside its field's rules."""
+    """Read a frozen ``config``'s fields in place by :func:`_read_value`, as key prefix + name."""
     for field_ in fields(config):
-        key, value = prefix + field_.name, getattr(config, field_.name)
-        rules = field_.metadata.get("rules", ())
-        read = _FIELD_READERS.get(field_.type)
-        if read is not None:
-            value = read(value, key)
-            object.__setattr__(config, field_.name, value)
-        if field_.type == "float":
-            rules = (("finite", math.isfinite), *rules)
-        if not all(test(value) for _, test in rules):
-            raise InputError(f"{key} must be {' and '.join(text for text, _ in rules)}, "
-                             f"got {key} = {value!r}")
+        value = _read_value(field_, prefix + field_.name, getattr(config, field_.name))
+        object.__setattr__(config, field_.name, value)
+
+
+def _index(value, count: int, key: str) -> int:
+    """``value`` as an index into ``count`` items; anything else raises :class:`InputError`."""
+    index = _integer(value, key)
+    if not 0 <= index < count:
+        raise InputError(f"{key} must be within [0, {count}), got {index}")
+    return index
+
+
+# Every seed tag in the package: a stream is ``_stream(seed, _TAGS[name], ...)``.  No two
+# are equal, and ``SeedSequence`` zero-pads, so the bare seed draws the placement stream.
+_TAGS = {"placement": 0, "field": 1, "pile": 2, "sentinel": 3, "regen": 4,
+         "train": 900000, "train_eval": 900001, "eval": 900002, "gap": 900003}
+
+
+def _stream(*key: int) -> np.random.Generator:
+    """``np.random.default_rng(list(key))``: ``SeedSequence`` takes the list's ints as their
+    little-endian 32-bit words, which it coerces faster as one ``uint32`` array."""
+    words = b"".join(k.to_bytes((k.bit_length() + 31) // 32 * 4 or 4, "little")
+                     for k in map(operator.index, key))
+    return np.random.default_rng(np.frombuffer(words, dtype=np.uint32))
 
 
 @dataclass(frozen=True)

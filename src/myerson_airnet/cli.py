@@ -6,10 +6,10 @@ mean revenue against the analytic optimum.  Every command honors
 ``--seed``; outputs carry no timestamps, so identical invocations write
 byte-identical files.  ``train``'s held-out check, ``revenue-gap`` and
 ``eval`` each draw their profiles in one call from a stream that derives
-from the master seed through a fixed tag.  ``revenue-gap`` and ``eval``
-clear the analytic baselines as one batch and the learned auction one
-profile per :func:`clear_hard` call; ``train``'s held-out check clears its
-profiles in one :func:`clear_batch` call.  An output that is a directory
+from the master seed through a fixed tag of ``auction._TAGS``.
+``revenue-gap`` and ``eval`` clear the analytic baselines as one batch and
+the learned auction one profile per :func:`clear_hard` call; ``train``'s
+held-out check clears its profiles in one :func:`clear_batch` call.  An output that is a directory
 or resolves to ``--config``, to ``--checkpoint`` or to another output of
 the same command exits 2 before any work.  A command writes its outputs to
 temp files beside them and renames them only once every write succeeded,
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import _at_least, _bound_size, myerson_batch, spa_batch
+from .auction import _TAGS, _at_least, _bound_size, _stream, myerson_batch, spa_batch
 from .checkpoint import load_params, save_params
 from .config import RUN_SCHEMA, SCHEMA, build_config
 from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
@@ -43,12 +43,6 @@ from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_ep
 
 # Bound for perfbench's tracer alone, which patches them here; the clears call none.
 from .auction import ValuationProfile, myerson_clear, spa_clear  # noqa: F401
-
-# Seed-derivation tags for the profiles of train's held-out check, eval
-# and revenue-gap; they differ from each other and from the simulator's.
-_TAG_TRAIN_EVAL = 900001
-_TAG_EVAL = 900002
-_TAG_GAP = 900003
 
 _HELDOUT_PROFILES = 10_000  # fresh profiles train checks its net on
 
@@ -115,9 +109,9 @@ def _load_for_market(path, n_bidders: int, market: str):
     return params
 
 
-def _profiles(cfg, tag: int, count: int) -> np.ndarray:
+def _profiles(cfg, tag: str, count: int) -> np.ndarray:
     """``count`` profiles of the config's market from the master seed's ``tag`` stream."""
-    rng = np.random.default_rng([cfg.net.seed, tag])
+    rng = _stream(cfg.net.seed, _TAGS[tag])
     return cfg.world.distribution.sample(rng, (count, cfg.net.n_bidders))
 
 
@@ -144,7 +138,7 @@ def _cmd_train(args, cfg) -> int:
         _write_csv(trace_temp, ["iteration", "loss"],
                    ([i, repr(float(value))] for i, value in enumerate(trace.losses)))
 
-    heldout = _profiles(cfg, _TAG_TRAIN_EVAL, _HELDOUT_PROFILES)
+    heldout = _profiles(cfg, "train_eval", _HELDOUT_PROFILES)
     dla = clear_batch(params, heldout)[1]
     spa = spa_batch(heldout)[1]
     print(f"trained {len(trace.losses)} iterations; final loss {trace.losses[-1]:.6f}")
@@ -165,7 +159,7 @@ def _cmd_revenue_gap(args, cfg) -> int:
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
 
-    dla, spa = _revenues(params, _profiles(cfg, _TAG_GAP, cfg.cases))
+    dla, spa = _revenues(params, _profiles(cfg, "gap", cfg.cases))
     gaps = dla - spa
     order = np.argsort(gaps, kind="stable")
 
@@ -226,7 +220,7 @@ def _cmd_eval(args, cfg) -> int:
     params = _load_for_market(args.checkpoint, cfg.net.n_bidders,
                               f"the config expects {cfg.net.n_bidders}")
 
-    values = _profiles(cfg, _TAG_EVAL, samples)
+    values = _profiles(cfg, "eval", samples)
     dla, spa = _revenues(params, values)
     revenue = {"dla": dla, "spa": spa,
                "myerson": myerson_batch(values, cfg.world.distribution)[1]}

@@ -23,7 +23,9 @@ truthful play by plain gradient descent.  Gradients are assembled by
 hand: argmax/argmin selections route subgradients through the active
 piece only (ties to the lowest index, matching the forward tie-break),
 the softmax and ReLU use their standard derivatives, and ``exp``
-reparameterization turns weight gradients into ``w * dL/dw``.
+reparameterization turns weight gradients into ``w * dL/dw``.  A
+``kappa`` passed in is read as ``NetConfig``'s field reads it, and a
+bidder index by ``auction._index``.
 
 One layout holds every parameter and piece: units, groups, bidders
 ``(J, K, N)``, a batch's samples innermost.  A parameter set is immutable:
@@ -48,22 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import (_SIZE_LIMIT, AuctionOutcome, ValuationDistribution, _at_least, _bound_size,
-                      _finite, _finite_array, _integer, _key, _read_fields, _real,
-                      _second_price)
+from .auction import (_SIZE_LIMIT, _TAGS, AuctionOutcome, ValuationDistribution, _at_least,
+                      _bound_size, _finite, _finite_array, _index, _integer, _key, _read_fields,
+                      _read_value, _second_price, _stream)
 from .errors import InputError, TrainingDivergedError
 
 DEFAULT_KAPPA = 100.0
-# Training's seed tag: SeedSequence zero-pads, so the bare seed is sim's tag 0.
-_TAG_TRAIN = 900000
 
 
 def _checked_kappa(kappa) -> float:
-    """The softmax temperature as a float; anything but finite and positive raises."""
-    kappa = _real(kappa, "kappa")
-    if not 0.0 < kappa < np.inf:  # also true for nan
-        raise InputError(f"kappa must be finite and greater than 0, got kappa = {kappa!r}")
-    return kappa
+    """The softmax temperature, read as ``NetConfig``'s ``kappa`` field reads it."""
+    return _read_value(NetConfig.__dataclass_fields__["kappa"], "kappa", kappa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,24 +187,16 @@ def _inverted(w_inv: np.ndarray, beta: np.ndarray, y) -> np.ndarray:
     return np.minimum.reduce(np.maximum.reduce(pieces))
 
 
-def _check_bidder(params: MonotoneNetParams, bidder) -> int:
-    """``bidder`` as an index into the bidders; a non-integer or one out of range raises."""
-    bidder = _integer(bidder, "bidder index")
-    if not 0 <= bidder < params.n_bidders:
-        raise InputError(f"bidder index {bidder} out of range for {params.n_bidders} bidders")
-    return bidder
-
-
 def transform(params: MonotoneNetParams, bidder: int, bid: float) -> float:
     """Strictly increasing max-min transform of one bidder's bid."""
-    bidder = _check_bidder(params, bidder)
+    bidder = _index(bidder, params.n_bidders, "bidder index")
     bid = _finite(bid, "bid")
     return float(_transformed(params._w[..., bidder], params._beta[..., bidder], bid))
 
 
 def transform_inverse(params: MonotoneNetParams, bidder: int, y: float) -> float:
     """Exact inverse of :func:`transform`: min over groups of max over pieces."""
-    bidder = _check_bidder(params, bidder)
+    bidder = _index(bidder, params.n_bidders, "bidder index")
     y = _finite(y, "transformed bid")
     return float(_inverted(params._w_inv[..., bidder], params._beta[..., bidder], y))
 
@@ -447,14 +436,15 @@ def train(config: NetConfig,
           dist: ValuationDistribution) -> tuple[MonotoneNetParams, TrainingTrace]:
     """Gradient descent on fresh i.i.d. truthful batches.
 
-    Deterministic for a given config: one RNG stream, tagged off the
-    seed, drives both the parameter init and every batch.  Stops early
+    Deterministic for a given config: one RNG stream, the seed's
+    ``train`` stream (:func:`~myerson_airnet.auction._stream`), drives
+    both the parameter init and every batch.  Stops early
     once the loss range over a trailing 20-iteration window drops below
     ``convergence_tol``.  Raises :class:`TrainingDivergedError` on a
     non-finite loss, or once an update leaves an offset non-finite or a
     slope ``exp(theta)`` outside ``(0, inf)``.
     """
-    rng = np.random.default_rng([config.seed, _TAG_TRAIN])
+    rng = _stream(config.seed, _TAGS["train"])
     params = init_params(config, rng)
     losses: list[float] = []
     converged_at = None

@@ -36,9 +36,9 @@ checked over the same kernels and give the round's bits.  The round's
 valuations stay one read-only ``(D,)`` array from ``form_valuations``
 through the mechanism's clear to ``RoundRecord.valuations``.
 
-All randomness derives from ``WorldConfig.seed`` through fixed
-sub-stream tags, ``default_rng([seed, tag, ...])``'s streams seeded
-from those ints' 32-bit words, so an episode replays bitwise from its seed.
+All randomness derives from ``WorldConfig.seed`` through ``auction._stream``
+and the simulator's five tags of ``auction._TAGS``, so an episode replays
+bitwise from its seed.
 """
 
 from __future__ import annotations
@@ -46,30 +46,22 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .auction import (AuctionOutcome, ValuationDistribution, _bound_size, _integer, _key,
-                      _read_fields, _real, _real_array, spa_clear)
+from .auction import (_TAGS, AuctionOutcome, ValuationDistribution, _bound_size, _index, _key,
+                      _read_fields, _real, _real_array, _stream, spa_clear)
 from .errors import EpisodeExhaustedError, InputError
 from .network import MonotoneNetParams, clear_hard
-from .valuation import _normalized, _score, _similarity, distance, pile_terms
+from .valuation import _AGGREGATES, _RULES, _normalized, _score, _similarity, distance, pile_terms
 
 # The round calls none of these checked names; perfbench patches them here to time
 # layers, and its hook test pins that they stay bound.  They can go once the package
 # times its own stages (ROADMAP item 3).
 from .auction import ValuationProfile  # noqa: F401
 from .valuation import normalize_profile, pile_similarity, valuation_score  # noqa: F401
-
-# Sub-stream tags for seed derivation; changing these changes every world.
-_TAG_PLACEMENT = 0
-_TAG_FIELD = 1
-_TAG_PILE = 2
-_TAG_SENTINEL = 3
-_TAG_REGEN = 4
 
 _LATTICE_N = 17
 _CELL_METERS = 120.0
@@ -79,14 +71,6 @@ _COORD_LIMIT = _CELL_METERS * 2.0**62
 _PIXEL_METERS = 3.0
 _IMAGE_JITTER_METERS = 6.0
 _PIXEL_NOISE = 0.02
-
-
-def _stream(*key: int) -> np.random.Generator:
-    """``np.random.default_rng(list(key))``: ``SeedSequence`` takes the list's ints as their
-    little-endian 32-bit words, which it coerces faster as one ``uint32`` array."""
-    words = b"".join(k.to_bytes((k.bit_length() + 31) // 32 * 4 or 4, "little")
-                     for k in map(operator.index, key))
-    return np.random.default_rng(np.frombuffer(words, dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -105,10 +89,10 @@ class WorldConfig:
     seed: int = _key(0, "master RNG seed", low=0)
     distribution: ValuationDistribution = field(default_factory=ValuationDistribution)
     max_rounds: int = _key(40, "episode round cap", low=1)
-    similarity_aggregate: str = _key("mean", "pile similarity aggregation: mean or min",
-                                     choices=("mean", "min"))
-    valuation_rule: str = _key("product", "raw valuation rule: product or proximity",
-                               choices=("product", "proximity"))
+    similarity_aggregate: str = _key("mean", "pile similarity aggregation: "
+                                     + " or ".join(_AGGREGATES), choices=_AGGREGATES)
+    valuation_rule: str = _key("product", "raw valuation rule: " + " or ".join(_RULES),
+                               choices=_RULES)
 
     def __post_init__(self):
         _read_fields(self)
@@ -180,11 +164,7 @@ class WorldState:
 
     @uav_position.setter
     def uav_position(self, position) -> None:
-        x, y = position[0], position[1]
-        if type(x) is not float:  # a round sets Python floats, which need no reader
-            x = _real(x, "uav_position")
-        if type(y) is not float:
-            y = _real(y, "uav_position")
+        x, y = _real(position[0], "uav_position"), _real(position[1], "uav_position")
         if not (abs(x) <= _COORD_LIMIT and abs(y) <= _COORD_LIMIT):  # also false for nan
             raise InputError(f"uav_position must be finite and at most {_COORD_LIMIT:g} "
                              f"in magnitude, got {(x, y)}")
@@ -225,10 +205,7 @@ class WorldState:
 
     def _checked(self, device, pile) -> tuple[int, np.ndarray]:
         """``device`` as a row's index and ``pile`` as a row's floats in ``[0, 1]``, or refused."""
-        device = _integer(device, "device")
-        if not 0 <= device < self.config.n_devices:
-            raise InputError(f"device must be within [0, {self.config.n_devices}), "
-                             f"got {device}")
+        device = _index(device, self.config.n_devices, "device")
         pile = _real_array(pile, "pile")
         if pile.shape != self._piles.shape[1:]:
             raise InputError(f"pile {pile.shape} does not match the piles' "
@@ -308,7 +285,7 @@ class _NoiseField:
     """
 
     def __init__(self, seed: int):
-        rng = _stream(seed, _TAG_FIELD)
+        rng = _stream(seed, _TAGS["field"])
         self.lattice = rng.random((_LATTICE_N, _LATTICE_N))
         lat, wrap = self.lattice, np.roll(np.arange(_LATTICE_N), -1)
         self._corners = np.stack([lat, lat[wrap], lat[:, wrap], lat[wrap][:, wrap]],
@@ -376,15 +353,15 @@ def generate_world(config: WorldConfig) -> WorldState:
     own start position, so round one already has a meaningful redundancy
     signal.  Deterministic for a given ``config.seed``.
     """
-    placement = _stream(config.seed, _TAG_PLACEMENT)
+    placement = _stream(config.seed, _TAGS["placement"])
     xy = placement.random((config.n_devices, 2))
     xy[:, 0] *= config.area_width
     xy[:, 1] *= config.area_height
 
     noise = _NoiseField(config.seed)
-    piles = [_capture_pile(noise, _stream(config.seed, _TAG_PILE, idx), pos, config)
+    piles = [_capture_pile(noise, _stream(config.seed, _TAGS["pile"], idx), pos, config)
              for idx, pos in enumerate(xy)]
-    sentinel = _capture_pile(noise, _stream(config.seed, _TAG_SENTINEL),
+    sentinel = _capture_pile(noise, _stream(config.seed, _TAGS["sentinel"]),
                              (config.uav_x, config.uav_y), config)
     return WorldState(config=config, positions=xy, piles=piles, last_collected=sentinel)
 
@@ -433,7 +410,7 @@ def step(state: WorldState, mechanism) -> tuple[WorldState, RoundRecord]:
         flown = distance(state.uav_position, position)
         state.uav_position = position
         state.battery = max(0.0, state.battery - flown)
-        regen = _stream(state.config.seed, _TAG_REGEN, state.round, winner)
+        regen = _stream(state.config.seed, _TAGS["regen"], state.round, winner)
         state._write_row(winner, _capture_pile(state.noise, regen, position, state.config),
                          collect=True)
 

@@ -33,19 +33,20 @@ import numpy as np
 from .auction import ValuationDistribution, ValuationProfile, _finite_array, _real, _real_array
 from .errors import DegenerateProfileError, InputError
 
+_AGGREGATES = ("mean", "min")  # pile_similarity's aggregates
+_RULES = ("product", "proximity")  # valuation_score's rules
+
 
 def distance(a, b) -> float:
     """Euclidean distance in meters between the ``(x, y)`` points ``a`` and ``b``.
 
     ``np.hypot`` on scalars gives the bits it gives elementwise on arrays,
-    so this matches the distances the simulator prices in one call.  A
-    coordinate that is not a Python float is read by the shared reader,
-    so text and complex raise ``InputError`` naming its point.
+    so this matches the distances the simulator prices in one call.  Every
+    coordinate is read by the shared reader, which returns a Python float
+    as it is, so text and complex raise ``InputError`` naming its point.
     """
-    ax, ay, bx, by = a[0], a[1], b[0], b[1]
-    if not (type(ax) is type(ay) is type(bx) is type(by) is float):  # the round passes floats
-        ax, ay = _real(ax, "point a"), _real(ay, "point a")
-        bx, by = _real(bx, "point b"), _real(by, "point b")
+    ax, ay = _real(a[0], "point a"), _real(a[1], "point a")
+    bx, by = _real(b[0], "point b"), _real(b[1], "point b")
     return float(np.hypot(ax - bx, ay - by))
 
 
@@ -91,8 +92,9 @@ def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
     per-pair mean, not on its bits.  Empty piles and empty images raise
     ``InputError``.
     """
-    if aggregate not in ("mean", "min"):
-        raise InputError(f"unknown aggregate {aggregate!r} (use 'mean' or 'min')")
+    if aggregate not in _AGGREGATES:
+        raise InputError(f"unknown aggregate {aggregate!r} "
+                         f"(use {' or '.join(map(repr, _AGGREGATES))})")
     stack = _real_array(piles, "piles")
     reference = _real_array(reference, "reference")
     if stack.ndim != 4 or reference.ndim != 3 or stack.shape[2:] != reference.shape[1:]:
@@ -148,8 +150,9 @@ def valuation_score(similarity, dist_meters, rule: str = "product"):
         raise InputError("similarity must be a finite non-negative number")
     if not np.all((d >= 0.0) & np.isfinite(d)):
         raise InputError("distance must be a finite non-negative number")
-    if rule not in ("product", "proximity"):
-        raise InputError(f"unknown valuation rule {rule!r} (use 'product' or 'proximity')")
+    if rule not in _RULES:
+        raise InputError(f"unknown valuation rule {rule!r} "
+                         f"(use {' or '.join(map(repr, _RULES))})")
     score = _score(s, d, rule)
     return float(score) if score.ndim == 0 else score
 

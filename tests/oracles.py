@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from myerson_airnet.auction import _virtual_valuation, virtual_valuation_inverse
+from myerson_airnet.auction import _index, _virtual_valuation, virtual_valuation_inverse
 from myerson_airnet.errors import InputError
-from myerson_airnet.network import MonotoneNetParams, _check_bidder, transform_inverse
+from myerson_airnet.network import MonotoneNetParams, transform_inverse
 from myerson_airnet.sim import (_CELL_METERS, _IMAGE_JITTER_METERS, _LATTICE_N,
                                 _PIXEL_METERS, _PIXEL_NOISE)
 
@@ -38,7 +38,7 @@ def payment_soft(params: MonotoneNetParams, transformed_bids, bidder: int) -> fl
         raise InputError(f"expected {params.n_bidders} transformed bids, got shape {tb.shape}")
     if tb.size < 2:
         raise InputError("payments need at least two bidders")
-    _check_bidder(params, bidder)
+    _index(bidder, params.n_bidders, "bidder index")
     rival = float(np.max(np.delete(tb, bidder)))
     return transform_inverse(params, bidder, max(rival, 0.0))
 

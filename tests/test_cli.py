@@ -10,12 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from myerson_airnet.auction import (ValuationDistribution, ValuationProfile, myerson_batch,
-                                    myerson_clear, spa_batch, spa_clear)
+from myerson_airnet.auction import (_TAGS, ValuationDistribution, ValuationProfile,
+                                    myerson_batch, myerson_clear, spa_batch, spa_clear)
 from myerson_airnet import cli
 from myerson_airnet.checkpoint import load_params, save_params
-from myerson_airnet.cli import _TAG_EVAL, _TAG_GAP, _TAG_TRAIN_EVAL, main
-from myerson_airnet.network import _TAG_TRAIN, MonotoneNetParams, NetConfig, clear_hard, train
+from myerson_airnet.cli import main
+from myerson_airnet.network import MonotoneNetParams, NetConfig, clear_hard, train
 
 TINY = ("--n-bidders", "3", "--groups", "2", "--linear-units", "2",
         "--batch-size", "32", "--learning-rate", "0.1")
@@ -252,8 +252,7 @@ def test_revenue_gap_cases_repeat_no_other_stream_of_the_seed(tmp_path, monkeypa
     assert len(cleared) == cases
 
     dist = ValuationDistribution(0.0, 1.0)
-    streams = [seed, *([seed, tag]
-                       for tag in (0, 1, 2, 3, 4, _TAG_TRAIN, _TAG_TRAIN_EVAL, _TAG_EVAL))]
+    streams = [seed, *([seed, tag] for name, tag in _TAGS.items() if name != "gap")]
     for stream in streams:
         first = dist.sample(np.random.default_rng(stream), cleared[0].size)
         assert not any(np.array_equal(row, first) for row in cleared), stream
@@ -727,7 +726,7 @@ def test_trained_gap_tracks_analytic_gap_over_100k_cases(tmp_path):
     learned_gap = np.mean([float(row[1]) for row in rows])
     csv_spa_mean = np.mean([float(row[3]) for row in rows])
 
-    draws = dist.sample(np.random.default_rng([0, _TAG_GAP]), (cases, config.n_bidders))
+    draws = dist.sample(np.random.default_rng([0, _TAGS["gap"]]), (cases, config.n_bidders))
     spa = spa_batch(draws)[1]
     analytic_gap = np.mean(myerson_batch(draws, dist)[1] - spa)
 

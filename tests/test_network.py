@@ -133,8 +133,10 @@ def test_transform_examples():
     params = MonotoneNetParams(np.zeros((1, 1, 2)), np.array([[[0.0, -0.2]]]), 10.0)
     assert transform(params, 0, 0.5) == 0.3
 
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^bidder index must be within \[0, 2\), got 5$"):
         transform(ident, 5, 0.1)
+    with pytest.raises(InputError, match=r"^bidder index must be within \[0, 2\), got -1$"):
+        transform_inverse(ident, -1, 0.1)
     with pytest.raises(InputError):
         transform(ident, 0, float("nan"))
     assert transform(ident, np.int64(1), 0.7) == 0.7
@@ -190,6 +192,11 @@ NON_NUMERIC_CALLS = {
     "world_config_bool": lambda params: WorldConfig(battery=True),
     "world_config_numpy_bool": lambda params: WorldConfig(uav_x=np.True_),
     "dist_bool": lambda params: ValuationDistribution(False, True),
+    # A bool array, or a bool held in an object array, which a cast reads as 0 or 1.
+    "spa_clear_bool": lambda params: spa_clear([True, False]),
+    "clear_hard_bool": lambda params: clear_hard(params, np.array([False, True])),
+    "spa_clear_object_numpy_bool": lambda params: spa_clear(object_array(np.True_, 0.5)),
+    "world_config_object_bool": lambda params: WorldConfig(uav_x=np.array(True, dtype=object)),
     # Text inside an object array, which float() and astype(float) parse element by element.
     "spa_clear_object_text": lambda params: spa_clear(np.array(["0.9", "0.7"], dtype=object)),
     "clear_hard_object_text": lambda params: clear_hard(

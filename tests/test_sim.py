@@ -15,7 +15,7 @@ from oracles import capture_pile_meshgrid, noise_sample_2d_index, pile_similarit
 from test_batch_properties import U, gamma, similarity_rounding_bound
 
 from myerson_airnet import sim, valuation
-from myerson_airnet.auction import AuctionOutcome, ValuationDistribution, spa_clear
+from myerson_airnet.auction import _TAGS, AuctionOutcome, ValuationDistribution, _stream, spa_clear
 from myerson_airnet.errors import DegenerateProfileError, EpisodeExhaustedError, InputError
 from myerson_airnet.checkpoint import save_params
 from myerson_airnet.cli import main
@@ -248,23 +248,29 @@ def test_distance_reads_its_coordinates_naming_the_point(coordinate, message):
 
 
 def test_a_sold_round_reads_no_outside_value(monkeypatch):
-    """The round hands the setter and ``distance`` Python floats, so
-    neither calls the shared reader."""
-    calls = []
+    """The round hands the setter and ``distance`` only Python floats of its
+    own, which the shared reader returns as the same objects; any other
+    number goes through the full reader."""
+    handed = []
 
-    def counted(value, what):
-        calls.append(what)
-        return real(value, what)
+    def recorded(value, what):
+        read = real(value, what)
+        handed.append((what, value, read))
+        return read
 
     real = sim._real
-    monkeypatch.setattr(sim, "_real", counted)
-    monkeypatch.setattr(valuation, "_real", counted)
+    monkeypatch.setattr(sim, "_real", recorded)
+    monkeypatch.setattr(valuation, "_real", recorded)
     state = generate_world(small_config(battery=1e12))
+    handed.clear()
     records = [step(state, SecondPriceMechanism())[1] for _ in range(5)]
     assert all(record.outcome.sold for record in records)
-    assert calls == []
+    assert {what for what, _, _ in handed} == {"uav_position", "point a", "point b"}
+    assert all(type(value) is float and read is value for _, value, read in handed)
+    handed.clear()
     state.uav_position = (np.float64(1.0), 2)
-    assert calls == ["uav_position", "uav_position"]
+    assert [(what, type(value), type(read), read) for what, value, read in handed] == [
+        ("uav_position", np.float64, float, 1.0), ("uav_position", int, float, 2.0)]
 
 
 def test_hand_built_state_starts_where_its_config_says():
@@ -549,15 +555,17 @@ KEY_WORDS = [0, 2**32 - 1, 2**32, 2**40 + 3, 2**70 + 12345]
 def test_stream_draws_what_the_list_seeded_generator_draws(seed):
     """``_stream`` seeds from the words ``SeedSequence`` derives from the
     list: one per int below 2**32, two or three past it.  Both refuse a
-    negative int."""
-    keys = [(), (sim._TAG_FIELD,), *((sim._TAG_REGEN, round_, winner) for round_ in KEY_WORDS
-                                     for winner in (0, np.int64(7), 2**32))]
+    negative int.  The training and CLI streams are keyed like the simulator's."""
+    tags = ("field", "train", "train_eval", "eval", "gap")
+    keys = [(), *((_TAGS[name],) for name in tags),
+            *((_TAGS["regen"], round_, winner) for round_ in KEY_WORDS
+              for winner in (0, np.int64(7), 2**32))]
     for key in keys:
-        ours, listed = sim._stream(seed, *key), np.random.default_rng([seed, *key])
+        ours, listed = _stream(seed, *key), np.random.default_rng([seed, *key])
         for draw in ("random", "standard_normal"):
             assert np.array_equal(bits(getattr(ours, draw)(4)), bits(getattr(listed, draw)(4)))
     with pytest.raises(OverflowError):  # SeedSequence raises ValueError on a negative int
-        sim._stream(seed, -1)
+        _stream(seed, -1)
 
 
 def test_a_world_past_32_bit_keys_keeps_the_list_seeded_streams(monkeypatch):

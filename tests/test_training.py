@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from test_batch_properties import TINY, U
 
-from myerson_airnet import cli, network, sim
-from myerson_airnet.auction import ValuationDistribution, ValuationProfile, myerson_clear
+from myerson_airnet import network
+from myerson_airnet.auction import _TAGS, ValuationDistribution, ValuationProfile, myerson_clear
 from myerson_airnet.errors import TrainingDivergedError
 from myerson_airnet.network import NetConfig, clear_batch, clear_hard, train, transform
 
@@ -49,11 +49,10 @@ def test_training_draws_from_a_stream_of_its_own(u01, monkeypatch):
 
     monkeypatch.setattr(network, "init_params", recording_init)
     train(small_config(seed=seed, iterations=1), u01)
-    tags = (sim._TAG_PLACEMENT, sim._TAG_FIELD, sim._TAG_PILE, sim._TAG_SENTINEL,
-            sim._TAG_REGEN, cli._TAG_TRAIN_EVAL, cli._TAG_EVAL, cli._TAG_GAP)
+    tags = [tag for name, tag in _TAGS.items() if name != "train"]
     for tag in tags:
         assert not np.array_equal(first[0], np.random.default_rng([seed, tag]).random(8)), tag
-    assert len({*tags, network._TAG_TRAIN}) == len(tags) + 1
+    assert len({*tags, _TAGS["train"]}) == len(tags) + 1
 
 
 def test_trace_shape_and_final(u01):

@@ -119,6 +119,15 @@ def test_valuation_score_rules():
         valuation_score(0.2, 5.0, "inverse")
 
 
+def test_an_unknown_aggregate_or_rule_is_refused_naming_the_choices():
+    piles = np.zeros((1, 1, 2, 2))
+    with pytest.raises(InputError, match=r"^unknown aggregate 'max' \(use 'mean' or 'min'\)$"):
+        pile_similarity(piles, piles[0], aggregate="max")
+    with pytest.raises(InputError,
+                       match=r"^unknown valuation rule 'sum' \(use 'product' or 'proximity'\)$"):
+        valuation_score(0.2, 5.0, rule="sum")
+
+
 def test_normalize_profile_examples():
     dist = ValuationDistribution(0.5, 1.0)
     profile = normalize_profile([0.0, 1.0, 2.0], dist)
