@@ -36,6 +36,9 @@ checked over the same kernels and give the round's bits.  The round's
 valuations stay one read-only ``(D,)`` array from ``form_valuations``
 through the mechanism's clear to ``RoundRecord.valuations``.
 
+The episode's CSV and event writers write each record's line as it is
+formatted, so neither holds its whole output.
+
 All randomness derives from ``WorldConfig.seed`` through ``auction._stream``
 and the simulator's five tags of ``auction._TAGS``, so an episode replays
 bitwise from its seed.
@@ -47,7 +50,6 @@ import csv
 import functools
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -101,6 +103,10 @@ class WorldConfig:
         _bound_size(self.n_devices * self.pile_size * self.image_rows * self.image_cols,
                     "n_devices * pile_size * image_rows * image_cols", "the world's piles",
                     "pixels")
+        # An episode holds one record per round.  The largest a golden, demo or perfbench
+        # workload runs, 1,000 rounds of 200 devices, is 168x below the bound.
+        _bound_size(self.max_rounds * self.n_devices, "max_rounds * n_devices",
+                    "an episode's held valuations")
         if self.distribution.lower < 0.0:
             raise InputError(f"the valuation support must be non-negative, got "
                              f"dist_lower = {self.distribution.lower}")
@@ -452,23 +458,25 @@ def write_episode_csv(path, records) -> None:
 
 
 def write_episode_events(path, records) -> None:
-    """Newline-delimited JSON event stream carrying enough detail to replay."""
-    lines = []
-    for record in records:
-        outcome = record.outcome
-        allocation = [0.0] * record.valuations.size
-        if outcome.winner is not None:
-            allocation[outcome.winner] = 1.0
-        lines.append(json.dumps({
-            "round": record.round,
-            "mechanism": record.mechanism,
-            "valuations": record.valuations.tolist(),
-            "winner": outcome.winner,
-            "payment": float(outcome.payment),
-            "revenue": float(outcome.revenue),
-            "allocation": allocation,
-            "uav": list(record.uav_position),
-            "battery": record.battery,
-            "distance_flown": float(record.distance_flown),
-        }, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Newline-delimited JSON event stream carrying enough detail to replay: one compact
+    ``json.dumps`` and a newline per record, no records an empty file.  Each line is written
+    as soon as it is formatted, so a failure leaves the lines before it in ``path``; a caller
+    that needs all or nothing writes to a temp path, as ``simulate`` does."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            outcome = record.outcome
+            allocation = [0.0] * record.valuations.size
+            if outcome.winner is not None:
+                allocation[outcome.winner] = 1.0
+            handle.write(json.dumps({
+                "round": record.round,
+                "mechanism": record.mechanism,
+                "valuations": record.valuations.tolist(),
+                "winner": outcome.winner,
+                "payment": float(outcome.payment),
+                "revenue": float(outcome.revenue),
+                "allocation": allocation,
+                "uav": list(record.uav_position),
+                "battery": record.battery,
+                "distance_flown": float(record.distance_flown),
+            }, separators=(",", ":")) + "\n")

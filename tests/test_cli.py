@@ -12,7 +12,7 @@ import pytest
 
 from myerson_airnet.auction import (_TAGS, ValuationDistribution, ValuationProfile,
                                     myerson_batch, myerson_clear, spa_batch, spa_clear)
-from myerson_airnet import cli
+from myerson_airnet import cli, sim
 from myerson_airnet.checkpoint import load_params, save_params
 from myerson_airnet.cli import main
 from myerson_airnet.network import MonotoneNetParams, NetConfig, clear_hard, train
@@ -404,6 +404,23 @@ def test_a_failed_second_write_lands_no_output(tmp_path, monkeypatch, capsys, co
     assert [path.name for path in tmp_path.iterdir()] == ["identity.ckpt"]
 
 
+def test_a_failed_event_stream_lands_no_output(tmp_path, monkeypatch, capsys):
+    """The disk fills once the event writer has written its first line: the partial stream
+    and the finished CSV are both removed, and the error names the events path."""
+    def first_record_then_a_full_disk(records, path):
+        yield records[0]
+        fail_to_write(path)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "write_episode_events", lambda path, records: (
+        sim.write_episode_events(path, first_record_then_a_full_disk(records, path))))
+    assert main(["simulate", "--mechanism", "spa", "--max-rounds", "3", "--out", "e.csv",
+                 "--events", "e.jsonl"]) == 3
+    err = capsys.readouterr().err
+    assert "No space left on device: 'e.jsonl'" in err and ".tmp" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_outputs_land_as_a_plain_write_would(tmp_path):
     """A new output gets a new file's mode; an existing one keeps its mode,
     and a symlinked one is written through its link."""
@@ -441,6 +458,8 @@ def test_outputs_land_as_a_plain_write_would(tmp_path):
     ("simulate", "--seed", "-1", "seed = -1"),
     ("simulate", "--pile-size", "0", "pile_size = 0"),
     ("simulate", "--max-rounds", "0", "max_rounds = 0"),
+    # An episode holds every round's valuations until it writes them.
+    ("simulate", "--max-rounds", "10000000", "max_rounds * n_devices = 50000000"),
     ("revenue-gap", "--cases", "0", "cases = 0"),
     ("eval", "--samples", "0", "--samples = 0"),
     ("train", "--kappa", "0", "kappa = 0.0"),

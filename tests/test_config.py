@@ -166,3 +166,18 @@ def test_every_bounded_key_is_refused_in_one_form(tmp_path, capsys, key):
         assert main(["simulate", "--mechanism", "spa", flag, str(value), "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+
+def test_max_rounds_is_bounded_with_n_devices(tmp_path, capsys):
+    """An episode holds every round's valuations until it writes them, so max_rounds is
+    bounded jointly with n_devices, before any round runs."""
+    message = ("an episode's held valuations must hold at most 33554432 values, "
+               "got max_rounds * n_devices = 40000000")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        WorldConfig(n_devices=200, max_rounds=200_000)
+    WorldConfig(n_devices=200, max_rounds=2**25 // 200)
+    out = tmp_path / "episode.csv"
+    assert main(["simulate", "--mechanism", "spa", "--n-devices", "200", "--max-rounds",
+                 "200000", "--out", str(out), "--events", str(tmp_path / "e.jsonl")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())

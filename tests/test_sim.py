@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -904,6 +905,32 @@ def test_write_episode_events_allocation_is_one_hot_on_the_winner(tmp_path):
     assert sold["allocation"] == [0.0, 1.0, 0.0]
     assert (unsold["winner"], unsold["revenue"]) == (None, 0.0)
     assert unsold["allocation"] == [0.0, 0.0, 0.0]
+
+
+def test_write_episode_events_writes_an_empty_file_for_no_records(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(b"old stream\n")
+    write_episode_events(path, [])
+    assert path.read_bytes() == b""
+
+
+def test_write_episode_events_memory_stays_flat_in_the_record_count(tmp_path):
+    """The writer holds one line, not the stream: its traced peak over 2,000 records stays
+    under 64 KB (a joined stream of 2,000 lines peaked near 2 MB)."""
+    config = WorldConfig(n_devices=5, image_rows=2, image_cols=2, pile_size=1, battery=1e12,
+                         max_rounds=2000)
+    records = run_episode(generate_world(config), SecondPriceMechanism())
+    peaks = []
+    for count in (200, 2000):
+        head = records[:count]
+        tracemalloc.start()
+        try:
+            write_episode_events(tmp_path / f"events{count}.jsonl", head)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len((tmp_path / "events2000.jsonl").read_text().splitlines()) == 2000
+    assert max(peaks) < 64 * 2**10, peaks
 
 
 def test_mechanism_names():
