@@ -405,8 +405,8 @@ def test_a_failed_second_write_lands_no_output(tmp_path, monkeypatch, capsys, co
 
 
 def test_a_failed_event_stream_lands_no_output(tmp_path, monkeypatch, capsys):
-    """The disk fills once the event writer has written its first line: the partial stream
-    and the finished CSV are both removed, and the error names the events path."""
+    """The event writer fails once it has written its first line: the partial stream and the
+    finished CSV are both removed, and an error naming the temp file names the events path."""
     def first_record_then_a_full_disk(records, path):
         yield records[0]
         fail_to_write(path)
