@@ -132,7 +132,7 @@ def _holds_non_number(array: np.ndarray) -> bool:
 def _finite_array(values, what: str) -> np.ndarray:
     """``values`` as a float array of finite real entries; anything else raises :class:`InputError`."""
     array = _real_array(values, what)
-    if not np.isfinite(array).all():
+    if not np.logical_and.reduce(np.isfinite(array), axis=None):  # .all() without its wrapper
         raise InputError(f"{what} must be finite")
     return array
 
@@ -290,7 +290,8 @@ def spa_batch(values) -> tuple[np.ndarray, np.ndarray]:
 
 def _second_price(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's winner (lowest index on ties), top entry and runner-up entry."""
-    top_two = np.partition(x, -2, axis=-1)
+    top_two = x.copy()
+    top_two.partition(-2, axis=-1)
     return x.argmax(axis=-1), top_two[..., -1], top_two[..., -2]
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, CheckpointVersionError, InputError
+from .errors import CheckpointError, CheckpointVersionError, InputError, writing
 from .network import MonotoneNetParams
 
 FORMAT_MAGIC = "myerson-airnet checkpoint"
@@ -43,7 +43,8 @@ def save_params(params: MonotoneNetParams, path) -> None:
         lines.append(name)
         for bidder in range(params.n_bidders):
             lines.append(" ".join(_fmt(x) for x in array[bidder].ravel()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with writing(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _line(lines, what: str) -> str:

@@ -13,7 +13,7 @@ held-out check clears its profiles in one :func:`clear_batch` call.  An output t
 or resolves to ``--config``, to ``--checkpoint`` or to another output of
 the same command exits 2 before any work.  A command writes its outputs to
 temp files beside them and renames them only once every write succeeded,
-so a failed write leaves no output behind.  Each subcommand takes ``--config``,
+so a failed write leaves no output behind, and its error names the output.  Each subcommand takes ``--config``,
 its own arguments, then one ``--<key>`` flag per config key it reads; a
 key's text parses as its field's type (see :mod:`.config`), and a
 negative value may follow its flag (``--uav-y -1e3``).
@@ -36,7 +36,7 @@ from .auction import _TAGS, _at_least, _bound_size, _stream, myerson_batch, spa_
 from .checkpoint import load_params, save_params
 from .config import RUN_SCHEMA, SCHEMA, build_config
 from .errors import (CheckpointShapeError, EpisodeExhaustedError, InputError,
-                     TrainingDivergedError)
+                     TrainingDivergedError, writing)
 from .network import clear_batch, clear_hard, train
 from .sim import (LearnedMechanism, SecondPriceMechanism, generate_world, run_episode,
                   write_episode_csv, write_episode_events)
@@ -95,7 +95,7 @@ def _outputs(*paths):
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with writing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)  # streamed: revenue-gap writes one row per case
@@ -168,7 +168,8 @@ def _cmd_revenue_gap(args, cfg) -> int:
                    zip(range(1, order.size + 1), map(float, gaps[order]), map(float, dla[order]),
                        map(float, spa[order])))
         if svg_temp:
-            Path(svg_temp).write_text(_gap_curve_svg(gaps[order]), encoding="utf-8")
+            with writing(svg_temp) as handle:
+                handle.write(_gap_curve_svg(gaps[order]))
     if svg_path:
         print(f"wrote gap curve {svg_path}")
 

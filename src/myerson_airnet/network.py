@@ -32,8 +32,13 @@ One layout holds every parameter and piece: units, groups, bidders
 it stores read-only ``theta``, ``beta`` and the slopes ``exp(theta)`` and
 ``exp(-theta)``, computed once, in that layout; its public ``theta`` and
 ``beta``, of shape ``(n_bidders, groups, linear_units)``, are transposed
-views.  Pieces are ``(J, K, N)`` for a profile and ``(J, K, N, S)`` for a
-batch, reduced over leading axes.  Training also needs each active
+views.  A set also caches, once its first :func:`clear_hard` asks for them,
+read-only per-bidder ``(N, J, K)`` copies of ``exp(-theta)`` and ``beta``
+(its inverse rows), so a winner's payment reads two contiguous rows, not
+strided slices; ``train``, which builds a set per step and clears none,
+never builds them, and a copy or an unpickled set builds its own.  Pieces
+are ``(J, K, N)`` for a profile and ``(J, K, N, S)`` for a batch, reduced
+over leading axes.  Training also needs each active
 piece's cell, its flat index in that layout: it takes the first group
 whose reduction is the best and the first unit of that group that is,
 and gathers the piece itself, so the choice, the sign of a zero and a
@@ -45,6 +50,7 @@ arrays, so every reduction over bidders is a few whole-row operations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +75,8 @@ class MonotoneNetParams:
 
     Immutable: ``theta`` and ``beta`` are read-only views of ``(J, K, N)``
     copies, in which the slopes ``exp(theta)`` and ``exp(-theta)`` are
-    computed once, here.  A changed net is a new parameter set.
+    computed once, here; the inverse rows a clear pays from are built on
+    first use.  A changed net is a new parameter set.
     """
 
     theta: np.ndarray
@@ -94,9 +101,18 @@ class MonotoneNetParams:
         object.__setattr__(self, "kappa", _checked_kappa(self.kappa))
 
     def __reduce__(self):
-        # A copy or an unpickled set is built anew, so its arrays stay read-only
-        # and its slopes stay those of its theta.
+        # A copy or an unpickled set is built anew, so its arrays stay read-only,
+        # its slopes stay those of its theta and its inverse rows are rebuilt.
         return type(self), (self.theta, self.beta, self.kappa)
+
+    @functools.cached_property
+    def _inverse_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only C-ordered ``(N, J, K)`` copies of ``_w_inv`` and ``_beta``, made on the
+        first clear, so a winner's payment reads two contiguous ``(J, K)`` rows."""
+        rows = tuple(np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (self._w_inv, self._beta))
+        for array in rows:
+            array.flags.writeable = False
+        return rows
 
     @property
     def n_bidders(self) -> int:
@@ -247,7 +263,8 @@ def clear_hard(params: MonotoneNetParams, bids) -> AuctionOutcome:
     rival = max(float(rival), 0.0)  # a -0.0 or NaN rival stays as it is
     if not math.isfinite(rival):
         raise InputError("transformed bid must be finite")
-    payment = _inverted(params._w_inv[..., winner], params._beta[..., winner], rival)
+    w_inv, beta = params._inverse_rows
+    payment = _inverted(w_inv[winner], beta[winner], rival)
     return AuctionOutcome(int(winner), float(payment) + 0.0)
 
 
@@ -365,11 +382,13 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):
         beta = params._beta[..., None]
         pieces = np.empty(beta.shape[:3] + values.shape[:1])
-        np.multiply(params._w[..., None], values.T, out=pieces)
+        np.copyto(pieces, values.T)  # a broadcast copy, then in-place products
+        pieces *= params._w[..., None]
         pieces += beta
         tbar, fwd_cell = _active_piece(pieces, np.minimum, np.maximum)
         rarg, rmax = _top_rival(tbar)
-        np.subtract(np.maximum(rmax, 0.0), beta, out=pieces)
+        np.copyto(pieces, np.maximum(rmax, 0.0))
+        pieces -= beta
         pieces *= params._w_inv[..., None]
         p, inv_cell = _active_piece(pieces, np.maximum, np.minimum)
         g = _softmax_no_sale(tbar, kappa)[:-1]

@@ -11,13 +11,17 @@ the area, so nearby devices see correlated scenes.
 The world is held as arrays: every device's pile is one row of a
 ``(D, P, R, C)`` array and its position one row of a ``(D, 2)`` array,
 so a round prices all devices' similarity and distance in one batched
-call each.  The collector's position is an ``(x, y)`` pair of floats.
+call each.  Positions have no writer, so the state also caches their x and
+y columns as read-only contiguous copies, made once on construction, and a
+round takes its distances from those.  The collector's position is an
+``(x, y)`` pair of floats.
 The state keeps the piles' similarity terms (each image's squared norm,
 each pile's pixel sums and each pile's norm total,
 ``valuation.pile_terms``) and the reference pile's, so a round reads
 ``(D, K)`` sums, not every pixel, and sums no norms.  Only the winner's
-pile changes in a round, so only its row of terms is recomputed, and the
-new reference's are that row's old ones, copied; the arrays are exposed
+pile changes in a round, so only its row of terms is recomputed, written
+by ``pile_terms``' kernel straight into the cached rows, and the new
+reference's are that row's old ones, copied; the arrays are exposed
 read-only and change only through one row writer, which keeps the terms
 in step: ``WorldState.replace_pile`` and ``WorldState.collect`` check a
 pile and call it, and a sold round hands it the state's own capture.
@@ -55,9 +59,10 @@ import numpy as np
 
 from .auction import (_TAGS, AuctionOutcome, ValuationDistribution, _bound_size, _index, _key,
                       _read_fields, _real, _real_array, _stream, spa_clear)
-from .errors import EpisodeExhaustedError, InputError
+from .errors import EpisodeExhaustedError, InputError, writing
 from .network import MonotoneNetParams, clear_hard
-from .valuation import _AGGREGATES, _RULES, _normalized, _score, _similarity, distance, pile_terms
+from .valuation import (_AGGREGATES, _RULES, _normalized, _pile_terms, _score, _similarity,
+                        distance, pile_terms)
 
 # The round calls none of these checked names; perfbench patches them here to time
 # layers, and its hook test pins that they stay bound.  They can go once the package
@@ -159,6 +164,10 @@ class WorldState:
                              f"{config.n_devices} piles of shape {shape}")
         _require_pixels("piles", self._piles)
         _require_pixels("last_collected", self._last_collected)
+        # Positions have no writer, so the round reads distances from fixed x and y columns.
+        columns = self._positions.T.copy()
+        columns.flags.writeable = False
+        self._xs, self._ys = columns
         self._terms = pile_terms(self._piles)
         self._reference_terms = tuple(term[0, ...] for term in
                                       pile_terms(self._last_collected[None]))
@@ -225,9 +234,9 @@ class WorldState:
         if collect:
             self._last_collected = self._piles[device].copy()
             self._reference_terms = tuple(term[device, ...].copy() for term in self._terms)
-        self._piles[device] = pile
-        for cached, fresh in zip(self._terms, pile_terms(self._piles[device][None])):
-            cached[device] = fresh[0]
+        row = slice(device, device + 1)
+        self._piles[row] = pile
+        _pile_terms(self._piles[row], *(term[row] for term in self._terms))
 
 
 def _require_pixels(key: str, pile: np.ndarray) -> None:
@@ -300,10 +309,11 @@ class _NoiseField:
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         u = np.asarray(xs, dtype=float) / _CELL_METERS
         v = np.asarray(ys, dtype=float) / _CELL_METERS
-        i0 = np.floor(u).astype(int)
-        j0 = np.floor(v).astype(int)
-        fu = u - i0
-        fv = v - j0
+        u0, v0 = np.floor(u), np.floor(v)
+        i0, j0 = u0.astype(int), v0.astype(int)
+        # u - u0 is u - i0 but for a -0.0 u, whose sign the smoothstep squares away.
+        fu = u - u0
+        fv = v - v0
         fu = fu * fu * (3.0 - 2.0 * fu)
         fv = fv * fv * (3.0 - 2.0 * fv)
         i0 %= _LATTICE_N
@@ -349,7 +359,7 @@ def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
     ys = (gy + jitter[:, 1, None])[:, :, None]
     pile = field_.sample(xs, ys)
     pile += noise
-    return np.clip(pile, 0.0, 1.0, out=pile)
+    return pile.clip(0.0, 1.0, out=pile)  # np.clip's own method, without its wrappers
 
 
 def generate_world(config: WorldConfig) -> WorldState:
@@ -384,8 +394,7 @@ def form_valuations(state: WorldState) -> np.ndarray:
     """
     config = state.config
     x, y = state.uav_position
-    positions = state._positions
-    dists = np.hypot(x - positions[:, 0], y - positions[:, 1])
+    dists = np.hypot(x - state._xs, y - state._ys)
     sims = _similarity(state._piles, state._last_collected, state._terms,
                        state._reference_terms, config.similarity_aggregate)
     values = _normalized(_score(sims, dists, config.valuation_rule), config.distribution)
@@ -445,7 +454,7 @@ EPISODE_CSV_COLUMNS = ("round", "mechanism", "winner", "payment", "revenue",
 
 def write_episode_csv(path, records) -> None:
     """One row per round: outcome plus post-round collector position and battery."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with writing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(EPISODE_CSV_COLUMNS)
         for record in records:
@@ -462,7 +471,7 @@ def write_episode_events(path, records) -> None:
     ``json.dumps`` and a newline per record, no records an empty file.  Each line is written
     as soon as it is formatted, so a failure leaves the lines before it in ``path``; a caller
     that needs all or nothing writes to a temp path, as ``simulate`` does."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with writing(path) as handle:
         for record in records:
             outcome = record.outcome
             allocation = [0.0] * record.valuations.size

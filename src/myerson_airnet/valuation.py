@@ -17,8 +17,9 @@ total, so the mean over all cross pairs reads ``(D, K)`` sums instead of
 pair is found in Gram form.
 
 Each public function checks its input and then runs a private kernel
-that holds the only copy of its math: ``_similarity`` (given the
-stack's and the reference's terms), ``_score`` and ``_normalized``.
+that holds the only copy of its math: ``_pile_terms`` (which writes into
+given arrays, such as a cached row), ``_similarity`` (given the stack's
+and the reference's terms), ``_score`` and ``_normalized``.
 The simulator's round calls the kernels directly, on a state that
 checked what it holds and caches the piles' and the reference's terms,
 so a round is checked once and gives the public calls' bits.
@@ -63,9 +64,18 @@ def pile_terms(piles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if stack.ndim != 4:
         raise InputError("piles must come as a (D, P, R, C) stack")
     devices, images, rows, cols = stack.shape
+    terms = np.empty((devices, images)), np.empty((devices, rows * cols)), np.empty(devices)
+    _pile_terms(stack, *terms)
+    return terms
+
+
+def _pile_terms(stack: np.ndarray, norms, sums, totals) -> None:
+    """:func:`pile_terms` of a float ``(D, P, R, C)`` stack, written into its three outputs."""
+    devices, images, rows, cols = stack.shape
     a = np.ascontiguousarray(stack.reshape(devices, images, rows * cols))
-    norms = np.einsum("dpk,dpk->dp", a, a, optimize=False)
-    return norms, a.sum(axis=1), norms.sum(axis=1)
+    np.einsum("dpk,dpk->dp", a, a, optimize=False, out=norms)
+    np.add.reduce(a, axis=1, out=sums)
+    np.add.reduce(norms, axis=1, out=totals)
 
 
 def pile_similarity(piles, reference, aggregate: str = "mean") -> np.ndarray:
@@ -190,8 +200,8 @@ def _normalized(raw: np.ndarray, dist: ValuationDistribution) -> np.ndarray | No
     NaN.  Any other finite non-negative input maps onto finite values in
     the support.
     """
-    low = float(raw.min())
-    span = float(raw.max()) - low
+    low = float(np.minimum.reduce(raw))
+    span = float(np.maximum.reduce(raw)) - low
     scale = dist.width / span if span != 0.0 else math.inf
     if math.isinf(scale):
         return None

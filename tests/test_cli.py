@@ -1,9 +1,9 @@
 """End-to-end CLI behavior: files written, determinism, exit codes."""
 
+import builtins
 import csv
 import errno
 import os
-import pathlib
 import subprocess
 import sys
 
@@ -387,17 +387,47 @@ def fail_to_write(path, *args, **kwargs):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
 
-@pytest.mark.parametrize("command, owner, writer, second", [
-    (["train", *TINY, "--iterations", "2", "--out", "net.ckpt"], cli, "_write_csv",
-     "net.ckpt.loss.csv"),
+def open_failing(output, handle=None):
+    """``builtins.open`` with the temp of ``output`` (in the working directory) broken: with no
+    ``handle``, opening it fails as a full disk does; else the open file is wrapped in
+    ``handle``."""
+    real_open = builtins.open
+
+    def opener(file, *args, **kwargs):
+        if os.fspath(file) != os.path.realpath(output) + f".{os.getpid()}.tmp":
+            return real_open(file, *args, **kwargs)
+        if handle is None:
+            fail_to_write(file)
+        return handle(real_open(file, *args, **kwargs))
+    return opener
+
+
+class FullDisk:
+    """An open file whose every write fails as a full disk does: an ``OSError`` that, unlike
+    one from ``open``, names no file."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+@pytest.mark.parametrize("command, second", [
+    (["train", *TINY, "--iterations", "2", "--out", "net.ckpt"], "net.ckpt.loss.csv"),
     (["revenue-gap", "--checkpoint", "identity.ckpt", "--cases", "40", "--out", "gaps.csv",
-      "--svg"], pathlib.Path, "write_text", "gaps.svg"),
+      "--svg"], "gaps.svg"),
 ], ids=["train", "revenue-gap"])
-def test_a_failed_second_write_lands_no_output(tmp_path, monkeypatch, capsys, command, owner,
-                                               writer, second):
+def test_a_failed_second_write_lands_no_output(tmp_path, monkeypatch, capsys, command, second):
     monkeypatch.chdir(tmp_path)
     identity_checkpoint(tmp_path)
-    monkeypatch.setattr(owner, writer, fail_to_write)
+    monkeypatch.setattr(builtins, "open", open_failing(second))
     assert main(command) == 3
     err = capsys.readouterr().err
     assert f"No space left on device: '{second}'" in err and ".tmp" not in err
@@ -419,6 +449,32 @@ def test_a_failed_event_stream_lands_no_output(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "No space left on device: 'e.jsonl'" in err and ".tmp" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, output", [
+    (["train", *TINY, "--iterations", "2", "--out", "net.ckpt"], "net.ckpt"),
+    (["train", *TINY, "--iterations", "2", "--out", "net.ckpt"], "net.ckpt.loss.csv"),
+    (["revenue-gap", "--checkpoint", "identity.ckpt", "--cases", "40", "--out", "gaps.csv",
+      "--svg"], "gaps.csv"),
+    (["revenue-gap", "--checkpoint", "identity.ckpt", "--cases", "40", "--out", "gaps.csv",
+      "--svg"], "gaps.svg"),
+    (["simulate", "--mechanism", "spa", "--max-rounds", "3", "--out", "e.csv",
+      "--events", "e.jsonl"], "e.csv"),
+    (["simulate", "--mechanism", "spa", "--max-rounds", "3", "--out", "e.csv",
+      "--events", "e.jsonl"], "e.jsonl"),
+], ids=["checkpoint", "loss-csv", "gap-csv", "svg", "episode-csv", "events"])
+def test_a_write_that_fails_naming_no_file_names_its_output(tmp_path, monkeypatch, capsys,
+                                                            command, output):
+    """Each of the five writers (checkpoint, CSV, SVG, episode CSV, events) names its path
+    in an error that names no file, so the CLI reports the output and lands none."""
+    monkeypatch.chdir(tmp_path)
+    identity_checkpoint(tmp_path)
+    monkeypatch.setattr(builtins, "open", open_failing(output, FullDisk))
+    assert main(command) == 3
+    err = capsys.readouterr().err
+    assert f"error: [Errno {errno.ENOSPC}] No space left on device: '{output}'" in err
+    assert ".tmp" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["identity.ckpt"]
 
 
 def test_outputs_land_as_a_plain_write_would(tmp_path):

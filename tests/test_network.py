@@ -115,6 +115,35 @@ def test_cached_slopes_are_the_exponentials_of_theta_bitwise(net):
     assert np.array_equal(bits(params._beta.T), bits(params.beta))
 
 
+@pytest.mark.parametrize("net", sorted(_slope_nets()))
+def test_inverse_rows_are_each_bidders_inverse_slopes_and_offsets_bitwise(net):
+    """The per-bidder ``(N, J, K)`` copies a clear pays from are built on first use, never by
+    ``train`` or a load, read-only, and anew on a copy or an unpickled set."""
+    params = _slope_nets()[net]()
+    assert "_inverse_rows" not in vars(params)
+    for twin in (params, copy.copy(params), copy.deepcopy(params),
+                 pickle.loads(pickle.dumps(params))):
+        w_inv, beta = twin._inverse_rows
+        n, k, j = params.theta.shape
+        for rows, cached in ((w_inv, params._w_inv), (beta, params._beta)):
+            assert rows.shape == (n, j, k) and rows.flags.c_contiguous
+            for bidder in range(n):
+                assert np.array_equal(bits(rows[bidder]), bits(cached[..., bidder]))
+            for array in (rows, rows.base):
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0.0
+        assert "_inverse_rows" not in vars(copy.copy(twin))
+
+
+def test_clear_hard_builds_the_inverse_rows_once():
+    params = MonotoneNetParams.affine(3, 2.0, -1.0)
+    clear_hard(params, [0.9, 0.2, 0.6])
+    rows = vars(params)["_inverse_rows"]
+    clear_hard(params, [0.3, 0.8, 0.6])
+    assert vars(params)["_inverse_rows"] is rows
+
+
 def test_netconfig_validation():
     cfg = NetConfig()
     assert cfg.n_bidders == 5 and cfg.groups == 5 and cfg.linear_units == 3

@@ -285,6 +285,23 @@ def test_hand_built_state_starts_where_its_config_says():
     assert state.round == 0
 
 
+def test_coordinate_columns_are_read_only_copies_of_the_positions():
+    """The round prices distances from the state's own x and y columns, made once: they equal
+    ``positions``' columns bitwise, hold no memory of it and refuse writes."""
+    state = generate_world(WorldConfig(n_devices=7, seed=5))
+    for column, cached in enumerate((state._xs, state._ys)):
+        assert np.array_equal(bits(cached), bits(state.positions[:, column]))
+        assert cached.flags.c_contiguous and not np.shares_memory(cached, state._positions)
+        for array in (cached, cached.base):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    x, y = state.uav_position
+    assert np.array_equal(bits(form_valuations(state)), bits(normalize_profile(valuation_score(
+        pile_similarity(state.piles, state.last_collected),
+        [distance((x, y), position) for position in state.positions]),
+        state.config.distribution).values))
+
+
 def test_piles_and_terms_are_read_only_with_one_writer():
     """A write through ``piles`` or ``terms`` raises rather than leaving the
     terms stale, also on a deep copy, whose arrays numpy hands back
