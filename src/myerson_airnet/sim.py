@@ -231,12 +231,14 @@ class WorldState:
     def _write_row(self, device: int, pile: np.ndarray, collect: bool) -> None:
         """Write ``pile``, checked or the state's own capture, into the row with its terms;
         if ``collect``, the row's old pile and terms first become the reference."""
+        norms, sums, totals = self._terms
         if collect:
             self._last_collected = self._piles[device].copy()
-            self._reference_terms = tuple(term[device, ...].copy() for term in self._terms)
+            self._reference_terms = (norms[device].copy(), sums[device].copy(),
+                                     totals[device, ...].copy())
         row = slice(device, device + 1)
         self._piles[row] = pile
-        _pile_terms(self._piles[row], *(term[row] for term in self._terms))
+        _pile_terms(self._piles[row], norms[row], sums[row], totals[row])
 
 
 def _require_pixels(key: str, pile: np.ndarray) -> None:
@@ -296,7 +298,9 @@ class _NoiseField:
     ``(i+1, j+1)``, each index taken mod ``N``.  A sample gathers every
     pixel's row with one ``take`` and blends the corners with the
     smoothstep weights, products and sums in a fixed order, so its bits
-    equal a 2-D index of the lattice at each corner.
+    equal a 2-D index of the lattice at each corner.  A coordinate's cell
+    and weight depend on its axis alone (:func:`_cells`), so a capture finds
+    both axes' in one pass and blends them (:meth:`blend`).
     """
 
     def __init__(self, seed: int):
@@ -307,23 +311,25 @@ class _NoiseField:
                                  axis=-1).reshape(_LATTICE_N * _LATTICE_N, 4)
 
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        u = np.asarray(xs, dtype=float) / _CELL_METERS
-        v = np.asarray(ys, dtype=float) / _CELL_METERS
-        u0, v0 = np.floor(u), np.floor(v)
-        i0, j0 = u0.astype(int), v0.astype(int)
-        # u - u0 is u - i0 but for a -0.0 u, whose sign the smoothstep squares away.
-        fu = u - u0
-        fv = v - v0
-        fu = fu * fu * (3.0 - 2.0 * fu)
-        fv = fv * fv * (3.0 - 2.0 * fv)
-        i0 %= _LATTICE_N
-        j0 %= _LATTICE_N
-        i0 *= _LATTICE_N
-        corners = self._corners.take(i0 + j0, axis=0)
+        return self.blend(*_cells(xs), *_cells(ys))
+
+    def blend(self, i0: np.ndarray, fu: np.ndarray, j0: np.ndarray, fv: np.ndarray) -> np.ndarray:
+        """The field at broadcast x cells ``i0`` and y cells ``j0``, weighted ``fu`` and ``fv``."""
+        corners = self._corners.take(i0 * _LATTICE_N + j0, axis=0)
         gu = 1.0 - fu
         top = corners[..., 0] * gu + corners[..., 1] * fu
         bottom = corners[..., 2] * gu + corners[..., 3] * fu
         return top * (1.0 - fv) + bottom * fv
+
+
+def _cells(coords) -> tuple[np.ndarray, np.ndarray]:
+    """Each coordinate's lattice cell, mod ``N``, and its smoothstep weight within the cell."""
+    t = np.asarray(coords, dtype=float) / _CELL_METERS
+    t0 = np.floor(t)
+    cell = t0.astype(int)
+    cell %= _LATTICE_N
+    t -= t0  # t - cell, but for a -0.0 t, whose sign the smoothstep squares away
+    return cell, t * t * (3.0 - 2.0 * t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -340,12 +346,12 @@ def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
     pile's buffers; the draws are then scaled onto their ranges as
     ``uniform`` and ``normal`` scale them, ``loc + scale * x`` (the
     ``+ 0.0`` keeps ``normal``'s sign of zero), and the field is sampled
-    once for the whole pile on broadcast coordinates, from pixel offsets
-    computed once per size.  The clipped pile is one the state takes unchecked.
+    once for the whole pile, from pixel offsets computed once per size: each
+    image's x then y coordinates are one row of a ``(P, C + R)`` array, whose
+    cells are found in one pass.  The clipped pile is one the state takes
+    unchecked.
     """
     rows, cols, size = config.image_rows, config.image_cols, config.pile_size
-    gx = pos[0] + _pixel_offsets(cols)
-    gy = pos[1] + _pixel_offsets(rows)
     jitter = np.empty((size, 2))
     noise = np.empty((size, rows, cols))
     for k in range(size):
@@ -355,9 +361,10 @@ def _capture_pile(field_: _NoiseField, rng: np.random.Generator, pos,
     jitter += -_IMAGE_JITTER_METERS
     noise *= _PIXEL_NOISE
     noise += 0.0
-    xs = (gx + jitter[:, 0, None])[:, None, :]
-    ys = (gy + jitter[:, 1, None])[:, :, None]
-    pile = field_.sample(xs, ys)
+    grid = np.concatenate((pos[0] + _pixel_offsets(cols), pos[1] + _pixel_offsets(rows)))
+    cell, weight = _cells(grid + jitter.repeat((cols, rows), axis=1))
+    pile = field_.blend(cell[:, None, :cols], weight[:, None, :cols],
+                        cell[:, cols:, None], weight[:, cols:, None])
     pile += noise
     return pile.clip(0.0, 1.0, out=pile)  # np.clip's own method, without its wrappers
 
