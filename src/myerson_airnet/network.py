@@ -32,17 +32,15 @@ One layout holds every parameter and piece: units, groups, bidders
 it stores read-only ``theta``, ``beta`` and the slopes ``exp(theta)`` and
 ``exp(-theta)``, computed once, in that layout; its public ``theta`` and
 ``beta``, of shape ``(n_bidders, groups, linear_units)``, are transposed
-views.  A set also caches, once its first :func:`clear_hard` asks for them,
-read-only per-bidder ``(N, J, K)`` copies of ``exp(-theta)`` and ``beta``
-(its inverse rows), so a winner's payment reads two contiguous rows, not
-strided slices; ``train``, which builds a set per step and clears none,
-never builds them, and a copy or an unpickled set builds its own.  Pieces
-are ``(J, K, N)`` for a profile and ``(J, K, N, S)`` for a batch, reduced
-over leading axes.  Training also needs each active
-piece's cell, its flat index in that layout: it takes the first group
-whose reduction is the best and the first unit of that group that is,
-and gathers the piece itself, so the choice, the sign of a zero and a
-NaN's bits are ``np.argmin``'s and ``np.argmax``'s.  Training keeps
+views.  On its first :func:`clear_hard` a set also caches its inverse
+rows, read-only per-bidder ``(N, J, K)`` copies of ``exp(-theta)`` and
+``beta``, so a payment reads contiguous rows; ``train``'s per-step sets
+never build them.  Pieces are ``(J, K, N)`` for a profile and
+``(J, K, N, S)`` for a batch, reduced over leading axes.  Training also
+needs each active piece's cell, its flat index in that layout: it takes
+the first group whose reduction is the best and the first unit of that
+group that is, and gathers the piece itself, so the choice, the sign of a
+zero and a NaN's bits are ``np.argmin``'s and ``np.argmax``'s.  Training keeps
 samples innermost all the way to the gradient: the transformed bids,
 rivals, payments, softmax columns and backward terms are ``(N, S)``
 arrays, so every reduction over bidders is a few whole-row operations.
@@ -382,7 +380,7 @@ def _forward(params: MonotoneNetParams, values: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):
         beta = params._beta[..., None]
         pieces = np.empty(beta.shape[:3] + values.shape[:1])
-        np.copyto(pieces, values.T)  # a broadcast copy, then in-place products
+        np.copyto(pieces, values.T)  # an in-place product is about twice a broadcasting one
         pieces *= params._w[..., None]
         pieces += beta
         tbar, fwd_cell = _active_piece(pieces, np.minimum, np.maximum)

@@ -121,10 +121,10 @@ def test_inverse_rows_are_each_bidders_inverse_slopes_and_offsets_bitwise(net):
     ``train`` or a load, read-only, and anew on a copy or an unpickled set."""
     params = _slope_nets()[net]()
     assert "_inverse_rows" not in vars(params)
+    n, k, j = params.theta.shape
     for twin in (params, copy.copy(params), copy.deepcopy(params),
                  pickle.loads(pickle.dumps(params))):
         w_inv, beta = twin._inverse_rows
-        n, k, j = params.theta.shape
         for rows, cached in ((w_inv, params._w_inv), (beta, params._beta)):
             assert rows.shape == (n, j, k) and rows.flags.c_contiguous
             for bidder in range(n):
